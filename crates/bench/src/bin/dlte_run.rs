@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! dlte-run <id...|all> [--json] [--jobs N] [--shards N] [--seed S] [--params JSON] [--trace FILE] [--metrics]
-//! dlte-run profile <id...> [--jobs N] [--seed S] [--params JSON]
-//! dlte-run bench [id...] [--sizes N,N,...] [--shards N,N,...] [--ues-per-ap N] [--seed S] [--total SECS] [--out FILE] [--baseline FILE]
 //! dlte-run fuzz [--seeds A..B] [--shards N] [--out DIR] [--repro FILE] [--registry] [--mobility]
 //! dlte-run --list
 //! ```
@@ -15,8 +13,7 @@
 //! simulation the run builds across N engine shards (0 = one per CPU core);
 //! results are bit-identical for any value of either. `--trace FILE` writes
 //! the structured event trace as JSONL (also jobs- and shards-invariant);
-//! `--metrics` attaches the full metrics snapshot to each table's `meta`;
-//! `profile` writes per-experiment timing to `BENCH_profile.json`.
+//! `--metrics` attaches the full metrics snapshot to each table's `meta`.
 
 use dlte_bench::runner;
 
@@ -34,34 +31,6 @@ fn main() {
         let (report, ok) = runner::run_fuzz(&inv);
         print!("{report}");
         std::process::exit(if ok { 0 } else { 1 });
-    }
-    // `bench` likewise: a topology-size macro-benchmark written to
-    // BENCH_fabric.json (e15, with optional --baseline comparison) or
-    // BENCH_shard.json (e16 shard sweep), not a registry table run.
-    if std::env::args().nth(1).as_deref() == Some("bench") {
-        let inv = match runner::parse_bench_args(std::env::args().skip(2)) {
-            Ok(inv) => inv,
-            Err(msg) => {
-                eprintln!("dlte-run: {msg}");
-                std::process::exit(2);
-            }
-        };
-        let doc = match runner::run_bench_doc(&inv) {
-            Ok(doc) => doc,
-            Err(msg) => {
-                eprintln!("dlte-run: {msg}");
-                std::process::exit(1);
-            }
-        };
-        let out = inv.out_path();
-        let json = serde_json::to_string_pretty(&doc).expect("bench doc serializes");
-        if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("dlte-run: writing {out}: {e}");
-            std::process::exit(1);
-        }
-        print!("{}", runner::render_bench_doc(&doc));
-        eprintln!("dlte-run: wrote {out}");
-        return;
     }
     let inv = match runner::parse_args(std::env::args().skip(1)) {
         Ok(inv) => inv,
@@ -87,16 +56,7 @@ fn main() {
                     jsonl.lines().count()
                 );
             }
-            if inv.profile {
-                let profile = runner::render_profile(&tables);
-                if let Err(e) = std::fs::write("BENCH_profile.json", &profile) {
-                    eprintln!("dlte-run: writing BENCH_profile.json: {e}");
-                    std::process::exit(1);
-                }
-                println!("{profile}");
-            } else {
-                println!("{}", runner::render(&tables, inv.json));
-            }
+            println!("{}", runner::render(&tables, inv.json));
         }
         Err(e) => {
             eprintln!("dlte-run: {e}");

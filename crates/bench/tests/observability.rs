@@ -1,21 +1,10 @@
 //! Integration tests for the cross-layer observability surface: `--trace`
 //! JSONL is deterministic and jobs-invariant, every line parses into the
-//! typed event enum, `--metrics` attaches a snapshot, and profile mode
-//! renders well-formed JSON.
-//!
-//! Tests in this file serialize on a mutex: `run` flips the process-wide
-//! metrics-capture flag, so concurrent invocations would race.
+//! typed event enum, and `--metrics` (and only `--metrics`) attaches a
+//! snapshot.
 
-use dlte_bench::runner::{render_profile, run, take_trace_jsonl, Invocation, Profile};
+use dlte_bench::runner::{run, take_trace_jsonl, Invocation};
 use dlte_obs::{Event, Record};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static M: OnceLock<Mutex<()>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn quick_params() -> serde_json::Value {
     serde_json::from_str(r#"{ "total_s": 10.0 }"#).expect("literal parses")
@@ -36,7 +25,6 @@ fn traced(target: &str, jobs: usize) -> String {
 
 #[test]
 fn e13_trace_is_byte_identical_across_jobs() {
-    let _g = lock();
     let sequential = traced("e13", 1);
     let parallel = traced("e13", 4);
     assert!(!sequential.is_empty(), "e13 emits trace records");
@@ -45,7 +33,6 @@ fn e13_trace_is_byte_identical_across_jobs() {
 
 #[test]
 fn e14_trace_lines_parse_and_cover_event_kinds() {
-    let _g = lock();
     let jsonl = traced("e14", 2);
     let records: Vec<Record> = jsonl
         .lines()
@@ -80,7 +67,6 @@ fn e14_trace_lines_parse_and_cover_event_kinds() {
 
 #[test]
 fn metrics_flag_attaches_snapshot_with_matching_drops() {
-    let _g = lock();
     let inv = Invocation {
         targets: vec!["e13".to_string()],
         jobs: Some(2),
@@ -93,32 +79,18 @@ fn metrics_flag_attaches_snapshot_with_matching_drops() {
     let meta = tables[0].meta.as_ref().expect("meta attached");
     let snap = meta.metrics.as_ref().expect("--metrics attaches snapshot");
     assert_eq!(meta.drops, snap.prefixed("drops_"));
+    assert!(meta.events_dispatched > 0, "no work recorded");
+    assert!(meta.sim_time_ns > 0, "no simulated time");
     assert!(
         !meta.drops.is_empty(),
         "e13 injects faults, so some packets must drop"
     );
-}
 
-#[test]
-fn profile_mode_renders_wellformed_json() {
-    let _g = lock();
-    let inv = Invocation {
-        targets: vec!["e9".to_string(), "e13".to_string()],
-        jobs: Some(2),
-        seed: Some(7),
-        params: Some(quick_params()),
-        profile: true,
-        ..Invocation::default()
-    };
-    let tables = run(&inv).expect("e9+e13 run");
-    let rendered = render_profile(&tables);
-    let profile: Profile = serde_json::from_str(&rendered).expect("profile parses");
-    assert_eq!(profile.profile.len(), 2);
-    assert_eq!(profile.profile[0].id, "E9");
-    assert_eq!(profile.profile[1].id, "E13");
-    for e in &profile.profile {
-        assert!(e.wall_ms >= 0.0);
-        assert!(e.events_dispatched > 0, "{}: no work recorded", e.id);
-        assert!(e.sim_time_ns > 0, "{}: no simulated time", e.id);
-    }
+    let plain = run(&Invocation {
+        metrics: false,
+        ..inv
+    })
+    .expect("e13 runs");
+    let meta = plain[0].meta.as_ref().expect("meta attached");
+    assert!(meta.metrics.is_none(), "snapshot only under --metrics");
 }

@@ -8,7 +8,7 @@
 
 use dlte::experiments::registry::registry;
 use dlte::experiments::Table;
-use dlte_bench::runner::{parse_args, render, run, Invocation};
+use dlte_bench::runner::{parse_args, render, render_list, run, Invocation};
 
 #[test]
 fn registry_lists_all_twenty_one_experiments() {
@@ -20,6 +20,13 @@ fn registry_lists_all_twenty_one_experiments() {
             "e12", "e13", "e14", "e15", "e16", "e17", "e18"
         ]
     );
+    // `--list` prints exactly those ids, one per line, nothing else.
+    let list = render_list();
+    let listed: Vec<&str> = list
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(listed, ids);
 }
 
 /// A params override every experiment tolerates (unknown keys are ignored)

@@ -10,9 +10,10 @@
 //!
 //! Wall-clock throughput (events/sec) is deliberately **not** a table
 //! cell: tables are golden-checked byte-for-byte across `--jobs` values
-//! and machines. Timing lives in the per-run `meta` the runner attaches,
-//! and in `dlte-run bench`, which calls [`bench_runs`] directly and
-//! writes `BENCH_fabric.json` with before/after comparisons.
+//! and machines. Timing lives in the per-run `meta` the runner attaches
+//! (`dlte-run e15 --params '{"sizes":[1000]}' --json`); the repeated,
+//! recorded measurement of this geometry is the `fabric_central` /
+//! `fabric_dlte` workloads of `benchmark/`.
 
 use super::Table;
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
@@ -49,13 +50,9 @@ impl Default for Params {
     }
 }
 
-/// One measured arm of the sweep. The deterministic fields (`nodes`,
-/// `ues`, `events_dispatched`, `packets_forwarded`, `pongs`) are
-/// identical for a given (arch, size, seed, total_s) on any machine;
-/// `wall_ms`/`events_per_sec` are this run's timing and only appear in
-/// `BENCH_fabric.json`, never in golden-checked table cells.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(default)]
+/// One arm of the sweep: deterministic work counters, identical for a
+/// given (arch, size, seed, total_s) on any machine.
+#[derive(Clone, Debug)]
 pub struct BenchRun {
     pub arch: String,
     pub size: usize,
@@ -67,16 +64,6 @@ pub struct BenchRun {
     pub packets_forwarded: u64,
     /// Echo round trips completed across all UEs.
     pub pongs: u64,
-    pub wall_ms: f64,
-    pub events_per_sec: f64,
-    /// Heap allocations observed during the run. Zero unless the binary
-    /// was built with the counting allocator (`dlte-bench` feature
-    /// `count-allocs`); like timing, these never reach golden tables.
-    pub allocs: u64,
-    /// Bytes requested from the heap during the run (same caveat).
-    pub alloc_bytes: u64,
-    /// Packet bytes duplicated by `Packet::clone` during the run.
-    pub bytes_copied: u64,
 }
 
 /// size → (cells, ues_per_cell): ~10% of nodes are cells, the rest UEs,
@@ -104,11 +91,6 @@ fn finish(arch: &str, size: usize, p: &Params, mut sim: ShardedSim, ues: Vec<Nod
         events_dispatched: report.events_dispatched,
         packets_forwarded: sim.audit_merged().fabric.accepted,
         pongs,
-        wall_ms: report.wall_ms,
-        events_per_sec: report.events_per_sec,
-        allocs: report.allocs,
-        alloc_bytes: report.alloc_bytes,
-        bytes_copied: report.bytes_copied,
     }
 }
 
@@ -150,9 +132,8 @@ fn run_dlte(size: usize, p: &Params) -> BenchRun {
     finish("dlte", size, p, net.sim, net.ues)
 }
 
-/// Run the full sweep and return every measured arm. Arms run
-/// sequentially (not `par_map`) so each one's wall-clock measurement is
-/// unshared — this is the entry point `dlte-run bench` uses.
+/// Run the full sweep and return every arm, in (size, arch) order — the
+/// row source of [`run_with`].
 pub fn bench_runs(p: &Params) -> Vec<BenchRun> {
     let mut runs = Vec::new();
     for &size in &p.sizes {
@@ -182,7 +163,7 @@ pub fn run_with(p: Params) -> Table {
     }
     t.expect(
         "work counters grow with topology size in both arms and every arm completes echo \
-         round trips; the cells are deterministic (timing lives in meta and BENCH_fabric.json)",
+         round trips; the cells are deterministic (timing lives in meta and in benchmark/results/)",
     );
     t
 }

@@ -15,9 +15,11 @@
 //!   if any counter diverges, so a golden run at `--shards 4` *is* the
 //!   single-engine result.
 //! * **Throughput** — with AP-local traffic the shards exchange no
-//!   packets, so wall-clock throughput (events/sec) scales with cores.
-//!   Timing never enters the golden-checked table; it lives in
-//!   `BENCH_shard.json`, written by `dlte-run bench e16`.
+//!   packets, so wall-clock throughput (events/sec) can scale with cores.
+//!   Timing never enters the golden-checked table. The recorded
+//!   measurement is the `shard_cross` workload of `benchmark/` (which,
+//!   unlike this sweep, sends traffic across the cut) and its
+//!   `sim.shard.speedup_2v1`.
 
 use super::Table;
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
@@ -58,12 +60,10 @@ impl Default for Params {
     }
 }
 
-/// One measured run. The counter fields are identical for a given
+/// One run. The counter fields are identical for a given
 /// (size, seed, total_s) at *any* shard count — enforced by
-/// [`bench_runs`] — while `wall_ms`/`events_per_sec` are this machine's
-/// timing and only appear in `BENCH_shard.json`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(default)]
+/// [`bench_runs`].
+#[derive(Clone, Debug)]
 pub struct ShardBenchRun {
     pub size: usize,
     pub shards: usize,
@@ -73,8 +73,6 @@ pub struct ShardBenchRun {
     pub packets_forwarded: u64,
     /// UE↔UE packets delivered across all flows.
     pub delivered: u64,
-    pub wall_ms: f64,
-    pub events_per_sec: f64,
 }
 
 fn run_one(size: usize, n_shards: usize, p: &Params) -> ShardBenchRun {
@@ -130,15 +128,12 @@ fn run_one(size: usize, n_shards: usize, p: &Params) -> ShardBenchRun {
         events_dispatched: report.events_dispatched,
         packets_forwarded: net.sim.audit_merged().fabric.accepted,
         delivered,
-        wall_ms: report.wall_ms,
-        events_per_sec: report.events_per_sec,
     }
 }
 
-/// Run the full (size × shard count) sweep sequentially (each run owns
-/// the machine, so its wall-clock is honest) and enforce the invariance
-/// claim: every counter must be bit-identical across shard counts.
-/// This is the entry point `dlte-run bench e16` uses.
+/// Run the full (size × shard count) sweep and enforce the invariance
+/// claim: every counter must be bit-identical across shard counts. The
+/// row source of [`run_with`].
 pub fn bench_runs(p: &Params) -> Vec<ShardBenchRun> {
     let mut runs = Vec::new();
     for &size in &p.sizes {
@@ -198,7 +193,7 @@ pub fn run_with(p: Params) -> Table {
     }
     t.expect(
         "for each size, every counter column is identical across the shard rows (the sweep \
-         asserts it) and traffic flowed; wall-clock scaling lives in BENCH_shard.json, \
+         asserts it) and traffic flowed; wall-clock scaling lives in benchmark/results/, \
          never in golden cells",
     );
     t

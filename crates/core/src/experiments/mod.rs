@@ -26,8 +26,8 @@
 //! | E12| §4.2         | 0-RTT/migration/FEC make churn survivable |
 //! | E13| §7           | AP mesh bounds outages when a backhaul dies |
 //! | E14| §2.2/§4.2    | chaos sweep: local core rides out a backhaul outage; EPC loses all |
-//! | E15| ROADMAP §perf| fabric work scales with topology size; timing in `BENCH_fabric.json` |
-//! | E16| ROADMAP §perf| sharded engine: shard-invariant counters, multi-core throughput in `BENCH_shard.json` |
+//! | E15| ROADMAP §perf| fabric work scales with topology size; timing in `benchmark/results/` (`fabric_*`) |
+//! | E16| ROADMAP §perf| sharded engine: shard-invariant counters; timing in `benchmark/results/` (`shard_cross`) |
 
 pub mod e10_breakout;
 pub mod e11_x2_overhead;

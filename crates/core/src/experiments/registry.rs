@@ -56,17 +56,15 @@ pub trait Experiment: Sync {
     /// Run like [`Experiment::run`], additionally measuring the invocation
     /// with [`dlte_sim::report::scope`] and attaching the resulting
     /// [`dlte_sim::RunReport`] as the table's `meta`. The metrics registry
-    /// is drained around the run so the report's `drops` breakdown (and,
-    /// under `--metrics`, the full snapshot) covers exactly this invocation.
+    /// is drained around the run so the report's `drops` breakdown and full
+    /// `metrics` snapshot cover exactly this invocation.
     fn run_instrumented(&self, params: &Value) -> Result<Table, ExperimentError> {
         let _ = dlte_obs::metrics::take(); // isolate this run's counters
         let (result, mut report) = dlte_sim::report::scope(|| self.run(params));
         let snap = dlte_obs::metrics::take();
         result.map(|mut table| {
             report.drops = snap.prefixed("drops_");
-            if dlte_obs::metrics::capture() {
-                report.metrics = Some(snap);
-            }
+            report.metrics = Some(snap);
             table.meta = Some(report);
             table
         })
@@ -203,6 +201,7 @@ mod tests {
         let table = exp.run_instrumented(&exp.default_params()).unwrap();
         let meta = table.meta.expect("meta attached");
         assert!(meta.wall_ms >= 0.0);
+        assert!(meta.metrics.is_some(), "snapshot always attached");
         assert_eq!(table.id, "T1");
     }
 }

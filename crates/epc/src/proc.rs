@@ -12,8 +12,7 @@ use dlte_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Deferred outputs of one unit of work. Most messages produce exactly one
-/// reply; storing it inline skips the historical one-element `Vec` per
-/// processed message (the naive-memory baseline re-enacts it).
+/// reply; storing it inline skips a one-element `Vec` per processed message.
 enum Outputs {
     One(Packet),
     Many(Vec<Packet>),
@@ -61,11 +60,7 @@ impl Processor {
     /// [`Self::process`] for the common single-reply message, with the
     /// reply stored inline — no `Vec` allocation.
     pub fn process_one(&mut self, ctx: &mut NodeCtx<'_>, output: Packet) {
-        if dlte_net::naive_memory() {
-            self.enqueue(ctx, Outputs::Many(vec![output]));
-        } else {
-            self.enqueue(ctx, Outputs::One(output));
-        }
+        self.enqueue(ctx, Outputs::One(output));
     }
 
     fn enqueue(&mut self, ctx: &mut NodeCtx<'_>, outputs: Outputs) {

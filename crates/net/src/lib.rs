@@ -34,58 +34,3 @@ pub use packet::{Packet, Payload, TunnelHeader, TunnelStack};
 pub use pool::{PacketPool, PacketRef, PoolError};
 pub use sharded::{plan_for, ShardedSim};
 pub use trace::TraceStats;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, the crate routes every memory decision through the pre-§13
-/// "naive" path: control payloads always `Arc`-box, tunnel stacks spill to
-/// the heap on the first push, arrivals box their packets instead of
-/// parking them in the arena, and handler dispatch clones. Simulation
-/// *behavior* is bit-identical either way — this exists so `dlte-run bench
-/// --mem-baseline` can record before/after memory columns in one process.
-static NAIVE_MEMORY: AtomicBool = AtomicBool::new(false);
-
-/// Toggle the naive-memory baseline mode (process-global; see
-/// [`NAIVE_MEMORY`]). Networks capture the flag when they are *built*, so
-/// flip it before constructing the topology.
-pub fn set_naive_memory(on: bool) {
-    NAIVE_MEMORY.store(on, Ordering::Relaxed);
-}
-
-/// Whether the naive-memory baseline mode is on.
-pub fn naive_memory() -> bool {
-    NAIVE_MEMORY.load(Ordering::Relaxed)
-}
-
-/// Test-only coordination for the process-global [`NAIVE_MEMORY`] flag:
-/// tests that toggle it (or assert on which storage path was taken) hold
-/// this lock so parallel test threads don't observe each other's mode.
-#[doc(hidden)]
-pub mod test_support {
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-    pub struct NaiveMemoryGuard {
-        prev: bool,
-        _held: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for NaiveMemoryGuard {
-        fn drop(&mut self) {
-            crate::set_naive_memory(self.prev);
-        }
-    }
-
-    /// Acquire the mode lock and set the naive-memory flag to `on` for the
-    /// guard's lifetime (restored on drop).
-    pub fn naive_memory_lock(on: bool) -> NaiveMemoryGuard {
-        let held = LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = crate::naive_memory();
-        crate::set_naive_memory(on);
-        NaiveMemoryGuard { prev, _held: held }
-    }
-}

@@ -62,14 +62,14 @@ fn drop_counter(reason: DropReason) -> dlte_obs::metrics::CounterId {
 /// Where an in-flight packet's bytes live while its arrival event sits in
 /// the queue. The fast path parks the packet in the world's [`PacketPool`]
 /// and moves the 8-byte handle; cross-shard deliveries (whose bytes must
-/// physically travel to another worker's replica) and the naive-memory
-/// baseline mode carry an owned heap box instead. Either way the event
-/// stays 2 words — the queue slab never pays `size_of::<Packet>()`.
+/// physically travel to another worker's replica) carry an owned heap box
+/// instead. Either way the event stays 2 words — the queue slab never pays
+/// `size_of::<Packet>()`.
 #[derive(Debug)]
 pub enum PacketSlot {
     /// Handle into the receiving world's packet arena.
     Pooled(PacketRef),
-    /// The packet itself, boxed (cross-shard or naive-memory baseline).
+    /// The packet itself, boxed (cross-shard).
     Owned(Box<Packet>),
 }
 
@@ -229,9 +229,6 @@ pub struct NetCore {
     /// Arena for in-flight packets: local arrivals park their bytes here
     /// and the event queue carries only a [`PacketRef`].
     pub pool: PacketPool,
-    /// Captured [`crate::naive_memory`] at build time: route the memory
-    /// decisions (not the behavior) through the pre-§13 paths.
-    pub(crate) naive_mem: bool,
 }
 
 impl NetCore {
@@ -449,13 +446,8 @@ impl NetCore {
                 queue.schedule_at(departs_at, NetEvent::LinkDeparted { link, dir });
                 if self.shard_of[dest] == self.my_shard {
                     // Local delivery: park the bytes in the arena and move
-                    // only the handle through the queue (the naive baseline
-                    // boxes instead, pricing a heap round-trip per hop).
-                    let slot = if self.naive_mem {
-                        PacketSlot::Owned(Box::new(packet))
-                    } else {
-                        PacketSlot::Pooled(self.pool.insert(packet))
-                    };
+                    // only the handle through the queue.
+                    let slot = PacketSlot::Pooled(self.pool.insert(packet));
                     queue.schedule_at(arrives_at, NetEvent::PacketArrive { node: dest, slot });
                 } else {
                     // The far end lives on another shard: allocate the
@@ -800,10 +792,7 @@ impl World for Network {
                             }
                         }
                     }
-                    // Owned bytes: a shard-crossing arrival, or every hop of
-                    // the naive-memory baseline (which boxes per hop and
-                    // re-enacts the historical clone-per-handler so the
-                    // bench's `bytes_copied` column can price it).
+                    // Owned bytes: a shard-crossing arrival.
                     PacketSlot::Owned(b) => {
                         let packet = *b;
                         if self.down[node] || self.paused[node] {
@@ -812,14 +801,8 @@ impl World for Network {
                             return;
                         }
                         if self.handlers[node].is_some() {
-                            let naive = self.core.naive_mem;
                             self.with_handler(node, queue, now, move |h, ctx| {
-                                if naive {
-                                    let copy = packet.clone();
-                                    h.on_packet(ctx, copy);
-                                } else {
-                                    h.on_packet(ctx, packet);
-                                }
+                                h.on_packet(ctx, packet);
                             });
                             self.core.fabric.absorbed += 1;
                         } else if self.core.nodes[node].owns(packet.dst) {
@@ -987,7 +970,6 @@ impl NetworkBuilder {
                 shard_of: vec![0; n],
                 outbound: Vec::new(),
                 pool: PacketPool::new(),
-                naive_mem: crate::naive_memory(),
             },
             handlers: self.handlers,
             down: vec![false; n],
@@ -1329,55 +1311,40 @@ mod tests {
     /// Regression guard for the handler fan-out fast path: with at most one
     /// handler per node, delivery moves ownership and never clones, so an
     /// end-to-end run under [`dlte_sim::report::scope`] observes zero copied
-    /// bytes. The naive-memory baseline clones per arrival and must not.
+    /// bytes.
     #[test]
     fn single_handler_dispatch_copies_no_bytes() {
-        fn run_flow() -> dlte_sim::report::RunReport {
-            let mut b = NetworkBuilder::new(1);
-            let dst_addr = Addr::new(10, 0, 0, 2);
-            let src = b.host(
-                "src",
-                Box::new(Periodic {
-                    dst: dst_addr,
-                    sent: 0,
-                }),
-            );
-            b.addr(src, Addr::new(10, 0, 0, 1));
-            let dst = b.host(
-                "dst",
-                Box::new(Sink {
-                    got: 0,
-                    crashes: 0,
-                    restarts: 0,
-                }),
-            );
-            b.addr(dst, dst_addr);
-            b.link(src, dst, LinkConfig::lan());
-            b.auto_routes();
-            let ((), report) = dlte_sim::report::scope(|| {
-                let mut sim = b.build();
-                sim.run_until(SimTime::from_millis(305), 100_000);
-                let got = sim.world().handler_as::<Sink>(dst).unwrap().got;
-                assert!(got >= 20, "flow delivered ({got} packets)");
-            });
-            report
-        }
-        {
-            let _fast = crate::test_support::naive_memory_lock(false);
-            let report = run_flow();
-            assert_eq!(
-                report.bytes_copied, 0,
-                "single-handler dispatch must move, not clone"
-            );
-        }
-        {
-            let _naive = crate::test_support::naive_memory_lock(true);
-            let report = run_flow();
-            assert!(
-                report.bytes_copied > 0,
-                "naive baseline clones per handler arrival"
-            );
-        }
+        let mut b = NetworkBuilder::new(1);
+        let dst_addr = Addr::new(10, 0, 0, 2);
+        let src = b.host(
+            "src",
+            Box::new(Periodic {
+                dst: dst_addr,
+                sent: 0,
+            }),
+        );
+        b.addr(src, Addr::new(10, 0, 0, 1));
+        let dst = b.host(
+            "dst",
+            Box::new(Sink {
+                got: 0,
+                crashes: 0,
+                restarts: 0,
+            }),
+        );
+        b.addr(dst, dst_addr);
+        b.link(src, dst, LinkConfig::lan());
+        b.auto_routes();
+        let ((), report) = dlte_sim::report::scope(|| {
+            let mut sim = b.build();
+            sim.run_until(SimTime::from_millis(305), 100_000);
+            let got = sim.world().handler_as::<Sink>(dst).unwrap().got;
+            assert!(got >= 20, "flow delivered ({got} packets)");
+        });
+        assert_eq!(
+            report.bytes_copied, 0,
+            "single-handler dispatch must move, not clone"
+        );
     }
 
     /// Records the firing time (ms) of each of 5 pre-armed timers.

@@ -10,8 +10,8 @@
 //! the tunnel stack keeps its first [`TUNNEL_INLINE_DEPTH`] headers in a
 //! fixed array, touching the heap only for deeper stacking. Cloning a
 //! packet is instrumented — every clone credits its wire size to the
-//! thread's `bytes_copied` tally — so the bench can prove the forwarding
-//! path stopped copying.
+//! thread's `bytes_copied` tally — so the benchmark (`net.bytes_copied`)
+//! can prove the forwarding path stopped copying.
 
 use crate::addr::Addr;
 use dlte_sim::SimTime;
@@ -51,12 +51,9 @@ pub enum Payload {
 impl Payload {
     /// Wrap a typed control message. Messages within the inline budget (≤ 3
     /// words, word-aligned, trivially droppable) avoid the `Arc` allocation
-    /// entirely; everything else falls back to the shared heap box. The
-    /// naive-memory baseline mode (see [`crate::set_naive_memory`]) forces
-    /// the `Arc` path so the bench can measure the difference.
+    /// entirely; everything else falls back to the shared heap box.
     pub fn control<T: Any + Send + Sync>(msg: T) -> Payload {
-        if !crate::naive_memory()
-            && std::mem::size_of::<T>() <= SMALL_CONTROL_BYTES
+        if std::mem::size_of::<T>() <= SMALL_CONTROL_BYTES
             && std::mem::align_of::<T>() <= std::mem::align_of::<u64>()
             && !std::mem::needs_drop::<T>()
         {
@@ -146,8 +143,6 @@ pub const TUNNEL_INLINE_DEPTH: usize = 2;
 /// pushing and popping a tunnel is a few stores, no allocation. Past that
 /// depth the whole stack moves to a heap `Vec` (`spill`) and stays there
 /// until it empties; the representation is invisible through the API.
-/// The naive-memory baseline mode spills on the first push so the bench can
-/// price the old always-heap behavior.
 #[derive(Clone)]
 pub struct TunnelStack {
     inline: [TunnelHeader; TUNNEL_INLINE_DEPTH],
@@ -191,7 +186,7 @@ impl TunnelStack {
     pub fn push(&mut self, h: TunnelHeader) {
         if self.spilled().is_some() {
             self.spill.as_mut().expect("just checked").push(h);
-        } else if self.inline_len as usize == TUNNEL_INLINE_DEPTH || crate::naive_memory() {
+        } else if self.inline_len as usize == TUNNEL_INLINE_DEPTH {
             // Move the inline prefix to the heap, then grow there.
             let mut v = Vec::with_capacity(self.inline_len as usize + 1);
             v.extend_from_slice(&self.inline[..self.inline_len as usize]);
@@ -305,7 +300,7 @@ pub struct Packet {
 
 /// Cloning a packet duplicates its wire bytes; the fast path should almost
 /// never do it (forwarding moves handles — see [`crate::pool`]). Every clone
-/// credits `size_bytes` to the thread's `bytes_copied` tally so the bench
+/// credits `size_bytes` to the thread's `bytes_copied` tally so the benchmark
 /// and the fan-out regression test can count copies.
 impl Clone for Packet {
     fn clone(&self) -> Packet {
@@ -358,7 +353,6 @@ impl Packet {
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::test_support::naive_memory_lock;
 
     #[derive(Debug, PartialEq)]
     struct FakeNas {
@@ -401,7 +395,6 @@ mod tests {
 
     #[test]
     fn small_control_goes_inline_large_falls_back() {
-        let _guard = naive_memory_lock(false);
         // 8 bytes, word-aligned, no drop: inline.
         let small = Payload::control(FakeNas { imsi: 9 });
         assert!(small.is_inline_control());
@@ -432,7 +425,6 @@ mod tests {
 
     #[test]
     fn inline_control_survives_clone() {
-        let _guard = naive_memory_lock(false);
         let p = Payload::control(FakeNas { imsi: 7 });
         assert!(p.is_inline_control());
         let q = p.clone();
@@ -441,16 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_memory_forces_arc_control() {
-        let _guard = naive_memory_lock(true);
-        let p = Payload::control(FakeNas { imsi: 3 });
-        assert!(!p.is_inline_control(), "baseline mode boxes everything");
-        assert_eq!(p.as_control::<FakeNas>().unwrap().imsi, 3);
-    }
-
-    #[test]
     fn tunnel_stack_inline_until_depth_then_spills() {
-        let _guard = naive_memory_lock(false);
         let h = |teid| TunnelHeader {
             teid,
             inner_src: Addr::new(1, 0, 0, 1),
@@ -478,7 +461,6 @@ mod tests {
 
     #[test]
     fn tunnel_stack_eq_ignores_representation() {
-        let _guard = naive_memory_lock(false);
         let h = |teid| TunnelHeader {
             teid,
             inner_src: Addr::UNSPECIFIED,

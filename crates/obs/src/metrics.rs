@@ -19,7 +19,6 @@
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Log2-bucketed histogram state: bucket `i` counts values in
 /// `[2^i, 2^(i+1))`.
@@ -198,18 +197,6 @@ fn fold_cells(snap: &mut MetricsSnapshot) {
             }
         }
     });
-}
-
-/// Whether the runner wants full metrics snapshots merged into table meta
-/// (the `--metrics` flag). Process-wide so worker threads see it too.
-static CAPTURE: AtomicBool = AtomicBool::new(false);
-
-pub fn set_capture(on: bool) {
-    CAPTURE.store(on, Ordering::Relaxed);
-}
-
-pub fn capture() -> bool {
-    CAPTURE.load(Ordering::Relaxed)
 }
 
 /// Add `n` to counter `name`.

@@ -35,12 +35,13 @@ pub struct RunReport {
     /// Per-reason packet-drop breakdown (deterministic: sourced from the
     /// always-on `drops_*` metrics counters, independent of `--jobs`).
     pub drops: BTreeMap<String, u64>,
-    /// Full metrics snapshot, attached only when the runner's `--metrics`
-    /// flag asks for it (may contain wall-clock values).
+    /// Full metrics snapshot, attached by `Experiment::run_instrumented`;
+    /// `dlte-run` keeps it only under `--metrics` (may contain wall-clock
+    /// values).
     pub metrics: Option<MetricsSnapshot>,
     /// Heap allocations performed inside the scope. Only populated when the
-    /// binary installs the counting allocator (`dlte-bench` built with the
-    /// `count-allocs` feature); zero otherwise.
+    /// binary installs a counting allocator that calls [`note_alloc`]
+    /// (`benchmark/src/alloc.rs`); zero otherwise.
     pub allocs: u64,
     /// Bytes requested by those heap allocations.
     pub alloc_bytes: u64,
@@ -116,9 +117,9 @@ pub(crate) fn note(events: u64, sim_ns: u64) {
 }
 
 /// Record a heap allocation of `bytes` on the current thread's tally. Called
-/// by the counting `#[global_allocator]` in `dlte-bench` (feature
-/// `count-allocs`); must stay allocation-free, so it only touches the
-/// const-initialized thread-local `Cell`.
+/// by the counting `#[global_allocator]` in `benchmark/src/alloc.rs`; must
+/// stay allocation-free, so it only touches the const-initialized
+/// thread-local `Cell`.
 pub fn note_alloc(bytes: usize) {
     TALLY.with(|t| {
         let mut cur = t.get();

@@ -14,7 +14,7 @@
 //!   over the latest known demands;
 //! * accounts every byte sent (experiment E11).
 
-use crate::fair_share::{max_min_shares, max_min_shares_into};
+use crate::fair_share::max_min_shares_into;
 use crate::messages::{wire, CoordinationMode, DlteStatus, X2Msg};
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
 use dlte_sim::{SimDuration, SimTime};
@@ -161,16 +161,6 @@ impl X2Agent {
             self.my_share = 1.0; // uncoordinated: everyone just transmits
             return;
         }
-        if dlte_net::naive_memory() {
-            // The baseline re-enacts the historical fresh-vectors-per-call
-            // behavior so the bench can price the scratch reuse below.
-            let mut demands = vec![self.my_demand];
-            for a in self.fresh_peers() {
-                demands.push(self.peer_state[&a].status.demand);
-            }
-            self.my_share = max_min_shares(&demands, 1.0)[0];
-            return;
-        }
         // My demand first, then fresh peers in deterministic order. Stale
         // peers are excluded: a crashed AP must not keep holding spectrum
         // for up to three intervals until its table entry is evicted.
@@ -214,9 +204,7 @@ impl X2Agent {
         // Report to every configured peer. The report is identical for all
         // of them, so the ~full-mesh broadcast shares one `Arc`'d payload and
         // bumps its refcount per peer — in a 100-AP mesh that is 1 control
-        // allocation per tick instead of 99. The naive-memory baseline
-        // re-enacts the historical allocation per recipient so the bench can
-        // price the difference.
+        // allocation per tick instead of 99.
         let status = self.my_status();
         let my_addr = ctx.my_addr();
         let load = Payload::control(X2Msg::LoadInformation {
@@ -239,25 +227,9 @@ impl X2Agent {
         };
         for i in 0..self.peers.len() {
             let peer = self.peers[i];
-            let pl = if dlte_net::naive_memory() {
-                Payload::control(X2Msg::LoadInformation {
-                    from: my_addr,
-                    status,
-                })
-            } else {
-                load.clone()
-            };
-            self.send_payload(ctx, peer, pl, wire::LOAD_INFORMATION);
+            self.send_payload(ctx, peer, load.clone(), wire::LOAD_INFORMATION);
             if let Some((pl, size)) = &meas {
-                let pl = if dlte_net::naive_memory() {
-                    Payload::control(X2Msg::MeasurementReport {
-                        from: my_addr,
-                        reports: self.my_measurements.clone(),
-                    })
-                } else {
-                    pl.clone()
-                };
-                self.send_payload(ctx, peer, pl, *size);
+                self.send_payload(ctx, peer, pl.clone(), *size);
             }
         }
         self.recompute_share();
@@ -347,15 +319,7 @@ impl NodeHandler for X2Agent {
         });
         for i in 0..self.peers.len() {
             let peer = self.peers[i];
-            let pl = if dlte_net::naive_memory() {
-                Payload::control(X2Msg::SetupRequest {
-                    from: my_addr,
-                    status,
-                })
-            } else {
-                setup.clone()
-            };
-            self.send_payload(ctx, peer, pl, wire::SETUP);
+            self.send_payload(ctx, peer, setup.clone(), wire::SETUP);
         }
         let interval = self.report_interval;
         ctx.set_timer(interval, TAG_TICK);
