@@ -124,6 +124,20 @@ pub fn run() -> Table {
 
 #[cfg(test)]
 mod tests {
+    /// X2 peers are the AP's town, so AP 0's egress stops growing once the
+    /// town is full — and the committed table rows are unchanged.
+    #[test]
+    fn per_ap_x2_egress_is_flat_in_deployment_size() {
+        let p = super::Params::default();
+        let x2_bps = |n_aps| super::measured_x2_bps(n_aps, &p).0;
+        for (n_aps, row) in [(2, "1.73"), (4, "5.18"), (8, "12.10")] {
+            assert_eq!(super::f2c(x2_bps(n_aps) / 1e3), row, "{n_aps} APs");
+        }
+        let full_town = x2_bps(8);
+        assert_eq!(x2_bps(16), full_town);
+        assert_eq!(x2_bps(64), full_town);
+    }
+
     #[test]
     fn shapes_hold() {
         let t = super::run_with(super::Params {

@@ -11,7 +11,9 @@
 //! no tunnels — the AP forwards native IP at the aggregation point (local
 //! breakout), and the only wide-area control dependencies are the published
 //! key directory (first attach per AP, then cached) and the X2 reports
-//! between peer APs.
+//! between peer APs — the neighbours the open registry names for each AP's
+//! grant ([`DlteNetworkBuilder::x2_neighbors`]), not every AP in the
+//! deployment.
 
 use crate::ap::DlteApNode;
 use dlte_auth::open::PublishedKeyDirectory;
@@ -21,6 +23,8 @@ use dlte_epc::local_core::{KeyDirectoryNode, KeySource, LocalCoreNode};
 use dlte_epc::ue::{CellAttachment, MobilityMode, UeApp, UeNode};
 use dlte_net::handlers::EchoServer;
 use dlte_net::{Addr, AddrPool, LinkConfig, NetworkBuilder, NodeId, Prefix, ShardedSim};
+use dlte_phy::band::Band;
+use dlte_registry::{ChannelPlan, GrantRequest, LicenseGrant, Point, SpectrumRegistry};
 use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 use dlte_transport::connection::TransportConfig;
 use dlte_transport::handlers::TransportServerNode;
@@ -52,6 +56,11 @@ pub enum KeyDistribution {
     /// Remote directory queried on first sight of an IMSI, then cached.
     RemoteDirectory,
 }
+
+/// Co-channel APs per town in the builder's site plan
+/// ([`DlteNetworkBuilder::ap_site`]): the paper's rural-town deployment,
+/// and the largest row of E11's X2 overhead table.
+pub const APS_PER_TOWN: usize = 8;
 
 /// Builder for dLTE networks.
 pub struct DlteNetworkBuilder {
@@ -203,6 +212,54 @@ impl DlteNetworkBuilder {
         )
     }
 
+    /// Site of AP `k`: towns of [`APS_PER_TOWN`] APs, town centres 100 km
+    /// apart, APs 1 km apart inside a town. With the 10 km protection
+    /// contour every AP registers, a town is one contention domain and no
+    /// contour reaches the next town.
+    pub fn ap_site(k: usize) -> Point {
+        Point::new(
+            (k / APS_PER_TOWN) as f64 * 100.0 + (k % APS_PER_TOWN) as f64,
+            0.0,
+        )
+    }
+
+    /// X2 neighbours of every AP in an `n_aps` deployment, as AP indices
+    /// in ascending order — §4.3's discovery step. Each AP requests a
+    /// co-channel grant for its [`Self::ap_site`] from an open registry at
+    /// t = 0 and peers with that grant's contention domain, so the list
+    /// length is bounded by the town size however large the deployment.
+    pub fn x2_neighbors(n_aps: usize) -> Vec<Vec<usize>> {
+        let mut registry = SpectrumRegistry::new(ChannelPlan::for_band(Band::band5(), 10.0), 55.0);
+        let grants: Vec<LicenseGrant> = (0..n_aps)
+            .map(|k| {
+                let req = GrantRequest {
+                    operator: k as u64,
+                    location: Self::ap_site(k),
+                    channel: Some(0),
+                    max_eirp_dbm: 50.0,
+                    contour_km: 10.0,
+                    lease: SimDuration::from_secs(3600),
+                };
+                registry
+                    .request(req, SimTime::ZERO)
+                    .expect("the shared policy admits every conforming AP")
+            })
+            .collect();
+        // `operator` carries the AP index back out of the registry. Grant
+        // ids ascend with AP index and a contention domain is sorted by
+        // id, so each list comes out in ascending AP index.
+        grants
+            .iter()
+            .map(|g| {
+                registry
+                    .contention_domain(g, SimTime::ZERO)
+                    .iter()
+                    .map(|peer| peer.operator as usize)
+                    .collect()
+            })
+            .collect()
+    }
+
     pub fn imsi_of(i: usize) -> Imsi {
         1_000 + i as Imsi
     }
@@ -226,11 +283,20 @@ impl DlteNetworkBuilder {
     /// cross the cut, so the conservative lookahead is the backhaul delay.
     /// Results are bit-identical at any `n` (the tentpole invariant).
     pub fn build_sharded(self, n: usize) -> DlteNet {
+        // One registry round per network, not per replica: every shard's
+        // copy gets the same peer lists and `--metrics` shows one
+        // `grants_issued` per coordinating AP at any shard count.
+        // Independent agents never report to peers, so they skip discovery.
+        let x2_neighbors = if self.x2_mode == CoordinationMode::Independent {
+            vec![Vec::new(); self.n_aps]
+        } else {
+            Self::x2_neighbors(self.n_aps)
+        };
         let handles: RefCell<Option<ReplicaHandles>> = RefCell::new(None);
         let sim = ShardedSim::build(
             n,
             || {
-                let (sim, h) = self.build_replica();
+                let (sim, h) = self.build_replica(&x2_neighbors);
                 *handles.borrow_mut() = Some(h);
                 sim
             },
@@ -267,7 +333,11 @@ impl DlteNetworkBuilder {
     /// Build one full replica of the topology. Deterministic: every call
     /// produces the same network, handlers and seeds, which is what lets
     /// [`ShardedSim::build`] replicate it per shard and prune.
-    fn build_replica(&self) -> (Simulation<dlte_net::Network>, ReplicaHandles) {
+    /// `x2_neighbors[k]` lists AP `k`'s X2 peers by AP index.
+    fn build_replica(
+        &self,
+        x2_neighbors: &[Vec<usize>],
+    ) -> (Simulation<dlte_net::Network>, ReplicaHandles) {
         let mut b = NetworkBuilder::new(self.seed);
         let rng = SimRng::new(self.seed ^ 0xD17E);
         let total_ues = self.n_aps * self.ues_per_ap;
@@ -343,18 +413,7 @@ impl DlteNetworkBuilder {
                 self.stub_per_msg,
                 rng.fork_idx("stub", k as u64),
             );
-            // Independent agents never report to peers — skip the
-            // O(n_aps²) peer lists the other modes need.
-            let peers: Vec<Addr> = if self.x2_mode == CoordinationMode::Independent {
-                Vec::new()
-            } else {
-                ap_addrs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != k)
-                    .map(|(_, &a)| a)
-                    .collect()
-            };
+            let peers: Vec<Addr> = x2_neighbors[k].iter().map(|&j| ap_addrs[j]).collect();
             let x2 = X2Agent::new(self.x2_mode, peers, self.x2_interval);
             let ap = b.host(
                 format!("ap{k}"),
@@ -663,6 +722,33 @@ mod tests {
                 "share {}",
                 ap.tdm_share()
             );
+        }
+    }
+
+    /// Coordination is per town: 20 APs are towns of 8, 8 and 4, each AP
+    /// hears only its town, and the max-min share splits the channel
+    /// inside each town independently.
+    #[test]
+    fn x2_coordination_is_per_town() {
+        let mut net = DlteNetworkBuilder::new(20, 1).build();
+        net.sim.run_until(SimTime::from_secs(3), 5_000_000);
+        let w = net.sim.world();
+        let mut town_share = [0.0f64; 3];
+        for (k, &ap_id) in net.aps.iter().enumerate() {
+            let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
+            let town = k / APS_PER_TOWN;
+            let town_size = (20 - town * APS_PER_TOWN).min(APS_PER_TOWN);
+            assert_eq!(ap.x2.live_peers(), town_size - 1, "ap{k}");
+            // One attached client each → equal demand → an even split.
+            assert!(
+                (ap.tdm_share() - 1.0 / town_size as f64).abs() < 1e-9,
+                "ap{k} share {}",
+                ap.tdm_share()
+            );
+            town_share[town] += ap.tdm_share();
+        }
+        for (town, &sum) in town_share.iter().enumerate() {
+            assert!(sum <= 1.0 + 1e-9, "town {town} over-allocated: {sum}");
         }
     }
 

@@ -16,9 +16,14 @@
 //!
 //! [`peer::X2Agent`] is the wire-level agent (a [`dlte_net::NodeHandler`])
 //! that exchanges periodic load/status messages with its contention-domain
-//! peers (discovered from the [`dlte_registry`] registry), tracks peer
-//! liveness, and exposes the negotiated share. [`bandwidth`] accounts the
-//! X2 overhead (experiment E11; cf. La Roche & Widjaja's X2 sizing \[28\]).
+//! peers, tracks peer liveness, and exposes the negotiated share. The peer
+//! list is the contention domain of the AP's own [`dlte_registry`] grant:
+//! `dlte::scenario::DlteNetworkBuilder::x2_neighbors` asks the registry
+//! once per built network, so X2 load per AP is bounded by its town, not
+//! by the deployment ([`son::neighbor_relations`] is the distance-ranked
+//! view of the same set, for truncating under a backhaul budget).
+//! [`bandwidth`] accounts the X2 overhead (experiment E11; cf. La Roche &
+//! Widjaja's X2 sizing \[28\]).
 
 pub mod bandwidth;
 pub mod cooperative;

@@ -3,8 +3,10 @@
 //! Runs over the Internet backhaul as a [`NodeHandler`] co-resident with the
 //! AP's local core (the `dlte` crate composes them). Behaviour:
 //!
-//! * on start, sends `SetupRequest` to each configured peer (discovered out
-//!   of band from the registry's contention domain);
+//! * on start, sends `SetupRequest` to each configured peer — the
+//!   contention domain of the AP's registry grant, which the scenario
+//!   builder looks up before the run (`dlte::scenario`), so the list is
+//!   bounded by the neighbourhood, not by the deployment;
 //! * every `report_interval`, sends `LoadInformation` with the current dLTE
 //!   status (mode, demand, client count), plus measurement reports in
 //!   cooperative mode;
@@ -16,9 +18,9 @@
 
 use crate::fair_share::max_min_shares_into;
 use crate::messages::{wire, CoordinationMode, DlteStatus, X2Msg};
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Liveness: a peer is evicted from the table after this many silent
 /// intervals. Eviction is deliberately lazy (organic churn is normal in an
@@ -53,13 +55,16 @@ pub struct X2Agent {
     pub my_demand: f64,
     pub my_clients: u32,
     peers: Vec<Addr>,
-    peer_state: HashMap<Addr, PeerState>,
+    /// Probed once per received report. Every iteration over it is sorted
+    /// afterwards or order-free (counts, `retain`), so no result depends
+    /// on the hasher.
+    peer_state: FxHashMap<Addr, PeerState>,
     /// Negotiated share of the channel in \[0,1\].
     pub my_share: f64,
     /// Latest per-client SINR snapshot to advertise in cooperative mode.
     pub my_measurements: Vec<(u64, f64)>,
     /// Peers' latest measurement reports (cooperative mode input).
-    pub peer_measurements: HashMap<Addr, Vec<(u64, f64)>>,
+    pub peer_measurements: FxHashMap<Addr, Vec<(u64, f64)>>,
     /// Latest event time this agent processed; freshness is judged against
     /// this, not wall-clock polling, so it is meaningful right after any
     /// message or tick.
@@ -83,10 +88,10 @@ impl X2Agent {
             my_demand: 1.0,
             my_clients: 0,
             peers,
-            peer_state: HashMap::new(),
+            peer_state: FxHashMap::default(),
             my_share: 1.0,
             my_measurements: Vec::new(),
-            peer_measurements: HashMap::new(),
+            peer_measurements: FxHashMap::default(),
             last_now: SimTime::ZERO,
             stats: X2AgentStats::default(),
             scratch_addrs: Vec::new(),
@@ -202,9 +207,9 @@ impl X2Agent {
         let dropped = before - self.peer_state.len();
         self.stats.peers_dropped += dropped as u64;
         // Report to every configured peer. The report is identical for all
-        // of them, so the ~full-mesh broadcast shares one `Arc`'d payload and
-        // bumps its refcount per peer — in a 100-AP mesh that is 1 control
-        // allocation per tick instead of 99.
+        // of them, so the broadcast shares one `Arc`'d payload and bumps its
+        // refcount per peer — in an 8-AP contention domain that is 1 control
+        // allocation per tick instead of 7.
         let status = self.my_status();
         let my_addr = ctx.my_addr();
         let load = Payload::control(X2Msg::LoadInformation {
@@ -308,9 +313,9 @@ impl X2Agent {
 
 impl NodeHandler for X2Agent {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        // The setup storm is a full-mesh broadcast of one identical message;
-        // share its payload like the tick report does (with n APs this is n
-        // control allocations at startup instead of n²).
+        // The setup storm broadcasts one identical message to the contention
+        // domain; share its payload like the tick report does (one control
+        // allocation per AP at startup instead of one per peer relation).
         let status = self.my_status();
         let my_addr = ctx.my_addr();
         let setup = Payload::control(X2Msg::SetupRequest {

@@ -7,7 +7,10 @@
 //! registry:
 //!
 //! * **Automatic neighbor relations** — derive the X2 peer list from the
-//!   registry's contention domain instead of UE-reported ANR;
+//!   registry's contention domain instead of UE-reported ANR. The scenario
+//!   builder (`dlte::scenario`) configures every [`crate::X2Agent`] with
+//!   exactly that domain, in grant order; [`neighbor_relations`] ranks the
+//!   same set by distance for an AP that must truncate it;
 //! * **Mobility robustness** — tune the handover hysteresis margin from
 //!   observed ping-pong and too-late-handover counts (the classic MRO
 //!   feedback rule \[24\]).
