@@ -14,8 +14,9 @@
 //!   and ties across origins break by origin id — an order that does not
 //!   depend on any queue-global state;
 //! * cancellation via [`EventKey`] marks the event's slab slot vacant in
-//!   O(1) — no per-pop hash probing; the heap key left behind is discarded
-//!   when it surfaces (its slot no longer matches its guard number).
+//!   O(1) — no per-pop hash probing; the heap entry left behind is
+//!   discarded when it surfaces (its slot is vacant or holds another
+//!   event).
 //!
 //! The canonical key exists for the sharded engine (see [`crate::shard`]):
 //! because `(origin, oseq)` pairs are a pure function of each origin's own
@@ -23,6 +24,21 @@
 //! interleave — the same logical event gets the same key whether the
 //! topology runs in one queue or is partitioned across many, which is what
 //! makes dispatch order (and every golden) shard-count-invariant.
+//!
+//! ## One integer per event
+//!
+//! `(origin, oseq)` is packed into one `ord = origin << 40 | oseq`, and a
+//! heap entry `{ at, ord, slot }` (24 bytes) orders by the single 128-bit
+//! integer `at << 64 | ord` — the same total order as the tuple. Two limits
+//! make the packing exact, and both are checked in release builds (a silent
+//! wrap would misorder events): **origin < 2^24** ([`ORIGIN_LIMIT`], 170×
+//! the largest topology here) and **oseq < 2^40** ([`OSEQ_LIMIT`]).
+//!
+//! `ord` also names the event: a pair is never issued twice in one queue
+//! (counters are monotone and survive [`EventQueue::reclaim`]; imported
+//! keys come from the one shard that owns their origin), so a slab slot
+//! records its occupant's `ord`, and a heap entry or [`EventKey`] whose
+//! `ord` differs refers to an event that is gone.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -33,14 +49,23 @@ use std::collections::BinaryHeap;
 /// hundred bytes of savings.
 pub const RECLAIM_MIN_SLOTS: usize = 64;
 
+/// Every origin id must be below this: the origin fills the top 24 bits of
+/// the packed `ord`.
+pub const ORIGIN_LIMIT: u64 = 1 << 24;
+
+/// Every per-origin sequence number must be below this: `oseq` fills the
+/// low 40 bits of the packed `ord`.
+pub const OSEQ_LIMIT: u64 = 1 << 40;
+
 /// Identifies a scheduled event so it can be canceled before it fires.
-/// Internally `(slot, guard)`: the slot indexes the queue's slab, and the
-/// guard number protects against slot reuse — a key whose event already
-/// fired (or was canceled) can never touch the slot's next occupant.
+/// Internally `(slot, ord)`: the slot indexes the queue's slab, and the
+/// event's packed canonical key guards against slot reuse — a key whose
+/// event already fired (or was canceled) can never touch the slot's next
+/// occupant, which has a different `ord`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventKey {
     slot: u32,
-    guard: u64,
+    ord: u64,
 }
 
 /// The mutable state of a simulation, driven by events of type `Self::Event`.
@@ -61,17 +86,22 @@ pub trait World {
     }
 }
 
-/// A heap entry: the canonical ordering key plus the slab slot holding the
-/// payload. Ordered by `(at, origin, oseq)` — earliest time first, then
-/// lowest origin, then that origin's FIFO counter. `(origin, oseq)` is
+/// A heap entry: the canonical key — fire time `at` (nanoseconds) and the
+/// packed `ord = origin << 40 | oseq` — plus the slab slot holding the
+/// payload. Ordered by the one integer `at << 64 | ord`: earliest time
+/// first, then lowest origin, then that origin's FIFO counter. `ord` is
 /// unique per queue, so the slot never participates in ordering.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct HeapKey {
-    at: SimTime,
-    origin: u64,
-    oseq: u64,
+    at: u64,
+    ord: u64,
     slot: u32,
-    guard: u64,
+}
+
+impl HeapKey {
+    fn rank(self) -> u128 {
+        (self.at as u128) << 64 | self.ord as u128
+    }
 }
 
 impl PartialOrd for HeapKey {
@@ -81,22 +111,22 @@ impl PartialOrd for HeapKey {
 }
 impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.origin, self.oseq).cmp(&(other.at, other.origin, other.oseq))
+        self.rank().cmp(&other.rank())
     }
 }
 
-/// One slab entry. `event: None` means vacant (fired or canceled); `guard`
-/// stays behind as the reuse guard — a heap key or [`EventKey`] only acts
-/// on the slot while its guard number matches.
+/// One slab entry. `event: None` means vacant (fired or canceled); `ord`
+/// names the slot's latest occupant — a heap entry or [`EventKey`] only
+/// acts on the slot while its `ord` matches and the event is still there.
 struct Slot<E> {
-    guard: u64,
+    ord: u64,
     event: Option<E>,
 }
 
 /// A priority queue of future events: a slab of scheduled payloads indexed
 /// by a heap of canonical `(time, origin, oseq)` keys. Cancellation vacates
-/// the slab slot by index — O(1), no hashing — and the orphaned heap key is
-/// discarded whenever it reaches the top.
+/// the slab slot by index — O(1), no hashing — and the orphaned heap entry
+/// is discarded whenever it reaches the top.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<HeapKey>>,
     slots: Vec<Slot<E>>,
@@ -104,8 +134,6 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     /// Number of scheduled, not-yet-canceled events.
     live: usize,
-    /// Slot-reuse guard counter (never ordering-relevant).
-    next_guard: u64,
     /// The origin tag stamped on subsequent `schedule_*` calls.
     cur_origin: u64,
     /// Per-origin FIFO counters, indexed by origin id.
@@ -126,7 +154,6 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            next_guard: 0,
             cur_origin: 0,
             oseqs: Vec::new(),
             now: SimTime::ZERO,
@@ -188,20 +215,23 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::alloc_key`]) on the sending shard, so the event sorts
     /// exactly where it would have in a single-queue run. Each origin must
     /// be keyed from exactly one allocator — reusing an `(origin, oseq)`
-    /// pair breaks the total order.
+    /// pair breaks the total order and the pair's use as event identity.
+    ///
+    /// Panics if `origin >= ORIGIN_LIMIT` or `oseq >= OSEQ_LIMIT`.
     pub fn schedule_keyed(&mut self, at: SimTime, origin: u64, oseq: u64, event: E) -> EventKey {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at:?} < {:?}",
             self.now
         );
-        let at = at.max(self.now);
-        let guard = self.next_guard;
-        self.next_guard += 1;
+        assert!(origin < ORIGIN_LIMIT, "origin {origin} exceeds 2^24 - 1");
+        assert!(oseq < OSEQ_LIMIT, "oseq {oseq} exceeds 2^40 - 1");
+        let at = at.max(self.now).as_nanos();
+        let ord = origin << 40 | oseq;
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Slot {
-                    guard,
+                    ord,
                     event: Some(event),
                 };
                 i
@@ -209,21 +239,15 @@ impl<E> EventQueue<E> {
             None => {
                 debug_assert!(self.slots.len() < u32::MAX as usize);
                 self.slots.push(Slot {
-                    guard,
+                    ord,
                     event: Some(event),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse(HeapKey {
-            at,
-            origin,
-            oseq,
-            slot,
-            guard,
-        }));
+        self.heap.push(Reverse(HeapKey { at, ord, slot }));
         self.live += 1;
-        EventKey { slot, guard }
+        EventKey { slot, ord }
     }
 
     /// Schedule `event` after a relative delay from now.
@@ -239,13 +263,13 @@ impl<E> EventQueue<E> {
 
     /// Cancel a previously scheduled event: vacate its slab slot by index.
     /// Idempotent; canceling an event that already fired is a no-op (the
-    /// slot's guard number no longer matches, the slot is vacant, or —
-    /// after a [`EventQueue::reclaim`] — the slot index is out of bounds).
+    /// slot is vacant, holds an event with another `ord`, or — after a
+    /// [`EventQueue::reclaim`] — the slot index is out of bounds).
     pub fn cancel(&mut self, key: EventKey) {
         let Some(s) = self.slots.get_mut(key.slot as usize) else {
             return; // stale key from before a slab reclaim
         };
-        if s.guard == key.guard && s.event.is_some() {
+        if s.ord == key.ord && s.event.is_some() {
             s.event = None;
             self.free.push(key.slot);
             self.live -= 1;
@@ -280,13 +304,13 @@ impl<E> EventQueue<E> {
     /// here, exactly as `pop` would.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.purge_stale_top();
-        self.heap.peek().map(|Reverse(k)| k.at)
+        self.heap.peek().map(|Reverse(k)| SimTime::from_nanos(k.at))
     }
 
-    /// Whether this heap key still refers to the event it was pushed for.
+    /// Whether this heap entry still refers to the event it was pushed for.
     fn key_is_live(&self, k: HeapKey) -> bool {
         let s = &self.slots[k.slot as usize];
-        s.guard == k.guard && s.event.is_some()
+        s.ord == k.ord && s.event.is_some()
     }
 
     /// Drop canceled events' orphaned keys off the heap top until a live
@@ -320,15 +344,16 @@ impl<E> EventQueue<E> {
     /// or still small ([`RECLAIM_MIN_SLOTS`]): reclaiming a handful of slots
     /// just to re-grow them next epoch would thrash the allocator.
     ///
-    /// Safety of outstanding [`EventKey`]s: guards are monotone across a
-    /// reclaim (`next_guard` is not reset), so a stale key can never match a
-    /// post-reclaim occupant of the same slot index, and `cancel` bounds-
-    /// checks the index against the shrunken slab.
+    /// Safety of outstanding [`EventKey`]s: the per-origin counters are not
+    /// reset, so no `(origin, oseq)` pair — and hence no `ord` — is ever
+    /// issued again. A stale key can never match a post-reclaim occupant of
+    /// the same slot index, and `cancel` bounds-checks the index against the
+    /// shrunken slab.
     pub fn reclaim(&mut self) {
         if self.live != 0 || self.slots.capacity() < RECLAIM_MIN_SLOTS {
             return;
         }
-        // All slots are vacant and every heap key is an orphan: drop the lot.
+        // All slots are vacant and every heap entry is an orphan: drop the lot.
         self.slots = Vec::new();
         self.free = Vec::new();
         self.heap = BinaryHeap::new();
@@ -349,7 +374,7 @@ impl<E> EventQueue<E> {
                 self.heap.pop();
                 continue;
             }
-            if k.at > horizon {
+            if k.at > horizon.as_nanos() {
                 // Live event beyond the horizon: leave it in place.
                 return None;
             }
@@ -358,8 +383,8 @@ impl<E> EventQueue<E> {
             let event = s.event.take().expect("live key's slot vanished");
             self.free.push(k.slot);
             self.live -= 1;
-            self.now = k.at;
-            return Some((k.at, event));
+            self.now = SimTime::from_nanos(k.at);
+            return Some((self.now, event));
         }
     }
 }
@@ -608,6 +633,51 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds 2^24 - 1")]
+    fn origin_past_the_24_bit_limit_panics() {
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        queue.set_origin(ORIGIN_LIMIT);
+        queue.schedule_at(SimTime::ZERO, Ev::Tag(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^40 - 1")]
+    fn imported_oseq_past_the_40_bit_limit_panics() {
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        queue.schedule_keyed(SimTime::ZERO, 1, OSEQ_LIMIT, Ev::Tag(0));
+    }
+
+    #[test]
+    fn largest_legal_key_sorts_after_every_smaller_one() {
+        // `ord` saturates all 64 bits at the limits; the packing must still
+        // order by origin first and never wrap into a neighbour's range.
+        let (top_o, top_s) = (ORIGIN_LIMIT - 1, OSEQ_LIMIT - 1);
+        let t = SimTime::from_millis(1);
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        queue.schedule_keyed(t, top_o, top_s, Ev::Tag(5));
+        queue.schedule_keyed(t, top_o, top_s - 1, Ev::Tag(4));
+        queue.schedule_keyed(t, top_o - 1, top_s, Ev::Tag(3));
+        queue.schedule_keyed(t, 1, top_s, Ev::Tag(2));
+        queue.schedule_keyed(t, 0, top_s, Ev::Tag(1));
+        queue.schedule_keyed(t, 0, 0, Ev::Tag(0));
+        // One nanosecond later loses to every key, even the smallest.
+        queue.schedule_keyed(t + SimDuration::from_nanos(1), 0, 1, Ev::Tag(6));
+        let mut order = Vec::new();
+        while let Some((_, Ev::Tag(tag))) = queue.pop() {
+            order.push(tag);
+        }
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn hot_entries_stay_small() {
+        // Every heap sift moves `HeapKey`s: a field added here costs every
+        // event, so it should fail this test rather than slow the engine.
+        assert_eq!(std::mem::size_of::<HeapKey>(), 24);
+        assert!(std::mem::size_of::<EventKey>() <= 16);
+    }
+
+    #[test]
     fn handlers_can_schedule_followups() {
         let mut sim = Simulation::new(Recorder { seen: vec![] });
         sim.queue_mut()
@@ -804,8 +874,8 @@ mod tests {
         while queue.pop().is_some() {}
         queue.reclaim();
         // One new event lands in slot 0; every stale key (including the one
-        // that used slot 0) must leave it alone — guards are monotone across
-        // the reclaim and out-of-range slots are bounds-checked.
+        // that used slot 0) must leave it alone — no `ord` is reissued
+        // across the reclaim and out-of-range slots are bounds-checked.
         queue.schedule_at(SimTime::from_millis(9_000), Ev::Tag(42));
         for key in keys {
             queue.cancel(key);

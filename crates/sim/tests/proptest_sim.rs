@@ -1,8 +1,10 @@
 //! Property-based tests for the simulation engine's core invariants.
 
+use dlte_sim::engine::{EventKey, ORIGIN_LIMIT, OSEQ_LIMIT};
 use dlte_sim::stats::{jain_index, Samples, Welford};
 use dlte_sim::{EventQueue, SimDuration, SimTime, Simulation, World};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// A world that just records firing times.
 struct Sink {
@@ -16,13 +18,59 @@ impl World for Sink {
     }
 }
 
+/// Origins this queue schedules from itself (`set_origin` + `schedule_at`),
+/// including both ends of the legal range.
+const LOCAL_ORIGINS: [u64; 4] = [0, 1, 7, ORIGIN_LIMIT - 1];
+
+/// Origins owned by "another shard": their keys only ever arrive through
+/// `schedule_keyed`, as at the shard barrier. Disjoint from
+/// `LOCAL_ORIGINS`, so every `(origin, oseq)` has exactly one allocator.
+const FOREIGN_ORIGINS: [u64; 3] = [2, 3, ORIGIN_LIMIT - 2];
+
+/// Where a scheduled event's canonical key comes from.
+#[derive(Clone, Debug)]
+enum Src {
+    /// `schedule_at` under `set_origin(LOCAL_ORIGINS[i])`.
+    Local(usize),
+    /// `schedule_keyed` with `(FOREIGN_ORIGINS[origin], oseq)`.
+    Foreign { origin: usize, oseq: u64 },
+}
+
+/// Two in three events are local (one per local origin), one in three is
+/// imported with an oseq that is often at or near the 2^40 − 1 limit.
+fn arb_src() -> impl Strategy<Value = Src> {
+    let oseq = prop_oneof![
+        Just(OSEQ_LIMIT - 1),
+        0u64..16,
+        OSEQ_LIMIT - 16..OSEQ_LIMIT,
+        0..OSEQ_LIMIT,
+    ];
+    (0..LOCAL_ORIGINS.len() + 2, 0..FOREIGN_ORIGINS.len(), oseq).prop_map(|(pick, origin, oseq)| {
+        match pick {
+            i if i < LOCAL_ORIGINS.len() => Src::Local(i),
+            _ => Src::Foreign { origin, oseq },
+        }
+    })
+}
+
+/// A schedule offset from the phase base on a 1 µs grid, so same-instant
+/// ties — where origin and oseq decide the order — are the common case.
+fn arb_offset() -> impl Strategy<Value = u64> {
+    (0u64..50).prop_map(|k| k * 1_000)
+}
+
+/// A horizon advance that often lands exactly on a grid instant.
+fn arb_advance() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..60_000, (1u64..60).prop_map(|k| k * 1_000)]
+}
+
 /// One phase of the slab-queue equivalence test: schedule a batch, cancel
 /// some keys (live, already-fired, or already-canceled — all must be safe),
 /// then advance the clock.
 #[derive(Clone, Debug)]
 struct Phase {
-    /// Schedule offsets from the phase base, in nanoseconds.
-    schedule: Vec<u64>,
+    /// Schedule offsets from the phase base (ns) and key sources.
+    schedule: Vec<(u64, Src)>,
     /// Indices (mod keys-so-far) of keys to cancel after scheduling.
     cancel: Vec<usize>,
     /// How far past the base this phase's run_until horizon reaches.
@@ -34,9 +82,9 @@ struct Phase {
 
 fn arb_phase() -> impl Strategy<Value = Phase> {
     (
-        prop::collection::vec(0u64..50_000, 0..20),
+        prop::collection::vec((arb_offset(), arb_src()), 0..20),
         prop::collection::vec(0usize..1000, 0..10),
-        1u64..60_000,
+        arb_advance(),
         any::<bool>(),
     )
         .prop_map(|(schedule, cancel, advance, reclaim)| Phase {
@@ -51,7 +99,8 @@ fn arb_phase() -> impl Strategy<Value = Phase> {
 #[derive(Clone, Debug)]
 struct ModelEntry {
     at: SimTime,
-    id: u32,
+    /// The canonical `(origin, oseq)` the queue must order it by.
+    key: (u64, u64),
     canceled: bool,
     fired: bool,
 }
@@ -68,187 +117,186 @@ impl World for Recorder {
     }
 }
 
+/// The naive reference: a flat list of entries (id = index) that fires, at
+/// each horizon, every live entry at or before it in `(at, origin, oseq)`
+/// order.
+#[derive(Default)]
+struct Model {
+    entries: Vec<ModelEntry>,
+    keys: Vec<EventKey>,
+    /// The per-origin FIFO counters `schedule_at` allocates from.
+    oseqs: HashMap<u64, u64>,
+    /// Foreign keys already imported: a sender never reissues one.
+    imported: HashSet<(u64, u64)>,
+    /// Every dispatch so far, in the order the model demands.
+    expect: Vec<(SimTime, u32)>,
+}
+
+impl Model {
+    fn schedule(&mut self, sim: &mut Simulation<Recorder>, at: SimTime, src: &Src) {
+        let id = self.entries.len() as u32;
+        let q = sim.queue_mut();
+        let (key, handle) = match *src {
+            Src::Local(i) => {
+                let origin = LOCAL_ORIGINS[i];
+                let c = self.oseqs.entry(origin).or_default();
+                let key = (origin, *c);
+                *c += 1;
+                q.set_origin(origin);
+                (key, q.schedule_at(at, id))
+            }
+            Src::Foreign { origin, oseq } => {
+                let key = (FOREIGN_ORIGINS[origin], oseq);
+                if !self.imported.insert(key) {
+                    return;
+                }
+                (key, q.schedule_keyed(at, key.0, key.1, id))
+            }
+        };
+        self.keys.push(handle);
+        self.entries.push(ModelEntry {
+            at,
+            key,
+            canceled: false,
+            fired: false,
+        });
+    }
+
+    /// Cancel key `pick % keys`. The model only retires live entries:
+    /// canceling a fired or already-canceled key must change nothing.
+    fn cancel(&mut self, sim: &mut Simulation<Recorder>, pick: usize) {
+        if self.keys.is_empty() {
+            return;
+        }
+        let i = pick % self.keys.len();
+        sim.queue_mut().cancel(self.keys[i]);
+        let e = &mut self.entries[i];
+        if !e.fired {
+            e.canceled = true;
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = &ModelEntry> {
+        self.entries.iter().filter(|e| !e.fired && !e.canceled)
+    }
+
+    /// `peek_time` agrees with the model's next live entry.
+    fn check_peek(&self, sim: &mut Simulation<Recorder>) {
+        let next = self.live().map(|e| e.at).min();
+        prop_assert_eq!(sim.queue_mut().peek_time(), next);
+    }
+
+    /// Run to `horizon` and demand the exact dispatch sequence so far and
+    /// the live count.
+    fn run_until(&mut self, sim: &mut Simulation<Recorder>, horizon: SimTime) {
+        sim.run_until(horizon, 100_000);
+        let mut due: Vec<usize> = (0..self.entries.len())
+            .filter(|&i| {
+                let e = &self.entries[i];
+                !e.fired && !e.canceled && e.at <= horizon
+            })
+            .collect();
+        due.sort_by_key(|&i| (self.entries[i].at, self.entries[i].key));
+        for i in due {
+            self.entries[i].fired = true;
+            self.expect.push((self.entries[i].at, i as u32));
+        }
+        prop_assert_eq!(&sim.world().fired, &self.expect);
+        let live = self.live().count();
+        prop_assert_eq!(sim.queue_mut().pending(), live, "pending after run");
+        prop_assert_eq!(sim.queue_mut().is_empty(), live == 0);
+    }
+}
+
 proptest! {
     /// The slab-indexed queue agrees exactly — dispatch order, times, and
-    /// pending counts — with a naive reference model (a flat list stably
-    /// ordered by (time, schedule sequence)) across arbitrary interleavings
-    /// of scheduling, cancellation, and horizon advances. Cancels may target
-    /// keys that already fired or were already canceled; both must be no-ops
-    /// even after the underlying slot has been reused.
+    /// pending counts — with a naive reference model ordered by
+    /// `(at, origin, oseq)` across arbitrary interleavings of scheduling
+    /// (local origins at both ends of the 24-bit range, and imported keys
+    /// up to oseq 2^40 − 1), cancellation, slab reclaims and horizon
+    /// advances. Cancels may target keys that already fired or were already
+    /// canceled; both must be no-ops even after the underlying slot has
+    /// been reused or the slab reclaimed.
     #[test]
     fn slab_queue_matches_reference_model(phases in prop::collection::vec(arb_phase(), 1..8)) {
         let mut sim = Simulation::new(Recorder { fired: vec![] });
-        let mut keys = Vec::new();
-        let mut model: Vec<ModelEntry> = Vec::new();
+        let mut model = Model::default();
         let mut base = 0u64;
         for phase in &phases {
-            for &off in &phase.schedule {
-                let at = SimTime::from_nanos(base + off);
-                let id = model.len() as u32;
-                keys.push(sim.queue_mut().schedule_at(at, id));
-                model.push(ModelEntry { at, id, canceled: false, fired: false });
+            for (off, src) in &phase.schedule {
+                model.schedule(&mut sim, SimTime::from_nanos(base + off), src);
             }
             for &pick in &phase.cancel {
-                if keys.is_empty() {
-                    continue;
-                }
-                let i = pick % keys.len();
-                sim.queue_mut().cancel(keys[i]);
-                // The model only retires live entries: canceling a fired or
-                // already-canceled key must change nothing.
-                let e = &mut model[i];
-                if !e.fired && !e.canceled {
-                    e.canceled = true;
-                }
+                model.cancel(&mut sim, pick);
             }
-            // Peek agrees with the model's next live entry before running.
-            let next_live = model
-                .iter()
-                .filter(|e| !e.fired && !e.canceled)
-                .map(|e| e.at)
-                .min();
-            prop_assert_eq!(sim.queue_mut().peek_time(), next_live);
-
-            let horizon = SimTime::from_nanos(base + phase.advance);
-            sim.run_until(horizon, 100_000);
-            // Entries are ordered by (at, seq) and seq is insertion order,
-            // so a stable in-order scan marks exactly what must have fired.
-            for e in model.iter_mut() {
-                if !e.canceled && !e.fired && e.at <= horizon {
-                    e.fired = true;
-                }
-            }
-            let live = model.iter().filter(|e| !e.fired && !e.canceled).count();
-            prop_assert_eq!(sim.queue_mut().pending(), live, "pending after phase");
-            prop_assert_eq!(sim.queue_mut().is_empty(), live == 0);
+            model.check_peek(&mut sim);
+            model.run_until(&mut sim, SimTime::from_nanos(base + phase.advance));
             if phase.reclaim {
                 // Reclamation at a drain boundary must be invisible to
                 // everything this test checks: later schedules, cancels via
                 // (possibly stale) keys, and the final dispatch order.
                 let before = sim.queue_mut().slot_capacity();
                 sim.queue_mut().reclaim();
-                if live == 0 && before >= dlte_sim::engine::RECLAIM_MIN_SLOTS {
+                if model.live().count() == 0 && before >= dlte_sim::engine::RECLAIM_MIN_SLOTS {
                     prop_assert_eq!(sim.queue_mut().slot_capacity(), 0);
                 }
             }
             base += phase.advance;
         }
-        sim.run_to_completion(100_000);
-        for e in model.iter_mut() {
-            if !e.canceled {
-                e.fired = true;
-            }
-        }
-        // Exact dispatch order: the model sorted stably by time (sequence
-        // breaks ties via the stable sort) must match what actually fired.
-        let mut expect: Vec<(SimTime, u32)> = model
-            .iter()
-            .filter(|e| e.fired)
-            .map(|e| (e.at, e.id))
-            .collect();
-        expect.sort_by_key(|&(at, _)| at);
-        prop_assert_eq!(&sim.world().fired, &expect);
-        prop_assert!(sim.queue_mut().is_empty());
+        model.run_until(&mut sim, SimTime::MAX);
         prop_assert_eq!(sim.queue_mut().pending(), 0);
     }
 
     /// Cancels that land on already-purged orphan slots are exact no-ops.
     ///
-    /// The lazy-purge design leaves a canceled event's heap key behind until
-    /// it surfaces; `peek_time` discards such orphans eagerly and the freed
-    /// slot is then reused by the next schedule. This drives that exact
-    /// sequence — cancel, purge via peek, reuse, then *re-cancel the stale
-    /// key* — and checks the reused slot's new occupant is never harmed:
-    /// `pending()` and the full dispatch order still match the reference
-    /// model.
+    /// The lazy-purge design leaves a canceled event's heap entry behind
+    /// until it surfaces; `peek_time` discards such orphans eagerly and the
+    /// freed slot is then reused by the next schedule. This drives that
+    /// exact sequence — cancel, purge via peek, reuse, then *re-cancel the
+    /// stale key* — and checks the reused slot's new occupant (local or
+    /// imported) is never harmed: `pending()` and the full dispatch order
+    /// still match the reference model.
     #[test]
     fn cancels_on_purged_orphan_slots_are_noops(
         phases in prop::collection::vec(
             (
-                prop::collection::vec(0u64..50_000, 1..12), // schedule
+                prop::collection::vec((arb_offset(), arb_src()), 1..12), // schedule
                 prop::collection::vec(0usize..1000, 0..8),  // cancel, purge, re-cancel
-                prop::collection::vec(0u64..50_000, 0..12), // reschedule into freed slots
+                prop::collection::vec((arb_offset(), arb_src()), 0..12), // reuse freed slots
                 prop::collection::vec(0usize..1000, 0..8),  // stale cancels after reuse
-                1u64..60_000,                               // advance
+                arb_advance(),
             ),
             1..8,
         )
     ) {
         let mut sim = Simulation::new(Recorder { fired: vec![] });
-        let mut keys = Vec::new();
-        let mut model: Vec<ModelEntry> = Vec::new();
+        let mut model = Model::default();
         let mut base = 0u64;
-        let schedule = |sim: &mut Simulation<Recorder>,
-                            keys: &mut Vec<dlte_sim::engine::EventKey>,
-                            model: &mut Vec<ModelEntry>,
-                            at: SimTime| {
-            let id = model.len() as u32;
-            keys.push(sim.queue_mut().schedule_at(at, id));
-            model.push(ModelEntry { at, id, canceled: false, fired: false });
-        };
-        let cancel = |sim: &mut Simulation<Recorder>,
-                      keys: &[dlte_sim::engine::EventKey],
-                      model: &mut [ModelEntry],
-                      pick: usize| {
-            if keys.is_empty() {
-                return;
-            }
-            let i = pick % keys.len();
-            sim.queue_mut().cancel(keys[i]);
-            let e = &mut model[i];
-            if !e.fired && !e.canceled {
-                e.canceled = true;
-            }
-        };
         for (sched, cancels, resched, stale, advance) in &phases {
-            for &off in sched {
-                schedule(&mut sim, &mut keys, &mut model, SimTime::from_nanos(base + off));
+            for (off, src) in sched {
+                model.schedule(&mut sim, SimTime::from_nanos(base + off), src);
             }
             for &pick in cancels {
-                cancel(&mut sim, &keys, &mut model, pick);
+                model.cancel(&mut sim, pick);
             }
-            // Purge: orphan keys at the heap top are discarded here, so the
-            // canceled events' slots are ready for reuse with nothing but
-            // the guard number protecting them.
-            let next_live = model
-                .iter()
-                .filter(|e| !e.fired && !e.canceled)
-                .map(|e| e.at)
-                .min();
-            prop_assert_eq!(sim.queue_mut().peek_time(), next_live);
+            // Purge: orphan entries at the heap top are discarded here, so
+            // the canceled events' slots are ready for reuse with nothing
+            // but the occupant's `ord` protecting them.
+            model.check_peek(&mut sim);
             // Reuse the freed slots...
-            for &off in resched {
-                schedule(&mut sim, &mut keys, &mut model, SimTime::from_nanos(base + off));
+            for (off, src) in resched {
+                model.schedule(&mut sim, SimTime::from_nanos(base + off), src);
             }
             // ...then fire cancels at arbitrary (often stale) keys, and
             // repeat every earlier cancel verbatim: both must leave the
             // slots' new occupants untouched.
-            for &pick in stale {
-                cancel(&mut sim, &keys, &mut model, pick);
+            for &pick in stale.iter().chain(cancels) {
+                model.cancel(&mut sim, pick);
             }
-            for &pick in cancels {
-                cancel(&mut sim, &keys, &mut model, pick);
-            }
-            let horizon = SimTime::from_nanos(base + advance);
-            sim.run_until(horizon, 100_000);
-            for e in model.iter_mut() {
-                if !e.canceled && !e.fired && e.at <= horizon {
-                    e.fired = true;
-                }
-            }
-            let live = model.iter().filter(|e| !e.fired && !e.canceled).count();
-            prop_assert_eq!(sim.queue_mut().pending(), live, "pending after phase");
+            model.run_until(&mut sim, SimTime::from_nanos(base + advance));
             base += advance;
         }
-        sim.run_to_completion(100_000);
-        let mut expect: Vec<(SimTime, u32)> = model
-            .iter()
-            .filter(|e| !e.canceled)
-            .map(|e| (e.at, e.id))
-            .collect();
-        expect.sort_by_key(|&(at, _)| at);
-        prop_assert_eq!(&sim.world().fired, &expect);
-        prop_assert!(sim.queue_mut().is_empty());
+        model.run_until(&mut sim, SimTime::MAX);
     }
 
     /// Events always fire in non-decreasing time order, whatever order they
