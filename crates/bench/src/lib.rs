@@ -6,9 +6,14 @@
 //! without spawning a process.
 
 pub mod runner {
+    use dlte::chaos::{self, ChaosDomain};
     use dlte::experiments::registry::{find, registry, Experiment, ExperimentError};
     use dlte::experiments::Table;
+    use dlte::fuzz::{Mob, Net};
+    use dlte::fuzz_registry::Reg;
     use serde_json::{Map, Value};
+    use std::fmt::Write as _;
+    use std::path::Path;
 
     /// A parsed `dlte-run` command line.
     #[derive(Clone, Debug, PartialEq)]
@@ -238,25 +243,25 @@ pub mod runner {
 
     /// A parsed `dlte-run fuzz` command line. Fuzz mode is a separate
     /// dispatch from the experiment registry: `dlte-run fuzz [--seeds A..B]
-    /// [--out DIR]` sweeps seeds through `dlte::fuzz`, and `--repro FILE`
+    /// [--out DIR]` sweeps seeds through `dlte::chaos`, and `--repro FILE`
     /// replays one minimized case bit-for-bit instead.
     #[derive(Clone, Debug, PartialEq)]
     pub struct FuzzInvocation {
         pub seed_start: u64,
         pub seed_end: u64,
-        /// Directory minimized `fuzz_repro_<seed>.json` files are written to.
+        /// Directory minimized repro files are written to
+        /// (`fuzz_repro_<seed>.json`, `fuzz_repro_registry_<seed>.json`).
         pub out_dir: String,
         /// Replay this repro file instead of sweeping.
         pub repro: Option<String>,
         /// Engine shard count for every fuzz case (`--shards N`; 0 =
         /// per-CPU). Oracles and evidence are bit-identical for any value.
         pub shards: Option<usize>,
-        /// Fuzz the spectrum registry (`dlte::fuzz_registry`) instead of
-        /// the network chaos cases. Repros are
-        /// `fuzz_repro_registry_<seed>.json`.
+        /// Sweep the spectrum registry (`dlte::fuzz_registry::Reg`) instead
+        /// of the network chaos cases.
         pub registry: bool,
         /// Layer seeded moving-UE populations (handover storms) under the
-        /// chaos plans (`--mobility`; `dlte::fuzz::generate_mobility`).
+        /// chaos plans (`--mobility`; `dlte::fuzz::Mob`).
         pub mobility: bool,
     }
 
@@ -326,143 +331,90 @@ pub mod runner {
 
     /// Execute a fuzz invocation. Returns the rendered report and whether
     /// every oracle held (`false` means the caller should exit nonzero).
-    /// Failing sweep seeds write their minimized repro to
-    /// `<out_dir>/fuzz_repro_<seed>.json`.
+    /// A sweep runs the domain the flags pick; `--repro FILE` replays in
+    /// the domain the file's envelope names.
     pub fn run_fuzz(inv: &FuzzInvocation) -> (String, bool) {
-        use dlte::fuzz;
-        use std::fmt::Write as _;
         if let Some(n) = inv.shards {
             dlte_sim::set_shards(n);
         }
-        if inv.registry {
-            return run_fuzz_registry(inv);
-        }
-        let mut out = String::new();
-        if let Some(path) = &inv.repro {
-            match fuzz::replay_repro(std::path::Path::new(path)) {
-                Ok((repro, report)) => {
-                    let _ = writeln!(
-                        out,
-                        "replay seed {} ({}, {} cells x {} ues, {} fault specs):",
-                        repro.seed,
-                        repro.case.arch,
-                        repro.case.n_cells,
-                        repro.case.ues_per_cell,
-                        repro.case.plan.faults.len()
-                    );
-                    for v in &report.violations {
-                        let _ = writeln!(out, "  {v}");
-                    }
-                    if report.violations.is_empty() {
-                        let _ = writeln!(out, "  all oracles green (bug no longer reproduces)");
-                    }
-                    (out, report.violations.is_empty())
-                }
-                Err(e) => (format!("fuzz replay: {e}\n"), false),
-            }
-        } else {
-            let mut failures = 0u64;
-            for seed in inv.seed_start..inv.seed_end {
-                if let Some(repro) = fuzz::fuzz_seed_with(seed, inv.mobility) {
-                    failures += 1;
-                    let _ = writeln!(
-                        out,
-                        "seed {seed} FAILED ({} violations, minimized to {} fault specs in {} runs):",
-                        repro.violations.len(),
-                        repro.case.plan.faults.len(),
-                        repro.shrink_runs
-                    );
-                    for v in &repro.violations {
-                        let _ = writeln!(out, "  {v}");
-                    }
-                    match fuzz::write_repro(&repro, std::path::Path::new(&inv.out_dir)) {
-                        Ok(path) => {
-                            let _ = writeln!(out, "  repro: {}", path.display());
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "  repro write failed: {e}");
-                        }
-                    }
-                }
-            }
-            let cases = inv.seed_end - inv.seed_start;
-            let _ = writeln!(
-                out,
-                "fuzz{}: {cases} cases ({}..{}), {failures} failed",
-                if inv.mobility { " --mobility" } else { "" },
-                inv.seed_start,
-                inv.seed_end
-            );
-            (out, failures == 0)
+        let Some(path) = &inv.repro else {
+            return match (inv.registry, inv.mobility) {
+                (true, _) => sweep::<Reg>(inv),
+                (_, true) => sweep::<Mob>(inv),
+                _ => sweep::<Net>(inv),
+            };
+        };
+        let path = Path::new(path);
+        let replayed = chaos::repro_domain(path).and_then(|domain| match domain.as_str() {
+            Net::NAME => replay::<Net>(path),
+            Mob::NAME => replay::<Mob>(path),
+            Reg::NAME => replay::<Reg>(path),
+            other => Err(format!("{path:?}: unknown chaos domain {other:?}")),
+        });
+        let title = if inv.registry { "registry " } else { "" };
+        replayed.unwrap_or_else(|e| (format!("{title}fuzz replay: {e}\n"), false))
+    }
+
+    /// How the report names a domain: the words before a seed number, and
+    /// the sweep summary's title.
+    fn wording<D: ChaosDomain>() -> (&'static str, &'static str) {
+        match D::NAME {
+            Reg::NAME => ("registry seed", "registry fuzz"),
+            Mob::NAME => ("seed", "fuzz --mobility"),
+            _ => ("seed", "fuzz"),
         }
     }
 
-    /// The `--registry` arm of [`run_fuzz`]: sweep (or replay) seeded
-    /// registry chaos workloads through `dlte::fuzz_registry`.
-    fn run_fuzz_registry(inv: &FuzzInvocation) -> (String, bool) {
-        use dlte::fuzz_registry;
-        use std::fmt::Write as _;
+    fn sweep<D: ChaosDomain>(inv: &FuzzInvocation) -> (String, bool) {
+        let (seed_word, title) = wording::<D>();
         let mut out = String::new();
-        if let Some(path) = &inv.repro {
-            match fuzz_registry::replay_registry_repro(std::path::Path::new(path)) {
-                Ok((repro, outcome)) => {
-                    let w = &repro.workload;
-                    let _ = writeln!(
-                        out,
-                        "replay registry seed {} ({}, {} zones, {} replicas, {} aps, {} fault specs):",
-                        repro.seed,
-                        w.flavour,
-                        w.n_zones,
-                        w.n_replicas,
-                        w.n_aps,
-                        w.plan.faults.len()
-                    );
-                    for v in &outcome.violations {
-                        let _ = writeln!(out, "  {v}");
-                    }
-                    if outcome.violations.is_empty() {
-                        let _ = writeln!(out, "  all oracles green (bug no longer reproduces)");
-                    }
-                    (out, outcome.violations.is_empty())
-                }
-                Err(e) => (format!("registry fuzz replay: {e}\n"), false),
-            }
-        } else {
-            let mut failures = 0u64;
-            for seed in inv.seed_start..inv.seed_end {
-                if let Some(repro) = fuzz_registry::fuzz_registry_seed(seed) {
-                    failures += 1;
-                    let _ = writeln!(
-                        out,
-                        "registry seed {seed} FAILED ({} violations, minimized to {} fault specs in {} runs):",
-                        repro.violations.len(),
-                        repro.workload.plan.faults.len(),
-                        repro.shrink_runs
-                    );
-                    for v in &repro.violations {
-                        let _ = writeln!(out, "  {v}");
-                    }
-                    match fuzz_registry::write_registry_repro(
-                        &repro,
-                        std::path::Path::new(&inv.out_dir),
-                    ) {
-                        Ok(path) => {
-                            let _ = writeln!(out, "  repro: {}", path.display());
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "  repro write failed: {e}");
-                        }
-                    }
-                }
-            }
-            let cases = inv.seed_end - inv.seed_start;
+        let mut failures = 0u64;
+        for seed in inv.seed_start..inv.seed_end {
+            let Some(repro) = chaos::fuzz_seed::<D>(seed) else {
+                continue;
+            };
+            failures += 1;
             let _ = writeln!(
                 out,
-                "registry fuzz: {cases} cases ({}..{}), {failures} failed",
-                inv.seed_start, inv.seed_end
+                "{seed_word} {seed} FAILED ({} violations, minimized to {} fault specs in {} runs):",
+                repro.violations.len(),
+                D::fault_specs(&repro.case),
+                repro.shrink_runs
             );
-            (out, failures == 0)
+            for v in &repro.violations {
+                let _ = writeln!(out, "  {v}");
+            }
+            let _ = match chaos::write_repro::<D>(&repro, Path::new(&inv.out_dir)) {
+                Ok(path) => writeln!(out, "  repro: {}", path.display()),
+                Err(e) => writeln!(out, "  repro write failed: {e}"),
+            };
         }
+        let cases = inv.seed_end - inv.seed_start;
+        let _ = writeln!(
+            out,
+            "{title}: {cases} cases ({}..{}), {failures} failed",
+            inv.seed_start, inv.seed_end
+        );
+        (out, failures == 0)
+    }
+
+    fn replay<D: ChaosDomain>(path: &Path) -> Result<(String, bool), String> {
+        let (repro, outcome) = chaos::replay_repro::<D>(path)?;
+        let (seed_word, _) = wording::<D>();
+        let mut out = format!(
+            "replay {seed_word} {} ({}, {} fault specs):\n",
+            repro.seed,
+            D::describe(&repro.case),
+            D::fault_specs(&repro.case)
+        );
+        let violations = D::violations(&outcome);
+        for v in violations {
+            let _ = writeln!(out, "  {v}");
+        }
+        if violations.is_empty() {
+            let _ = writeln!(out, "  all oracles green (bug no longer reproduces)");
+        }
+        Ok((out, violations.is_empty()))
     }
 
     #[cfg(test)]
@@ -590,6 +542,38 @@ pub mod runner {
             let (report, ok) = run_fuzz(&inv);
             assert!(ok, "registry seeds 0..5 should be green:\n{report}");
             assert!(report.contains("registry fuzz: 5 cases (0..5), 0 failed"));
+        }
+
+        #[test]
+        fn repro_replays_in_the_domain_its_envelope_names() {
+            let dir = std::env::temp_dir().join("dlte-run-test-repro-domain");
+            std::fs::create_dir_all(&dir).unwrap();
+            let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/");
+            let registry = format!("{data}fuzz_repro_registry_overlapping_crash.json");
+            // No --registry flag: the file's `domain` tag picks the domain.
+            let (report, ok) = run_fuzz(&FuzzInvocation {
+                repro: Some(registry.clone()),
+                ..FuzzInvocation::default()
+            });
+            assert!(ok, "{report}");
+            assert!(report.starts_with("replay registry seed 69 "), "{report}");
+            // An unknown tag is an error, not a guess.
+            let text = std::fs::read_to_string(&registry).unwrap();
+            let foreign = dir.join("foreign.json");
+            std::fs::write(
+                &foreign,
+                text.replace(r#""domain": "reg""#, r#""domain": "dns""#),
+            )
+            .unwrap();
+            let (report, ok) = run_fuzz(&FuzzInvocation {
+                repro: Some(foreign.display().to_string()),
+                registry: true,
+                ..FuzzInvocation::default()
+            });
+            assert!(!ok);
+            assert!(report.starts_with("registry fuzz replay: "), "{report}");
+            assert!(report.contains(r#"unknown chaos domain "dns""#), "{report}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
 
         #[test]

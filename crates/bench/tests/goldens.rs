@@ -1,0 +1,167 @@
+//! The determinism contract, checked by `cargo test`: the committed goldens
+//! under `goldens/` come out of the runner unchanged at every `--jobs 1,2`
+//! × `--shards 1,2,4` combination. `meta` is cut to its deterministic
+//! per-reason `drops`, as in the files.
+//!
+//! One `#[test]` in its own binary: `--jobs` and `--shards` are process
+//! globals, so parallel tests in one process would race on them.
+
+use dlte::experiments::Table;
+use dlte_bench::runner::{run, Invocation};
+use dlte_sim::RunReport;
+use std::path::Path;
+
+/// One golden file and the command line that produces it.
+struct Golden {
+    file: &'static str,
+    targets: &'static [&'static str],
+    params: Option<&'static str>,
+    /// jq filter that cuts `meta` to `drops` (a single table prints as one
+    /// object, several as an array).
+    jq: &'static str,
+}
+
+const GOLDENS: [Golden; 3] = [
+    Golden {
+        file: "e13_e14.json",
+        targets: &["e13", "e14"],
+        params: Some(r#"{"total_s": 10.0}"#),
+        jq: "map(.meta |= {drops: .drops})",
+    },
+    Golden {
+        file: "e17.json",
+        targets: &["e17"],
+        params: None,
+        jq: ".meta |= {drops: .drops}",
+    },
+    Golden {
+        file: "e18.json",
+        targets: &["e18"],
+        params: None,
+        jq: ".meta |= {drops: .drops}",
+    },
+];
+
+impl Golden {
+    fn regenerate(&self) -> String {
+        let params = self
+            .params
+            .map(|p| format!(" --params '{p}'"))
+            .unwrap_or_default();
+        format!(
+            "./target/release/dlte-run {} --json --seed 7{params} | jq '{}' > goldens/{}",
+            self.targets.join(" "),
+            self.jq,
+            self.file
+        )
+    }
+
+    fn expected(&self) -> Vec<Table> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../goldens")
+            .join(self.file);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let tables = if self.targets.len() == 1 {
+            serde_json::from_str(&text).map(|t| vec![t])
+        } else {
+            serde_json::from_str(&text)
+        };
+        tables
+            .unwrap_or_else(|e| panic!("{path:?}: {e}"))
+            .into_iter()
+            .map(drops_only)
+            .collect()
+    }
+
+    fn actual(&self, jobs: usize, shards: usize) -> Vec<Table> {
+        let inv = Invocation {
+            targets: self.targets.iter().map(|t| t.to_string()).collect(),
+            json: true,
+            jobs: Some(jobs),
+            shards: Some(shards),
+            seed: Some(7),
+            params: self
+                .params
+                .map(|p| serde_json::from_str(p).expect("params literal parses")),
+            ..Invocation::default()
+        };
+        run(&inv)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.file))
+            .into_iter()
+            .map(drops_only)
+            .collect()
+    }
+}
+
+fn drops_only(mut t: Table) -> Table {
+    t.meta = t.meta.map(|m| RunReport {
+        drops: m.drops,
+        ..RunReport::default()
+    });
+    t
+}
+
+/// The first place two table lists differ, named by table, row and column.
+fn first_difference(want: &[Table], got: &[Table]) -> Option<String> {
+    if want.len() != got.len() {
+        return Some(format!("{} tables, golden has {}", got.len(), want.len()));
+    }
+    for (w, g) in want.iter().zip(got) {
+        let id = &w.id;
+        let field = |name: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            let (a, b) = (format!("{a:?}"), format!("{b:?}"));
+            (a != b).then(|| format!("{id} {name}: golden {a}, got {b}"))
+        };
+        let header = field("id", &w.id, &g.id)
+            .or_else(|| field("title", &w.title, &g.title))
+            .or_else(|| field("header", &w.header, &g.header));
+        if header.is_some() {
+            return header;
+        }
+        for (r, (wr, gr)) in w.rows.iter().zip(&g.rows).enumerate() {
+            if wr.len() != gr.len() {
+                return Some(format!(
+                    "{id} row {r}: {} cells, golden has {}",
+                    gr.len(),
+                    wr.len()
+                ));
+            }
+            for (c, (wc, gc)) in wr.iter().zip(gr).enumerate() {
+                if wc != gc {
+                    let column = w.header.get(c).map_or("?", String::as_str);
+                    return Some(format!(
+                        "{id} row {r} ({:?}), column {c} ({column:?}): golden {wc:?}, got {gc:?}",
+                        wr[0]
+                    ));
+                }
+            }
+        }
+        let tail = field("row count", &w.rows.len(), &g.rows.len())
+            .or_else(|| field("expectation", &w.expectation, &g.expectation))
+            .or_else(|| field("meta", &w.meta, &g.meta));
+        if tail.is_some() {
+            return tail;
+        }
+    }
+    None
+}
+
+#[test]
+fn goldens_hold_at_every_jobs_and_shards_count() {
+    for golden in &GOLDENS {
+        let expected = golden.expected();
+        for jobs in [1, 2] {
+            for shards in [1, 2, 4] {
+                let actual = golden.actual(jobs, shards);
+                if let Some(diff) = first_difference(&expected, &actual) {
+                    panic!(
+                        "goldens/{} differs at --jobs {jobs} --shards {shards}: {diff}\n\
+                         If the change is intended, regenerate with:\n  {}",
+                        golden.file,
+                        golden.regenerate()
+                    );
+                }
+            }
+        }
+    }
+}

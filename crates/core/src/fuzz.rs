@@ -3,10 +3,9 @@
 //! FoundationDB-style simulation testing: sweep seeds, and for each seed
 //! deterministically derive a scenario (architecture, topology size) plus a
 //! random [`FaultPlan`] ([`FaultPlan::chaos_mix`]), run it to quiescence,
-//! and evaluate every `dlte-check` oracle against the evidence. On a
-//! violation, greedily shrink the fault plan to a minimal still-failing
-//! case ([`FaultPlan::shrink_candidates`]) and emit a serde-able
-//! [`FuzzRepro`] that replays bit-for-bit.
+//! and evaluate every `dlte-check` oracle against the evidence. [`Net`] and
+//! [`Mob`] plug this into the shared loop in [`crate::chaos`], which
+//! shrinks a violating case to a repro that replays bit-for-bit.
 //!
 //! Everything downstream of the seed is deterministic: the scenario builder
 //! is seeded with the case seed, the fault plan is plain data, and event
@@ -37,9 +36,7 @@
 //!   AP itself, which is the paper's §3 point — there is no remote core
 //!   node whose crash strands sessions.
 
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
-
+use crate::chaos::ChaosDomain;
 use crate::mobility::{ap_index_for, cell_index_for};
 use crate::scenario::{DlteNet, DlteNetworkBuilder, DltePlan, KeyDistribution};
 use dlte_check::{
@@ -49,7 +46,7 @@ use dlte_check::{
 use dlte_epc::topology::{CentralizedLteBuilder, CentralizedLteNet, UePlan};
 use dlte_epc::ue::{MobilityMode, UeApp, UeNode, UeState};
 use dlte_epc::{MmeNode, PgwNode, SgwNode};
-use dlte_faults::{ChaosTargets, FaultPlan, MovePlan};
+use dlte_faults::{ChaosTargets, FaultPlan, FaultSpec, MovePlan};
 use dlte_net::{in_flight_packets, Network, NodeId};
 use dlte_obs::{set_tracing, take_records, tracing_enabled};
 use dlte_sim::{SimDuration, SimRng, SimTime};
@@ -62,9 +59,6 @@ const FAULT_START_S: f64 = 2.0;
 const FAULT_END_S: f64 = 8.0;
 /// …and each is repaired within 2 s.
 const MAX_DOWN_S: f64 = 2.0;
-/// Upper bound on total case executions during one shrink (safety net; a
-/// greedy pass over ≤ 4-spec plans stays far below this).
-const MAX_SHRINK_RUNS: usize = 200;
 
 /// Which architecture a fuzz case exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,21 +110,6 @@ pub struct CaseReport {
     pub recovered_at_s: Option<f64>,
     /// Simulated seconds at the final snapshot.
     pub elapsed_s: f64,
-}
-
-/// Minimal failing repro, written as `fuzz_repro_<seed>.json` and replayed
-/// with `dlte-run fuzz --repro FILE`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FuzzRepro {
-    /// Seed of the original sweep case (the file name key).
-    pub seed: u64,
-    /// The *minimized* case (same seed, shrunk fault plan).
-    pub case: FuzzCase,
-    /// Oracle violations the minimized case still triggers.
-    pub violations: Vec<Violation>,
-    pub recovered_at_s: Option<f64>,
-    /// How many case executions shrinking took.
-    pub shrink_runs: usize,
 }
 
 impl FuzzCase {
@@ -521,119 +500,94 @@ pub fn run_case(case: &FuzzCase) -> CaseReport {
     }
 }
 
-/// Strictly-simpler variants of a case, in a deterministic order: every
-/// fault-plan shrink first (they tend to carry the causal weight), then
-/// every move-plan shrink. Each candidate changes exactly one dimension.
-fn case_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
-    let mut out: Vec<FuzzCase> = case
-        .plan
-        .shrink_candidates()
-        .into_iter()
-        .map(|plan| FuzzCase {
-            plan,
-            ..case.clone()
-        })
-        .collect();
-    out.extend(
-        case.moves
-            .shrink_candidates()
-            .into_iter()
-            .map(|moves| FuzzCase {
+/// The network [`ChaosDomain`]s. They share the run, the oracles and the
+/// shrink, and differ only in how a seed becomes a case.
+pub struct NetChaos<const MOBILE: bool>;
+/// Static UEs (`dlte-run fuzz`, [`FuzzCase::generate`]).
+pub type Net = NetChaos<false>;
+/// Handover storms under the faults (`--mobility`,
+/// [`FuzzCase::generate_mobility`]).
+pub type Mob = NetChaos<true>;
+
+impl<const MOBILE: bool> ChaosDomain for NetChaos<MOBILE> {
+    const NAME: &'static str = if MOBILE { "mob" } else { "net" };
+    const FILE_PREFIX: &'static str = "fuzz_repro_";
+    type Case = FuzzCase;
+    type Outcome = CaseReport;
+
+    fn generate(seed: u64) -> FuzzCase {
+        if MOBILE {
+            FuzzCase::generate_mobility(seed)
+        } else {
+            FuzzCase::generate(seed)
+        }
+    }
+    fn run(case: &FuzzCase) -> CaseReport {
+        run_case(case)
+    }
+    fn violations(report: &CaseReport) -> &[Violation] {
+        &report.violations
+    }
+    /// Every fault-plan shrink first (they tend to carry the causal
+    /// weight), then every move-plan shrink. Each candidate changes exactly
+    /// one dimension.
+    fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
+        let plans = case.plan.shrink_candidates().into_iter();
+        let moves = case.moves.shrink_candidates().into_iter();
+        plans
+            .map(|plan| FuzzCase {
+                plan,
+                ..case.clone()
+            })
+            .chain(moves.map(|moves| FuzzCase {
                 moves,
                 ..case.clone()
-            }),
-    );
-    out
-}
-
-/// Greedily minimize a failing case: repeatedly adopt the first
-/// strictly-simpler fault or move plan that still trips at least one of
-/// the original oracles. Returns the minimized case, its report, and the
-/// number of executions spent. Terminates because every candidate is
-/// strictly simpler (fewer specs/moves or a floored parameter reduction)
-/// and a run budget caps pathological plans.
-pub fn shrink_case(case: &FuzzCase, report: &CaseReport) -> (FuzzCase, CaseReport, usize) {
-    let original_oracles: HashSet<&str> = report
-        .violations
-        .iter()
-        .map(|v| v.oracle.as_str())
-        .collect();
-    let still_failing = |r: &CaseReport| {
-        r.violations
-            .iter()
-            .any(|v| original_oracles.contains(v.oracle.as_str()))
-    };
-    let mut best = case.clone();
-    let mut best_report = report.clone();
-    let mut runs = 0usize;
-    'outer: loop {
-        for cand in case_candidates(&best) {
-            if runs >= MAX_SHRINK_RUNS {
-                break 'outer;
-            }
-            let r = run_case(&cand);
-            runs += 1;
-            if still_failing(&r) {
-                best = cand;
-                best_report = r;
-                continue 'outer;
+            }))
+            .collect()
+    }
+    /// Every spec must aim at the case's own fault targets
+    /// ([`case_targets`]): anything else would index past the topology or
+    /// fault a node the envelope keeps alive.
+    fn check_ids(case: &FuzzCase) -> Result<(), String> {
+        let ChaosTargets { links, crashable } = case_targets(case);
+        for (i, spec) in case.plan.faults.iter().enumerate() {
+            let ok = match spec {
+                FaultSpec::LinkFlap { link, .. }
+                | FaultSpec::LossBurst { link, .. }
+                | FaultSpec::LatencyStorm { link, .. }
+                | FaultSpec::RateThrottle { link, .. } => links.contains(link),
+                FaultSpec::NodeCrash { node, .. } | FaultSpec::NodePause { node, .. } => {
+                    crashable.contains(node)
+                }
+                FaultSpec::Partition { nodes, .. } => nodes.iter().all(|n| crashable.contains(n)),
+                FaultSpec::At { .. } => false,
+            };
+            if !ok {
+                return Err(format!(
+                    "fault spec {i} ({spec:?}) is outside this case's fault targets \
+                     (links {links:?}, nodes {crashable:?})"
+                ));
             }
         }
-        break;
+        Ok(())
     }
-    (best, best_report, runs)
-}
-
-/// Fuzz one seed in the static envelope: generate, run, and on violation
-/// shrink to a repro. `None` means every oracle held.
-pub fn fuzz_seed(seed: u64) -> Option<FuzzRepro> {
-    fuzz_seed_with(seed, false)
-}
-
-/// Fuzz one seed; `mobility` switches to the moving-UE envelope
-/// ([`FuzzCase::generate_mobility`], `fuzz --mobility`).
-pub fn fuzz_seed_with(seed: u64, mobility: bool) -> Option<FuzzRepro> {
-    let case = if mobility {
-        FuzzCase::generate_mobility(seed)
-    } else {
-        FuzzCase::generate(seed)
-    };
-    let report = run_case(&case);
-    if report.violations.is_empty() {
-        return None;
+    fn recovered_at_s(report: &CaseReport) -> Option<f64> {
+        report.recovered_at_s
     }
-    let (min_case, min_report, shrink_runs) = shrink_case(&case, &report);
-    Some(FuzzRepro {
-        seed,
-        case: min_case,
-        violations: min_report.violations,
-        recovered_at_s: min_report.recovered_at_s,
-        shrink_runs,
-    })
-}
-
-/// Write a repro next to the other run artifacts; returns the path.
-pub fn write_repro(repro: &FuzzRepro, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("fuzz_repro_{}.json", repro.seed));
-    let json = serde_json::to_string_pretty(repro).expect("repro serializes");
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Load a repro file and re-run its minimized case bit-for-bit.
-pub fn replay_repro(path: &Path) -> Result<(FuzzRepro, CaseReport), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let repro: FuzzRepro =
-        serde_json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
-    let report = run_case(&repro.case);
-    Ok((repro, report))
+    fn fault_specs(case: &FuzzCase) -> usize {
+        case.plan.faults.len()
+    }
+    fn describe(case: &FuzzCase) -> String {
+        let (arch, cells, ues) = (case.arch, case.n_cells, case.ues_per_cell);
+        format!("{arch}, {cells} cells x {ues} ues")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlte_faults::FaultSpec;
+    use crate::chaos::{replay_repro, shrink};
+    use std::path::Path;
 
     fn sum_pongs(w: &Network, ues: &[NodeId]) -> u64 {
         ues.iter()
@@ -763,7 +717,7 @@ mod tests {
         let n_plan = case.plan.shrink_candidates().len();
         let n_moves = case.moves.shrink_candidates().len();
         assert!(n_moves > 0);
-        let cands = case_candidates(&case);
+        let cands = Net::shrink_candidates(&case);
         assert_eq!(cands.len(), n_plan + n_moves);
         // The move-plan candidates keep the fault plan intact, and vice
         // versa — each candidate is simpler in exactly one dimension.
@@ -772,7 +726,7 @@ mod tests {
         // A static case only shrinks the fault plan.
         case.moves = MovePlan::default();
         assert_eq!(
-            case_candidates(&case).len(),
+            Net::shrink_candidates(&case).len(),
             case.plan.shrink_candidates().len()
         );
     }
@@ -809,7 +763,7 @@ mod tests {
             "expected a recovery violation, got {:#?}",
             report.violations
         );
-        let (min_case, min_report, runs) = shrink_case(&case, &report);
+        let (min_case, min_report, runs) = shrink::<Net>(case, report);
         assert!(runs > 0);
         assert_eq!(
             min_case.plan.faults.len(),
@@ -936,7 +890,7 @@ mod tests {
     fn committed_repro_replays_bit_for_bit() {
         let path =
             Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/fuzz_repro_sgw_halt.json");
-        let (repro, report) = replay_repro(&path).unwrap();
+        let (repro, report) = replay_repro::<Net>(&path).unwrap();
         assert_eq!(report.violations, repro.violations);
         assert_eq!(report.recovered_at_s, repro.recovered_at_s);
         assert!(report.violations.iter().any(|v| v.oracle == "recovery"));
@@ -957,7 +911,7 @@ mod tests {
     fn committed_mobility_repro_replays_green() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/data/fuzz_repro_mobility_stale_detach.json");
-        let (repro, report) = replay_repro(&path).unwrap();
+        let (repro, report) = replay_repro::<Mob>(&path).unwrap();
         assert!(!repro.case.moves.is_empty(), "repro must move UEs");
         assert!(
             report.violations.is_empty(),
@@ -969,20 +923,41 @@ mod tests {
 
     #[test]
     fn repro_round_trips_through_json_and_replays() {
-        let dir = std::env::temp_dir().join("dlte_fuzz_test_repro");
-        let case = FuzzCase::generate(5);
-        let repro = FuzzRepro {
-            seed: 5,
-            case: case.clone(),
-            violations: vec![],
-            recovered_at_s: Some(9.0),
-            shrink_runs: 0,
-        };
-        let path = write_repro(&repro, &dir).unwrap();
-        assert!(path.ends_with("fuzz_repro_5.json"));
-        let (loaded, report) = replay_repro(&path).unwrap();
-        assert_eq!(loaded, repro);
-        assert_eq!(report, run_case(&case));
-        let _ = std::fs::remove_file(&path);
+        crate::chaos::assert_round_trip::<Net>(5);
+        crate::chaos::assert_round_trip::<Mob>(5);
+    }
+
+    /// A repro naming a node or link outside its case's topology is an
+    /// `Err` naming the spec and the id, not an index-out-of-bounds panic.
+    #[test]
+    fn replay_rejects_ids_outside_the_case() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/fuzz_repro_sgw_halt.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join("dlte-fuzz-test-bad-ids");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (bad, want) in [
+            (r#""node": 99"#, "fault spec 0 (NodeCrash { node: 99,"),
+            // The MME exists but is outside the envelope: it has no restart.
+            (r#""node": 4"#, "fault spec 0 (NodeCrash { node: 4,"),
+        ] {
+            let file = dir.join("bad.json");
+            std::fs::write(&file, text.replace(r#""node": 5"#, bad)).unwrap();
+            let err = replay_repro::<Net>(&file).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
+        let mut case = FuzzCase::generate(0);
+        case.plan = FaultPlan::new(0).with(FaultSpec::LossBurst {
+            link: 77,
+            at_s: 3.0,
+            for_s: 1.0,
+            loss: 0.5,
+        });
+        let err = Net::check_ids(&case).unwrap_err();
+        assert!(
+            err.starts_with("fault spec 0 (LossBurst { link: 77,"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

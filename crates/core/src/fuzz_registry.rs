@@ -1,40 +1,15 @@
 //! # Registry chaos fuzzing
 //!
-//! The registry-flavoured twin of [`crate::fuzz`]: derive a whole
-//! [`RegistryWorkload`] from a seed, run it through [`run_chaos`], and if
-//! any registry oracle fires, greedily shrink the fault plan to a minimal
-//! repro and write it as JSON. Driven by `dlte-run fuzz --registry`.
-//!
-//! Everything is a pure function of the seed, so a failing seed from CI
-//! reproduces on any machine, and a committed repro file replays
-//! bit-for-bit forever.
+//! [`Reg`], the spectrum-registry [`ChaosDomain`] behind `dlte-run fuzz
+//! --registry`: a seed derives a whole [`RegistryWorkload`]
+//! ([`generate_workload`]) and [`run_chaos`] judges it with the registry
+//! oracles. Everything is a pure function of the seed.
 
+use crate::chaos::ChaosDomain;
 use crate::registry_chaos::{run_chaos, ChaosOutcome, Flavour, RegistryWorkload};
 use dlte_check::Violation;
-use dlte_faults::registry::RegistryFaultPlan;
+use dlte_faults::registry::{RegistryFaultPlan, RegistryFaultSpec};
 use dlte_sim::SimRng;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
-
-/// Cap on executions one shrink is allowed (each run is ~100 ticks, so
-/// this bounds a shrink to well under a second).
-const MAX_SHRINK_RUNS: usize = 200;
-
-/// Minimal failing registry repro, written as
-/// `fuzz_repro_registry_<seed>.json` and replayed with
-/// `dlte-run fuzz --registry --repro FILE`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RegistryFuzzRepro {
-    /// Seed of the original sweep case (the file name key).
-    pub seed: u64,
-    /// The *minimized* workload (same seed, shrunk fault plan).
-    pub workload: RegistryWorkload,
-    /// Oracle violations the minimized workload still triggers.
-    pub violations: Vec<Violation>,
-    /// How many workload executions shrinking took.
-    pub shrink_runs: usize,
-}
 
 /// Derive a whole chaos workload from a seed. Deterministic: same seed,
 /// same flavour, same fault schedule, same tick trajectory.
@@ -72,86 +47,72 @@ pub fn generate_workload(seed: u64) -> RegistryWorkload {
     }
 }
 
-/// Greedily shrink the workload's fault plan while the original oracles
-/// still fire. First-still-failing, restart after every improvement —
-/// same discipline as [`crate::fuzz::shrink_case`].
-pub fn shrink_workload(
-    workload: &RegistryWorkload,
-    outcome: &ChaosOutcome,
-) -> (RegistryWorkload, ChaosOutcome, usize) {
-    let original_oracles: HashSet<&str> = outcome
-        .violations
-        .iter()
-        .map(|v| v.oracle.as_str())
-        .collect();
-    let still_failing = |o: &ChaosOutcome| {
-        o.violations
-            .iter()
-            .any(|v| original_oracles.contains(v.oracle.as_str()))
-    };
-    let mut best = workload.clone();
-    let mut best_outcome = outcome.clone();
-    let mut runs = 0usize;
-    'outer: loop {
-        for plan in best.plan.shrink_candidates() {
-            if runs >= MAX_SHRINK_RUNS {
-                break 'outer;
-            }
-            let cand = RegistryWorkload {
+/// Registry chaos (`dlte-run fuzz --registry`).
+pub struct Reg;
+
+impl ChaosDomain for Reg {
+    const NAME: &'static str = "reg";
+    const FILE_PREFIX: &'static str = "fuzz_repro_registry_";
+    type Case = RegistryWorkload;
+    type Outcome = ChaosOutcome;
+
+    fn generate(seed: u64) -> RegistryWorkload {
+        generate_workload(seed)
+    }
+    fn run(workload: &RegistryWorkload) -> ChaosOutcome {
+        run_chaos(workload)
+    }
+    fn violations(outcome: &ChaosOutcome) -> &[Violation] {
+        &outcome.violations
+    }
+    fn shrink_candidates(workload: &RegistryWorkload) -> Vec<RegistryWorkload> {
+        workload
+            .plan
+            .shrink_candidates()
+            .into_iter()
+            .map(|plan| RegistryWorkload {
                 plan,
-                ..best.clone()
+                ..workload.clone()
+            })
+            .collect()
+    }
+    /// Every zone index must be below `n_zones` and every replica index
+    /// below `n_replicas`: [`run_chaos`] wraps indices, so an out-of-range
+    /// one would silently fault some other zone and could read as a fix.
+    fn check_ids(w: &RegistryWorkload) -> Result<(), String> {
+        for (i, spec) in w.plan.faults.iter().enumerate() {
+            let ok = match *spec {
+                RegistryFaultSpec::ZoneCrash { zone, .. }
+                | RegistryFaultSpec::ZonePartition { zone, .. } => zone < w.n_zones,
+                RegistryFaultSpec::ReplicaDesync { replica, .. } => replica < w.n_replicas,
             };
-            let o = run_chaos(&cand);
-            runs += 1;
-            if still_failing(&o) {
-                best = cand;
-                best_outcome = o;
-                continue 'outer;
+            if !ok {
+                return Err(format!(
+                    "fault spec {i} ({spec:?}) is out of range: the workload has {} zones \
+                     and {} replicas",
+                    w.n_zones, w.n_replicas
+                ));
             }
         }
-        break;
+        Ok(())
     }
-    (best, best_outcome, runs)
-}
-
-/// Fuzz one seed: generate, run, and on violation shrink to a repro.
-/// `None` means every registry oracle held.
-pub fn fuzz_registry_seed(seed: u64) -> Option<RegistryFuzzRepro> {
-    let workload = generate_workload(seed);
-    let outcome = run_chaos(&workload);
-    if outcome.violations.is_empty() {
-        return None;
+    fn fault_specs(workload: &RegistryWorkload) -> usize {
+        workload.plan.faults.len()
     }
-    let (min_workload, min_outcome, shrink_runs) = shrink_workload(&workload, &outcome);
-    Some(RegistryFuzzRepro {
-        seed,
-        workload: min_workload,
-        violations: min_outcome.violations,
-        shrink_runs,
-    })
-}
-
-/// Write a repro next to the other run artifacts; returns the path.
-pub fn write_registry_repro(repro: &RegistryFuzzRepro, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("fuzz_repro_registry_{}.json", repro.seed));
-    let json = serde_json::to_string_pretty(repro).expect("repro serializes");
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// Load a repro file and re-run its minimized workload bit-for-bit.
-pub fn replay_registry_repro(path: &Path) -> Result<(RegistryFuzzRepro, ChaosOutcome), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let repro: RegistryFuzzRepro =
-        serde_json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
-    let outcome = run_chaos(&repro.workload);
-    Ok((repro, outcome))
+    fn describe(w: &RegistryWorkload) -> String {
+        format!(
+            "{}, {} zones, {} replicas, {} aps",
+            w.flavour, w.n_zones, w.n_replicas, w.n_aps
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{fuzz_seed, replay_repro, shrink};
+    use std::collections::HashSet;
+    use std::path::Path;
 
     #[test]
     fn generation_is_deterministic_and_varied() {
@@ -179,26 +140,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repro_round_trips_through_json_and_replays() {
-        // Manufacture a repro from a healthy seed (violations empty is
-        // fine for the round-trip) and check replay matches.
-        let workload = generate_workload(3);
-        let outcome = run_chaos(&workload);
-        let repro = RegistryFuzzRepro {
-            seed: 3,
-            workload: workload.clone(),
-            violations: outcome.violations.clone(),
-            shrink_runs: 0,
-        };
-        let dir = std::env::temp_dir().join("dlte-registry-fuzz-test");
-        let path = write_registry_repro(&repro, &dir).expect("write repro");
-        let (back, replayed) = replay_registry_repro(&path).expect("replay");
-        assert_eq!(back, repro);
-        assert_eq!(replayed, outcome);
-        let _ = std::fs::remove_file(path);
-    }
-
     /// Regression pin for the phantom-crash accounting bug `fuzz
     /// --registry` seed 69 found: two overlapping crash specs for the same
     /// zone made the driver record a second `state_loss: true` crash for a
@@ -209,9 +150,9 @@ mod tests {
     /// crashing the zone once.
     #[test]
     fn committed_overlapping_crash_repro_replays_green() {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/data/fuzz_repro_registry_overlapping_crash.json");
-        let (repro, outcome) = replay_registry_repro(&path).unwrap();
+        let (repro, outcome) = replay_repro::<Reg>(&path).unwrap();
         // The file documents the violations the bug used to produce.
         assert!(repro
             .violations
@@ -226,14 +167,67 @@ mod tests {
     }
 
     #[test]
+    fn repro_round_trips_through_json_and_replays() {
+        crate::chaos::assert_round_trip::<Reg>(3);
+    }
+
+    #[test]
     fn short_sweep_holds_all_oracles() {
         for seed in 0..15 {
-            if let Some(repro) = fuzz_registry_seed(seed) {
+            if let Some(repro) = fuzz_seed::<Reg>(seed) {
                 panic!(
                     "seed {seed} violated registry oracles: {:#?}",
                     repro.violations
                 );
             }
         }
+    }
+
+    /// Seed 839 is an open finding: zone-0 grants outlive a state-losing
+    /// crash by more than `max_lease`. It is the one registry seed below
+    /// 2000 that fails, so it is what exercises the registry shrink. Once
+    /// the finding is fixed, a committed repro that replays green takes
+    /// this test's place.
+    #[test]
+    fn failing_seed_shrinks_and_keeps_its_oracle() {
+        let workload = generate_workload(839);
+        let outcome = run_chaos(&workload);
+        let trips = |o: &ChaosOutcome| {
+            o.violations
+                .iter()
+                .any(|v| v.oracle == "crash_accountability")
+        };
+        assert!(trips(&outcome), "{:#?}", outcome.violations);
+        let (min, min_outcome, runs) = shrink::<Reg>(workload.clone(), outcome);
+        assert!(runs > 0);
+        assert!(min.plan.faults.len() <= workload.plan.faults.len());
+        assert!(trips(&min_outcome), "{:#?}", min_outcome.violations);
+        assert_eq!(run_chaos(&min), min_outcome);
+    }
+
+    /// A zone or replica index past the workload's counts is an `Err`
+    /// naming the spec and the index: `run_chaos` would wrap it onto some
+    /// other zone and could replay green.
+    #[test]
+    fn replay_rejects_out_of_range_indices() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/data/fuzz_repro_registry_overlapping_crash.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join("dlte-registry-fuzz-test-bad-ids");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("bad.json");
+        std::fs::write(&file, text.replacen(r#""zone": 1"#, r#""zone": 42"#, 1)).unwrap();
+        let err = replay_repro::<Reg>(&file).unwrap_err();
+        assert!(err.contains("fault spec 0 (ZoneCrash { zone: 42,"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut w = generate_workload(3);
+        w.plan = RegistryFaultPlan::new(3).with(RegistryFaultSpec::ReplicaDesync {
+            replica: w.n_replicas,
+            at_s: 5.0,
+            for_s: 1.0,
+        });
+        let err = Reg::check_ids(&w).unwrap_err();
+        assert!(err.starts_with("fault spec 0 (ReplicaDesync {"), "{err}");
     }
 }

@@ -55,6 +55,7 @@
 //! ```
 
 pub mod ap;
+pub mod chaos;
 pub mod design_space;
 pub mod econ;
 pub mod experiments;
