@@ -21,7 +21,13 @@ struct Golden {
     jq: &'static str,
 }
 
-const GOLDENS: [Golden; 3] = [
+const GOLDENS: [Golden; 4] = [
+    Golden {
+        file: "e12.json",
+        targets: &["e12"],
+        params: None,
+        jq: ".meta |= {drops: .drops}",
+    },
     Golden {
         file: "e13_e14.json",
         targets: &["e13", "e14"],

@@ -138,8 +138,7 @@ impl UeUpperLayer for TransportUeApp {
         let Some(frame) = packet.payload.as_control::<Frame>() else {
             return false;
         };
-        let frame = frame.clone();
-        self.conn.on_frame(ctx.now, &frame);
+        self.conn.on_frame(ctx.now, frame);
         self.flush(ctx);
         true
     }

@@ -8,6 +8,7 @@
 
 use crate::fec::{recoverable, FecEncoder};
 use crate::frames::{Chunk, Cid, Frame, PacketNum, ResumeToken};
+use crate::received::ReceivedSet;
 use crate::rtt::RttEstimator;
 use crate::streams::Receiver;
 use dlte_sim::{SimDuration, SimTime};
@@ -418,9 +419,7 @@ impl ClientConn {
 
 struct ServerSide {
     receiver: Receiver,
-    received: BTreeSet<PacketNum>,
-    /// Map pn → (chunk, global offset) for FEC recovery bookkeeping.
-    chunk_of: BTreeMap<PacketNum, (Chunk, u64)>,
+    received: ReceivedSet,
     /// Next expected global offset per stream, for legacy mapping.
     global_in_next: u64,
     global_of_chunk: HashMap<(u64, u64), u64>,
@@ -434,8 +433,7 @@ impl ServerSide {
             } else {
                 Receiver::modern()
             },
-            received: BTreeSet::new(),
-            chunk_of: BTreeMap::new(),
+            received: ReceivedSet::default(),
             global_in_next: 0,
             global_of_chunk: HashMap::new(),
         }
@@ -462,8 +460,12 @@ impl ServerSide {
 
     fn accept_data(&mut self, pn: PacketNum, chunk: Chunk, events: &mut Vec<ConnEvent>) {
         if self.received.insert(pn) {
-            let g = self.global_of(&chunk);
-            self.chunk_of.insert(pn, (chunk, g));
+            // Only the legacy receiver orders by global offset.
+            let g = if self.receiver.is_legacy() {
+                self.global_of(&chunk)
+            } else {
+                0
+            };
             let newly = self.receiver.accept(chunk, g);
             if newly > 0 {
                 events.push(ConnEvent::Delivered {
@@ -475,22 +477,10 @@ impl ServerSide {
     }
 
     fn ack(&self, cid: Cid) -> Frame {
-        // Compress the received set into inclusive ranges, most recent
-        // first, capped at 32 ranges (older history is stable: anything the
-        // client still cares about is recent).
-        let mut ranges: Vec<(PacketNum, PacketNum)> = Vec::new();
-        for &pn in self.received.iter().rev() {
-            match ranges.last_mut() {
-                Some((lo, _)) if *lo == pn + 1 => *lo = pn,
-                _ => {
-                    if ranges.len() >= 32 {
-                        break;
-                    }
-                    ranges.push((pn, pn));
-                }
-            }
+        Frame::Ack {
+            cid,
+            ranges: self.received.ack_ranges(),
         }
-        Frame::Ack { cid, ranges }
     }
 }
 
@@ -832,6 +822,38 @@ mod tests {
         assert_eq!(c.handshakes, 2);
         assert!(c.is_established());
         assert_eq!(c.acked_bytes(), 13_200);
+    }
+
+    /// A long in-order transfer keeps one received run, so every ack is a
+    /// single range whatever the history length.
+    #[test]
+    fn in_order_history_stays_one_run() {
+        let mut s = ServerConn::new(77, TransportConfig::default());
+        s.on_frame(
+            SimTime::ZERO,
+            &Frame::ClientHello {
+                cid: 1,
+                token: None,
+                early: Vec::new(),
+            },
+        );
+        s.take_output();
+        let chunk_len = 1_200;
+        for pn in 0..100_000u64 {
+            let chunk = Chunk {
+                stream: 1,
+                offset: pn * chunk_len,
+                len: chunk_len as u32,
+                fin: false,
+            };
+            s.on_frame(SimTime::ZERO, &Frame::Data { cid: 1, pn, chunk });
+            match &s.take_output()[..] {
+                [Frame::Ack { ranges, .. }] => assert_eq!(ranges, &[(0, pn)]),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(s.conns[&1].received.ack_ranges(), vec![(0, 99_999)]);
+        assert_eq!(s.delivered(1), 100_000 * chunk_len);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! Payloads are abstract in this simulation, so the decoder tracks packet
 //! *numbers*; recovering a packet means learning that its chunk can be
-//! delivered (the connection keeps the pn → chunk map).
+//! delivered (the parity frame names each covered chunk).
 
 use crate::frames::PacketNum;
+use crate::received::ReceivedSet;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Sender-side group accumulator.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -58,8 +58,8 @@ impl FecEncoder {
 ///
 /// Given the set of received packet numbers and a parity cover list, if
 /// exactly one covered packet is missing it is recoverable.
-pub fn recoverable(received: &BTreeSet<PacketNum>, covers: &[PacketNum]) -> Option<PacketNum> {
-    let mut missing = covers.iter().filter(|pn| !received.contains(pn));
+pub fn recoverable(received: &ReceivedSet, covers: &[PacketNum]) -> Option<PacketNum> {
+    let mut missing = covers.iter().filter(|&&pn| !received.contains(pn));
     let first = missing.next()?;
     if missing.next().is_some() {
         None // ≥2 missing: XOR parity cannot help
@@ -94,19 +94,19 @@ mod tests {
 
     #[test]
     fn single_loss_recoverable() {
-        let received: BTreeSet<_> = [0u64, 2, 3].into_iter().collect();
+        let received: ReceivedSet = [0u64, 2, 3].into_iter().collect();
         assert_eq!(recoverable(&received, &[0, 1, 2, 3]), Some(1));
     }
 
     #[test]
     fn no_loss_nothing_to_recover() {
-        let received: BTreeSet<_> = [0u64, 1, 2].into_iter().collect();
+        let received: ReceivedSet = [0u64, 1, 2].into_iter().collect();
         assert_eq!(recoverable(&received, &[0, 1, 2]), None);
     }
 
     #[test]
     fn double_loss_unrecoverable() {
-        let received: BTreeSet<_> = [0u64, 3].into_iter().collect();
+        let received: ReceivedSet = [0u64, 3].into_iter().collect();
         assert_eq!(recoverable(&received, &[0, 1, 2, 3]), None);
     }
 }

@@ -84,8 +84,7 @@ impl NodeHandler for TransportClientNode {
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
         if let Some(frame) = packet.payload.as_control::<Frame>() {
-            let frame = frame.clone();
-            self.conn.on_frame(ctx.now, &frame);
+            self.conn.on_frame(ctx.now, frame);
             self.flush(ctx);
         }
     }
@@ -114,7 +113,6 @@ impl NodeHandler for TransportServerNode {
         let Some(frame) = packet.payload.as_control::<Frame>() else {
             return;
         };
-        let frame = frame.clone();
         let cid = frame.cid();
         // Track the peer path; a change means the client migrated. QUIC
         // would validate before fully trusting the path — we adopt it
@@ -139,7 +137,7 @@ impl NodeHandler for TransportServerNode {
             }
             _ => {}
         }
-        self.server.on_frame(ctx.now, &frame);
+        self.server.on_frame(ctx.now, frame);
         let peer = self.peer_of[&cid];
         for out in self.server.take_output() {
             let bytes = out.wire_bytes();

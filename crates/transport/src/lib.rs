@@ -29,6 +29,7 @@ pub mod connection;
 pub mod fec;
 pub mod frames;
 pub mod handlers;
+pub mod received;
 pub mod rtt;
 pub mod streams;
 

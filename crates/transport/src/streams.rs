@@ -53,27 +53,15 @@ impl StreamAssembler {
 
     fn drain(&mut self) -> u64 {
         let before = self.delivered;
-        loop {
-            let mut advanced = false;
-            // Find any pending segment that starts at or before `delivered`
-            // and extends it.
-            let keys: Vec<u64> = self
-                .pending
-                .range(..=self.delivered)
-                .map(|(&k, _)| k)
-                .collect();
-            for k in keys {
-                let (len, _fin) = self.pending[&k];
-                let end = k + len as u64;
-                self.pending.remove(&k);
-                if end > self.delivered {
-                    self.delivered = end;
-                    advanced = true;
-                }
-            }
-            if !advanced {
+        // Consume segments in offset order while they start at or before
+        // the delivered horizon; each may extend it.
+        while let Some(seg) = self.pending.first_entry() {
+            let offset = *seg.key();
+            if offset > self.delivered {
                 break;
             }
+            let (len, _fin) = seg.remove();
+            self.delivered = self.delivered.max(offset + len as u64);
         }
         self.delivered - before
     }
@@ -109,6 +97,11 @@ impl Receiver {
             legacy: true,
             ..Default::default()
         }
+    }
+
+    /// True for the single-global-order (TCP-like) receiver.
+    pub(crate) fn is_legacy(&self) -> bool {
+        self.legacy
     }
 
     /// Accept a chunk. For legacy mode the caller provides the chunk's

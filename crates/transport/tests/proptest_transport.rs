@@ -1,16 +1,64 @@
 //! Property-based tests for transport invariants: reassembly under
-//! arbitrary reordering/duplication, FEC semantics, RTO bounds, and
-//! loss-free end-to-end agreement of the connection machines.
+//! arbitrary reordering/duplication, the received-set against a naive
+//! reference, FEC semantics, RTO bounds, and loss-free end-to-end agreement
+//! of the connection machines.
 
 use dlte_sim::{SimDuration, SimRng, SimTime};
 use dlte_transport::connection::{ClientConn, ServerConn, TransportConfig};
 use dlte_transport::fec::{recoverable, FecEncoder};
+use dlte_transport::received::ReceivedSet;
 use dlte_transport::rtt::RttEstimator;
 use dlte_transport::streams::StreamAssembler;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// Reference ack ranges: walk every received number from the top, merging
+/// neighbours, and stop at the 33rd range.
+fn naive_ack_ranges(received: &BTreeSet<u64>) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    for &pn in received.iter().rev() {
+        match ranges.last_mut() {
+            Some((lo, _)) if *lo == pn + 1 => *lo = pn,
+            _ => {
+                if ranges.len() >= 32 {
+                    break;
+                }
+                ranges.push((pn, pn));
+            }
+        }
+    }
+    ranges
+}
+
 proptest! {
+    /// `ReceivedSet` answers exactly as a plain set plus the top-down walk.
+    /// Scattered arrivals (duplicates, gaps, well over 32 runs), then an
+    /// in-order streak of up to several thousand that swallows some of
+    /// them, then scattered arrivals above and inside it. After every
+    /// insert: the same `insert` result, membership on a probe grid and ack
+    /// ranges. The streak length is log-uniform because the reference walk
+    /// makes a streak quadratic to check.
+    #[test]
+    fn received_set_matches_reference(
+        before in prop::collection::vec(0u64..400, 0..80),
+        streak_start in 0u64..400,
+        streak_log2 in 0u32..13,
+        streak_jitter in 0u64..64,
+        after in prop::collection::vec(0u64..4_800, 0..120),
+    ) {
+        let mut set = ReceivedSet::default();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        let streak = streak_start..streak_start + (1 << streak_log2) + streak_jitter;
+        for pn in before.iter().copied().chain(streak).chain(after.iter().copied()) {
+            prop_assert_eq!(set.insert(pn), model.insert(pn), "insert {}", pn);
+            let near = [pn.saturating_sub(1), pn, pn + 1];
+            for probe in near.into_iter().chain((0..4_900).step_by(491)) {
+                prop_assert_eq!(set.contains(probe), model.contains(&probe), "probe {}", probe);
+            }
+            prop_assert_eq!(set.ack_ranges(), naive_ack_ranges(&model), "after {}", pn);
+        }
+    }
+
     /// Whatever order (and however duplicated) segments arrive in, the
     /// assembler delivers each byte exactly once and ends fully drained.
     #[test]
@@ -76,13 +124,12 @@ proptest! {
         received in prop::collection::btree_set(0u64..50, 0..50),
     ) {
         let covers: Vec<u64> = covers.into_iter().collect();
-        let received: BTreeSet<u64> = received;
         let missing: Vec<u64> = covers
             .iter()
             .filter(|pn| !received.contains(pn))
             .copied()
             .collect();
-        let got = recoverable(&received, &covers);
+        let got = recoverable(&received.into_iter().collect(), &covers);
         match missing.len() {
             1 => prop_assert_eq!(got, Some(missing[0])),
             _ => prop_assert_eq!(got, None),
