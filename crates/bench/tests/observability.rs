@@ -65,6 +65,46 @@ fn e14_trace_lines_parse_and_cover_event_kinds() {
     has("drop", &|e| matches!(e, Event::Drop { .. }));
 }
 
+/// The `harq_*` counters of a traced `--metrics` run, pinned for both
+/// HARQ sources — the EPC's per-block tracer (E14) and the MAC cell's
+/// sampled grants (E2) — and equal to the HARQ events in the same trace.
+#[test]
+fn harq_counters_are_pinned_and_match_the_trace() {
+    let cases = [
+        ("e14", r#"{ "total_s": 10.0 }"#, [2536, 1461, 0]),
+        ("e2", r#"{ "distances_km": [16.0] }"#, [50000, 874, 0]),
+    ];
+    for (target, params, pinned) in cases {
+        let inv = Invocation {
+            targets: vec![target.to_string()],
+            jobs: Some(2),
+            seed: Some(7),
+            params: Some(serde_json::from_str(params).expect("literal parses")),
+            trace: Some("in-memory".to_string()),
+            metrics: true,
+            ..Invocation::default()
+        };
+        let tables = run(&inv).unwrap_or_else(|e| panic!("{target} runs: {e}"));
+        let snap = tables[0].meta.as_ref().and_then(|m| m.metrics.as_ref());
+        let counters = &snap.expect("--metrics attaches snapshot").counters;
+        let read = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let got = [read("harq_tx"), read("harq_retx"), read("harq_fail")];
+        assert_eq!(got, pinned, "{target}: harq_tx / harq_retx / harq_fail");
+
+        let mut events = [0u64; 3];
+        for line in take_trace_jsonl().lines() {
+            let r: Record = serde_json::from_str(line).expect("trace line parses");
+            match r.event {
+                Event::HarqTx { .. } => events[0] += 1,
+                Event::HarqRetx { .. } => events[1] += 1,
+                Event::HarqFail { .. } => events[2] += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(events, pinned, "{target}: HARQ events in the trace");
+    }
+}
+
 #[test]
 fn metrics_flag_attaches_snapshot_with_matching_drops() {
     let inv = Invocation {

@@ -14,7 +14,7 @@
 //! the availability (1 − lost time / offered dwell time), plus how many of
 //! the X2 arm's arrivals were served by a neighbor. Every arm is seeded and
 //! shard-invariant: the table is byte-identical across `--jobs`/`--shards`,
-//! which the `mobility-chaos` CI job enforces against `goldens/e18.json`.
+//! which `crates/bench/tests/goldens.rs` enforces against `goldens/e18.json`.
 
 use super::{f2c, Table};
 use crate::ap::DlteApNode;

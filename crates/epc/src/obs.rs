@@ -79,34 +79,7 @@ impl HarqTracer {
         }
         let cqi = &CQI_TABLE[self.cqi_index];
         let o = self.model.simulate_block(self.sinr_db, cqi, &mut self.rng);
-        dlte_obs::metrics::counter_add("harq_tx", 1);
-        emit(
-            ctx,
-            Event::HarqTx {
-                ue,
-                ok: o.delivered && o.transmissions == 1,
-            },
-        );
-        for attempt in 2..=o.transmissions {
-            dlte_obs::metrics::counter_add("harq_retx", 1);
-            emit(
-                ctx,
-                Event::HarqRetx {
-                    ue,
-                    attempt,
-                    ok: o.delivered && attempt == o.transmissions,
-                },
-            );
-        }
-        if !o.delivered {
-            dlte_obs::metrics::counter_add("harq_fail", 1);
-            emit(
-                ctx,
-                Event::HarqFail {
-                    ue,
-                    attempts: o.transmissions,
-                },
-            );
-        }
+        let (t_ns, node) = (ctx.now.as_nanos(), ctx.node as u64);
+        dlte_obs::harq_block(t_ns, node, ue, o.transmissions, o.delivered);
     }
 }

@@ -15,11 +15,11 @@ use crate::messages::{wire, Nas, S1Nas};
 use crate::obs;
 use dlte_auth::usim::{AkaError, Usim};
 use dlte_auth::Imsi;
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::{Addr, LinkId, NodeCtx, NodeHandler, Packet, Payload, Prefix};
 use dlte_obs::{AkaStep, NasProc};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// How the UE handles moving between cells.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -154,7 +154,7 @@ pub struct UeNode {
     attach_attempts: u32,
     attach_epoch: u64,
     handover_started: Option<SimTime>,
-    outstanding: HashMap<u64, SimTime>,
+    outstanding: FxHashMap<u64, SimTime>,
     seq: u64,
     app_running: bool,
     had_first_attach: bool,
@@ -182,7 +182,7 @@ impl UeNode {
             attach_attempts: 0,
             attach_epoch: 0,
             handover_started: None,
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             seq: 0,
             app_running: false,
             had_first_attach: false,

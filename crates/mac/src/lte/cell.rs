@@ -399,38 +399,7 @@ impl CellSim {
             let o = self
                 .harq
                 .simulate_block(sinr, cqi, &mut self.harq_trace_rng);
-            dlte_obs::metrics::counter_add("harq_tx", 1);
-            dlte_obs::emit(
-                t_ns,
-                self.trace_node,
-                Event::HarqTx {
-                    ue,
-                    ok: o.delivered && o.transmissions == 1,
-                },
-            );
-            for attempt in 2..=o.transmissions {
-                dlte_obs::metrics::counter_add("harq_retx", 1);
-                dlte_obs::emit(
-                    t_ns,
-                    self.trace_node,
-                    Event::HarqRetx {
-                        ue,
-                        attempt,
-                        ok: o.delivered && attempt == o.transmissions,
-                    },
-                );
-            }
-            if !o.delivered {
-                dlte_obs::metrics::counter_add("harq_fail", 1);
-                dlte_obs::emit(
-                    t_ns,
-                    self.trace_node,
-                    Event::HarqFail {
-                        ue,
-                        attempts: o.transmissions,
-                    },
-                );
-            }
+            dlte_obs::harq_block(t_ns, self.trace_node, ue, o.transmissions, o.delivered);
         }
     }
 

@@ -178,6 +178,21 @@ impl Link {
         }
     }
 
+    /// The loss probability in force: the override's while one is set, else
+    /// the configured one. `offer` reads its loss draw only when this is
+    /// positive.
+    pub(crate) fn loss(&self) -> f64 {
+        self.transient
+            .and_then(|ov| ov.loss)
+            .unwrap_or(self.config.loss)
+    }
+
+    /// Whether a jitter override is active — the only case in which
+    /// `offer` reads its jitter draw.
+    pub(crate) fn jitters(&self) -> bool {
+        self.transient.is_some_and(|ov| ov.jitter.is_some())
+    }
+
     /// Offer a packet for transmission. `lossy_draw` and `jitter_draw` are
     /// pre-drawn uniforms [0,1) used for random loss and (when a jitter
     /// override is active) per-packet jitter — kept outside so the link
@@ -191,6 +206,7 @@ impl Link {
         jitter_draw: f64,
     ) -> Offer {
         let cfg = self.config;
+        let loss = self.loss();
         let ov = self.transient.unwrap_or_default();
         let d = &mut self.dirs[dir];
         if !self.up {
@@ -201,7 +217,7 @@ impl Link {
             d.drops_queue += 1;
             return Offer::DroppedQueueFull;
         }
-        if lossy_draw < ov.loss.unwrap_or(cfg.loss) {
+        if lossy_draw < loss {
             d.drops_loss += 1;
             return Offer::DroppedLoss;
         }

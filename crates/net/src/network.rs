@@ -25,6 +25,32 @@ const LOSS_SALT: u64 = 0x6c6f_7373; // "loss"
 const JITTER_SALT: u64 = 0x6a69_7474; // "jitt"
 const NODE_RAND_SALT: u64 = 0x6e6f_6465; // "node"
 
+/// The loss and jitter uniforms `l.offer` takes for one transmission.
+///
+/// They are *keyed* draws — salted hashes of the decision's identity (seed,
+/// packet, hop, link, direction) — rather than pulls from a shared stream,
+/// so a given transmission sees the same uniforms no matter what else ran
+/// first; that is what keeps runs bit-identical when the topology is
+/// partitioned into shards. It also means a draw the link will not read
+/// can be skipped without moving any other: each is hashed only when needed
+/// (a positive loss probability, an active jitter override) and is
+/// otherwise the neutral value `offer` ignores — `1.0` never drops, `0.0`
+/// adds no jitter.
+fn link_draws(l: &Link, seed: u64, id: u64, hops: u32, link: LinkId, dir: usize) -> (f64, f64) {
+    let salted = |salt| hash_unit(&[seed, salt, id, hops as u64, link as u64, dir as u64]);
+    let loss = if l.loss() > 0.0 {
+        salted(LOSS_SALT)
+    } else {
+        1.0
+    };
+    let jitter = if l.jitters() {
+        salted(JITTER_SALT)
+    } else {
+        0.0
+    };
+    (loss, jitter)
+}
+
 /// Account a packet drop in all three observability surfaces: the legacy
 /// `TraceStats` counter (via the caller), the always-on `drops_*` metrics
 /// counter (feeds the deterministic `RunReport::drops` breakdown) and — when
@@ -337,13 +363,7 @@ impl NetCore {
             note_drop(now, node, DropReason::NoRoute, p.size_bytes);
             return;
         };
-        let key = [seed, 0, id, hops as u64, link as u64, dir as u64];
-        let mut loss_key = key;
-        loss_key[1] = LOSS_SALT;
-        let mut jitter_key = key;
-        jitter_key[1] = JITTER_SALT;
-        let draw = hash_unit(&loss_key);
-        let jitter_draw = hash_unit(&jitter_key);
+        let (draw, jitter_draw) = link_draws(l, seed, id, hops, link, dir);
         match l.offer(dir, now, size_bytes, draw, jitter_draw) {
             Offer::Accepted {
                 arrives_at,
@@ -405,11 +425,6 @@ impl NetCore {
         mut packet: Packet,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        // Loss and jitter are *keyed* draws — pure hashes of the decision's
-        // identity (seed, packet, hop, link, direction) rather than pulls
-        // from a shared stream. A given transmission therefore sees the same
-        // uniforms no matter what else ran first, which is what keeps runs
-        // bit-identical when the topology is partitioned into shards.
         let seed = self.rng.seed();
         let l = &mut self.links[link];
         let Some(dir) = l.dir_from(node) else {
@@ -421,20 +436,7 @@ impl NetCore {
             note_drop(now, node, DropReason::NoRoute, packet.size_bytes);
             return;
         };
-        let key = [
-            seed,
-            0, // replaced by the salt below
-            packet.id,
-            packet.hops as u64,
-            link as u64,
-            dir as u64,
-        ];
-        let mut loss_key = key;
-        loss_key[1] = LOSS_SALT;
-        let mut jitter_key = key;
-        jitter_key[1] = JITTER_SALT;
-        let draw = hash_unit(&loss_key);
-        let jitter_draw = hash_unit(&jitter_key);
+        let (draw, jitter_draw) = link_draws(l, seed, packet.id, packet.hops, link, dir);
         match l.offer(dir, now, packet.size_bytes, draw, jitter_draw) {
             Offer::Accepted {
                 arrives_at,

@@ -38,7 +38,7 @@ pub mod span;
 pub use event::{AkaStep, DropReason, Event, NasProc, Record};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use recorder::{
-    absorb_raw, drain_raw, emit, set_tracing, take_records, tracing_enabled, BufferRecorder,
-    NoopRecorder, RawRecord, Recorder,
+    absorb_raw, drain_raw, emit, harq_block, set_tracing, take_records, tracing_enabled,
+    BufferRecorder, NoopRecorder, RawRecord, Recorder,
 };
 pub use span::{pair_spans, Span, SpanOutcome};

@@ -105,6 +105,43 @@ pub fn emit(t_ns: u64, node: u64, event: Event) {
     BUFFER.with(|b| b.borrow_mut().record(t_ns, node, event));
 }
 
+/// Record one HARQ-simulated transport block for `ue` at `node`: a
+/// `HarqTx`, a `HarqRetx` per further attempt and a `HarqFail` if the block
+/// was lost, each bumping its `harq_*` counter. The counters are interned
+/// once per process, so a traced run pays an array index per block, not a
+/// string-map lookup. Callers gate this on [`tracing_enabled`]: the
+/// counters describe the traced HARQ model only.
+pub fn harq_block(t_ns: u64, node: u64, ue: u64, transmissions: u8, delivered: bool) {
+    use crate::metrics::{register_counter, CounterId};
+    static IDS: std::sync::OnceLock<[CounterId; 3]> = std::sync::OnceLock::new();
+    let [tx, retx, fail] = *IDS.get_or_init(|| {
+        [
+            register_counter("harq_tx"),
+            register_counter("harq_retx"),
+            register_counter("harq_fail"),
+        ]
+    });
+    tx.add(1);
+    let ok = delivered && transmissions == 1;
+    emit(t_ns, node, Event::HarqTx { ue, ok });
+    for attempt in 2..=transmissions {
+        retx.add(1);
+        let ok = delivered && attempt == transmissions;
+        emit(t_ns, node, Event::HarqRetx { ue, attempt, ok });
+    }
+    if !delivered {
+        fail.add(1);
+        emit(
+            t_ns,
+            node,
+            Event::HarqFail {
+                ue,
+                attempts: transmissions,
+            },
+        );
+    }
+}
+
 /// Drain this thread's raw (unsequenced) records — the worker-thread half
 /// of parallel capture.
 pub fn drain_raw() -> Vec<RawRecord> {
@@ -190,6 +227,35 @@ mod tests {
         set_tracing(true);
         assert!(take_records().is_empty());
         set_tracing(false);
+    }
+
+    #[test]
+    fn harq_block_emits_the_attempt_trail_and_counts_it() {
+        let _ = crate::metrics::take();
+        set_tracing(true);
+        harq_block(3, 9, 4, 1, true);
+        harq_block(5, 9, 4, 3, true);
+        harq_block(7, 9, 4, 4, false);
+        let events: Vec<Event> = take_records().into_iter().map(|r| r.event).collect();
+        set_tracing(false);
+        let tx = |ok| Event::HarqTx { ue: 4, ok };
+        let retx = |attempt, ok| Event::HarqRetx { ue: 4, attempt, ok };
+        let expected = vec![
+            tx(true),
+            tx(false),
+            retx(2, false),
+            retx(3, true),
+            tx(false),
+            retx(2, false),
+            retx(3, false),
+            retx(4, false),
+            Event::HarqFail { ue: 4, attempts: 4 },
+        ];
+        assert_eq!(events, expected);
+        let counters = crate::metrics::take().counters;
+        assert_eq!(counters["harq_tx"], 3);
+        assert_eq!(counters["harq_retx"], 5);
+        assert_eq!(counters["harq_fail"], 1);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   and ties across origins break by origin id — an order that does not
 //!   depend on any queue-global state;
 //! * cancellation via [`EventKey`] marks the event's slab slot vacant in
-//!   O(1) — no per-pop hash probing; the heap entry left behind is
-//!   discarded when it surfaces (its slot is vacant or holds another
-//!   event).
+//!   O(1) — no per-pop hash probing; the queue entry left behind is
+//!   discarded when the queue next inspects it (its slot is vacant or
+//!   holds another event).
 //!
 //! The canonical key exists for the sharded engine (see [`crate::shard`]):
 //! because `(origin, oseq)` pairs are a pure function of each origin's own
@@ -28,7 +28,7 @@
 //! ## One integer per event
 //!
 //! `(origin, oseq)` is packed into one `ord = origin << 40 | oseq`, and a
-//! heap entry `{ at, ord, slot }` (24 bytes) orders by the single 128-bit
+//! queue entry `{ at, ord, slot }` (24 bytes) orders by the single 128-bit
 //! integer `at << 64 | ord` — the same total order as the tuple. Two limits
 //! make the packing exact, and both are checked in release builds (a silent
 //! wrap would misorder events): **origin < 2^24** ([`ORIGIN_LIMIT`], 170×
@@ -37,8 +37,43 @@
 //! `ord` also names the event: a pair is never issued twice in one queue
 //! (counters are monotone and survive [`EventQueue::reclaim`]; imported
 //! keys come from the one shard that owns their origin), so a slab slot
-//! records its occupant's `ord`, and a heap entry or [`EventKey`] whose
+//! records its occupant's `ord`, and a queue entry or [`EventKey`] whose
 //! `ord` differs refers to an event that is gone.
+//!
+//! ## A monotone radix queue
+//!
+//! Nothing is ever scheduled before `now` (`schedule_keyed` clamps `at` to
+//! it), so the pending set is a *monotone* priority queue and needs no
+//! sifting heap. It is a radix heap over `at` (Ahuja, Mehlhorn, Orlin &
+//! Tarjan, 1990) whose base is `now` itself:
+//!
+//! * `current` holds the entries due at exactly `now`, in a small heap
+//!   ordered by `ord`;
+//! * bucket `i` of 64 holds, unordered, the entries whose `at ^ now` has
+//!   its highest set bit at `i`, and one `u64` marks the occupied buckets.
+//!   Every entry of a lower bucket fires before every entry of a higher
+//!   one.
+//!
+//! A push is one append. A pop serves `current` while it holds a live
+//! entry; otherwise it finds the lowest occupied bucket's minimum live
+//! `at`, moves `now` there and redistributes that bucket — each entry lands
+//! in a lower bucket or in `current`, so an entry moves at most 64 times
+//! over its life (in practice a handful). Two rules keep the order exact:
+//!
+//! * **The base never passes `now`**, because it *is* `now`, which only a
+//!   dispatch moves. `peek_time` and a horizon stop find the next time
+//!   without advancing anything: a base past `now` would misbucket a later
+//!   schedule at `now`, which lands below it.
+//! * **Ties live in `current`**, not in the radix. A handler may schedule
+//!   at `now` under an origin *below* the one being dispatched (a
+//!   lower-numbered node answering at zero delay), so the next event can
+//!   rank below the last one; only `at` is monotone, so only `at` is
+//!   radixed, and `current` orders the ties by `ord`.
+//!
+//! Cancellation stays lazy: an orphaned entry is dropped when a pop or a
+//! bucket's minimum scan meets it. The scan checks liveness only for
+//! entries that would lower its running minimum, so it costs one slab read
+//! per new minimum, not one per entry.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -86,49 +121,67 @@ pub trait World {
     }
 }
 
-/// A heap entry: the canonical key — fire time `at` (nanoseconds) and the
+/// A queue entry: the canonical key — fire time `at` (nanoseconds) and the
 /// packed `ord = origin << 40 | oseq` — plus the slab slot holding the
 /// payload. Ordered by the one integer `at << 64 | ord`: earliest time
 /// first, then lowest origin, then that origin's FIFO counter. `ord` is
 /// unique per queue, so the slot never participates in ordering.
 #[derive(Clone, Copy, PartialEq, Eq)]
-struct HeapKey {
+struct Entry {
     at: u64,
     ord: u64,
     slot: u32,
 }
 
-impl HeapKey {
+impl Entry {
     fn rank(self) -> u128 {
         (self.at as u128) << 64 | self.ord as u128
     }
 }
 
-impl PartialOrd for HeapKey {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapKey {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.rank().cmp(&other.rank())
     }
 }
 
 /// One slab entry. `event: None` means vacant (fired or canceled); `ord`
-/// names the slot's latest occupant — a heap entry or [`EventKey`] only
+/// names the slot's latest occupant — a queue entry or [`EventKey`] only
 /// acts on the slot while its `ord` matches and the event is still there.
 struct Slot<E> {
     ord: u64,
     event: Option<E>,
 }
 
+/// Whether queue entry `e` still refers to the event it was pushed for.
+fn is_live<E>(slots: &[Slot<E>], e: Entry) -> bool {
+    let s = &slots[e.slot as usize];
+    s.ord == e.ord && s.event.is_some()
+}
+
+/// The radix bucket of an entry due at `at`, relative to base `base`
+/// (`at > base`): the highest bit in which the two differ.
+fn bucket_of(at: u64, base: u64) -> usize {
+    63 - (at ^ base).leading_zeros() as usize
+}
+
 /// A priority queue of future events: a slab of scheduled payloads indexed
-/// by a heap of canonical `(time, origin, oseq)` keys. Cancellation vacates
-/// the slab slot by index — O(1), no hashing — and the orphaned heap entry
-/// is discarded whenever it reaches the top.
+/// by a monotone radix queue of canonical `(time, origin, oseq)` keys (see
+/// the module docs). Cancellation vacates the slab slot by index — O(1),
+/// no hashing — and the orphaned entry is discarded when next inspected.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<HeapKey>>,
+    /// Entries due at exactly `now`, ordered by `ord`.
+    current: BinaryHeap<Reverse<Entry>>,
+    /// Entries due after `now`: bucket `i` holds those whose `at ^ now` has
+    /// its highest set bit at `i`. Drained buckets keep their capacity.
+    buckets: [Vec<Entry>; 64],
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    occupied: u64,
     slots: Vec<Slot<E>>,
     /// Vacant slab indices, reused LIFO.
     free: Vec<u32>,
@@ -138,6 +191,7 @@ pub struct EventQueue<E> {
     cur_origin: u64,
     /// Per-origin FIFO counters, indexed by origin id.
     oseqs: Vec<u64>,
+    /// The firing time of the last dispatched event, and the radix base.
     now: SimTime,
 }
 
@@ -150,7 +204,9 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            current: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -245,9 +301,26 @@ impl<E> EventQueue<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse(HeapKey { at, ord, slot }));
+        self.push(Entry { at, ord, slot });
         self.live += 1;
         EventKey { slot, ord }
+    }
+
+    /// File `e` under the current base: into `current` if it is due now,
+    /// else into its radix bucket.
+    fn push(&mut self, e: Entry) {
+        let base = self.now.as_nanos();
+        // Holds because `schedule_keyed` clamps `at` to `now` and the base
+        // is `now`, which only a dispatch moves — never a peek or a horizon
+        // stop. An entry below the base would sit in no valid bucket.
+        debug_assert!(e.at >= base, "entry at {} below base {base}", e.at);
+        if e.at == base {
+            self.current.push(Reverse(e));
+        } else {
+            let i = bucket_of(e.at, base);
+            self.buckets[i].push(e);
+            self.occupied |= 1 << i;
+        }
     }
 
     /// Schedule `event` after a relative delay from now.
@@ -291,7 +364,7 @@ impl<E> EventQueue<E> {
         self.slots.iter().filter_map(|s| s.event.as_ref())
     }
 
-    /// True if no live events remain. Orphaned heap keys of canceled events
+    /// True if no live events remain. Orphaned entries of canceled events
     /// are invisible here: the live count already excludes them, so a queue
     /// whose only entries were canceled reports empty, never a phantom
     /// event.
@@ -300,30 +373,69 @@ impl<E> EventQueue<E> {
     }
 
     /// Firing time of the next live event, if any. Never reports a canceled
-    /// event's time: orphaned heap keys at the top are lazily discarded
-    /// here, exactly as `pop` would.
+    /// event's time (orphans met on the way are discarded, exactly as `pop`
+    /// would), and never moves the radix base: a later schedule at `now`
+    /// must still be filable.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.purge_stale_top();
-        self.heap.peek().map(|Reverse(k)| SimTime::from_nanos(k.at))
+        self.next_at().map(SimTime::from_nanos)
     }
 
-    /// Whether this heap entry still refers to the event it was pushed for.
-    fn key_is_live(&self, k: HeapKey) -> bool {
-        let s = &self.slots[k.slot as usize];
-        s.ord == k.ord && s.event.is_some()
-    }
-
-    /// Drop canceled events' orphaned keys off the heap top until a live
-    /// key (or nothing) is exposed. Amortized O(1): each key is popped at
-    /// most once over the queue's lifetime, whether here or in
-    /// `pop_at_or_before`.
-    fn purge_stale_top(&mut self) {
-        while let Some(&Reverse(k)) = self.heap.peek() {
-            if self.key_is_live(k) {
-                break;
+    /// The `at` of the next live entry: `current`'s top if it is live, else
+    /// the minimum of the lowest occupied bucket. Orphans at `current`'s top
+    /// and buckets holding only orphans are discarded; the base stays put.
+    fn next_at(&mut self) -> Option<u64> {
+        while let Some(&Reverse(e)) = self.current.peek() {
+            if is_live(&self.slots, e) {
+                return Some(e.at);
             }
-            self.heap.pop();
+            self.current.pop();
         }
+        while self.occupied != 0 {
+            let i = self.occupied.trailing_zeros() as usize;
+            if let Some(at) = self.bucket_min(i) {
+                return Some(at);
+            }
+            self.occupied &= !(1 << i);
+        }
+        None
+    }
+
+    /// The smallest live `at` in bucket `i`, or `None` once the bucket is
+    /// empty. Only an entry that would lower the running minimum is checked
+    /// for liveness; an orphan found that way is removed, so a bucket of
+    /// nothing but orphans ends up empty.
+    fn bucket_min(&mut self, i: usize) -> Option<u64> {
+        let bucket = &mut self.buckets[i];
+        let mut min: Option<u64> = None;
+        let mut j = 0;
+        while j < bucket.len() {
+            let e = bucket[j];
+            if min.is_none_or(|m| e.at < m) {
+                if !is_live(&self.slots, e) {
+                    bucket.swap_remove(j);
+                    continue;
+                }
+                min = Some(e.at);
+            }
+            j += 1;
+        }
+        min
+    }
+
+    /// Move the base to `at`, the minimum of the lowest occupied bucket, and
+    /// redistribute that bucket. Its entries agree with `at` above their
+    /// bucket's bit, so each lands in a lower bucket or in `current`; the
+    /// drained `Vec` goes back in place with its capacity.
+    fn advance(&mut self, at: u64) {
+        let i = self.occupied.trailing_zeros() as usize;
+        let mut bucket = std::mem::take(&mut self.buckets[i]);
+        self.occupied &= !(1 << i);
+        self.now = SimTime::from_nanos(at);
+        for e in bucket.drain(..) {
+            self.push(e);
+        }
+        debug_assert!(self.buckets[i].is_empty(), "bucket {i} refilled itself");
+        self.buckets[i] = bucket;
     }
 
     /// Slab capacity in slots — how much memory the queue holds onto for
@@ -333,12 +445,13 @@ impl<E> EventQueue<E> {
         self.slots.capacity()
     }
 
-    /// Release the slab, free list, and heap storage if the queue is fully
-    /// drained. The slab is grow-only during a run (slots are reused, never
-    /// shrunk), so a burst — a handover storm, a chaos fault volley — leaves
-    /// its high-water mark allocated forever. The drivers call this at drain
-    /// boundaries (end of `run_until`, which the sharded engine hits for
-    /// idle shards at every idle-jump epoch) to give the memory back.
+    /// Release the slab, free list, and bucket storage if the queue is fully
+    /// drained. The slab and buckets are grow-only during a run (slots are
+    /// reused and drained buckets keep their capacity), so a burst — a
+    /// handover storm, a chaos fault volley — leaves its high-water mark
+    /// allocated forever. The drivers call this at drain boundaries (end of
+    /// `run_until`, which the sharded engine hits for idle shards at every
+    /// idle-jump epoch) to give the memory back.
     ///
     /// No-op unless the queue is empty (live events must keep their slots)
     /// or still small ([`RECLAIM_MIN_SLOTS`]): reclaiming a handful of slots
@@ -353,10 +466,13 @@ impl<E> EventQueue<E> {
         if self.live != 0 || self.slots.capacity() < RECLAIM_MIN_SLOTS {
             return;
         }
-        // All slots are vacant and every heap entry is an orphan: drop the lot.
+        // All slots are vacant and every queued entry is an orphan: drop the
+        // lot. The base (`now`) stays, so later schedules file as before.
         self.slots = Vec::new();
         self.free = Vec::new();
-        self.heap = BinaryHeap::new();
+        self.current = BinaryHeap::new();
+        self.buckets = std::array::from_fn(|_| Vec::new());
+        self.occupied = 0;
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -364,28 +480,32 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the next live event if it fires at or before `horizon`. Orphaned
-    /// keys of canceled events are discarded along the way regardless of
+    /// entries of canceled events are discarded along the way regardless of
     /// their time, so the queue never reports a horizon stop just because a
-    /// canceled key preceded the next live event.
+    /// canceled entry preceded the next live event. A horizon stop leaves
+    /// the base where it was.
     fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let &Reverse(k) = self.heap.peek()?;
-            if !self.key_is_live(k) {
-                self.heap.pop();
+        let at = self.next_at()?;
+        if at > horizon.as_nanos() {
+            return None;
+        }
+        if at != self.now.as_nanos() {
+            // `current` is empty: the next event is the lowest bucket's
+            // minimum, and redistributing that bucket fills `current`.
+            self.advance(at);
+        }
+        // `current`'s top is live unless the redistribution brought orphans
+        // due at the same instant with a lower `ord`.
+        while let Some(Reverse(e)) = self.current.pop() {
+            if !is_live(&self.slots, e) {
                 continue;
             }
-            if k.at > horizon.as_nanos() {
-                // Live event beyond the horizon: leave it in place.
-                return None;
-            }
-            self.heap.pop();
-            let s = &mut self.slots[k.slot as usize];
-            let event = s.event.take().expect("live key's slot vanished");
-            self.free.push(k.slot);
+            let event = self.slots[e.slot as usize].event.take();
+            self.free.push(e.slot);
             self.live -= 1;
-            self.now = SimTime::from_nanos(k.at);
-            return Some((self.now, event));
+            return Some((self.now, event.expect("live entry's slot vanished")));
         }
+        unreachable!("next_at reported a live entry at {at}")
     }
 }
 
@@ -493,7 +613,9 @@ impl<W: World> Simulation<W> {
                     budget -= 1;
                 }
                 None => {
-                    break if self.queue.peek_time().is_some() {
+                    // `pending` counts live events exactly, so this needs
+                    // no second scan for the next one's time.
+                    break if !self.queue.is_empty() {
                         RunOutcome::HorizonReached
                     } else {
                         // Fully drained: hand the slab's high-water mark back
@@ -671,10 +793,94 @@ mod tests {
 
     #[test]
     fn hot_entries_stay_small() {
-        // Every heap sift moves `HeapKey`s: a field added here costs every
-        // event, so it should fail this test rather than slow the engine.
-        assert_eq!(std::mem::size_of::<HeapKey>(), 24);
+        // Every push appends an `Entry` and every redistribution copies the
+        // bucket's entries: a field added here costs every event, so it
+        // should fail this test rather than slow the engine.
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
         assert!(std::mem::size_of::<EventKey>() <= 16);
+    }
+
+    #[test]
+    fn schedule_at_now_after_a_horizon_stop_short_of_a_far_event() {
+        // The next live event is far past the horizon. Neither the stop nor
+        // the peek after it may move the radix base off `now`: a schedule
+        // at `now` would then land below the base and be misfiled.
+        let far = SimTime::from_millis(1 << 40);
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
+        sim.queue_mut()
+            .schedule_at(SimTime::from_millis(10), Ev::Tag(1));
+        sim.queue_mut().schedule_at(far, Ev::Tag(4));
+        let outcome = sim.run_until(SimTime::from_millis(20), 100);
+        assert_eq!(outcome, RunOutcome::HorizonReached);
+        assert_eq!(sim.queue_mut().peek_time(), Some(far));
+        let now = sim.now();
+        assert_eq!(now, SimTime::from_millis(10));
+        sim.queue_mut().schedule_at(now, Ev::Tag(2));
+        sim.queue_mut()
+            .schedule_at(now + SimDuration::from_millis(1), Ev::Tag(3));
+        assert_eq!(sim.queue_mut().peek_time(), Some(now));
+        assert_eq!(sim.run_to_completion(100), RunOutcome::Drained);
+        assert_eq!(
+            sim.world().seen,
+            vec![(10, 1), (10, 2), (11, 3), (far.as_millis(), 4)]
+        );
+    }
+
+    #[test]
+    fn canceling_a_buckets_minimum_exposes_the_next_live_entry() {
+        // 5, 6 and 7 ms share one radix bucket (highest bit 22 from base 0),
+        // so only the liveness check on the running minimum hides the
+        // canceled ones.
+        let ms = SimTime::from_millis;
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        let first = queue.schedule_at(ms(5), Ev::Tag(5));
+        queue.schedule_at(ms(7), Ev::Tag(7));
+        let second = queue.schedule_at(ms(6), Ev::Tag(6));
+        queue.cancel(first);
+        assert_eq!(queue.peek_time(), Some(ms(6)));
+        queue.cancel(second);
+        assert_eq!(queue.peek_time(), Some(ms(7)));
+        let (at, ev) = queue.pop().expect("one live event");
+        assert_eq!(at, ms(7));
+        assert!(matches!(ev, Ev::Tag(7)));
+        assert!(queue.pop().is_none());
+    }
+
+    #[test]
+    fn times_at_and_past_2_pow_63_use_the_top_bucket() {
+        let mut queue: EventQueue<Ev> = EventQueue::new();
+        queue.schedule_at(SimTime::MAX, Ev::Tag(4));
+        queue.schedule_at(SimTime::from_nanos(1 << 63), Ev::Tag(3));
+        queue.schedule_at(SimTime::from_nanos((1 << 63) - 1), Ev::Tag(2));
+        queue.schedule_at(SimTime::from_nanos(1), Ev::Tag(1));
+        let mut order = Vec::new();
+        while let Some((at, Ev::Tag(tag))) = queue.pop() {
+            order.push((at.as_nanos(), tag));
+        }
+        let expected = [(1, 1), ((1 << 63) - 1, 2), (1 << 63, 3), (u64::MAX, 4)];
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn schedules_after_a_reclaim_file_against_the_kept_base() {
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
+        for i in 0..100u32 {
+            sim.queue_mut()
+                .schedule_at(SimTime::from_millis(i as u64), Ev::Tag(i));
+        }
+        assert_eq!(sim.run_to_completion(1_000), RunOutcome::Drained);
+        assert_eq!(sim.queue().slot_capacity(), 0, "the drain reclaimed");
+        let now = sim.now();
+        let ms = SimDuration::from_millis;
+        for (delay, tag) in [(1 << 30, 103), (0, 100), (5, 102), (1, 101)] {
+            sim.queue_mut().schedule_at(now + ms(delay), Ev::Tag(tag));
+        }
+        sim.run_to_completion(1_000);
+        let tail: Vec<(u64, u32)> = sim.world().seen[100..].to_vec();
+        assert_eq!(
+            tail,
+            vec![(99, 100), (100, 101), (104, 102), (99 + (1 << 30), 103)]
+        );
     }
 
     #[test]
@@ -705,7 +911,7 @@ mod tests {
 
     #[test]
     fn canceling_the_only_event_empties_the_queue() {
-        // Regression: tombstones at the heap top used to make `is_empty` /
+        // Regression: tombstones at the queue front used to make `is_empty` /
         // `peek_time` report a phantom pending event.
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let only = queue.schedule_at(SimTime::from_millis(5), Ev::Tag(1));
@@ -787,7 +993,7 @@ mod tests {
         let dead = queue.schedule_at(SimTime::from_millis(1), Ev::Tag(1));
         queue.cancel(dead);
         // The new event reuses the vacated slot; the stale key must not be
-        // able to cancel it, and the orphaned heap key must not dispatch it
+        // able to cancel it, and the orphaned entry must not dispatch it
         // early.
         queue.schedule_at(SimTime::from_millis(5), Ev::Tag(2));
         queue.cancel(dead);

@@ -53,15 +53,29 @@ fn arb_src() -> impl Strategy<Value = Src> {
     })
 }
 
-/// A schedule offset from the phase base on a 1 µs grid, so same-instant
-/// ties — where origin and oseq decide the order — are the common case.
-fn arb_offset() -> impl Strategy<Value = u64> {
-    (0u64..50).prop_map(|k| k * 1_000)
+/// Log-uniform in `[1, 2^bits)`: a uniform bit length, then uniform low
+/// bits — so every radix bucket of the queue up to `bits` gets traffic.
+fn log_uniform(bits: u32) -> impl Strategy<Value = u64> {
+    (0..bits, any::<u64>()).prop_map(|(b, r)| 1 << b | r & ((1 << b) - 1))
 }
 
-/// A horizon advance that often lands exactly on a grid instant.
+/// A schedule offset from the phase base: mostly on a 1 µs grid, so
+/// same-instant ties — where origin and oseq decide the order — are the
+/// common case; otherwise log-uniform from 1 ns to 2^62 ns.
+fn arb_offset() -> impl Strategy<Value = u64> {
+    let grid = || (0u64..50).prop_map(|k| k * 1_000);
+    prop_oneof![grid(), grid(), grid(), log_uniform(62)]
+}
+
+/// A horizon advance that often lands exactly on a grid instant, and
+/// sometimes reaches far ahead (at most 2^58 ns, so eight phases plus an
+/// offset stay below 2^63).
 fn arb_advance() -> impl Strategy<Value = u64> {
-    prop_oneof![1u64..60_000, (1u64..60).prop_map(|k| k * 1_000)]
+    prop_oneof![
+        1u64..60_000,
+        (1u64..60).prop_map(|k| k * 1_000),
+        log_uniform(58)
+    ]
 }
 
 /// One phase of the slab-queue equivalence test: schedule a batch, cancel
@@ -208,13 +222,134 @@ impl Model {
     }
 }
 
+/// One follow-up a dispatched event schedules: `delay` ns after it, under
+/// an origin `1 + drop` below the dispatching event's (floored at 0).
+#[derive(Clone, Copy, Debug)]
+struct Followup {
+    delay: u64,
+    drop: u64,
+}
+
+fn arb_followup() -> impl Strategy<Value = Followup> {
+    let zero = || Just(0u64);
+    let delay = prop_oneof![zero(), zero(), zero(), 1u64..3_000, log_uniform(40)];
+    (delay, 0u64..3).prop_map(|(delay, drop)| Followup { delay, drop })
+}
+
+/// The origin a follow-up of an event from `origin` is scheduled under:
+/// strictly lower while it can be, so the new event ranks *below* the one
+/// being dispatched when its delay is zero.
+fn child_origin(origin: u64, f: Followup) -> u64 {
+    origin.saturating_sub(1 + f.drop)
+}
+
+/// A world whose handler for event `(id, origin)` schedules `plan[id]`'s
+/// follow-ups, numbering new events in scheduling order. Events past the
+/// plan spawn nothing, which bounds the run.
+struct Spawner {
+    plan: Vec<Vec<Followup>>,
+    next: u32,
+    fired: Vec<(SimTime, u32)>,
+}
+
+impl World for Spawner {
+    type Event = (u32, u64);
+    fn handle(&mut self, now: SimTime, (id, origin): (u32, u64), q: &mut EventQueue<(u32, u64)>) {
+        self.fired.push((now, id));
+        for &f in self.plan.get(id as usize).into_iter().flatten() {
+            let o = child_origin(origin, f);
+            q.set_origin(o);
+            q.schedule_at(now + SimDuration::from_nanos(f.delay), (self.next, o));
+            self.next += 1;
+        }
+    }
+}
+
+/// The naive reference for [`Spawner`]: a flat pending list scanned for
+/// its `(at, origin, oseq)` minimum, with the same handler logic.
+#[derive(Default)]
+struct SpawnModel {
+    pending: Vec<(u64, u64, u64, u32)>,
+    oseqs: HashMap<u64, u64>,
+    next: u32,
+    now: u64,
+    fired: Vec<(SimTime, u32)>,
+}
+
+impl SpawnModel {
+    fn schedule(&mut self, at: u64, origin: u64) {
+        let c = self.oseqs.entry(origin).or_default();
+        self.pending.push((at, origin, *c, self.next));
+        *c += 1;
+        self.next += 1;
+    }
+
+    fn run_until(&mut self, horizon: u64, plan: &[Vec<Followup>]) {
+        while let Some(i) = (0..self.pending.len()).min_by_key(|&i| self.pending[i]) {
+            let (at, origin, _, id) = self.pending[i];
+            if at > horizon {
+                break;
+            }
+            self.pending.swap_remove(i);
+            self.now = at;
+            self.fired.push((SimTime::from_nanos(at), id));
+            for &f in plan.get(id as usize).into_iter().flatten() {
+                self.schedule(at + f.delay, child_origin(origin, f));
+            }
+        }
+    }
+}
+
 proptest! {
-    /// The slab-indexed queue agrees exactly — dispatch order, times, and
-    /// pending counts — with a naive reference model ordered by
+    /// Handlers that answer at zero delay under a *lower* origin than the
+    /// event being dispatched — so the next event ranks below the last —
+    /// still dispatch in exact `(at, origin, oseq)` order, across horizon
+    /// stops short of far-future events followed by schedules at `now`.
+    #[test]
+    fn lower_origin_followups_match_reference(
+        plan in prop::collection::vec(prop::collection::vec(arb_followup(), 0..4), 1..60),
+        phases in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (prop_oneof![Just(0u64), 0u64..5_000, log_uniform(40)], 0u64..64),
+                    0..4,
+                ),
+                prop_oneof![0u64..5_000, log_uniform(40)],
+            ),
+            1..6,
+        ),
+    ) {
+        let mut sim = Simulation::new(Spawner { plan: plan.clone(), next: 0, fired: vec![] });
+        let mut model = SpawnModel::default();
+        for (seeds, advance) in &phases {
+            let now = sim.now().as_nanos();
+            prop_assert_eq!(now, model.now);
+            for &(off, origin) in seeds {
+                let id = sim.world().next;
+                sim.world_mut().next += 1;
+                let q = sim.queue_mut();
+                q.set_origin(origin);
+                q.schedule_at(SimTime::from_nanos(now + off), (id, origin));
+                model.schedule(now + off, origin);
+            }
+            let next = model.pending.iter().map(|p| SimTime::from_nanos(p.0)).min();
+            prop_assert_eq!(sim.queue_mut().peek_time(), next);
+            sim.run_until(SimTime::from_nanos(now + advance), 100_000);
+            model.run_until(now + advance, &plan);
+            prop_assert_eq!(&sim.world().fired, &model.fired);
+            prop_assert_eq!(sim.queue().pending(), model.pending.len());
+        }
+        sim.run_until(SimTime::MAX, 100_000);
+        model.run_until(u64::MAX, &plan);
+        prop_assert_eq!(&sim.world().fired, &model.fired);
+    }
+
+    /// The slab-indexed radix queue agrees exactly — dispatch order, times,
+    /// and pending counts — with a naive reference model ordered by
     /// `(at, origin, oseq)` across arbitrary interleavings of scheduling
-    /// (local origins at both ends of the 24-bit range, and imported keys
-    /// up to oseq 2^40 − 1), cancellation, slab reclaims and horizon
-    /// advances. Cancels may target keys that already fired or were already
+    /// (local origins at both ends of the 24-bit range, imported keys up to
+    /// oseq 2^40 − 1, offsets from 1 ns to 2^62 ns), cancellation, slab
+    /// reclaims followed by new schedules, and horizon advances. Cancels may target keys that already fired or were already
     /// canceled; both must be no-ops even after the underlying slot has
     /// been reused or the slab reclaimed.
     #[test]
@@ -249,9 +384,10 @@ proptest! {
 
     /// Cancels that land on already-purged orphan slots are exact no-ops.
     ///
-    /// The lazy-purge design leaves a canceled event's heap entry behind
-    /// until it surfaces; `peek_time` discards such orphans eagerly and the
-    /// freed slot is then reused by the next schedule. This drives that
+    /// The lazy-purge design leaves a canceled event's queue entry behind
+    /// until the queue next inspects it; `peek_time` discards the orphans
+    /// it meets, and the slot freed by the cancel is reused by the next
+    /// schedule. This drives that
     /// exact sequence — cancel, purge via peek, reuse, then *re-cancel the
     /// stale key* — and checks the reused slot's new occupant (local or
     /// imported) is never harmed: `pending()` and the full dispatch order
@@ -279,9 +415,9 @@ proptest! {
             for &pick in cancels {
                 model.cancel(&mut sim, pick);
             }
-            // Purge: orphan entries at the heap top are discarded here, so
-            // the canceled events' slots are ready for reuse with nothing
-            // but the occupant's `ord` protecting them.
+            // Purge: orphans in `current` and in the lowest bucket are
+            // discarded here, so the canceled events' slots are ready for
+            // reuse with nothing but the occupant's `ord` protecting them.
             model.check_peek(&mut sim);
             // Reuse the freed slots...
             for (off, src) in resched {
