@@ -18,6 +18,8 @@
 //! * [`open`] — the published-key directory that makes dLTE APs universal
 //!   authenticators.
 
+#![forbid(unsafe_code)]
+
 pub mod esim;
 pub mod milenage;
 pub mod open;

@@ -11,12 +11,12 @@
 use crate::vectors::SubscriberRecord;
 use crate::{Imsi, Key};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A public IMSI → key directory.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PublishedKeyDirectory {
-    keys: HashMap<Imsi, Key>,
+    keys: BTreeMap<Imsi, Key>,
     /// Lookup counter — the E9 scaling experiment tracks directory load.
     pub lookups: u64,
 }

@@ -12,7 +12,7 @@ use crate::{Imsi, Key};
 use dlte_sim::SimRng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One subscriber's HSS record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ pub fn generate_vector(
 /// The subscriber database of an HSS (or of a dLTE stub core's local cache).
 #[derive(Clone, Debug, Default)]
 pub struct SubscriberDb {
-    records: HashMap<Imsi, SubscriberRecord>,
+    records: BTreeMap<Imsi, SubscriberRecord>,
 }
 
 impl SubscriberDb {

@@ -15,6 +15,8 @@
 //! the structured event trace as JSONL (also jobs- and shards-invariant);
 //! `--metrics` attaches the full metrics snapshot to each table's `meta`.
 
+#![forbid(unsafe_code)]
+
 use dlte_bench::runner;
 
 fn main() {

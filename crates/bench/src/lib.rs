@@ -5,6 +5,8 @@
 //! rendering — so the integration tests can drive the exact same code path
 //! without spawning a process.
 
+#![forbid(unsafe_code)]
+
 pub mod runner {
     use dlte::chaos::{self, ChaosDomain};
     use dlte::experiments::registry::{find, registry, Experiment, ExperimentError};

@@ -33,11 +33,13 @@
 //! Everything here is deterministic and serde-able, so a failing fuzz
 //! case can embed the evidence in its repro file.
 
+#![forbid(unsafe_code)]
+
 use dlte_epc::audit::{LocalCoreAudit, MmeAudit, PgwAudit, SgwAudit};
 use dlte_net::{Addr, NetAudit};
 use dlte_obs::{Event, Record};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub mod mobility;
 pub mod registry;
@@ -337,8 +339,8 @@ fn check_centralized(
             ),
         ));
     }
-    let by_imsi_sgw: HashMap<u64, _> = sgw.bearers.iter().map(|b| (b.imsi, b)).collect();
-    let by_imsi_pgw: HashMap<u64, _> = pgw.sessions.iter().map(|s| (s.imsi, s)).collect();
+    let by_imsi_sgw: BTreeMap<u64, _> = sgw.bearers.iter().map(|b| (b.imsi, b)).collect();
+    let by_imsi_pgw: BTreeMap<u64, _> = pgw.sessions.iter().map(|s| (s.imsi, s)).collect();
     // MME ↔ S-GW ↔ P-GW, per active UE context.
     for u in &mme.ues {
         let Some(b) = by_imsi_sgw.get(&u.imsi) else {
@@ -384,7 +386,7 @@ fn check_centralized(
         }
     }
     // No gateway state without an owning active context (stranded sessions).
-    let active: HashMap<u64, Addr> = mme.ues.iter().map(|u| (u.imsi, u.ue_addr)).collect();
+    let active: BTreeMap<u64, Addr> = mme.ues.iter().map(|u| (u.imsi, u.ue_addr)).collect();
     for b in &sgw.bearers {
         if !active.contains_key(&b.imsi) {
             v.push(Violation::new(
@@ -428,7 +430,7 @@ fn check_centralized(
 fn check_dlte(ues: &[UeView], cores: &[LocalCoreAudit]) -> Vec<Violation> {
     const O: &str = "sessions";
     let mut v = Vec::new();
-    let mut by_imsi: HashMap<u64, Vec<Addr>> = HashMap::new();
+    let mut by_imsi: BTreeMap<u64, Vec<Addr>> = BTreeMap::new();
     for (i, core) in cores.iter().enumerate() {
         for s in &core.sessions {
             if !s.indexed {

@@ -24,7 +24,7 @@
 
 use crate::{Bounds, Violation};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One served interval of an IMSI at one core, exported from the local
 /// core's session log. `end_ns == None` means still open at snapshot time.
@@ -95,7 +95,7 @@ pub fn check_mobility(ev: &MobilityEvidence, elapsed_s: f64, bounds: &Bounds) ->
     // Serving exclusivity: per IMSI, no two spans strictly overlap. A span
     // ending exactly when the next starts is fine (the detach and the new
     // accept can land in the same nanosecond of simulated time).
-    let mut by_imsi: HashMap<u64, Vec<&SpanView>> = HashMap::new();
+    let mut by_imsi: BTreeMap<u64, Vec<&SpanView>> = BTreeMap::new();
     for s in &ev.spans {
         if s.end_ns.is_some_and(|e| e < s.start_ns) {
             v.push(Violation::new(
@@ -129,7 +129,7 @@ pub fn check_mobility(ev: &MobilityEvidence, elapsed_s: f64, bounds: &Bounds) ->
     // attached UE's single open span lives at its serving core; a
     // detached UE has none.
     if !ev.spans.is_empty() {
-        let mut open: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut open: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for s in &ev.spans {
             if s.end_ns.is_none() {
                 open.entry(s.imsi).or_default().push(s.core);

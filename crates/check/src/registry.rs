@@ -19,7 +19,7 @@
 
 use crate::Violation;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One grant's lifetime as the *client* experienced it: `live_until_s` is
 /// when the client stopped transmitting (release, lapsed lease, or end of
@@ -92,7 +92,7 @@ fn overlap(a: &GrantRecord, b: &GrantRecord) -> bool {
 pub fn check_double_grant(ev: &RegistryEvidence) -> Vec<Violation> {
     const O: &str = "double_grant";
     let mut v = Vec::new();
-    let mut seen: HashMap<u64, &GrantRecord> = HashMap::new();
+    let mut seen: BTreeMap<u64, &GrantRecord> = BTreeMap::new();
     for g in &ev.grants {
         if let Some(first) = seen.insert(g.id, g) {
             v.push(Violation::new(

@@ -13,11 +13,11 @@
 use crate::resilience::BackhaulFailover;
 use dlte_epc::local_core::{DirMsg, LocalCoreNode};
 use dlte_epc::messages::{Nas, S1Nas};
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::{NodeCtx, NodeHandler, Packet};
 use dlte_sim::SimDuration;
 use dlte_x2::messages::wire as x2wire;
 use dlte_x2::{X2Agent, X2Msg};
-use std::collections::HashMap;
 
 /// Fetch-timeout timer tags are `TAG_FETCH_BASE + epoch`; the X2 agent owns
 /// `7_000_000..8_000_000` and the core's processor allocates upward from 0.
@@ -62,7 +62,7 @@ pub struct DlteApNode {
     /// peers for the subscriber context before paying the wide-area
     /// directory round trip.
     x2_fetch: bool,
-    pending_fetch: HashMap<u64, PendingFetch>,
+    pending_fetch: FxHashMap<u64, PendingFetch>,
     fetch_epoch: u64,
     pub fetch_stats: FetchStats,
 }
@@ -74,7 +74,7 @@ impl DlteApNode {
             x2,
             failover: None,
             x2_fetch: false,
-            pending_fetch: HashMap::new(),
+            pending_fetch: FxHashMap::default(),
             fetch_epoch: 0,
             fetch_stats: FetchStats::default(),
         }

@@ -54,6 +54,8 @@
 //! assert!(ue.stats.pongs > 0, "attached and exchanging traffic");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ap;
 pub mod chaos;
 pub mod design_space;

@@ -36,6 +36,7 @@ use dlte_check::registry::{
 };
 use dlte_check::Violation;
 use dlte_faults::registry::{RegistryFault, RegistryFaultPlan};
+use dlte_net::fxhash::FxHashMap;
 use dlte_phy::band::Band;
 use dlte_registry::registry::GrantPolicy;
 use dlte_registry::{
@@ -44,7 +45,6 @@ use dlte_registry::{
 };
 use dlte_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tick length. Registry RPCs happen at human timescales; 0.5 s is finer
 /// than every lease, fault window, and sync interval the driver models.
@@ -427,7 +427,7 @@ pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
             ..RegistryEvidence::default()
         },
     };
-    let mut grant_log: HashMap<u64, GrantRecord> = HashMap::new();
+    let mut grant_log: FxHashMap<u64, GrantRecord> = FxHashMap::default();
     let mut licensed_samples = 0u64;
     let mut next_checkpoint = SimTime::ZERO;
     let mut next_compaction = SimTime::ZERO + SimDuration::from_secs_f64(COMPACT_EVERY_S);
@@ -538,7 +538,7 @@ fn apply_fault(
     n_zones: usize,
     n_replicas: usize,
     out: &mut ChaosOutcome,
-    grant_log: &mut HashMap<u64, GrantRecord>,
+    grant_log: &mut FxHashMap<u64, GrantRecord>,
     aps: &mut [Ap],
 ) {
     match fault {
@@ -674,7 +674,7 @@ fn tick_ap(
     lease: SimDuration,
     contour_km: f64,
     out: &mut ChaosOutcome,
-    grant_log: &mut HashMap<u64, GrantRecord>,
+    grant_log: &mut FxHashMap<u64, GrantRecord>,
 ) {
     match &mut ap.state {
         ApState::Idle => {

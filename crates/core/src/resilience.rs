@@ -180,7 +180,11 @@ mod tests {
     use super::*;
     use dlte_net::handlers::{CbrSource, EchoServer};
     // (EchoServer used by the probe tests below.)
-    use dlte_net::{LinkConfig, NetworkBuilder};
+    use dlte_net::{in_flight_packets, LinkConfig, NetAudit, Network, NetworkBuilder};
+
+    fn audit(sim: &dlte_sim::Simulation<Network>) -> NetAudit {
+        sim.world().audit(in_flight_packets(sim.queue()))
+    }
 
     /// A failure script kills a link mid-flow and a scripted "IGP" reroutes
     /// around it; delivery resumes.
@@ -223,15 +227,11 @@ mod tests {
         let chaos = b.host("chaos", Box::new(script));
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(4), 1_000_000);
-        let t = sim.world().trace();
         // ~0.5 s of traffic died on the downed link, the rest arrived:
         // 250 pkts/s × (4 − 0.5) ≈ 875.
-        let delivered = t.flow(1).unwrap().delivered_packets;
-        assert!(
-            t.drops_link_down > 50,
-            "link-down drops {}",
-            t.drops_link_down
-        );
+        let delivered = sim.world().trace().flow(1).unwrap().delivered_packets;
+        let drops = audit(&sim).drops_link_down;
+        assert!(drops > 50, "link-down drops {drops}");
         assert!(
             (800..950).contains(&delivered),
             "delivered {delivered} (outage bounded by reconvergence)"
@@ -357,7 +357,8 @@ mod tests {
         // everything after is dropped at the dead link.
         let delivered = t.flow(1).map(|f| f.delivered_packets).unwrap_or(0);
         assert!(delivered <= 1, "delivered {delivered} through a dead link");
-        assert!(t.drops_link_down > 100, "drops {}", t.drops_link_down);
+        let drops = audit(&sim).drops_link_down;
+        assert!(drops > 100, "drops {drops}");
     }
 
     /// A restart scheduled before the crash ever happens is a no-op: the
@@ -381,9 +382,9 @@ mod tests {
         let s = sim.world().handler_as::<FailureScript>(chaos).unwrap();
         assert_eq!(s.fired(), 2);
         assert!(sim.world().node_is_down(dst), "crash held: still down");
-        let t = sim.world().trace();
-        assert!(t.drops_node_down > 100, "drops {}", t.drops_node_down);
-        let delivered = t.flow(1).unwrap().delivered_packets;
+        let drops = audit(&sim).drops_node_down;
+        assert!(drops > 100, "drops {drops}");
+        let delivered = sim.world().trace().flow(1).unwrap().delivered_packets;
         // Only the pre-crash 2 s of traffic got through.
         assert!(
             (450..=520).contains(&delivered),

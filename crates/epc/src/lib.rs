@@ -18,6 +18,8 @@
 //! with finite service rate, which is what makes the centralized core a
 //! measurable chokepoint (experiment E9) while per-AP stubs scale linearly.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod enb;
 pub mod hss;

@@ -11,12 +11,12 @@ use crate::obs;
 use crate::proc::Processor;
 use dlte_auth::vectors::AuthVector;
 use dlte_auth::Imsi;
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::gtp::{GtpEcho, PathEvent, PathMonitor, GTP_ECHO_BYTES};
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
 use dlte_obs::{AkaStep, Event, NasProc};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Timer tag for the S-GW path-management tick (disjoint from the
 /// processor's tags, which grow upward from 0).
@@ -101,7 +101,7 @@ pub struct MmeNode {
     pub hss_addr: Addr,
     pub sgw_addr: Addr,
     pub proc: Processor,
-    contexts: HashMap<Imsi, UeCtx>,
+    contexts: FxHashMap<Imsi, UeCtx>,
     next_teid: Teid,
     pub stats: MmeStats,
     /// Echo-based liveness tracking of the S-GW. Off by default: path
@@ -109,7 +109,7 @@ pub struct MmeNode {
     /// (keeps fault-free experiment seeds undisturbed).
     path_mgmt: Option<PathMonitor>,
     /// Guard timers for in-flight resync retries: epoch → imsi.
-    resync_watch: HashMap<u64, Imsi>,
+    resync_watch: FxHashMap<u64, Imsi>,
     next_resync_epoch: u64,
     /// UEs ordered to detach after an S-GW failure that have not re-appeared
     /// yet: imsi → (serving eNB, resends left). The detach order is a single
@@ -129,11 +129,11 @@ impl MmeNode {
             hss_addr,
             sgw_addr,
             proc: Processor::new(per_msg, 0),
-            contexts: HashMap::new(),
+            contexts: FxHashMap::default(),
             next_teid: 1,
             stats: MmeStats::default(),
             path_mgmt: None,
-            resync_watch: HashMap::new(),
+            resync_watch: FxHashMap::default(),
             next_resync_epoch: 0,
             pending_detach: std::collections::BTreeMap::new(),
         }

@@ -7,9 +7,9 @@
 //! offered load. This is the mechanism behind the E9 result: one shared EPC
 //! saturates; per-AP stubs each bring their own processor.
 
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::{NodeCtx, Packet};
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Deferred outputs of one unit of work. Most messages produce exactly one
 /// reply; storing it inline skips a one-element `Vec` per processed message.
@@ -23,7 +23,7 @@ pub struct Processor {
     /// Service time per message.
     pub per_msg: SimDuration,
     busy_until: SimTime,
-    pending: HashMap<u64, Outputs>,
+    pending: FxHashMap<u64, Outputs>,
     next_tag: u64,
     /// Messages processed (for load accounting).
     pub processed: u64,
@@ -43,7 +43,7 @@ impl Processor {
         Processor {
             per_msg,
             busy_until: SimTime::ZERO,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_tag: 0,
             processed: 0,
             queue_delay_total: SimDuration::ZERO,

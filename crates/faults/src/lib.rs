@@ -13,6 +13,8 @@
 //! link overrides, crash/pause handler hooks); this crate owns the fault
 //! *policy* — when and what to break.
 
+#![forbid(unsafe_code)]
+
 use dlte_net::{LinkId, LinkOverride, NetEvent, NetFault, Network, NodeId};
 use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 use serde::{Deserialize, Serialize};

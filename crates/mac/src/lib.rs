@@ -15,6 +15,8 @@
 //! argument: coordination via a schedule (granted by licensing and X2
 //! peering) versus coordination via carrier sensing.
 
+#![forbid(unsafe_code)]
+
 pub mod lte;
 pub mod wifi;
 

@@ -163,7 +163,7 @@ pub struct Pinger {
     pub probe_bytes: u32,
     /// RTT samples, milliseconds.
     pub rtt_ms: Samples,
-    outstanding: std::collections::HashMap<u64, SimTime>,
+    outstanding: crate::fxhash::FxHashMap<u64, SimTime>,
     seq: u64,
 }
 
@@ -175,7 +175,7 @@ impl Pinger {
             interval,
             probe_bytes: 100,
             rtt_ms: Samples::new(),
-            outstanding: std::collections::HashMap::new(),
+            outstanding: crate::fxhash::FxHashMap::default(),
             seq: 0,
         }
     }
@@ -295,7 +295,7 @@ mod tests {
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(1), 100_000);
         // Extract the typed handlers back out for their measurements.
-        let world = sim.world_mut();
+        let world = sim.world();
         let echo = world.handler_as::<EchoServer>(server).expect("echo typed");
         assert!((9..=11).contains(&echo.echoed), "echoed {}", echo.echoed);
         let pinger = world.handler_as::<Pinger>(client).expect("pinger typed");
@@ -303,6 +303,12 @@ mod tests {
         // RTT ≈ 2 × 25 ms propagation (serialization negligible at 1 Gbit/s).
         let med = pinger.rtt_ms.median();
         assert!((med - 50.0).abs() < 0.5, "median RTT {med}");
-        assert_eq!(world.trace().total_drops(), 0);
+        let a = world.audit(crate::network::in_flight_packets(sim.queue()));
+        let no_drops = crate::network::NetAudit {
+            fabric: a.fabric,
+            in_flight: a.in_flight,
+            ..Default::default()
+        };
+        assert_eq!(a, no_drops);
     }
 }

@@ -12,6 +12,8 @@
 //! forwarded by the node's routing table. This keeps the substrate ignorant
 //! of LTE — the cellular logic composes on top in `dlte-epc` and `dlte`.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod fxhash;
 pub mod gtp;

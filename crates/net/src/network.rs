@@ -8,6 +8,13 @@
 //! * a packet arriving at a plain node is **delivered** if the destination
 //!   is a local address, otherwise **forwarded** by longest-prefix match
 //!   (dropping on no-route or TTL exhaustion).
+//!
+//! There is one forwarding path: every packet in flight is parked in the
+//! world's [`PacketPool`] and moves hop to hop as a [`PacketRef`], whether a
+//! handler originated it or a plain router relays it. Every drop goes
+//! through one site, `NetCore::drop_pooled`, which keeps the per-reason tally
+//! [`Network::audit`] reports, bumps the `drops_*` metrics counter and emits
+//! the [`Event::Drop`] trace record.
 
 use crate::link::{Link, LinkConfig, LinkId, LinkOverride, Offer};
 use crate::node::{NodeCtx, NodeHandler, NodeId, NodeInfo};
@@ -51,21 +58,17 @@ fn link_draws(l: &Link, seed: u64, id: u64, hops: u32, link: LinkId, dir: usize)
     (loss, jitter)
 }
 
-/// Account a packet drop in all three observability surfaces: the legacy
-/// `TraceStats` counter (via the caller), the always-on `drops_*` metrics
-/// counter (feeds the deterministic `RunReport::drops` breakdown) and — when
-/// tracing is enabled — a structured [`Event::Drop`] record.
-fn note_drop(now: SimTime, node: NodeId, reason: DropReason, bytes: u32) {
-    drop_counter(reason).add(1);
-    dlte_obs::emit(now.as_nanos(), node as u64, Event::Drop { reason, bytes });
-}
+/// Number of [`DropReason`] variants: the length of a per-reason tally.
+const DROP_REASONS: usize = 6;
 
-/// Interned per-reason drop counters: registered once per process, so the
-/// per-drop cost is an array index, not a string-map lookup.
+/// Interned per-reason drop counters, indexed by `reason as usize` (so the
+/// list follows `DropReason`'s declaration order): registered once per
+/// process, so the per-drop cost is an array index, not a string-map lookup.
 fn drop_counter(reason: DropReason) -> dlte_obs::metrics::CounterId {
     use dlte_obs::metrics::register_counter;
-    static IDS: std::sync::OnceLock<[dlte_obs::metrics::CounterId; 6]> = std::sync::OnceLock::new();
-    let ids = IDS.get_or_init(|| {
+    static IDS: std::sync::OnceLock<[dlte_obs::metrics::CounterId; DROP_REASONS]> =
+        std::sync::OnceLock::new();
+    IDS.get_or_init(|| {
         [
             register_counter("drops_queue"),
             register_counter("drops_loss"),
@@ -74,22 +77,15 @@ fn drop_counter(reason: DropReason) -> dlte_obs::metrics::CounterId {
             register_counter("drops_no_route"),
             register_counter("drops_ttl"),
         ]
-    });
-    match reason {
-        DropReason::Queue => ids[0],
-        DropReason::Loss => ids[1],
-        DropReason::LinkDown => ids[2],
-        DropReason::NodeDown => ids[3],
-        DropReason::NoRoute => ids[4],
-        DropReason::TtlExpired => ids[5],
-    }
+    })[reason as usize]
 }
 
 /// Where an in-flight packet's bytes live while its arrival event sits in
-/// the queue. The fast path parks the packet in the world's [`PacketPool`]
-/// and moves the 8-byte handle; cross-shard deliveries (whose bytes must
-/// physically travel to another worker's replica) carry an owned heap box
-/// instead. Either way the event stays 2 words — the queue slab never pays
+/// the queue. Local arrivals park the packet in the world's [`PacketPool`]
+/// and move the 8-byte handle; cross-shard deliveries (whose bytes must
+/// physically travel to another worker's replica) carry an owned heap box,
+/// which the receiving replica parks in its own pool on arrival. Either way
+/// the event stays 2 words — the queue slab never pays
 /// `size_of::<Packet>()`.
 #[derive(Debug)]
 pub enum PacketSlot {
@@ -157,8 +153,9 @@ pub enum NetFault {
 ///
 /// * entries: `originated` (handler called `forward`/`forward_via`) and
 ///   `reforwarded` (a plain node relayed an arrival);
-/// * exits: `accepted` onto a link, or one of the per-reason drop counters
-///   kept in [`TraceStats`];
+/// * exits: `accepted` onto a link, or one of the per-reason drop tallies
+///   (kept beside these counters in [`NetCore`], read through
+///   [`Network::audit`]);
 /// * each `accepted` becomes exactly one `arrival` (or stays in flight in
 ///   the event queue), and each arrival terminates as `absorbed` (handler
 ///   node), `delivered_plain` (plain node owning the destination), a
@@ -241,6 +238,9 @@ pub struct NetCore {
     pub links: Vec<Link>,
     pub trace: TraceStats,
     pub fabric: FabricCounters,
+    /// Packets this replica dropped, indexed by `DropReason as usize`;
+    /// written only by [`NetCore::drop_pooled`].
+    drops: [u64; DROP_REASONS],
     pub rng: SimRng,
     /// Per-node packet-id sequences (see [`NetCore::next_packet_id`]).
     pkt_seqs: Vec<u64>,
@@ -252,8 +252,9 @@ pub struct NetCore {
     pub(crate) shard_of: Vec<usize>,
     /// Cross-shard arrivals produced since the last drain.
     pub(crate) outbound: Vec<OutMsg<NetEvent>>,
-    /// Arena for in-flight packets: local arrivals park their bytes here
-    /// and the event queue carries only a [`PacketRef`].
+    /// Arena for in-flight packets: every packet in this replica's fabric
+    /// parks its bytes here and the event queue carries only a
+    /// [`PacketRef`].
     pub pool: PacketPool,
 }
 
@@ -277,38 +278,26 @@ impl NetCore {
         hash_unit(&[self.rng.seed(), NODE_RAND_SALT, node as u64, k])
     }
 
-    /// Route `packet` out of `node` via LPM and transmit. Drops (with trace
-    /// accounting) on missing route or exhausted TTL.
-    pub(crate) fn route_and_transmit(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        mut packet: Packet,
-        queue: &mut EventQueue<NetEvent>,
-    ) {
-        if packet.ttl == 0 {
-            self.trace.drops_ttl += 1;
-            note_drop(now, node, DropReason::TtlExpired, packet.size_bytes);
-            return;
-        }
-        packet.ttl -= 1;
-        match self.nodes[node].route_for(packet.dst) {
-            Some(link) => self.transmit_on(now, node, link, packet, queue),
-            None => {
-                self.trace.drops_no_route += 1;
-                note_drop(now, node, DropReason::NoRoute, packet.size_bytes);
-            }
-        }
+    /// Take the pooled packet behind `r` out of the arena and account its
+    /// drop — the fabric's one drop site. It feeds three consumers: this
+    /// replica's tally (read by [`Network::audit`] for the conservation
+    /// oracle), the always-on `drops_*` metrics counter (run-scoped and
+    /// thread-folded; feeds the deterministic `RunReport::drops` breakdown)
+    /// and — when tracing is enabled — a structured [`Event::Drop`] record.
+    fn drop_pooled(&mut self, now: SimTime, node: NodeId, r: PacketRef, reason: DropReason) {
+        let bytes = self.pool.take(r).expect("drop of a live packet").size_bytes;
+        self.drops[reason as usize] += 1;
+        drop_counter(reason).add(1);
+        dlte_obs::emit(now.as_nanos(), node as u64, Event::Drop { reason, bytes });
     }
 
-    /// Route the *pooled* packet behind `r` out of `node` — the zero-copy
-    /// twin of [`NetCore::route_and_transmit`]. The packet stays parked in
-    /// the arena across the hop: TTL and hop count are edited in place and
-    /// the same 8-byte handle is re-scheduled, so a multi-hop traversal
-    /// never copies the `Packet` until something consumes it (delivery,
-    /// drop accounting, a handler, or a shard boundary). Decision order,
-    /// draws and counters mirror the by-value path exactly.
-    pub(crate) fn route_and_transmit_ref(
+    /// Route the pooled packet behind `r` out of `node` via LPM and
+    /// transmit it; drops on missing route or exhausted TTL. The packet
+    /// stays parked in the arena across the hop: TTL and hop count are
+    /// edited in place and the same 8-byte handle is re-scheduled, so a
+    /// multi-hop traversal never copies the `Packet` until something
+    /// consumes it (delivery, a drop, a handler, or a shard boundary).
+    pub(crate) fn route_and_transmit(
         &mut self,
         now: SimTime,
         node: NodeId,
@@ -320,26 +309,18 @@ impl NetCore {
             return;
         };
         if p.ttl == 0 {
-            let p = self.pool.take(r).expect("just read it");
-            self.trace.drops_ttl += 1;
-            note_drop(now, node, DropReason::TtlExpired, p.size_bytes);
-            return;
+            return self.drop_pooled(now, node, r, DropReason::TtlExpired);
         }
         p.ttl -= 1;
-        let dst = p.dst;
-        match self.nodes[node].route_for(dst) {
-            Some(link) => self.transmit_on_ref(now, node, link, r, queue),
-            None => {
-                let p = self.pool.take(r).expect("just read it");
-                self.trace.drops_no_route += 1;
-                note_drop(now, node, DropReason::NoRoute, p.size_bytes);
-            }
+        match self.nodes[node].route_for(p.dst) {
+            Some(link) => self.transmit_on(now, node, link, r, queue),
+            None => self.drop_pooled(now, node, r, DropReason::NoRoute),
         }
     }
 
     /// Transmit the pooled packet behind `r` from `node` on `link` (see
-    /// [`NetCore::route_and_transmit_ref`]).
-    pub(crate) fn transmit_on_ref(
+    /// [`NetCore::route_and_transmit`]).
+    pub(crate) fn transmit_on(
         &mut self,
         now: SimTime,
         node: NodeId,
@@ -347,43 +328,39 @@ impl NetCore {
         r: PacketRef,
         queue: &mut EventQueue<NetEvent>,
     ) {
-        let (id, hops, size_bytes) = {
-            let Some(p) = self.pool.get(r) else {
-                debug_assert!(false, "stale packet handle in transmit at node {node}");
-                return;
-            };
-            (p.id, p.hops, p.size_bytes)
-        };
         let seed = self.rng.seed();
         let l = &mut self.links[link];
         let Some(dir) = l.dir_from(node) else {
+            // A route pointing at a link the node is not on is a topology
+            // bug; surface it in debug builds, degrade to a routed-drop in
+            // release so a fuzzer finds protocol bugs, not harness panics.
             debug_assert!(false, "node {node} not on link {link}");
-            let p = self.pool.take(r).expect("just read it");
-            self.trace.drops_no_route += 1;
-            note_drop(now, node, DropReason::NoRoute, p.size_bytes);
+            return self.drop_pooled(now, node, r, DropReason::NoRoute);
+        };
+        let Some(p) = self.pool.get_mut(r) else {
+            debug_assert!(false, "stale packet handle in transmit at node {node}");
             return;
         };
-        let (draw, jitter_draw) = link_draws(l, seed, id, hops, link, dir);
-        match l.offer(dir, now, size_bytes, draw, jitter_draw) {
+        let (draw, jitter_draw) = link_draws(l, seed, p.id, p.hops, link, dir);
+        let reason = match l.offer(dir, now, p.size_bytes, draw, jitter_draw) {
             Offer::Accepted {
                 arrives_at,
                 departs_at,
             } => {
+                p.hops += 1;
                 self.fabric.accepted += 1;
                 let dest = l.other(node);
-                self.pool.get_mut(r).expect("just read it").hops += 1;
                 queue.schedule_at(departs_at, NetEvent::LinkDeparted { link, dir });
                 if self.shard_of[dest] == self.my_shard {
-                    queue.schedule_at(
-                        arrives_at,
-                        NetEvent::PacketArrive {
-                            node: dest,
-                            slot: PacketSlot::Pooled(r),
-                        },
-                    );
+                    let slot = PacketSlot::Pooled(r);
+                    queue.schedule_at(arrives_at, NetEvent::PacketArrive { node: dest, slot });
                 } else {
-                    // Shard boundary: a pool handle means nothing in the
-                    // peer replica, so the bytes leave the arena here.
+                    // The far end lives on another shard: allocate the
+                    // canonical key *here* (consuming this origin's counter
+                    // exactly as a local schedule would, so single- and
+                    // multi-shard key streams agree) and ship the bytes —
+                    // owned, a pool handle means nothing in another replica —
+                    // across the epoch barrier.
                     let packet = self.pool.take(r).expect("just read it");
                     let (origin, oseq) = queue.alloc_key();
                     self.outbound.push(OutMsg {
@@ -397,93 +374,13 @@ impl NetCore {
                         },
                     });
                 }
+                return;
             }
-            Offer::DroppedQueueFull => {
-                let p = self.pool.take(r).expect("just read it");
-                self.trace.drops_queue += 1;
-                note_drop(now, node, DropReason::Queue, p.size_bytes);
-            }
-            Offer::DroppedLoss => {
-                let p = self.pool.take(r).expect("just read it");
-                self.trace.drops_loss += 1;
-                note_drop(now, node, DropReason::Loss, p.size_bytes);
-            }
-            Offer::DroppedLinkDown => {
-                let p = self.pool.take(r).expect("just read it");
-                self.trace.drops_link_down += 1;
-                note_drop(now, node, DropReason::LinkDown, p.size_bytes);
-            }
-        }
-    }
-
-    /// Transmit `packet` from `node` on `link`.
-    pub(crate) fn transmit_on(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        link: LinkId,
-        mut packet: Packet,
-        queue: &mut EventQueue<NetEvent>,
-    ) {
-        let seed = self.rng.seed();
-        let l = &mut self.links[link];
-        let Some(dir) = l.dir_from(node) else {
-            // A route pointing at a link the node is not on is a topology
-            // bug; surface it in debug builds, degrade to a routed-drop in
-            // release so a fuzzer finds protocol bugs, not harness panics.
-            debug_assert!(false, "node {node} not on link {link}");
-            self.trace.drops_no_route += 1;
-            note_drop(now, node, DropReason::NoRoute, packet.size_bytes);
-            return;
+            Offer::DroppedQueueFull => DropReason::Queue,
+            Offer::DroppedLoss => DropReason::Loss,
+            Offer::DroppedLinkDown => DropReason::LinkDown,
         };
-        let (draw, jitter_draw) = link_draws(l, seed, packet.id, packet.hops, link, dir);
-        match l.offer(dir, now, packet.size_bytes, draw, jitter_draw) {
-            Offer::Accepted {
-                arrives_at,
-                departs_at,
-            } => {
-                self.fabric.accepted += 1;
-                let dest = l.other(node);
-                packet.hops += 1;
-                queue.schedule_at(departs_at, NetEvent::LinkDeparted { link, dir });
-                if self.shard_of[dest] == self.my_shard {
-                    // Local delivery: park the bytes in the arena and move
-                    // only the handle through the queue.
-                    let slot = PacketSlot::Pooled(self.pool.insert(packet));
-                    queue.schedule_at(arrives_at, NetEvent::PacketArrive { node: dest, slot });
-                } else {
-                    // The far end lives on another shard: allocate the
-                    // canonical key *here* (consuming this origin's counter
-                    // exactly as a local schedule would, so single- and
-                    // multi-shard key streams agree) and ship the bytes —
-                    // owned, a pool handle means nothing in another replica —
-                    // across the epoch barrier.
-                    let (origin, oseq) = queue.alloc_key();
-                    self.outbound.push(OutMsg {
-                        shard: self.shard_of[dest],
-                        at: arrives_at,
-                        origin,
-                        oseq,
-                        event: NetEvent::PacketArrive {
-                            node: dest,
-                            slot: PacketSlot::Owned(Box::new(packet)),
-                        },
-                    });
-                }
-            }
-            Offer::DroppedQueueFull => {
-                self.trace.drops_queue += 1;
-                note_drop(now, node, DropReason::Queue, packet.size_bytes);
-            }
-            Offer::DroppedLoss => {
-                self.trace.drops_loss += 1;
-                note_drop(now, node, DropReason::Loss, packet.size_bytes);
-            }
-            Offer::DroppedLinkDown => {
-                self.trace.drops_link_down += 1;
-                note_drop(now, node, DropReason::LinkDown, packet.size_bytes);
-            }
-        }
+        self.drop_pooled(now, node, r, reason);
     }
 }
 
@@ -528,17 +425,6 @@ impl Network {
         true
     }
 
-    /// Immutable access to a handler (for result extraction after a run).
-    pub fn handler(&self, node: NodeId) -> Option<&dyn NodeHandler> {
-        self.handlers[node].as_deref()
-    }
-
-    /// Downcast-style access for typed result extraction: the caller keeps
-    /// the concrete handler type and extracts via this mutable reference.
-    pub fn handler_mut(&mut self, node: NodeId) -> Option<&mut Box<dyn NodeHandler>> {
-        self.handlers[node].as_mut()
-    }
-
     /// Typed handler access — the way experiment harnesses read results
     /// (RTT samples, counters) out of a finished run.
     pub fn handler_as<T: NodeHandler>(&self, node: NodeId) -> Option<&T> {
@@ -561,29 +447,25 @@ impl Network {
         self.handlers[node] = Some(handler);
     }
 
-    /// Trace statistics.
+    /// Per-flow delivery statistics.
     pub fn trace(&self) -> &TraceStats {
         &self.core.trace
     }
 
-    pub fn trace_mut(&mut self) -> &mut TraceStats {
-        &mut self.core.trace
-    }
-
-    /// Snapshot the fabric ledger for the conservation oracle. `in_flight`
-    /// comes from [`in_flight_packets`] on the simulation's queue (the world
-    /// does not own its queue).
+    /// Snapshot the fabric ledger and the per-reason drop tally for the
+    /// conservation oracle. `in_flight` comes from [`in_flight_packets`] on
+    /// the simulation's queue (the world does not own its queue).
     pub fn audit(&self, in_flight: u64) -> NetAudit {
-        let t = &self.core.trace;
+        let d = |reason: DropReason| self.core.drops[reason as usize];
         NetAudit {
             fabric: self.core.fabric,
             in_flight,
-            drops_queue: t.drops_queue,
-            drops_loss: t.drops_loss,
-            drops_no_route: t.drops_no_route,
-            drops_ttl: t.drops_ttl,
-            drops_link_down: t.drops_link_down,
-            drops_node_down: t.drops_node_down,
+            drops_queue: d(DropReason::Queue),
+            drops_loss: d(DropReason::Loss),
+            drops_no_route: d(DropReason::NoRoute),
+            drops_ttl: d(DropReason::TtlExpired),
+            drops_link_down: d(DropReason::LinkDown),
+            drops_node_down: d(DropReason::NodeDown),
         }
     }
 
@@ -744,77 +626,38 @@ impl World for Network {
             NetEvent::PacketArrive { node, slot } => {
                 queue.set_origin(node as u64 + 1);
                 self.core.fabric.arrivals += 1;
-                match slot {
-                    // Fast path: the bytes stay parked in the arena. Only a
-                    // consuming outcome (drop accounting, handler ingest,
-                    // trace delivery) takes them out; plain forwarding edits
-                    // the pooled packet in place and re-schedules the same
-                    // 8-byte handle.
-                    PacketSlot::Pooled(r) => {
-                        if self.down[node] || self.paused[node] {
-                            let Ok(packet) = self.core.pool.take(r) else {
-                                // A stale handle in a scheduled arrival means
-                                // the packet was taken twice — a fabric bug,
-                                // not a scenario outcome. Surface it in
-                                // debug; drop the phantom arrival in release.
-                                debug_assert!(false, "stale packet handle at node {node}");
-                                return;
-                            };
-                            self.core.trace.drops_node_down += 1;
-                            note_drop(now, node, DropReason::NodeDown, packet.size_bytes);
-                            return;
-                        }
-                        if self.handlers[node].is_some() {
-                            // One handler per node, so ownership moves
-                            // straight into it — the old unconditional
-                            // per-arrival `clone` is gone.
-                            let Ok(packet) = self.core.pool.take(r) else {
-                                debug_assert!(false, "stale packet handle at node {node}");
-                                return;
-                            };
-                            self.with_handler(node, queue, now, move |h, ctx| {
-                                h.on_packet(ctx, packet);
-                            });
-                            self.core.fabric.absorbed += 1;
-                        } else {
-                            let owns = match self.core.pool.get(r) {
-                                Some(p) => self.core.nodes[node].owns(p.dst),
-                                None => {
-                                    debug_assert!(false, "stale packet handle at node {node}");
-                                    return;
-                                }
-                            };
-                            if owns {
-                                let packet = self.core.pool.take(r).expect("just read it");
-                                self.core.fabric.delivered_plain += 1;
-                                self.core.trace.record_delivery(now, &packet);
-                            } else {
-                                self.core.fabric.reforwarded += 1;
-                                self.core.route_and_transmit_ref(now, node, r, queue);
-                            }
-                        }
-                    }
-                    // Owned bytes: a shard-crossing arrival.
-                    PacketSlot::Owned(b) => {
-                        let packet = *b;
-                        if self.down[node] || self.paused[node] {
-                            self.core.trace.drops_node_down += 1;
-                            note_drop(now, node, DropReason::NodeDown, packet.size_bytes);
-                            return;
-                        }
-                        if self.handlers[node].is_some() {
-                            self.with_handler(node, queue, now, move |h, ctx| {
-                                h.on_packet(ctx, packet);
-                            });
-                            self.core.fabric.absorbed += 1;
-                        } else if self.core.nodes[node].owns(packet.dst) {
-                            self.core.fabric.delivered_plain += 1;
-                            self.core.trace.record_delivery(now, &packet);
-                        } else {
-                            self.core.fabric.reforwarded += 1;
-                            self.core.route_and_transmit(now, node, packet, queue);
-                        }
-                    }
+                // A shard-crossing packet parks in this replica's arena, so
+                // one body serves both slots. Only a consuming outcome (a
+                // drop, handler ingest, trace delivery) takes the bytes out;
+                // plain forwarding edits the pooled packet in place and
+                // re-schedules the same 8-byte handle.
+                let r = match slot {
+                    PacketSlot::Pooled(r) => r,
+                    PacketSlot::Owned(packet) => self.core.pool.insert(*packet),
+                };
+                let Some(p) = self.core.pool.get(r) else {
+                    // A stale handle in a scheduled arrival means the packet
+                    // was taken twice — a fabric bug, not a scenario outcome.
+                    // Surface it in debug; drop the phantom arrival in release.
+                    debug_assert!(false, "stale packet handle at node {node}");
+                    return;
+                };
+                if self.down[node] || self.paused[node] {
+                    self.core.drop_pooled(now, node, r, DropReason::NodeDown);
+                } else if self.handlers[node].is_some() {
+                    // One handler per node, so ownership moves straight in.
+                    let packet = self.core.pool.take(r).expect("just read it");
+                    self.with_handler(node, queue, now, move |h, ctx| {
+                        h.on_packet(ctx, packet);
+                    });
+                    self.core.fabric.absorbed += 1;
+                } else if self.core.nodes[node].owns(p.dst) {
+                    let packet = self.core.pool.take(r).expect("just read it");
+                    self.core.fabric.delivered_plain += 1;
+                    self.core.trace.record_delivery(now, &packet);
+                } else {
+                    self.core.fabric.reforwarded += 1;
+                    self.core.route_and_transmit(now, node, r, queue);
                 }
             }
             NetEvent::LinkDeparted { link, dir } => {
@@ -965,6 +808,7 @@ impl NetworkBuilder {
                 links: self.links,
                 trace: TraceStats::new(),
                 fabric: FabricCounters::default(),
+                drops: [0; DROP_REASONS],
                 rng: self.rng,
                 pkt_seqs: vec![0; n],
                 draw_seqs: vec![0; n],
@@ -990,6 +834,10 @@ mod tests {
     use crate::addr::{Addr, Prefix};
     use crate::packet::Payload;
     use dlte_sim::SimDuration;
+
+    fn audit(sim: &Simulation<Network>) -> NetAudit {
+        sim.world().audit(in_flight_packets(sim.queue()))
+    }
 
     /// Handler that fires one flow packet at t=1ms toward a fixed address.
     struct OneShot {
@@ -1050,7 +898,15 @@ mod tests {
         let lat = f.latency_ms.values()[0];
         assert!((lat - 2.016).abs() < 0.01, "latency {lat}");
         assert!((f.hops.mean() - 2.0).abs() < 1e-9);
-        assert_eq!(t.total_drops(), 0);
+        let a = audit(&sim);
+        assert_eq!(
+            a,
+            NetAudit {
+                fabric: a.fabric,
+                ..NetAudit::default()
+            },
+            "nothing dropped, nothing in flight"
+        );
     }
 
     #[test]
@@ -1066,7 +922,7 @@ mod tests {
         b.addr(src, Addr::new(10, 0, 0, 1));
         let mut sim = b.build();
         sim.run_to_completion(100);
-        assert_eq!(sim.world().trace().drops_no_route, 1);
+        assert_eq!(audit(&sim).drops_no_route, 1);
     }
 
     #[test]
@@ -1091,7 +947,7 @@ mod tests {
         b.route(r2, Prefix::DEFAULT, l1); // loop r1 <-> r2
         let mut sim = b.build();
         sim.run_to_completion(100_000);
-        assert_eq!(sim.world().trace().drops_ttl, 1);
+        assert_eq!(audit(&sim).drops_ttl, 1);
         // Hop counting stopped at the TTL.
         assert!(sim.now().as_millis() < 100);
     }
@@ -1135,9 +991,8 @@ mod tests {
         b.route(src, Prefix::new(dst_addr, 32), l);
         let mut sim = b.build();
         sim.run_to_completion(10_000);
-        let t = sim.world().trace();
-        assert_eq!(t.drops_queue, 8, "2 fit, 8 drop");
-        assert_eq!(t.flow(5).unwrap().delivered_packets, 2);
+        assert_eq!(audit(&sim).drops_queue, 8, "2 fit, 8 drop");
+        assert_eq!(sim.world().trace().flow(5).unwrap().delivered_packets, 2);
     }
 
     #[test]
@@ -1171,10 +1026,9 @@ mod tests {
         b.route(src, Prefix::new(dst_addr, 32), l);
         let mut sim = b.build();
         sim.run_to_completion(100_000);
-        let t = sim.world().trace();
-        let delivered = t.flow(9).unwrap().delivered_packets;
+        let delivered = sim.world().trace().flow(9).unwrap().delivered_packets;
         assert!((750..850).contains(&delivered), "delivered {delivered}");
-        assert_eq!(delivered + t.drops_loss, 1000);
+        assert_eq!(delivered + audit(&sim).drops_loss, 1000);
     }
 
     #[test]
@@ -1301,7 +1155,7 @@ mod tests {
         assert_eq!(sink.restarts, 1);
         // ~10 packets fell into the outage window; state was lost at crash
         // so only the ~10 post-restart packets are counted.
-        let dropped = w.trace().drops_node_down;
+        let dropped = audit(&sim).drops_node_down;
         assert!((8..=12).contains(&dropped), "node-down drops {dropped}");
         assert!(
             (8..=12).contains(&sink.got),
@@ -1425,40 +1279,91 @@ mod tests {
         assert!(links[l_ac].up && links[l_ad].up && links[l_cd].up);
     }
 
+    /// Every drop reason, provoked once by a single packet on `src — r —
+    /// dst`: the per-network tally in `audit()`, the always-on
+    /// `drops_<reason>` counter and the traced `Event::Drop` each see it
+    /// exactly once.
     #[test]
     fn drops_emit_events_and_always_on_counters() {
-        use dlte_obs::{DropReason, Event};
+        use DropReason::*;
 
-        let _ = dlte_obs::metrics::take();
-        dlte_obs::set_tracing(true);
-        let mut b = NetworkBuilder::new(1);
-        let src = b.host(
-            "src",
-            Box::new(OneShot {
-                dst: Addr::new(99, 0, 0, 1),
-                bytes: 100,
-            }),
-        );
-        b.addr(src, Addr::new(10, 0, 0, 1));
-        let mut sim = b.build();
-        sim.run_to_completion(100);
-        let records = dlte_obs::take_records();
-        dlte_obs::set_tracing(false);
-        assert_eq!(sim.world().trace().drops_no_route, 1);
-        let drop = records
-            .iter()
-            .find(|r| matches!(r.event, Event::Drop { .. }))
-            .expect("drop event traced");
-        assert_eq!(
-            drop.event,
-            Event::Drop {
-                reason: DropReason::NoRoute,
-                bytes: 100
+        let dst_addr = Addr::new(10, 0, 0, 2);
+        for reason in [TtlExpired, NoRoute, Queue, Loss, LinkDown, NodeDown] {
+            let mut b = NetworkBuilder::new(1);
+            let src = b.host(
+                "src",
+                Box::new(OneShot {
+                    dst: dst_addr,
+                    bytes: 100,
+                }),
+            );
+            b.addr(src, Addr::new(10, 0, 0, 1));
+            let r = b.node("r");
+            let dst = b.node("dst");
+            let mut cfg = LinkConfig::lan();
+            match reason {
+                Queue => cfg.queue_pkts = 0,
+                Loss => cfg.loss = 1.0,
+                _ => {}
             }
-        );
-        assert_eq!(drop.node, src as u64);
-        let snap = dlte_obs::metrics::take();
-        assert_eq!(snap.counters["drops_no_route"], 1, "counter is always on");
+            let l0 = b.link(src, r, LinkConfig::lan());
+            let l1 = b.link(r, dst, cfg);
+            b.route(src, Prefix::DEFAULT, l0);
+            match reason {
+                NoRoute => {}
+                // `dst` owns nothing and points back at `r`: a loop.
+                TtlExpired => {
+                    b.route(r, Prefix::DEFAULT, l1);
+                    b.route(dst, Prefix::DEFAULT, l1);
+                }
+                _ => {
+                    b.route(r, Prefix::new(dst_addr, 32), l1);
+                    b.addr(dst, dst_addr);
+                }
+            }
+            let mut sim = b.build();
+            let fault = match reason {
+                LinkDown => Some(NetFault::LinkUp {
+                    link: l1,
+                    up: false,
+                }),
+                NodeDown => Some(NetFault::NodeDown { node: dst }),
+                _ => None,
+            };
+            if let Some(fault) = fault {
+                sim.queue_mut()
+                    .schedule_at(SimTime::ZERO, NetEvent::Fault(fault));
+            }
+
+            let _ = dlte_obs::metrics::take();
+            dlte_obs::set_tracing(true);
+            let _ = dlte_obs::take_records();
+            sim.run_to_completion(10_000);
+            let records = dlte_obs::take_records();
+            dlte_obs::set_tracing(false);
+
+            let a = audit(&sim);
+            assert_conserved(&a);
+            for (r, n) in [
+                (Queue, a.drops_queue),
+                (Loss, a.drops_loss),
+                (LinkDown, a.drops_link_down),
+                (NodeDown, a.drops_node_down),
+                (NoRoute, a.drops_no_route),
+                (TtlExpired, a.drops_ttl),
+            ] {
+                assert_eq!(n, u64::from(r == reason), "{reason:?}: audit {r:?}");
+            }
+            let drops = dlte_obs::metrics::take().prefixed("drops_");
+            assert_eq!(drops[reason.name()], 1, "{reason:?}");
+            assert_eq!(drops.values().sum::<u64>(), 1, "{reason:?}: {drops:?}");
+            let traced: Vec<&Event> = records
+                .iter()
+                .map(|r| &r.event)
+                .filter(|e| matches!(e, Event::Drop { .. }))
+                .collect();
+            assert_eq!(traced, [&Event::Drop { reason, bytes: 100 }], "{reason:?}");
+        }
     }
 
     #[test]

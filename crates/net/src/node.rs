@@ -245,18 +245,21 @@ impl NodeCtx<'_> {
         Packet::new(id, self.my_addr(), dst, size_bytes, self.now)
     }
 
-    /// Route `packet` out of this node by its routing table.
+    /// Route `packet` out of this node by its routing table. The packet is
+    /// parked in the arena here and travels the fabric as a handle.
     pub fn forward(&mut self, packet: Packet) {
         self.core.fabric.originated += 1;
+        let r = self.core.pool.insert(packet);
         self.core
-            .route_and_transmit(self.now, self.node, packet, self.queue);
+            .route_and_transmit(self.now, self.node, r, self.queue);
     }
 
     /// Transmit `packet` on a specific link (bypassing the routing table).
     pub fn forward_via(&mut self, link: LinkId, packet: Packet) {
         self.core.fabric.originated += 1;
+        let r = self.core.pool.insert(packet);
         self.core
-            .transmit_on(self.now, self.node, link, packet, self.queue);
+            .transmit_on(self.now, self.node, link, r, self.queue);
     }
 
     /// Deliver `packet` locally (record it in the trace sink).

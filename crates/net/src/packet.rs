@@ -5,28 +5,22 @@
 //! handshakes) attach typed messages via `Payload::control`, which upper
 //! crates downcast — the substrate never needs to know their shape.
 //!
-//! Memory discipline (the §13 fast path): small control messages are stored
-//! *inline* in the payload enum instead of behind an `Arc` allocation, and
-//! the tunnel stack keeps its first [`TUNNEL_INLINE_DEPTH`] headers in a
-//! fixed array, touching the heap only for deeper stacking. Cloning a
-//! packet is instrumented — every clone credits its wire size to the
-//! thread's `bytes_copied` tally — so the benchmark (`net.bytes_copied`)
-//! can prove the forwarding path stopped copying.
+//! Memory discipline (the §13 fast path): the tunnel stack keeps its first
+//! [`TUNNEL_INLINE_DEPTH`] headers in a fixed array, touching the heap only
+//! for deeper stacking, and a control message is one shared `Arc`, so
+//! cloning a packet never deep-copies the message. Cloning is instrumented
+//! — every clone credits its wire size to the thread's `bytes_copied` tally
+//! — so the benchmark (`net.bytes_copied`) can prove the forwarding path
+//! stopped copying.
 
 use crate::addr::Addr;
 use dlte_sim::SimTime;
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
 /// Flow identifier used by traffic generators and the latency tracer.
 pub type FlowId = u64;
-
-/// Inline small-control budget: messages of at most this many bytes (and at
-/// most word alignment, and no destructor) are stored directly in the
-/// payload enum — three words, matching the size of the `Flow` variant so
-/// the fast path never grows the enum.
-pub const SMALL_CONTROL_BYTES: usize = 24;
 
 /// Packet payload.
 #[derive(Clone)]
@@ -35,62 +29,24 @@ pub enum Payload {
     Empty,
     /// User-plane data belonging to a traced flow.
     Flow { flow: FlowId, seq: u64 },
-    /// A typed control message too large (or too rich — destructors,
-    /// over-aligned fields) for the inline fast path. `Arc` keeps clones
-    /// cheap and lets packets cross shard boundaries (the sharded engine
-    /// moves events between worker threads).
+    /// A typed control message. `Arc` keeps clones cheap and lets packets
+    /// cross shard boundaries (the sharded engine moves events between
+    /// worker threads).
     Control(Arc<dyn Any + Send + Sync>),
-    /// A typed control message of at most [`SMALL_CONTROL_BYTES`] stored
-    /// inline — no heap allocation. Constructed only by [`Payload::control`],
-    /// which enforces the safety contract: `T: Any + Send + Sync`, fits the
-    /// size/alignment budget, and `!needs_drop` (the bits are bitwise-copied
-    /// by `Clone` and never dropped). Only `&T` is ever handed back out.
-    SmallControl { type_id: TypeId, data: [u64; 3] },
 }
 
 impl Payload {
-    /// Wrap a typed control message. Messages within the inline budget (≤ 3
-    /// words, word-aligned, trivially droppable) avoid the `Arc` allocation
-    /// entirely; everything else falls back to the shared heap box.
+    /// Wrap a typed control message.
     pub fn control<T: Any + Send + Sync>(msg: T) -> Payload {
-        if std::mem::size_of::<T>() <= SMALL_CONTROL_BYTES
-            && std::mem::align_of::<T>() <= std::mem::align_of::<u64>()
-            && !std::mem::needs_drop::<T>()
-        {
-            let mut data = [0u64; 3];
-            // SAFETY: `T` fits in 24 bytes with alignment ≤ 8 (checked
-            // above), so writing it over the `[u64; 3]` backing store is in
-            // bounds and aligned. `msg` is moved in; with `!needs_drop::<T>`
-            // there is no destructor to lose, and the stored bits are only
-            // ever read back as `&T` behind the matching `TypeId`.
-            unsafe { std::ptr::write(data.as_mut_ptr() as *mut T, msg) };
-            Payload::SmallControl {
-                type_id: TypeId::of::<T>(),
-                data,
-            }
-        } else {
-            Payload::Control(Arc::new(msg))
-        }
+        Payload::Control(Arc::new(msg))
     }
 
     /// Downcast a control payload to `&T`.
     pub fn as_control<T: Any>(&self) -> Option<&T> {
         match self {
             Payload::Control(rc) => rc.downcast_ref::<T>(),
-            Payload::SmallControl { type_id, data } if *type_id == TypeId::of::<T>() => {
-                // SAFETY: the `TypeId` match proves these bits were written
-                // by `control::<T>`, at this alignment, within bounds.
-                Some(unsafe { &*(data.as_ptr() as *const T) })
-            }
             _ => None,
         }
-    }
-
-    /// Whether a control message took the inline fast path (test/bench
-    /// observability; not part of the payload's semantics).
-    #[doc(hidden)]
-    pub fn is_inline_control(&self) -> bool {
-        matches!(self, Payload::SmallControl { .. })
     }
 
     /// The flow id, if this is flow data.
@@ -107,9 +63,7 @@ impl fmt::Debug for Payload {
         match self {
             Payload::Empty => write!(f, "Empty"),
             Payload::Flow { flow, seq } => write!(f, "Flow({flow}#{seq})"),
-            // Inline and Arc control render identically: which storage a
-            // message landed in is a memory detail, not an observable.
-            Payload::Control(_) | Payload::SmallControl { .. } => write!(f, "Control(..)"),
+            Payload::Control(_) => write!(f, "Control(..)"),
         }
     }
 }
@@ -391,45 +345,6 @@ mod tests {
             p.as_control::<FakeNas>().unwrap(),
             q.as_control::<FakeNas>().unwrap()
         );
-    }
-
-    #[test]
-    fn small_control_goes_inline_large_falls_back() {
-        // 8 bytes, word-aligned, no drop: inline.
-        let small = Payload::control(FakeNas { imsi: 9 });
-        assert!(small.is_inline_control());
-        assert_eq!(small.as_control::<FakeNas>().unwrap().imsi, 9);
-        // Wrong-type downcast on the inline path is rejected by TypeId.
-        assert!(small.as_control::<u32>().is_none());
-
-        // 32 bytes: over the 3-word budget → Arc.
-        #[derive(Debug, PartialEq)]
-        struct Big([u64; 4]);
-        let big = Payload::control(Big([1, 2, 3, 4]));
-        assert!(!big.is_inline_control());
-        assert_eq!(big.as_control::<Big>().unwrap(), &Big([1, 2, 3, 4]));
-
-        // Needs drop (owns a heap box): must not be bitwise-copied → Arc.
-        let dropful = Payload::control(String::from("nas"));
-        assert!(!dropful.is_inline_control());
-        assert_eq!(dropful.as_control::<String>().unwrap(), "nas");
-
-        // Over-aligned: must not be stored at word alignment → Arc.
-        #[repr(align(16))]
-        #[derive(Debug, PartialEq)]
-        struct Aligned(u64);
-        let aligned = Payload::control(Aligned(5));
-        assert!(!aligned.is_inline_control());
-        assert_eq!(aligned.as_control::<Aligned>().unwrap(), &Aligned(5));
-    }
-
-    #[test]
-    fn inline_control_survives_clone() {
-        let p = Payload::control(FakeNas { imsi: 7 });
-        assert!(p.is_inline_control());
-        let q = p.clone();
-        drop(p);
-        assert_eq!(q.as_control::<FakeNas>().unwrap().imsi, 7);
     }
 
     #[test]

@@ -494,12 +494,8 @@ mod tests {
                 .filter(|r| matches!(r.event, dlte_obs::Event::FaultLink { .. }))
                 .map(|r| format!("{}:{:?}", r.t_ns, r.event))
                 .collect();
-            let trace = sim.trace_merged();
-            (
-                fault_recs,
-                trace.drops_link_down,
-                format!("{:?}", sim.audit_merged()),
-            )
+            let audit = sim.audit_merged();
+            (fault_recs, audit.drops_link_down, format!("{audit:?}"))
         };
         let (fr1, drops1, audit1) = run(1);
         let (fr2, drops2, audit2) = run(2);
@@ -548,8 +544,8 @@ mod tests {
             sim.run_until(SimTime::from_secs(2), 1_000_000);
             assert!(!sim.node_is_down(1));
             let got = sim.handler_as::<Counter>(1).unwrap().got;
-            let t = sim.trace_merged();
-            (got, t.drops_node_down, sim.events_dispatched())
+            let drops = sim.audit_merged().drops_node_down;
+            (got, drops, sim.events_dispatched())
         };
         let (g1, d1, e1) = run(1);
         let (g2, d2, e2) = run(2);

@@ -1,9 +1,11 @@
 //! End-to-end tracing: who delivered what, how late, via how many hops.
+//! Drops are not counted here: the fabric tallies them per reason (see
+//! [`crate::Network::audit`]).
 
+use crate::fxhash::FxHashMap;
 use crate::packet::{FlowId, Packet};
 use dlte_sim::stats::{Samples, Welford};
 use dlte_sim::SimTime;
-use std::collections::HashMap;
 
 /// Per-flow delivery record.
 #[derive(Clone, Debug, Default)]
@@ -15,19 +17,12 @@ pub struct FlowTrace {
     pub hops: Welford,
 }
 
-/// Network-wide trace statistics.
+/// Network-wide delivery statistics.
 #[derive(Clone, Debug, Default)]
 pub struct TraceStats {
-    flows: HashMap<FlowId, FlowTrace>,
+    flows: FxHashMap<FlowId, FlowTrace>,
     /// Deliveries that were not flow data (control, etc.).
     pub other_delivered: u64,
-    pub drops_queue: u64,
-    pub drops_loss: u64,
-    pub drops_no_route: u64,
-    pub drops_ttl: u64,
-    pub drops_link_down: u64,
-    /// Packets that arrived at (or were sent by) a crashed/paused node.
-    pub drops_node_down: u64,
 }
 
 impl TraceStats {
@@ -69,16 +64,6 @@ impl TraceStats {
         self.flows.values().map(|f| f.delivered_packets).sum()
     }
 
-    /// Total drops of every cause.
-    pub fn total_drops(&self) -> u64 {
-        self.drops_queue
-            + self.drops_loss
-            + self.drops_no_route
-            + self.drops_ttl
-            + self.drops_link_down
-            + self.drops_node_down
-    }
-
     /// Fold another shard's trace into this one. Counters sum; flow tables
     /// union. A flow's deliveries all happen at the node that owns its
     /// destination — one shard — so in sharded runs the per-flow entries are
@@ -97,12 +82,6 @@ impl TraceStats {
             dst.hops.merge(&t.hops);
         }
         self.other_delivered += other.other_delivered;
-        self.drops_queue += other.drops_queue;
-        self.drops_loss += other.drops_loss;
-        self.drops_no_route += other.drops_no_route;
-        self.drops_ttl += other.drops_ttl;
-        self.drops_link_down += other.drops_link_down;
-        self.drops_node_down += other.drops_node_down;
     }
 }
 
@@ -152,17 +131,5 @@ mod tests {
         t.record_delivery(SimTime::from_millis(1), &p);
         assert_eq!(t.other_delivered, 1);
         assert_eq!(t.total_delivered(), 0);
-    }
-
-    #[test]
-    fn drop_totals() {
-        let mut t = TraceStats::new();
-        t.drops_queue = 2;
-        t.drops_loss = 3;
-        t.drops_no_route = 5;
-        t.drops_ttl = 7;
-        t.drops_link_down = 11;
-        t.drops_node_down = 13;
-        assert_eq!(t.total_drops(), 41);
     }
 }

@@ -30,6 +30,8 @@
 //! input order, so the numbered stream is byte-identical for any
 //! `--jobs` count.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod metrics;
 pub mod recorder;

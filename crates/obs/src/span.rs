@@ -11,7 +11,7 @@
 
 use crate::event::{Event, NasProc, Record};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How a reconstructed span ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ impl Span {
 pub fn pair_spans(records: &[Record]) -> Vec<Span> {
     let mut out: Vec<Span> = Vec::new();
     // (node, proc, key) → stack of indices into `out` still open.
-    let mut open: HashMap<(u64, NasProc, u64), Vec<usize>> = HashMap::new();
+    let mut open: BTreeMap<(u64, NasProc, u64), Vec<usize>> = BTreeMap::new();
     for r in records {
         match &r.event {
             Event::NasStart { proc, imsi } => {
@@ -96,8 +96,8 @@ pub fn pair_spans(records: &[Record]) -> Vec<Span> {
 
 /// Aggregate spans into `(count, total_ns)` per procedure name — the
 /// latency-breakdown view (attach = auth + session + bearer).
-pub fn breakdown(spans: &[Span]) -> std::collections::BTreeMap<&'static str, (u64, u64)> {
-    let mut m = std::collections::BTreeMap::new();
+pub fn breakdown(spans: &[Span]) -> BTreeMap<&'static str, (u64, u64)> {
+    let mut m = BTreeMap::new();
     for s in spans {
         let e = m.entry(s.proc.name()).or_insert((0, 0));
         e.0 += 1;

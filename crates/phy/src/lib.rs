@@ -24,6 +24,8 @@
 //!   which is exactly the mechanism the paper invokes ("higher power
 //!   transmission and greater range from mobile devices").
 
+#![forbid(unsafe_code)]
+
 pub mod band;
 pub mod fading;
 pub mod harq;

@@ -20,6 +20,8 @@
 //! contention_domain`]) — the input to X2 peer coordination and the
 //! mechanism that replaces carrier-sensing (experiment E6).
 
+#![forbid(unsafe_code)]
+
 pub mod coloring;
 pub mod federated;
 pub mod geo;

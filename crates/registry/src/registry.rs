@@ -12,7 +12,7 @@ use crate::geo::Point;
 use crate::license::{ChannelPlan, GrantId, GrantRequest, LicenseGrant};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Default cap on any single lease. Bounding leases is what makes crash
 /// recovery *provable*: a registry that lost state only has to stay
@@ -69,7 +69,8 @@ pub struct SpectrumRegistry {
     policy: GrantPolicy,
     /// Regulatory EIRP cap for the band.
     max_eirp_dbm: f64,
-    grants: HashMap<GrantId, LicenseGrant>,
+    /// Keyed by id, so every walk over it runs in id order.
+    grants: BTreeMap<GrantId, LicenseGrant>,
     next_id: GrantId,
     /// Hard cap applied to every lease (requested leases are clamped).
     max_lease: SimDuration,
@@ -96,7 +97,7 @@ impl SpectrumRegistry {
             plan,
             policy,
             max_eirp_dbm,
-            grants: HashMap::new(),
+            grants: BTreeMap::new(),
             next_id: 1,
             max_lease: SimDuration::from_secs(DEFAULT_MAX_LEASE_S),
             quarantine_until: None,
@@ -125,10 +126,8 @@ impl SpectrumRegistry {
 
     /// Serde-able copy of the mutable state — the zone checkpoint.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut grants: Vec<LicenseGrant> = self.grants.values().copied().collect();
-        grants.sort_by_key(|g| g.id);
         RegistrySnapshot {
-            grants,
+            grants: self.grants.values().copied().collect(),
             next_id: self.next_id,
         }
     }
@@ -298,27 +297,21 @@ impl SpectrumRegistry {
 
     /// All active grants within `radius_km` of `center` — peer discovery.
     pub fn query_region(&self, center: Point, radius_km: f64, now: SimTime) -> Vec<LicenseGrant> {
-        let mut v: Vec<LicenseGrant> = self
-            .grants
+        self.grants
             .values()
             .filter(|g| g.is_active(now) && g.location.distance_km(center) <= radius_km)
             .copied()
-            .collect();
-        v.sort_by_key(|g| g.id);
-        v
+            .collect()
     }
 
     /// Active co-channel grants whose contours overlap `grant`'s — the set
     /// of peers this AP must coordinate with over X2.
     pub fn contention_domain(&self, grant: &LicenseGrant, now: SimTime) -> Vec<LicenseGrant> {
-        let mut v: Vec<LicenseGrant> = self
-            .grants
+        self.grants
             .values()
             .filter(|g| g.id != grant.id && g.is_active(now) && g.conflicts_with(grant))
             .copied()
-            .collect();
-        v.sort_by_key(|g| g.id);
-        v
+            .collect()
     }
 
     pub fn active_count(&self, now: SimTime) -> usize {

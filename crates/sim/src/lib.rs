@@ -31,6 +31,8 @@
 //!   shards advancing under conservative (lookahead-barrier) time
 //!   synchronization, with results bit-identical at any shard count.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod par;
 pub mod report;

@@ -11,8 +11,9 @@ use crate::frames::{Chunk, Cid, Frame, PacketNum, ResumeToken};
 use crate::received::ReceivedSet;
 use crate::rtt::RttEstimator;
 use crate::streams::Receiver;
+use dlte_net::fxhash::FxHashMap;
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Transport feature configuration — the E12 ablation axes.
 #[derive(Clone, Copy, Debug)]
@@ -107,7 +108,7 @@ pub struct ClientConn {
     next_pn: PacketNum,
     to_send: VecDeque<(Chunk, u64)>,
     unacked: BTreeMap<PacketNum, InFlight>,
-    stream_offsets: HashMap<u64, u64>,
+    stream_offsets: FxHashMap<u64, u64>,
     global_offset: u64,
     queued_bytes: u64,
     acked_bytes: u64,
@@ -132,7 +133,7 @@ impl ClientConn {
             next_pn: 0,
             to_send: VecDeque::new(),
             unacked: BTreeMap::new(),
-            stream_offsets: HashMap::new(),
+            stream_offsets: FxHashMap::default(),
             global_offset: 0,
             queued_bytes: 0,
             acked_bytes: 0,
@@ -422,7 +423,7 @@ struct ServerSide {
     received: ReceivedSet,
     /// Next expected global offset per stream, for legacy mapping.
     global_in_next: u64,
-    global_of_chunk: HashMap<(u64, u64), u64>,
+    global_of_chunk: FxHashMap<(u64, u64), u64>,
 }
 
 impl ServerSide {
@@ -435,7 +436,7 @@ impl ServerSide {
             },
             received: ReceivedSet::default(),
             global_in_next: 0,
-            global_of_chunk: HashMap::new(),
+            global_of_chunk: FxHashMap::default(),
         }
     }
 
@@ -488,7 +489,7 @@ impl ServerSide {
 pub struct ServerConn {
     pub server_id: u64,
     cfg: TransportConfig,
-    conns: HashMap<Cid, ServerSide>,
+    conns: FxHashMap<Cid, ServerSide>,
     valid_tokens: BTreeSet<u64>,
     next_token: u64,
     out: Vec<Frame>,
@@ -504,7 +505,7 @@ impl ServerConn {
         ServerConn {
             server_id,
             cfg,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             valid_tokens: BTreeSet::new(),
             next_token: 1,
             out: Vec::new(),

@@ -8,9 +8,9 @@
 
 use crate::connection::{ClientConn, ConnEvent, ServerConn, TransportConfig};
 use crate::frames::{Frame, ResumeToken};
+use dlte_net::fxhash::FxHashMap;
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
 use dlte_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 const TAG_TICK: u64 = 42_000;
 
@@ -94,7 +94,7 @@ impl NodeHandler for TransportClientNode {
 pub struct TransportServerNode {
     pub server: ServerConn,
     /// Latest validated-ish source address per connection (migration).
-    peer_of: HashMap<u64, Addr>,
+    peer_of: FxHashMap<u64, Addr>,
     pub path_changes: u64,
 }
 
@@ -102,7 +102,7 @@ impl TransportServerNode {
     pub fn new(server_id: u64, cfg: TransportConfig) -> Self {
         TransportServerNode {
             server: ServerConn::new(server_id, cfg),
-            peer_of: HashMap::new(),
+            peer_of: FxHashMap::default(),
             path_changes: 0,
         }
     }

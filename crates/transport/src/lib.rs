@@ -25,6 +25,8 @@
 //! cryptography is absent (key exchange is modeled by the handshake RTT,
 //! which is the cost the architecture argument cares about).
 
+#![forbid(unsafe_code)]
+
 pub mod connection;
 pub mod fec;
 pub mod frames;

@@ -25,6 +25,8 @@
 //! [`bandwidth`] accounts the X2 overhead (experiment E11; cf. La Roche &
 //! Widjaja's X2 sizing \[28\]).
 
+#![forbid(unsafe_code)]
+
 pub mod bandwidth;
 pub mod cooperative;
 pub mod fair_share;

@@ -73,12 +73,13 @@ fn full_stack_story() {
     // /32 route immediately instead of stranding the session), so a pong
     // already in flight toward the old address can hit the released route.
     // The transport layer, not the fabric, owns that loss in dLTE.
+    let audit = net.sim.audit_merged();
     assert!(
-        w.trace().drops_no_route <= 1,
+        audit.drops_no_route <= 1,
         "only the roamer's detach-race pong may drop: {}",
-        w.trace().drops_no_route
+        audit.drops_no_route
     );
-    assert_eq!(w.trace().drops_ttl, 0);
+    assert_eq!(audit.drops_ttl, 0);
 }
 
 /// A modern transport keeps one connection alive across three AP changes;
