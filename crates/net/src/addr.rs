@@ -46,10 +46,28 @@ impl fmt::Display for Addr {
 }
 
 /// A CIDR prefix.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Prefix {
     pub addr: Addr,
     pub len: u8,
+}
+
+// Manual so that a hand-edited fault plan or repro gets the same checks as
+// `Prefix::new`: a length past 32 (which `mask_of` would underflow on) is
+// a typed error naming the field, and host bits are masked off.
+impl Deserialize for Prefix {
+    fn deserialize_value(v: &serde::value::Value) -> Result<Self, serde::de::Error> {
+        let err = |msg: String| serde::de::Error::custom(format!("Prefix: {msg}"));
+        let field = |name| {
+            v.get(name)
+                .ok_or_else(|| err(format!("missing field `{name}`")))
+        };
+        let addr = Addr::deserialize_value(field("addr")?)?;
+        match u8::deserialize_value(field("len")?) {
+            Ok(len) if len <= 32 => Ok(Prefix::new(addr, len)),
+            _ => Err(err("field `len` must be an integer in 0..=32".into())),
+        }
+    }
 }
 
 impl Prefix {

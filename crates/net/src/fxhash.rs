@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher for the fabric's hot lookup maps.
 //!
-//! The per-packet maps — FIB prefix buckets, `owns()` sets, TEID and IMSI
-//! session indexes — are probed several times per forwarded packet per hop,
+//! The per-packet maps — FIB prefix buckets, TEID and IMSI session
+//! indexes — are probed several times per forwarded packet per hop,
 //! and their keys are small integers under the simulation's control, so
 //! std's DoS-resistant SipHash is pure overhead there. This is the classic
 //! Firefox/rustc "FxHash" multiply-rotate mix: one rotate, one xor, one

@@ -571,17 +571,23 @@ impl Network {
                     }
                 }
             }
+            // Broadcast into every replica, but only the owner routes for
+            // `node` (see `apply_shard_plan`).
             NetFault::RouteSet { node, prefix, link } => {
-                self.core.nodes[node].set_route(prefix, link);
+                if self.core.shard_of[node] == self.core.my_shard {
+                    self.core.nodes[node].set_route(prefix, link);
+                }
             }
         }
     }
 
     /// Turn this replica into one shard of a partitioned run: record the
-    /// ownership map and drop the handlers of nodes other shards own. Every
-    /// replica keeps the *full* topology (links, routes, node info) — link
-    /// endpoints only ever mutate their own direction's state, and faults
-    /// are broadcast — so no cross-shard memory access is ever needed.
+    /// ownership map and drop the handlers and routes of nodes other shards
+    /// own. A packet is routed only by its node's owning replica, so those
+    /// tables are never read here. Every replica keeps the rest of the
+    /// topology (links, node names and addresses) — link endpoints only
+    /// ever mutate their own direction's state, and faults are broadcast —
+    /// so no cross-shard memory access is ever needed.
     pub fn apply_shard_plan(&mut self, plan: &ShardPlan, my_shard: usize) {
         assert_eq!(
             plan.num_nodes(),
@@ -594,6 +600,7 @@ impl Network {
         for node in 0..plan.num_nodes() {
             if plan.shard_of(node) != my_shard {
                 self.handlers[node] = None;
+                self.core.nodes[node].retain_routes(|_, _| false);
             }
         }
     }
@@ -1529,5 +1536,29 @@ mod tests {
             let back: NetFault = serde_json::from_str(&json).unwrap();
             assert_eq!(back, f, "{json}");
         }
+    }
+
+    /// A `RouteSet` read from JSON gets `Prefix::new`'s checks: a length
+    /// past 32 is an error naming the field, and host bits are masked.
+    #[test]
+    fn route_set_json_rejects_long_prefixes_and_masks_host_bits() {
+        let fault = |addr: u32, len: u32| {
+            let json = format!(
+                r#"{{"RouteSet":{{"node":7,"prefix":{{"addr":{addr},"len":{len}}},"link":4}}}}"#
+            );
+            serde_json::from_str::<NetFault>(&json)
+        };
+        for len in [33, 40, 255, 256] {
+            let err = fault(0x0A02_0000, len)
+                .expect_err("length past 32")
+                .to_string();
+            assert!(err.contains("field `len`"), "{len}: {err}");
+        }
+        let host_bits = fault(0x0A02_0304, 16).expect("valid /16");
+        let NetFault::RouteSet { prefix, .. } = host_bits else {
+            panic!("{host_bits:?}");
+        };
+        assert_eq!(prefix, Prefix::new(Addr::new(10, 2, 0, 0), 16));
+        assert_eq!(prefix.addr, Addr::new(10, 2, 0, 0));
     }
 }

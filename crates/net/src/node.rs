@@ -5,78 +5,40 @@
 //! [`NodeCtx`] passed to every callback exposes exactly the operations a
 //! real host has — originate packets, forward packets, arm timers — plus the
 //! simulator conveniences (address lookup, deterministic RNG, trace sink).
+//!
+//! [`NodeInfo`] is what the core keeps per node: its name, its addresses
+//! and its forwarding table. The table is stored once, as one exact-match
+//! map per prefix length, edited in place by route changes and probed
+//! read-only, longest length first, by every forwarded packet.
 
 use crate::addr::{Addr, Prefix};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::link::LinkId;
 use crate::network::{NetCore, NetEvent};
 use crate::packet::Packet;
 use dlte_sim::engine::EventKey;
 use dlte_sim::{EventQueue, SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cmp::Reverse;
 
 /// Identifies a node.
 pub type NodeId = usize;
 
-/// The compiled forwarding table: routes bucketed by prefix length into
-/// exact-match hash maps probed longest-first, plus a hashed owned-address
-/// set. Compiled lazily from a [`NodeInfo`]'s route/address lists — the
-/// `generation` tag says which revision it was built from.
+/// Static node metadata kept by the core: its name, the addresses it owns
+/// and its forwarding table.
 ///
-/// Lookup is bit-identical to the linear reference scan
-/// ([`NodeInfo::route_for_linear`]): `set_route` keeps prefixes unique, so
-/// at most one route of any given length can contain a destination, and
-/// probing lengths 32→0 returns exactly the longest match.
-#[derive(Clone, Debug, Default)]
-struct Fib {
-    /// The [`NodeInfo`] generation this FIB was compiled from (0 = never;
-    /// node generations start at 1, so a fresh FIB is always stale).
-    generation: u64,
-    /// One exact-match table per prefix length present, longest first.
-    by_len: Vec<(u8, FxHashMap<u32, LinkId>)>,
-    owned: FxHashSet<Addr>,
-}
-
-impl Fib {
-    fn compile(&mut self, generation: u64, addrs: &[Addr], routes: &[(Prefix, LinkId)]) {
-        self.generation = generation;
-        self.owned.clear();
-        self.owned.extend(addrs.iter().copied());
-        let mut buckets: FxHashMap<u8, FxHashMap<u32, LinkId>> = FxHashMap::default();
-        for &(p, l) in routes {
-            buckets.entry(p.len).or_default().insert(p.addr.0, l);
-        }
-        self.by_len = buckets.into_iter().collect();
-        self.by_len
-            .sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
-    }
-
-    fn lookup(&self, dst: Addr) -> Option<LinkId> {
-        self.by_len
-            .iter()
-            .find_map(|(len, table)| table.get(&(dst.0 & Prefix::mask_of(*len))).copied())
-    }
-}
-
-/// Static node metadata kept by the core.
-///
-/// The address and route lists are private: every mutation goes through a
-/// method that bumps the generation counter, which invalidates the
-/// compiled [`Fib`] the hot-path `route_for`/`owns` lookups use. The FIB
-/// is rebuilt lazily on the next lookup, so bursts of control-plane churn
-/// (attach storms, dLTE address churn, mesh reroutes) pay one compile,
-/// not one per mutation.
+/// Every route mutation edits the right per-length map in place, and a
+/// map that empties is dropped. Prefixes are unique per length, so at most
+/// one route of any given length contains a destination, and probing
+/// lengths longest-first returns exactly the longest match.
 #[derive(Clone, Debug)]
 pub struct NodeInfo {
     pub name: String,
-    /// Addresses owned by this node (delivery targets).
+    /// Addresses owned by this node (delivery targets). One or two per
+    /// node, so membership is a scan.
     addrs: Vec<Addr>,
-    /// Longest-prefix-match routing table: (prefix, outgoing link).
-    /// Invariant (enforced by `set_route`): prefixes are unique.
-    routes: Vec<(Prefix, LinkId)>,
-    /// Bumped by every address/route mutation.
-    generation: u64,
-    fib: RefCell<Fib>,
+    /// `(prefix length, base → link)`, sorted by length descending; no
+    /// map is empty.
+    fib: Vec<(u8, FxHashMap<u32, u32>)>,
 }
 
 impl NodeInfo {
@@ -84,9 +46,7 @@ impl NodeInfo {
         NodeInfo {
             name: name.into(),
             addrs: Vec::new(),
-            routes: Vec::new(),
-            generation: 1,
-            fib: RefCell::new(Fib::default()),
+            fib: Vec::new(),
         }
     }
 
@@ -95,76 +55,69 @@ impl NodeInfo {
         &self.addrs
     }
 
-    /// The routing table, in insertion order.
-    pub fn routes(&self) -> &[(Prefix, LinkId)] {
-        &self.routes
+    /// The routing table, in unspecified order.
+    pub fn routes(&self) -> impl Iterator<Item = (Prefix, LinkId)> + '_ {
+        self.fib.iter().flat_map(|&(len, ref table)| {
+            table.iter().map(move |(&base, &link)| {
+                let prefix = Prefix {
+                    addr: Addr(base),
+                    len,
+                };
+                (prefix, link as LinkId)
+            })
+        })
     }
 
     /// Add an owned address.
     pub fn add_addr(&mut self, addr: Addr) {
         self.addrs.push(addr);
-        self.generation += 1;
     }
 
     /// Remove an owned address, returning whether it was present.
     pub fn remove_addr(&mut self, addr: Addr) -> bool {
         let before = self.addrs.len();
         self.addrs.retain(|&a| a != addr);
-        let removed = self.addrs.len() != before;
-        if removed {
-            self.generation += 1;
-        }
-        removed
-    }
-
-    /// Run `f` over the compiled FIB, rebuilding it first if any mutation
-    /// happened since the last compile.
-    fn with_fib<T>(&self, f: impl FnOnce(&Fib) -> T) -> T {
-        let mut fib = self.fib.borrow_mut();
-        if fib.generation != self.generation {
-            fib.compile(self.generation, &self.addrs, &self.routes);
-        }
-        f(&fib)
+        self.addrs.len() != before
     }
 
     /// True if `a` is one of this node's addresses.
     pub fn owns(&self, a: Addr) -> bool {
-        self.with_fib(|fib| fib.owned.contains(&a))
+        self.addrs.contains(&a)
     }
 
-    /// Longest-prefix-match lookup (via the compiled FIB).
+    /// Longest-prefix-match lookup.
     pub fn route_for(&self, dst: Addr) -> Option<LinkId> {
-        self.with_fib(|fib| fib.lookup(dst))
+        self.fib.iter().find_map(|(len, table)| {
+            table
+                .get(&(dst.0 & Prefix::mask_of(*len)))
+                .map(|&link| link as LinkId)
+        })
     }
 
-    /// The original linear longest-prefix scan, kept as the reference
-    /// semantics `route_for` must match bit-for-bit (the proptest
-    /// equivalence suite checks this on random tables).
-    pub fn route_for_linear(&self, dst: Addr) -> Option<LinkId> {
-        self.routes
-            .iter()
-            .filter(|(p, _)| p.contains(dst))
-            .max_by_key(|(p, _)| p.len)
-            .map(|&(_, l)| l)
+    /// Where the map for prefix length `len` sits (or would be inserted).
+    fn slot(&self, len: u8) -> Result<usize, usize> {
+        self.fib
+            .binary_search_by_key(&Reverse(len), |&(l, _)| Reverse(l))
     }
 
     /// Install (or replace) a route.
     pub fn set_route(&mut self, prefix: Prefix, link: LinkId) {
-        if let Some(entry) = self.routes.iter_mut().find(|(p, _)| *p == prefix) {
-            entry.1 = link;
-        } else {
-            self.routes.push((prefix, link));
-        }
-        self.generation += 1;
+        let link = u32::try_from(link).expect("link id fits in u32");
+        let i = self.slot(prefix.len).unwrap_or_else(|i| {
+            self.fib.insert(i, (prefix.len, FxHashMap::default()));
+            i
+        });
+        self.fib[i].1.insert(prefix.addr.0, link);
     }
 
     /// Remove a route, returning whether it existed.
     pub fn remove_route(&mut self, prefix: Prefix) -> bool {
-        let before = self.routes.len();
-        self.routes.retain(|(p, _)| *p != prefix);
-        let removed = self.routes.len() != before;
-        if removed {
-            self.generation += 1;
+        let Ok(i) = self.slot(prefix.len) else {
+            return false;
+        };
+        let removed = self.fib[i].1.remove(&prefix.addr.0).is_some();
+        if self.fib[i].1.is_empty() {
+            self.fib.remove(i);
         }
         removed
     }
@@ -172,8 +125,17 @@ impl NodeInfo {
     /// Keep only the routes `f` approves of (bulk removal — e.g. flushing
     /// every route pointing at a dead link).
     pub fn retain_routes(&mut self, mut f: impl FnMut(Prefix, LinkId) -> bool) {
-        self.routes.retain(|&(p, l)| f(p, l));
-        self.generation += 1;
+        for (len, table) in &mut self.fib {
+            let len = *len;
+            table.retain(|&base, &mut link| {
+                let prefix = Prefix {
+                    addr: Addr(base),
+                    len,
+                };
+                f(prefix, link as LinkId)
+            });
+        }
+        self.fib.retain(|(_, table)| !table.is_empty());
     }
 }
 
@@ -369,7 +331,7 @@ mod tests {
         let p = Prefix::new(Addr::new(10, 0, 0, 0), 8);
         n.set_route(p, 1);
         n.set_route(p, 5);
-        assert_eq!(n.routes().len(), 1);
+        assert_eq!(n.routes().count(), 1);
         assert_eq!(n.route_for(Addr::new(10, 0, 0, 1)), Some(5));
         assert!(n.remove_route(p));
         assert!(!n.remove_route(p));
@@ -384,15 +346,15 @@ mod tests {
         assert!(!n.owns(Addr::new(192, 168, 1, 2)));
     }
 
-    /// Every mutation path invalidates the compiled FIB: lookups after
-    /// churn see the new state, never a stale compile.
+    /// Every mutation path is seen by the next lookup, and a length whose
+    /// last route goes takes its map with it.
     #[test]
-    fn fib_invalidates_on_every_mutation() {
+    fn lookups_see_every_mutation() {
         let mut n = NodeInfo::new("r1");
         let p8 = Prefix::new(Addr::new(10, 0, 0, 0), 8);
         let p16 = Prefix::new(Addr::new(10, 1, 0, 0), 16);
         n.set_route(p8, 1);
-        assert_eq!(n.route_for(Addr::new(10, 1, 2, 3)), Some(1)); // compiles
+        assert_eq!(n.route_for(Addr::new(10, 1, 2, 3)), Some(1));
         n.set_route(p16, 2);
         assert_eq!(
             n.route_for(Addr::new(10, 1, 2, 3)),
@@ -407,19 +369,21 @@ mod tests {
         );
         assert!(n.remove_route(p16));
         assert_eq!(n.route_for(Addr::new(10, 1, 2, 3)), Some(1), "removal seen");
+        assert_eq!(n.fib.len(), 1, "the emptied /16 map is dropped");
         n.retain_routes(|_, _| false);
         assert_eq!(n.route_for(Addr::new(10, 1, 2, 3)), None, "bulk flush seen");
+        assert!(n.fib.is_empty(), "a flushed table holds no maps");
 
         let a = Addr::new(100, 64, 0, 1);
-        assert!(!n.owns(a)); // compiles the owned set
+        assert!(!n.owns(a));
         n.add_addr(a);
         assert!(n.owns(a), "added address seen");
         assert!(n.remove_addr(a));
         assert!(!n.owns(a), "removed address seen");
     }
 
-    /// The compiled lookup must agree with the linear reference on the
-    /// shapes that stress it: overlaps, the default route, misses.
+    /// The bucketed lookup must agree with a linear longest-prefix scan on
+    /// the shapes that stress it: overlaps, the default route, misses.
     #[test]
     fn fib_matches_linear_reference() {
         let mut n = NodeInfo::new("r1");
@@ -434,7 +398,12 @@ mod tests {
             Addr::new(8, 8, 8, 8),
             Addr::UNSPECIFIED,
         ] {
-            assert_eq!(n.route_for(dst), n.route_for_linear(dst), "dst {dst}");
+            let linear = n
+                .routes()
+                .filter(|(p, _)| p.contains(dst))
+                .max_by_key(|(p, _)| p.len)
+                .map(|(_, l)| l);
+            assert_eq!(n.route_for(dst), linear, "dst {dst}");
         }
     }
 }

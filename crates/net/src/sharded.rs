@@ -8,18 +8,20 @@
 //!
 //! ## Replication model
 //!
-//! Every shard holds the *complete* `Network` — all node info, routes and
+//! Every shard holds the whole topology — all node names, addresses and
 //! links — built by running the same deterministic builder N times and
-//! pruning foreign handlers ([`Network::apply_shard_plan`]). This trades
-//! memory for the guarantee that no shard ever reaches into another's
-//! state:
+//! pruning the handlers and routes of foreign nodes
+//! ([`Network::apply_shard_plan`]); a node's routes are read only where
+//! its packets are forwarded, in its own shard. This trades memory for the
+//! guarantee that no shard ever reaches into another's state:
 //!
 //! * link state is safe to replicate because an endpoint only mutates its
 //!   own transmit direction, and up/override flips arrive as broadcast
 //!   faults;
 //! * faults are pre-scheduled identically into every shard
-//!   ([`ShardedSim::schedule_fault_broadcast`]), so replicated link/route
-//!   state stays in sync without messages;
+//!   ([`ShardedSim::schedule_fault_broadcast`]), so replicated link state
+//!   stays in sync without messages (a broadcast route change lands in
+//!   its node's shard only);
 //! * packets crossing a shard boundary become timestamped messages carrying
 //!   a pre-allocated canonical key, exchanged at epoch barriers.
 //!
@@ -435,6 +437,45 @@ mod tests {
         assert_eq!(f1, f2, "per-flow stats");
         assert_eq!(r1.len(), r2.len(), "trace record count");
         assert_eq!(r1, r2, "trace records");
+    }
+
+    /// Each replica keeps the routes of its own nodes only — including
+    /// routes a broadcast `RouteSet` installs after the split — while node
+    /// addresses stay replicated everywhere.
+    #[test]
+    fn replicas_hold_routes_only_for_their_own_nodes() {
+        let single = two_cluster_sim();
+        let mut sim = ShardedSim::build(2, two_cluster_sim, cluster_map);
+        let ShardedSim::Multi { shards, plan } = &sim else {
+            panic!("two shards expected");
+        };
+        for (s, shard) in shards.iter().enumerate() {
+            for (node, info) in shard.world().core.nodes.iter().enumerate() {
+                let full = &single.world().core.nodes[node];
+                assert_eq!(info.addrs(), full.addrs(), "shard {s} node {node}");
+                let expect = if plan.shard_of(node) == s {
+                    full.routes().count()
+                } else {
+                    0
+                };
+                assert_eq!(info.routes().count(), expect, "shard {s} node {node}");
+            }
+        }
+        // sink-b (node 7, shard 1) learns a route over its only link.
+        let prefix = Prefix::new(Addr::new(10, 9, 0, 0), 16);
+        let fault = NetFault::RouteSet {
+            node: 7,
+            prefix,
+            link: 5,
+        };
+        sim.schedule_fault_broadcast(SimTime::from_millis(1), fault);
+        sim.run_until(SimTime::from_millis(2), 10_000_000);
+        let ShardedSim::Multi { shards, .. } = &sim else {
+            unreachable!()
+        };
+        let dst = Addr::new(10, 9, 0, 1);
+        assert_eq!(shards[0].world().core.nodes[7].routes().count(), 0);
+        assert_eq!(shards[1].world().core.nodes[7].route_for(dst), Some(5));
     }
 
     /// Cross-backhaul RTT measured through a sharded run matches physics:

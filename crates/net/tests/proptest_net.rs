@@ -18,13 +18,95 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 }
 
 /// One mutation against a routing table / address set, for driving the
-/// compiled-FIB equivalence test below.
+/// model-based FIB test below. `Replace` and `RemoveExisting` pick an
+/// installed route by index (modulo the table size), so replacement and
+/// removal hit real entries instead of relying on random collisions.
 #[derive(Clone, Debug)]
 enum FibOp {
     Set(Prefix, usize),
+    Replace(usize, usize),
     Remove(Prefix),
+    RemoveExisting(usize),
+    /// Keep routes that avoid link `.0` and are at least `.1` long.
+    Retain(usize, u8),
     AddAddr(Addr),
     RemoveAddr(Addr),
+}
+
+/// The reference the FIB is checked against: a plain list of unique
+/// prefixes and the owned addresses, with a linear longest-prefix scan.
+#[derive(Default)]
+struct FibModel {
+    routes: Vec<(Prefix, usize)>,
+    addrs: Vec<Addr>,
+}
+
+impl FibModel {
+    fn set(&mut self, p: Prefix, l: usize) {
+        match self.routes.iter_mut().find(|(q, _)| *q == p) {
+            Some(e) => e.1 = l,
+            None => self.routes.push((p, l)),
+        }
+    }
+
+    fn route_for(&self, dst: Addr) -> Option<usize> {
+        self.routes
+            .iter()
+            .filter(|(p, _)| p.contains(dst))
+            .max_by_key(|(p, _)| p.len)
+            .map(|&(_, l)| l)
+    }
+
+    /// Apply `op` to the model and to `info` alike.
+    fn apply(&mut self, info: &mut NodeInfo, op: &FibOp) {
+        match *op {
+            FibOp::Set(p, l) => {
+                self.set(p, l);
+                info.set_route(p, l);
+            }
+            FibOp::Replace(i, l) => {
+                if let Some(&(p, _)) = self.routes.get(i % self.routes.len().max(1)) {
+                    self.set(p, l);
+                    info.set_route(p, l);
+                }
+            }
+            FibOp::Remove(p) => {
+                let had = self.routes.iter().any(|&(q, _)| q == p);
+                self.routes.retain(|&(q, _)| q != p);
+                assert_eq!(info.remove_route(p), had, "remove_route({p}) result");
+            }
+            FibOp::RemoveExisting(i) => {
+                if !self.routes.is_empty() {
+                    let (p, _) = self.routes.remove(i % self.routes.len());
+                    assert!(info.remove_route(p), "installed {p} not removed");
+                }
+            }
+            FibOp::Retain(link, min_len) => {
+                let keep = |p: Prefix, l: usize| l != link && p.len >= min_len;
+                self.routes.retain(|&(p, l)| keep(p, l));
+                info.retain_routes(keep);
+            }
+            FibOp::AddAddr(a) => {
+                self.addrs.push(a);
+                info.add_addr(a);
+            }
+            FibOp::RemoveAddr(a) => {
+                let had = self.addrs.contains(&a);
+                self.addrs.retain(|&b| b != a);
+                assert_eq!(info.remove_addr(a), had, "remove_addr({a}) result");
+            }
+        }
+    }
+}
+
+/// A route list in a canonical order, for comparing route sets.
+fn sorted_routes(routes: impl IntoIterator<Item = (Prefix, usize)>) -> Vec<(u32, u8, usize)> {
+    let mut v: Vec<_> = routes
+        .into_iter()
+        .map(|(p, l)| (p.addr.0, p.len, l))
+        .collect();
+    v.sort_unstable();
+    v
 }
 
 /// Addresses drawn from a handful of high bits so random prefixes actually
@@ -48,103 +130,73 @@ fn arb_fib_op() -> impl Strategy<Value = FibOp> {
     prop_oneof![
         (clustered_prefix(), 0usize..8).prop_map(|(p, l)| FibOp::Set(p, l)),
         (clustered_prefix(), 0usize..8).prop_map(|(p, l)| FibOp::Set(p, l)),
+        (any::<usize>(), 0usize..8).prop_map(|(i, l)| FibOp::Replace(i, l)),
         clustered_prefix().prop_map(FibOp::Remove),
+        any::<usize>().prop_map(FibOp::RemoveExisting),
+        (0usize..8, 0u8..=32).prop_map(|(l, len)| FibOp::Retain(l, len)),
         clustered_addr().prop_map(FibOp::AddAddr),
         clustered_addr().prop_map(FibOp::RemoveAddr),
     ]
 }
 
 proptest! {
-    /// Longest-prefix match agrees with a naive scan over all matching
-    /// entries.
+    /// Longest-prefix match agrees with a naive scan over the last-written
+    /// route per prefix (`set_route` replaces), on unclustered tables.
     #[test]
     fn lpm_matches_reference(
         routes in prop::collection::vec((arb_prefix(), 0usize..8), 0..20),
         dst in arb_addr(),
     ) {
         let mut info = NodeInfo::new("r");
+        let mut model = FibModel::default();
         for &(p, l) in &routes {
-            info.set_route(p, l);
+            model.apply(&mut info, &FibOp::Set(p, l));
         }
-        let got = info.route_for(dst);
-        // Reference: longest matching prefix among the *last-written* entry
-        // per prefix (set_route replaces).
-        let mut dedup: Vec<(Prefix, usize)> = Vec::new();
-        for &(p, l) in &routes {
-            if let Some(e) = dedup.iter_mut().find(|(q, _)| *q == p) {
-                e.1 = l;
-            } else {
-                dedup.push((p, l));
-            }
-        }
-        let expect = dedup
-            .iter()
-            .filter(|(p, _)| p.contains(dst))
-            .max_by_key(|(p, _)| p.len)
-            .map(|&(_, l)| l);
-        // Ties on length: any of the tied links is acceptable — verify the
-        // chosen link belongs to a maximal-length matching prefix.
-        match (got, expect) {
-            (None, None) => {}
-            (Some(g), Some(_)) => {
-                let max_len = dedup
-                    .iter()
-                    .filter(|(p, _)| p.contains(dst))
-                    .map(|(p, _)| p.len)
-                    .max()
-                    .unwrap();
-                prop_assert!(dedup
-                    .iter()
-                    .any(|&(p, l)| p.contains(dst) && p.len == max_len && l == g));
-            }
-            other => prop_assert!(false, "mismatch {other:?}"),
-        }
+        prop_assert_eq!(info.route_for(dst), model.route_for(dst));
     }
 
-    /// The compiled FIB stays equivalent to the linear reference scan across
-    /// arbitrary interleavings of route replacement, route removal, and
-    /// address churn — the generation counter must invalidate the FIB on
-    /// every mutation kind, never just the first.
+    /// The incrementally edited FIB stays equivalent to a plain list model
+    /// across arbitrary interleavings of route installation, replacement,
+    /// removal, bulk retain and address churn: after every op, lookups,
+    /// `owns` and the route set itself all agree.
     #[test]
-    fn compiled_fib_tracks_linear_reference(
+    fn fib_tracks_list_model(
         ops in prop::collection::vec(arb_fib_op(), 1..40),
         probes in prop::collection::vec(clustered_addr(), 1..8),
     ) {
         let mut info = NodeInfo::new("fib");
+        let mut model = FibModel::default();
         for op in &ops {
-            match *op {
-                FibOp::Set(p, l) => info.set_route(p, l),
-                FibOp::Remove(p) => { info.remove_route(p); }
-                FibOp::AddAddr(a) => info.add_addr(a),
-                FibOp::RemoveAddr(a) => { info.remove_addr(a); }
-            }
-            // Query after *every* mutation: a stale FIB from a missed
-            // generation bump would surface here, not only at the end.
-            for &dst in probes.iter().chain(info.addrs().iter()) {
+            model.apply(&mut info, op);
+            prop_assert_eq!(
+                sorted_routes(info.routes()),
+                sorted_routes(model.routes.iter().copied()),
+                "route set diverged after {:?}",
+                op
+            );
+            prop_assert_eq!(info.addrs(), &model.addrs[..]);
+            // Route bases are the adversarial probes for LPM tie-breaking.
+            let bases = model.routes.iter().map(|&(p, _)| p.addr);
+            for dst in probes.iter().chain(&model.addrs).copied().chain(bases) {
                 prop_assert_eq!(
                     info.route_for(dst),
-                    info.route_for_linear(dst),
+                    model.route_for(dst),
                     "FIB diverged on {} after {:?}",
                     dst,
                     op
                 );
                 prop_assert_eq!(
                     info.owns(dst),
-                    info.addrs().contains(&dst),
+                    model.addrs.contains(&dst),
                     "owns() diverged on {}",
                     dst
                 );
-            }
-            // Route bases are the adversarial probes for LPM tie-breaking.
-            let bases: Vec<Addr> = info.routes().iter().map(|&(p, _)| p.addr).collect();
-            for dst in bases {
-                prop_assert_eq!(info.route_for(dst), info.route_for_linear(dst));
             }
         }
     }
 
     /// A default route is matched by every address, and a host route beats
-    /// it through the compiled FIB exactly as through the linear scan.
+    /// it.
     #[test]
     fn default_route_is_matched_through_fib(dst in arb_addr(), host in arb_addr()) {
         let mut info = NodeInfo::new("default");
@@ -153,11 +205,9 @@ proptest! {
         info.set_route(Prefix::new(host, 32), 2);
         let expect = if dst == host { Some(2) } else { Some(1) };
         prop_assert_eq!(info.route_for(dst), expect);
-        prop_assert_eq!(info.route_for(dst), info.route_for_linear(dst));
         info.remove_route(Prefix::DEFAULT);
         let expect = if dst == host { Some(2) } else { None };
         prop_assert_eq!(info.route_for(dst), expect);
-        prop_assert_eq!(info.route_for(dst), info.route_for_linear(dst));
     }
 
     /// Prefix contains() is consistent with mask arithmetic, and
