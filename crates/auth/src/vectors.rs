@@ -94,6 +94,11 @@ impl SubscriberDb {
         self.records.contains_key(&imsi)
     }
 
+    /// A subscriber's record, if provisioned.
+    pub fn record(&self, imsi: Imsi) -> Option<&SubscriberRecord> {
+        self.records.get(&imsi)
+    }
+
     pub fn len(&self) -> usize {
         self.records.len()
     }

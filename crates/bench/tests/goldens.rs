@@ -1,7 +1,9 @@
 //! The determinism contract, checked by `cargo test`: the committed goldens
-//! under `goldens/` come out of the runner unchanged at every `--jobs 1,2`
-//! × `--shards 1,2,4` combination. `meta` is cut to its deterministic
-//! per-reason `drops`, as in the files.
+//! under `goldens/` come out of the runner unchanged at every `--jobs` ×
+//! `--shards` combination each one lists. `all.json` holds every table at
+//! default params; the others pin parameter variants and the tables
+//! `benchmark/` reads. `meta` is cut to its deterministic per-reason
+//! `drops` (and, in `all.json`, `events_dispatched`), as in the files.
 //!
 //! One `#[test]` in its own binary: `--jobs` and `--shards` are process
 //! globals, so parallel tests in one process would race on them.
@@ -16,35 +18,60 @@ struct Golden {
     file: &'static str,
     targets: &'static [&'static str],
     params: Option<&'static str>,
-    /// jq filter that cuts `meta` to `drops` (a single table prints as one
-    /// object, several as an array).
+    /// jq filter that cuts `meta` (a single table prints as one object,
+    /// several as an array).
     jq: &'static str,
+    /// Whether the cut keeps `events_dispatched` beside `drops`.
+    events: bool,
+    /// The `(--jobs, --shards)` runs that must reproduce the file.
+    runs: &'static [(usize, usize)],
 }
 
-const GOLDENS: [Golden; 4] = [
+/// Every combination of `--jobs 1,2` × `--shards 1,2,4`.
+const ALL_RUNS: &[(usize, usize)] = &[(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)];
+
+const GOLDENS: [Golden; 5] = [
+    Golden {
+        file: "all.json",
+        targets: &["all"],
+        params: None,
+        jq: "map(.meta |= {drops, events_dispatched})",
+        events: true,
+        // The full suite is the slow one: every shard count at two workers,
+        // plus the serial single-engine run.
+        runs: &[(2, 1), (2, 2), (2, 4), (1, 1)],
+    },
     Golden {
         file: "e12.json",
         targets: &["e12"],
         params: None,
         jq: ".meta |= {drops: .drops}",
+        events: false,
+        runs: ALL_RUNS,
     },
     Golden {
         file: "e13_e14.json",
         targets: &["e13", "e14"],
         params: Some(r#"{"total_s": 10.0}"#),
         jq: "map(.meta |= {drops: .drops})",
+        events: false,
+        runs: ALL_RUNS,
     },
     Golden {
         file: "e17.json",
         targets: &["e17"],
         params: None,
         jq: ".meta |= {drops: .drops}",
+        events: false,
+        runs: ALL_RUNS,
     },
     Golden {
         file: "e18.json",
         targets: &["e18"],
         params: None,
         jq: ".meta |= {drops: .drops}",
+        events: false,
+        runs: ALL_RUNS,
     },
 ];
 
@@ -67,15 +94,15 @@ impl Golden {
             .join("../../goldens")
             .join(self.file);
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let tables = if self.targets.len() == 1 {
-            serde_json::from_str(&text).map(|t| vec![t])
-        } else {
+        let tables = if self.jq.starts_with("map") {
             serde_json::from_str(&text)
+        } else {
+            serde_json::from_str(&text).map(|t| vec![t])
         };
         tables
             .unwrap_or_else(|e| panic!("{path:?}: {e}"))
             .into_iter()
-            .map(drops_only)
+            .map(|t| self.cut(t))
             .collect()
     }
 
@@ -94,17 +121,19 @@ impl Golden {
         run(&inv)
             .unwrap_or_else(|e| panic!("{}: {e}", self.file))
             .into_iter()
-            .map(drops_only)
+            .map(|t| self.cut(t))
             .collect()
     }
-}
 
-fn drops_only(mut t: Table) -> Table {
-    t.meta = t.meta.map(|m| RunReport {
-        drops: m.drops,
-        ..RunReport::default()
-    });
-    t
+    /// Cut `meta` to the fields the file keeps.
+    fn cut(&self, mut t: Table) -> Table {
+        t.meta = t.meta.map(|m| RunReport {
+            drops: m.drops,
+            events_dispatched: if self.events { m.events_dispatched } else { 0 },
+            ..RunReport::default()
+        });
+        t
+    }
 }
 
 /// The first place two table lists differ, named by table, row and column.
@@ -156,17 +185,15 @@ fn first_difference(want: &[Table], got: &[Table]) -> Option<String> {
 fn goldens_hold_at_every_jobs_and_shards_count() {
     for golden in &GOLDENS {
         let expected = golden.expected();
-        for jobs in [1, 2] {
-            for shards in [1, 2, 4] {
-                let actual = golden.actual(jobs, shards);
-                if let Some(diff) = first_difference(&expected, &actual) {
-                    panic!(
-                        "goldens/{} differs at --jobs {jobs} --shards {shards}: {diff}\n\
-                         If the change is intended, regenerate with:\n  {}",
-                        golden.file,
-                        golden.regenerate()
-                    );
-                }
+        for &(jobs, shards) in golden.runs {
+            let actual = golden.actual(jobs, shards);
+            if let Some(diff) = first_difference(&expected, &actual) {
+                panic!(
+                    "goldens/{} differs at --jobs {jobs} --shards {shards}: {diff}\n\
+                     If the change is intended, regenerate with:\n  {}",
+                    golden.file,
+                    golden.regenerate()
+                );
             }
         }
     }

@@ -80,12 +80,6 @@ impl DlteApNode {
         }
     }
 
-    /// Enable backhaul failover over a mesh link.
-    pub fn with_failover(mut self, failover: BackhaulFailover) -> Self {
-        self.failover = Some(failover);
-        self
-    }
-
     /// Enable the X2 handover context fetch: on an attach from an unknown
     /// IMSI, ask fresh peers for the subscriber context before paying the
     /// wide-area directory round trip.

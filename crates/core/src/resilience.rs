@@ -21,10 +21,11 @@
 //!   link (the neighbor forwards as plain IP — local breakout composes).
 //! * **Reconvergence** of the infrastructure's routes toward the failed
 //!   AP's pool (the downlink direction) is the wide-area routing system's
-//!   job; [`FailureScript`] models it as scripted route updates after a
-//!   configurable convergence delay, the way IGP reconvergence would behave.
+//!   job; scenarios model it as [`dlte_net::NetFault::RouteSet`] faults
+//!   scheduled after a convergence delay, the way IGP reconvergence would
+//!   behave.
 
-use dlte_net::{Addr, LinkId, NetFault, NodeCtx, NodeHandler, Packet, Payload, Prefix};
+use dlte_net::{Addr, LinkId, NodeCtx, Packet, Payload, Prefix};
 use dlte_sim::{SimDuration, SimTime};
 
 /// Flow-id namespace for backhaul probes (disjoint from UE IMSIs, which
@@ -114,82 +115,32 @@ impl BackhaulFailover {
     }
 }
 
-/// A scripted sequence of infrastructure actions — the fault injector and
-/// the modeled routing reconvergence.
-pub struct FailureScript {
-    actions: Vec<(SimTime, Action)>,
-    fired: usize,
-}
-
-/// One scripted action.
-#[derive(Clone, Debug)]
-pub enum Action {
-    /// Kill or revive a link.
-    SetLink { link: LinkId, up: bool },
-    /// Install a route on a node (IGP reconvergence step).
-    SetRoute {
-        node: usize,
-        prefix: Prefix,
-        link: LinkId,
-    },
-    /// Inject a first-class network fault (crash, pause, link override,
-    /// partition) through the `dlte-net` fault layer. `SetLink` is kept as
-    /// a shorthand for the common case; everything richer goes here.
-    Fault(NetFault),
-}
-
-impl FailureScript {
-    /// Actions must be supplied in time order.
-    pub fn new(actions: Vec<(SimTime, Action)>) -> Self {
-        debug_assert!(actions.windows(2).all(|w| w[0].0 <= w[1].0));
-        FailureScript { actions, fired: 0 }
-    }
-
-    /// Number of actions executed so far.
-    pub fn fired(&self) -> usize {
-        self.fired
-    }
-}
-
-impl NodeHandler for FailureScript {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        for (i, &(when, _)) in self.actions.iter().enumerate() {
-            ctx.set_timer(when.saturating_since(ctx.now), i as u64);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        let Some((_, action)) = self.actions.get(tag as usize).cloned() else {
-            return;
-        };
-        self.fired += 1;
-        match action {
-            Action::SetLink { link, up } => ctx.set_link_up(link, up),
-            Action::SetRoute { node, prefix, link } => ctx.set_route_on(node, prefix, link),
-            Action::Fault(fault) => {
-                ctx.schedule_fault(SimDuration::ZERO, fault);
-            }
-        }
-    }
-
-    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _packet: Packet) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlte_net::handlers::{CbrSource, EchoServer};
-    // (EchoServer used by the probe tests below.)
-    use dlte_net::{in_flight_packets, LinkConfig, NetAudit, Network, NetworkBuilder};
+    use dlte_net::{
+        in_flight_packets, LinkConfig, NetAudit, NetEvent, NetFault, Network, NetworkBuilder,
+        NodeHandler,
+    };
+    use dlte_sim::Simulation;
 
-    fn audit(sim: &dlte_sim::Simulation<Network>) -> NetAudit {
+    fn audit(sim: &Simulation<Network>) -> NetAudit {
         sim.world().audit(in_flight_packets(sim.queue()))
     }
 
-    /// A failure script kills a link mid-flow and a scripted "IGP" reroutes
+    /// Schedule `faults` as ordinary events, in order (same-instant faults
+    /// apply in the order given).
+    fn schedule(sim: &mut Simulation<Network>, faults: Vec<(SimTime, NetFault)>) {
+        for (at, fault) in faults {
+            sim.queue_mut().schedule_at(at, NetEvent::Fault(fault));
+        }
+    }
+
+    /// A link dies mid-flow and a scheduled "IGP" route update reroutes
     /// around it; delivery resumes.
     #[test]
-    fn scripted_failure_and_reconvergence() {
+    fn scheduled_failure_and_reconvergence() {
         let mut b = NetworkBuilder::new(3);
         let dst_addr = Addr::new(10, 0, 0, 9);
         let src = b.host("src", Box::new(CbrSource::new(dst_addr, 1, 1e6, 500)));
@@ -207,25 +158,27 @@ mod tests {
         b.route(src, Prefix::new(dst_addr, 32), l_src_r1);
         b.route(r1, Prefix::new(dst_addr, 32), l_r1_dst);
         b.route(r2, Prefix::new(dst_addr, 32), l_r2_dst);
-        let script = FailureScript::new(vec![
-            (
-                SimTime::from_secs(2),
-                Action::SetLink {
-                    link: l_r1_dst,
-                    up: false,
-                },
-            ),
-            (
-                SimTime::from_millis(2_500),
-                Action::SetRoute {
-                    node: r1,
-                    prefix: Prefix::new(dst_addr, 32),
-                    link: l_r1_r2,
-                },
-            ),
-        ]);
-        let chaos = b.host("chaos", Box::new(script));
         let mut sim = b.build();
+        schedule(
+            &mut sim,
+            vec![
+                (
+                    SimTime::from_secs(2),
+                    NetFault::LinkUp {
+                        link: l_r1_dst,
+                        up: false,
+                    },
+                ),
+                (
+                    SimTime::from_millis(2_500),
+                    NetFault::RouteSet {
+                        node: r1,
+                        prefix: Prefix::new(dst_addr, 32),
+                        link: l_r1_r2,
+                    },
+                ),
+            ],
+        );
         sim.run_until(SimTime::from_secs(4), 1_000_000);
         // ~0.5 s of traffic died on the downed link, the rest arrived:
         // 250 pkts/s × (4 − 0.5) ≈ 875.
@@ -236,8 +189,9 @@ mod tests {
             (800..950).contains(&delivered),
             "delivered {delivered} (outage bounded by reconvergence)"
         );
-        let s = sim.world().handler_as::<FailureScript>(chaos).unwrap();
-        assert_eq!(s.fired(), 2);
+        let w = sim.world();
+        assert!(!w.core.links[l_r1_dst].up, "both faults applied");
+        assert_eq!(w.core.nodes[r1].route_for(dst_addr), Some(l_r1_r2));
     }
 
     /// The probe-based detector: no baseline → never fails over; silence
@@ -279,18 +233,18 @@ mod tests {
             fired_at: vec![],
         };
         b.set_handler(ap, Box::new(probe));
+        let mut sim = b.build();
         // Kill the uplink at 1.2 s (after a couple of successful probes).
-        b.set_handler(
-            other,
-            Box::new(FailureScript::new(vec![(
+        schedule(
+            &mut sim,
+            vec![(
                 SimTime::from_millis(1_200),
-                Action::SetLink {
+                NetFault::LinkUp {
                     link: uplink,
                     up: false,
                 },
-            )])),
+            )],
         );
-        let mut sim = b.build();
         sim.run_until(SimTime::from_secs(6), 100_000);
         let p = sim.world().handler_as::<Probe>(ap).unwrap();
         assert!(p.fo.has_connectivity_baseline(), "probes echoed first");
@@ -301,14 +255,10 @@ mod tests {
         assert!(p.fo.failed_over);
     }
 
-    /// A CBR source feeding a plain sink over one link, with a chaos node
-    /// driving the script. Returns (sim, chaos node, sink node) after
-    /// `secs` of run. Node ids are build order: src=0, dst=1, chaos=2;
-    /// the link is id 0.
-    fn chaos_rig(
-        script: FailureScript,
-        secs: u64,
-    ) -> (dlte_sim::Simulation<dlte_net::Network>, usize, usize) {
+    /// A CBR source feeding a plain sink over one link, with `faults`
+    /// scheduled. Returns (sim, sink node) after `secs` of run. Node ids are
+    /// build order: src=0, dst=1; the link is id 0.
+    fn fault_rig(faults: Vec<(SimTime, NetFault)>, secs: u64) -> (Simulation<Network>, usize) {
         let mut b = NetworkBuilder::new(5);
         let dst_addr = Addr::new(10, 0, 0, 9);
         let src = b.host("src", Box::new(CbrSource::new(dst_addr, 1, 1e6, 500)));
@@ -318,25 +268,25 @@ mod tests {
         b.addr(dst, dst_addr);
         let l = b.link(src, dst, LinkConfig::lan());
         b.route(src, Prefix::new(dst_addr, 32), l);
-        let chaos = b.host("chaos", Box::new(script));
         let mut sim = b.build();
+        schedule(&mut sim, faults);
         sim.run_until(SimTime::from_secs(secs), 1_000_000);
-        (sim, chaos, dst)
+        (sim, dst)
     }
 
-    /// Overlapping actions at the same instant fire in script order: a
+    /// Overlapping faults at the same instant apply in schedule order: a
     /// down+up pair scheduled for the same time nets out to "up" and the
     /// flow barely notices.
     #[test]
-    fn overlapping_actions_at_same_instant_apply_in_order() {
+    fn overlapping_faults_at_same_instant_apply_in_order() {
         let t = SimTime::from_secs(2);
-        let script = FailureScript::new(vec![
-            (t, Action::Fault(NetFault::LinkUp { link: 0, up: false })),
-            (t, Action::Fault(NetFault::LinkUp { link: 0, up: true })),
-        ]);
-        let (sim, chaos, _dst) = chaos_rig(script, 4);
-        let s = sim.world().handler_as::<FailureScript>(chaos).unwrap();
-        assert_eq!(s.fired(), 2, "both same-instant actions executed");
+        let (sim, _dst) = fault_rig(
+            vec![
+                (t, NetFault::LinkUp { link: 0, up: false }),
+                (t, NetFault::LinkUp { link: 0, up: true }),
+            ],
+            4,
+        );
         assert!(sim.world().core.links[0].up, "net effect: link up");
         let delivered = sim.world().trace().flow(1).unwrap().delivered_packets;
         // 250 pkt/s × 4 s, minus at most the instant of the flap.
@@ -346,15 +296,14 @@ mod tests {
     /// A fault scheduled at t = 0 applies before any traffic moves.
     #[test]
     fn fault_at_time_zero_applies_before_first_packet() {
-        let script = FailureScript::new(vec![(
-            SimTime::ZERO,
-            Action::Fault(NetFault::LinkUp { link: 0, up: false }),
-        )]);
-        let (sim, _chaos, _dst) = chaos_rig(script, 2);
+        let (sim, _dst) = fault_rig(
+            vec![(SimTime::ZERO, NetFault::LinkUp { link: 0, up: false })],
+            2,
+        );
         let t = sim.world().trace();
-        // The source's own t=0 packet is already in flight when the fault
-        // lands (start order) and in-flight traffic is never retracted;
-        // everything after is dropped at the dead link.
+        // The source's own t=0 packet may already be in flight when the
+        // fault lands (start order) and in-flight traffic is never
+        // retracted; everything after is dropped at the dead link.
         let delivered = t.flow(1).map(|f| f.delivered_packets).unwrap_or(0);
         assert!(delivered <= 1, "delivered {delivered} through a dead link");
         let drops = audit(&sim).drops_link_down;
@@ -365,22 +314,15 @@ mod tests {
     /// node goes down at the (later) crash and stays down.
     #[test]
     fn restart_before_crash_is_a_no_op() {
-        let script_for = |dst: usize| {
-            FailureScript::new(vec![
-                (
-                    SimTime::from_secs(1),
-                    Action::Fault(NetFault::NodeUp { node: dst }),
-                ),
-                (
-                    SimTime::from_secs(2),
-                    Action::Fault(NetFault::NodeDown { node: dst }),
-                ),
-            ])
-        };
-        let (sim, chaos, dst) = chaos_rig(script_for(1), 4);
-        assert_eq!(dst, 1);
-        let s = sim.world().handler_as::<FailureScript>(chaos).unwrap();
-        assert_eq!(s.fired(), 2);
+        let dst = 1;
+        let (sim, rig_dst) = fault_rig(
+            vec![
+                (SimTime::from_secs(1), NetFault::NodeUp { node: dst }),
+                (SimTime::from_secs(2), NetFault::NodeDown { node: dst }),
+            ],
+            4,
+        );
+        assert_eq!(rig_dst, dst);
         assert!(sim.world().node_is_down(dst), "crash held: still down");
         let drops = audit(&sim).drops_node_down;
         assert!(drops > 100, "drops {drops}");
@@ -392,18 +334,19 @@ mod tests {
         );
     }
 
-    /// Crash and restart at the same instant (script order): state is lost
-    /// but the node is immediately serviceable again.
+    /// Crash and restart at the same instant (schedule order): state is
+    /// lost but the node is immediately serviceable again.
     #[test]
     fn crash_and_restart_at_same_instant_recovers() {
         let t = SimTime::from_secs(2);
-        let script_for = |dst: usize| {
-            FailureScript::new(vec![
-                (t, Action::Fault(NetFault::NodeDown { node: dst })),
-                (t, Action::Fault(NetFault::NodeUp { node: dst })),
-            ])
-        };
-        let (sim, _chaos, dst) = chaos_rig(script_for(1), 4);
+        let dst = 1;
+        let (sim, _dst) = fault_rig(
+            vec![
+                (t, NetFault::NodeDown { node: dst }),
+                (t, NetFault::NodeUp { node: dst }),
+            ],
+            4,
+        );
         assert!(!sim.world().node_is_down(dst), "back up");
         let delivered = sim.world().trace().flow(1).unwrap().delivered_packets;
         assert!(delivered > 950, "delivered {delivered}");

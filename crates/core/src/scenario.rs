@@ -104,12 +104,6 @@ pub struct DlteNet {
     pub dir: Option<NodeId>,
     pub r_agg: NodeId,
     pub r_inet: NodeId,
-    /// A handler-less spare node: attach a
-    /// [`crate::resilience::FailureScript`] via [`ShardedSim::set_handler`]
-    /// before running. Scripted cross-node mutation is single-shard only —
-    /// sharded runs must inject faults with
-    /// [`ShardedSim::schedule_fault_broadcast`] instead.
-    pub chaos: NodeId,
     /// Backhaul link of each AP (fault-injection handle).
     pub ap_backhaul: Vec<dlte_net::LinkId>,
     /// Mesh link ring: `ap_mesh[k]` connects AP k to AP (k+1) % n (empty
@@ -324,7 +318,6 @@ impl DlteNetworkBuilder {
             dir: h.dir,
             r_agg: h.r_agg,
             r_inet: h.r_inet,
-            chaos: h.chaos,
             ap_backhaul: h.ap_backhaul,
             ap_mesh: h.ap_mesh,
         }
@@ -355,11 +348,12 @@ impl DlteNetworkBuilder {
             d
         };
 
-        // Core routers and services (plus a spare node the experiments can
-        // hang a fault-injection script on).
+        // Core routers and services. The spare "chaos" node has no handler
+        // and no links; it only holds its place in the id order every
+        // golden and trace was recorded with.
         let r_agg = b.node("r-agg");
         let r_inet = b.node("r-inet");
-        let chaos = b.node("chaos");
+        b.node("chaos");
         let l_agg_inet = b.link(r_agg, r_inet, LinkConfig::wan(self.inet_delay));
         let ott_echo = b.host("ott-echo", Box::new(EchoServer::new()));
         b.addr(ott_echo, Self::ott_addr());
@@ -522,7 +516,6 @@ impl DlteNetworkBuilder {
                 dir,
                 r_agg,
                 r_inet,
-                chaos,
                 ap_backhaul: ap_links,
                 ap_mesh,
             },
@@ -541,7 +534,6 @@ struct ReplicaHandles {
     dir: Option<NodeId>,
     r_agg: NodeId,
     r_inet: NodeId,
-    chaos: NodeId,
     ap_backhaul: Vec<dlte_net::LinkId>,
     ap_mesh: Vec<dlte_net::LinkId>,
 }

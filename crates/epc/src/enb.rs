@@ -84,10 +84,6 @@ impl EnbNode {
         self.radio.insert(imsi, (link, ue_ctrl));
     }
 
-    pub fn attached_ues(&self) -> usize {
-        self.contexts.len()
-    }
-
     fn relay_nas_downlink(&mut self, ctx: &mut NodeCtx<'_>, s1nas: S1Nas, size: u32) {
         let Some(&(link, ue_ctrl)) = self.radio.get(&s1nas.imsi) else {
             return; // UE not wired here

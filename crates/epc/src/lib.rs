@@ -14,12 +14,17 @@
 //! * The common actors: [`EnbNode`] (radio-side relay + GTP endpoint) and
 //!   [`UeNode`] (attach state machine + embedded application).
 //!
+//! [`MmeNode`] and [`LocalCoreNode`] run one and the same network-side
+//! EPS-AKA attach procedure (`attach.rs`, a sans-IO state machine); they
+//! differ only in where vectors come from and how a session is opened.
+//!
 //! Control-plane entities process messages through a [`proc::Processor`]
 //! with finite service rate, which is what makes the centralized core a
 //! measurable chokepoint (experiment E9) while per-AP stubs scale linearly.
 
 #![forbid(unsafe_code)]
 
+mod attach;
 pub mod audit;
 pub mod enb;
 pub mod hss;

@@ -7,16 +7,21 @@
 //! traffic leaves the AP as native IP — local breakout — so the AP owner
 //! keeps routing control, exactly as the paper prescribes.
 //!
-//! Keys come either from a pre-synchronized local directory copy or from a
-//! remote [`KeyDirectoryNode`] over the Internet (one extra RTT on first
-//! attach, then cached) — letting experiment E8 quantify the cost of
-//! keeping identity out of the access network.
+//! Attach and authentication are the very procedure the carrier MME runs
+//! (`attach.rs`); only its placement differs. The local core feeds it
+//! vectors minted from its own [`SubscriberDb`], the HSS's database type.
+//! Keys enter that database from a pre-synchronized local directory copy,
+//! from a remote [`KeyDirectoryNode`] over the Internet (one extra RTT on
+//! first attach, then cached) — letting experiment E8 quantify the cost of
+//! keeping identity out of the access network — or from a neighbour over X2
+//! ([`LocalCoreNode::install_record`]).
 
+use crate::attach::{self, Attach, Input, Output};
 use crate::messages::{wire, Nas, RejectCause, S1Nas, SnId};
 use crate::obs::{self, HarqTracer};
 use crate::proc::Processor;
 use dlte_auth::open::PublishedKeyDirectory;
-use dlte_auth::vectors::{generate_vector, AuthVector, SubscriberRecord};
+use dlte_auth::vectors::SubscriberDb;
 use dlte_auth::{Imsi, Key};
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::{Addr, AddrPool, LinkId, NodeCtx, NodeHandler, Packet, Payload, Prefix};
@@ -69,18 +74,6 @@ pub struct SessionSpan {
     pub end_ns: Option<u64>,
 }
 
-#[derive(Clone, Debug)]
-enum AttachPhase {
-    AwaitKey {
-        started: SimTime,
-    },
-    AwaitAuth {
-        started: SimTime,
-        vector: AuthVector,
-        resyncs: u8,
-    },
-}
-
 /// The dLTE AP's local core.
 pub struct LocalCoreNode {
     pub sn_id: SnId,
@@ -88,9 +81,10 @@ pub struct LocalCoreNode {
     keys: KeySource,
     /// Radio wiring, as in [`crate::EnbNode`].
     radio: FxHashMap<Imsi, (LinkId, Addr)>,
-    /// Cached subscriber records (from either key source).
-    records: FxHashMap<Imsi, SubscriberRecord>,
-    attaching: FxHashMap<Imsi, AttachPhase>,
+    /// Cached subscriber records (from either key source, or transferred
+    /// over X2).
+    db: SubscriberDb,
+    attaching: FxHashMap<Imsi, Attach>,
     sessions: FxHashMap<Imsi, Addr>,
     by_ue_addr: FxHashMap<Addr, Imsi>,
     /// Chronological log of served intervals (see [`SessionSpan`]).
@@ -118,7 +112,7 @@ impl LocalCoreNode {
             pool,
             keys,
             radio: FxHashMap::default(),
-            records: FxHashMap::default(),
+            db: SubscriberDb::new(),
             attaching: FxHashMap::default(),
             sessions: FxHashMap::default(),
             by_ue_addr: FxHashMap::default(),
@@ -147,24 +141,23 @@ impl LocalCoreNode {
 
     /// Is the subscriber's key already cached at this core?
     pub fn has_record(&self, imsi: Imsi) -> bool {
-        self.records.contains_key(&imsi)
+        self.db.contains(imsi)
     }
 
     /// Export the cached subscriber key and SQN (for X2 context transfer to
     /// a neighboring AP).
     pub fn subscriber_record(&self, imsi: Imsi) -> Option<(Key, u64)> {
-        self.records.get(&imsi).map(|r| (r.k, r.sqn))
+        self.db.record(imsi).map(|r| (r.k, r.sqn))
     }
 
     /// Install a subscriber record obtained out-of-band (X2 context fetch
     /// from a neighbor). SQNs max-merge so a transferred context never
     /// regresses the counter and forces a resync cycle.
     pub fn install_record(&mut self, imsi: Imsi, k: Key, sqn: u64) {
-        let rec = self
-            .records
-            .entry(imsi)
-            .or_insert(SubscriberRecord { imsi, k, sqn });
-        rec.sqn = rec.sqn.max(sqn);
+        if !self.db.contains(imsi) {
+            self.db.provision(imsi, k);
+        }
+        self.db.resync(imsi, sqn);
     }
 
     fn open_session_span(&mut self, imsi: Imsi, now: SimTime) {
@@ -231,166 +224,131 @@ impl LocalCoreNode {
         ctx.forward_via(link, p);
     }
 
-    fn challenge(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, started: SimTime, resyncs: u8) {
-        let Some(record) = self.records.get_mut(&imsi) else {
-            return;
-        };
-        let vector = generate_vector(record, self.sn_id, &mut self.rng);
-        obs::aka(ctx, AkaStep::Challenge, imsi);
-        self.attaching.insert(
-            imsi,
-            AttachPhase::AwaitAuth {
-                started,
-                vector,
-                resyncs,
-            },
-        );
-        self.nas_down(
-            ctx,
-            imsi,
-            Nas::AuthenticationRequest {
-                rand: vector.rand,
-                autn: vector.autn,
-                sn_id: self.sn_id,
-            },
-            wire::AUTH_REQUEST,
-        );
+    /// Step `imsi`'s attach and carry out what it asks for.
+    fn drive(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, input: Input) {
+        let (next, outputs) = attach::step(self.attaching.remove(&imsi), input);
+        if let Some(attach) = next {
+            self.attaching.insert(imsi, attach);
+        }
+        for out in outputs {
+            match out {
+                Output::Trace(t) => obs::emit(ctx, t.event(imsi)),
+                Output::RequestVector { resync_sqn } => self.request_vector(ctx, imsi, resync_sqn),
+                Output::Challenge(v) => {
+                    let (rand, autn, sn_id) = (v.rand, v.autn, self.sn_id);
+                    let nas = Nas::AuthenticationRequest { rand, autn, sn_id };
+                    self.nas_down(ctx, imsi, nas, wire::AUTH_REQUEST);
+                }
+                Output::Authenticated { started } => self.open_session(ctx, imsi, started),
+                Output::Reject(cause) => {
+                    self.stats.attaches_rejected += 1;
+                    let nas = Nas::AttachReject { imsi, cause };
+                    self.nas_down(ctx, imsi, nas, wire::ATTACH_REJECT);
+                }
+                // Vectors are minted here, so no request is ever guarded.
+                Output::Abandon => {}
+            }
+        }
     }
 
-    fn reject(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, cause: RejectCause) {
-        self.stats.attaches_rejected += 1;
-        self.attaching.remove(&imsi);
-        obs::aka(ctx, AkaStep::Failure, imsi);
-        obs::nas_end(ctx, NasProc::Auth, imsi, false);
-        obs::nas_end(ctx, NasProc::Attach, imsi, false);
+    /// Mint the next vector from the cached record, fetching the key first
+    /// on first sight of the subscriber (a remote directory answers later).
+    fn request_vector(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, resync_sqn: Option<u64>) {
+        if let Some(sqn) = resync_sqn {
+            self.stats.auth_resyncs += 1;
+            self.db.resync(imsi, sqn);
+        } else if !self.db.contains(imsi) {
+            self.stats.directory_queries += 1;
+            match &mut self.keys {
+                KeySource::Local(dir) => {
+                    let key = dir.lookup(imsi);
+                    self.on_key(ctx, imsi, key);
+                }
+                KeySource::Remote { addr } => {
+                    let query = DirMsg::Query {
+                        imsi,
+                        reply_to: ctx.my_addr(),
+                    };
+                    let q = ctx.make_packet(*addr, DIR_MSG_BYTES);
+                    self.proc
+                        .process_one(ctx, q.with_payload(Payload::control(query)));
+                }
+            }
+            return;
+        }
+        let vector = self.db.vector_for(imsi, self.sn_id, &mut self.rng);
+        self.drive(ctx, imsi, Input::Vector(vector));
+    }
+
+    /// A directory answered for `imsi`: cache the key and challenge, or
+    /// reject an unknown subscriber.
+    fn on_key(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, key: Option<Key>) {
+        let vector = key.and_then(|k| {
+            self.db.provision(imsi, k);
+            self.db.vector_for(imsi, self.sn_id, &mut self.rng)
+        });
+        self.drive(ctx, imsi, Input::Vector(vector));
+    }
+
+    /// RES matched: assign an address, route it down the radio link and
+    /// accept the UE. The pool was checked before the RES was fed in.
+    fn open_session(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, started: SimTime) {
+        let ue_addr = self
+            .pool
+            .alloc()
+            .expect("attach admitted with a free address");
+        // Release any prior session of this IMSI (re-attach).
+        if let Some(old) = self.sessions.insert(imsi, ue_addr) {
+            self.by_ue_addr.remove(&old);
+            ctx.node_info_mut().remove_route(Prefix::new(old, 32));
+            self.pool.release(old);
+        }
+        self.by_ue_addr.insert(ue_addr, imsi);
+        if let Some(&(link, _)) = self.radio.get(&imsi) {
+            ctx.node_info_mut()
+                .set_route(Prefix::new(ue_addr, 32), link);
+        }
+        self.open_session_span(imsi, ctx.now);
+        self.stats.attaches_completed += 1;
+        self.stats
+            .attach_latency_ms
+            .push_duration_ms(ctx.now.saturating_since(started));
+        obs::aka(ctx, AkaStep::Response, imsi);
+        obs::nas_end(ctx, NasProc::Auth, imsi, true);
+        obs::nas_end(ctx, NasProc::Attach, imsi, true);
         self.nas_down(
             ctx,
             imsi,
-            Nas::AttachReject { imsi, cause },
-            wire::ATTACH_REJECT,
+            Nas::AttachAccept { ue_addr },
+            wire::ATTACH_ACCEPT,
         );
     }
 
     fn handle_nas(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, nas: Nas) {
-        match nas {
+        let input = match nas {
+            // dLTE has no path switch: a service request from a roaming UE
+            // is just an attach.
             Nas::AttachRequest { .. } | Nas::ServiceRequest { .. } => {
-                // dLTE has no path switch: a service request from a roaming
-                // UE is just an attach.
                 self.stats.attach_requests += 1;
-                obs::nas_start(ctx, NasProc::Attach, imsi);
-                obs::nas_start(ctx, NasProc::Auth, imsi);
-                let started = ctx.now;
-                if self.records.contains_key(&imsi) {
-                    self.challenge(ctx, imsi, started, 0);
-                    return;
-                }
-                match &mut self.keys {
-                    KeySource::Local(dir) => {
-                        self.stats.directory_queries += 1;
-                        match dir.record_for(imsi) {
-                            Some(rec) => {
-                                self.records.insert(imsi, rec);
-                                self.challenge(ctx, imsi, started, 0);
-                            }
-                            None => self.reject(ctx, imsi, RejectCause::UnknownSubscriber),
-                        }
-                    }
-                    KeySource::Remote { addr } => {
-                        self.stats.directory_queries += 1;
-                        let dir_addr = *addr;
-                        self.attaching
-                            .insert(imsi, AttachPhase::AwaitKey { started });
-                        let my_addr = ctx.my_addr();
-                        let q = ctx.make_packet(dir_addr, DIR_MSG_BYTES).with_payload(
-                            Payload::control(DirMsg::Query {
-                                imsi,
-                                reply_to: my_addr,
-                            }),
-                        );
-                        self.proc.process_one(ctx, q);
-                    }
-                }
+                Input::Start { at: ctx.now }
             }
-            Nas::AuthenticationResponse { res, .. } => {
-                let Some(AttachPhase::AwaitAuth {
-                    started, vector, ..
-                }) = self.attaching.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                if res != vector.xres {
-                    self.reject(ctx, imsi, RejectCause::AuthenticationFailed);
-                    return;
-                }
-                let Some(ue_addr) = self.pool.alloc() else {
-                    self.reject(ctx, imsi, RejectCause::NoResources);
-                    return;
-                };
-                self.attaching.remove(&imsi);
-                // Release any prior session of this IMSI (re-attach).
-                if let Some(old) = self.sessions.insert(imsi, ue_addr) {
-                    self.by_ue_addr.remove(&old);
-                    ctx.node_info_mut().remove_route(Prefix::new(old, 32));
-                    self.pool.release(old);
-                }
-                self.by_ue_addr.insert(ue_addr, imsi);
-                if let Some(&(link, _)) = self.radio.get(&imsi) {
-                    ctx.node_info_mut()
-                        .set_route(Prefix::new(ue_addr, 32), link);
-                }
-                self.open_session_span(imsi, ctx.now);
-                self.stats.attaches_completed += 1;
-                self.stats
-                    .attach_latency_ms
-                    .push_duration_ms(ctx.now.saturating_since(started));
-                obs::aka(ctx, AkaStep::Response, imsi);
-                obs::nas_end(ctx, NasProc::Auth, imsi, true);
-                obs::nas_end(ctx, NasProc::Attach, imsi, true);
-                self.nas_down(
-                    ctx,
-                    imsi,
-                    Nas::AttachAccept { ue_addr },
-                    wire::ATTACH_ACCEPT,
-                );
-            }
-            Nas::AuthenticationFailure { ue_sqn, .. } => {
-                let Some(AttachPhase::AwaitAuth {
-                    started, resyncs, ..
-                }) = self.attaching.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                match ue_sqn {
-                    Some(sqn) if resyncs == 0 => {
-                        self.stats.auth_resyncs += 1;
-                        obs::aka(ctx, AkaStep::Resync, imsi);
-                        if let Some(rec) = self.records.get_mut(&imsi) {
-                            rec.sqn = rec.sqn.max(sqn);
-                        }
-                        self.challenge(ctx, imsi, started, resyncs + 1);
-                    }
-                    _ => self.reject(ctx, imsi, RejectCause::AuthenticationFailed),
-                }
-            }
-            Nas::DetachRequest { .. } => self.release_session(ctx, imsi),
-            _ => {}
-        }
+            Nas::AuthenticationResponse { res, .. } => Input::Response {
+                res,
+                refuse: (self.pool.remaining() == 0).then_some(RejectCause::NoResources),
+            },
+            Nas::AuthenticationFailure { ue_sqn, .. } => Input::Failure { ue_sqn },
+            Nas::DetachRequest { .. } => return self.release_session(ctx, imsi),
+            _ => return,
+        };
+        self.drive(ctx, imsi, input);
     }
 
     fn handle_dir(&mut self, ctx: &mut NodeCtx<'_>, msg: DirMsg) {
         let DirMsg::Answer { imsi, key } = msg else {
             return;
         };
-        let Some(AttachPhase::AwaitKey { started }) = self.attaching.get(&imsi).cloned() else {
-            return;
-        };
-        match key {
-            Some(k) => {
-                self.records
-                    .insert(imsi, SubscriberRecord { imsi, k, sqn: 0 });
-                self.challenge(ctx, imsi, started, 0);
-            }
-            None => self.reject(ctx, imsi, RejectCause::UnknownSubscriber),
+        if self.attaching.get(&imsi).is_some_and(Attach::awaits_vector) {
+            self.on_key(ctx, imsi, key);
         }
     }
 }

@@ -1,15 +1,16 @@
 //! The Mobility Management Entity.
 //!
-//! Runs the attach state machine for every UE in the network: NAS attach →
-//! S6a vector fetch (with SQN resync when needed) → EPS-AKA verification →
-//! S11 session creation → S1AP context setup; plus S1 path-switch handover
-//! and detach. This is the component the paper calls out as the chokepoint:
-//! every control event of every UE in a centralized network serializes here.
+//! Drives the shared EPS-AKA attach machine (`attach.rs`) for every UE
+//! in the network, fetching its vectors from the HSS over S6a and guarding
+//! the one resync retry with a timer; then S11 session creation → S1AP
+//! context setup, S1 path-switch handover and detach. This is the component
+//! the paper calls out as the chokepoint: every control event of every UE in
+//! a centralized network serializes here.
 
-use crate::messages::{wire, Gtpc, Nas, RejectCause, S1Nas, S1ap, S6a, SnId, Teid};
+use crate::attach::{self, Attach, Input, Output};
+use crate::messages::{wire, Gtpc, Nas, S1Nas, S1ap, S6a, SnId, Teid};
 use crate::obs;
 use crate::proc::Processor;
-use dlte_auth::vectors::AuthVector;
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::gtp::{GtpEcho, PathEvent, PathMonitor, GTP_ECHO_BYTES};
@@ -17,6 +18,7 @@ use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
 use dlte_obs::{AkaStep, Event, NasProc};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
+use std::any::Any;
 
 /// Timer tag for the S-GW path-management tick (disjoint from the
 /// processor's tags, which grow upward from 0).
@@ -28,19 +30,10 @@ const TAG_RESYNC_BASE: u64 = 9_200_000;
 const RESYNC_GUARD: SimDuration = SimDuration::from_secs(3);
 
 /// Per-UE control state at the MME.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum UeCtx {
-    AwaitVector {
-        via_enb: Addr,
-        started: SimTime,
-        resyncs: u8,
-    },
-    AwaitAuthResponse {
-        via_enb: Addr,
-        started: SimTime,
-        vector: AuthVector,
-        resyncs: u8,
-    },
+    /// The shared EPS-AKA attach machine is running.
+    Authenticating { via_enb: Addr, attach: Attach },
     AwaitSession {
         via_enb: Addr,
         started: SimTime,
@@ -57,7 +50,6 @@ enum UeCtx {
     },
     /// Path switch in progress: waiting for the S-GW to move the bearer.
     Switching {
-        old_enb: Addr,
         new_enb: Addr,
         ue_addr: Addr,
         teid_dl: Teid,
@@ -147,11 +139,6 @@ impl MmeNode {
         self.path_mgmt = Some(PathMonitor::new(self.sgw_addr, interval, max_misses));
     }
 
-    /// Whether the S-GW path is currently considered dead.
-    pub fn sgw_path_dead(&self) -> bool {
-        self.path_mgmt.as_ref().is_some_and(|m| m.is_dead())
-    }
-
     fn alloc_teid(&mut self) -> Teid {
         let t = self.next_teid;
         self.next_teid += 1;
@@ -193,62 +180,73 @@ impl MmeNode {
         crate::audit::MmeAudit { ues, transient }
     }
 
-    /// The address currently assigned to `imsi`, if attached (diagnostics).
-    pub fn addr_of(&self, imsi: Imsi) -> Option<Addr> {
-        match self.contexts.get(&imsi) {
-            Some(UeCtx::Active { ue_addr, .. }) => Some(*ue_addr),
-            Some(UeCtx::Switching {
-                ue_addr, old_enb, ..
-            }) => {
-                let _ = old_enb;
-                Some(*ue_addr)
-            }
-            _ => None,
-        }
+    /// A control packet of `size` bytes carrying `msg` to `dst`.
+    fn control(ctx: &mut NodeCtx<'_>, dst: Addr, size: u32, msg: impl Any + Send + Sync) -> Packet {
+        ctx.make_packet(dst, size)
+            .with_payload(Payload::control(msg))
     }
 
-    fn nas_to_enb(ctx: &mut NodeCtx<'_>, enb: Addr, imsi: Imsi, nas: Nas, size: u32) -> Packet {
-        ctx.make_packet(enb, size)
-            .with_payload(Payload::control(S1Nas { imsi, nas }))
+    /// Queue one control message to `dst` through the processor.
+    fn send(&mut self, ctx: &mut NodeCtx<'_>, dst: Addr, size: u32, msg: impl Any + Send + Sync) {
+        let p = Self::control(ctx, dst, size, msg);
+        self.proc.process_one(ctx, p);
     }
 
-    fn handle_nas(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, nas: Nas, from: Addr) {
-        match nas {
-            Nas::AttachRequest { via_enb, .. } => {
-                self.stats.attach_requests += 1;
-                obs::nas_start(ctx, NasProc::Attach, imsi);
-                obs::nas_start(ctx, NasProc::Auth, imsi);
-                obs::aka(ctx, AkaStep::VectorRequest, imsi);
-                // (Re-)start the state machine; a duplicate attach replaces
-                // any stale context.
-                self.contexts.insert(
-                    imsi,
-                    UeCtx::AwaitVector {
-                        via_enb,
-                        started: ctx.now,
-                        resyncs: 0,
-                    },
-                );
-                let req = ctx
-                    .make_packet(self.hss_addr, wire::S6A_REQUEST)
-                    .with_payload(Payload::control(S6a::AuthInfoRequest {
+    /// The post-failure detach order for `imsi` at `enb`: release the eNB
+    /// context and tell the UE to re-attach.
+    fn detach_order(ctx: &mut NodeCtx<'_>, enb: Addr, imsi: Imsi) -> [Packet; 2] {
+        let (release, nas) = (S1ap::UeContextRelease { imsi }, Nas::NetworkDetach { imsi });
+        [
+            Self::control(ctx, enb, wire::S1AP_RELEASE, release),
+            Self::control(ctx, enb, wire::NETWORK_DETACH, S1Nas { imsi, nas }),
+        ]
+    }
+
+    /// Step `imsi`'s attach and carry out what it asks for.
+    fn drive(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        imsi: Imsi,
+        via_enb: Addr,
+        state: Option<Attach>,
+        input: Input,
+    ) {
+        let (next, outputs) = attach::step(state, input);
+        match next {
+            Some(attach) => self
+                .contexts
+                .insert(imsi, UeCtx::Authenticating { via_enb, attach }),
+            None => self.contexts.remove(&imsi),
+        };
+        for out in outputs {
+            match out {
+                Output::Trace(t) => obs::emit(ctx, t.event(imsi)),
+                Output::RequestVector { resync_sqn } => {
+                    if resync_sqn.is_some() {
+                        // Guard the retry: if the HSS answer is lost the
+                        // context is dropped instead of hanging the attach.
+                        self.stats.auth_resyncs += 1;
+                        let epoch = self.next_resync_epoch;
+                        self.next_resync_epoch += 1;
+                        self.resync_watch.insert(epoch, imsi);
+                        ctx.set_timer(RESYNC_GUARD, TAG_RESYNC_BASE + epoch);
+                    } else {
+                        obs::aka(ctx, AkaStep::VectorRequest, imsi);
+                    }
+                    let sn_id = self.sn_id;
+                    let req = S6a::AuthInfoRequest {
                         imsi,
-                        sn_id: self.sn_id,
-                        resync_sqn: None,
-                    }));
-                self.proc.process_one(ctx, req);
-            }
-            Nas::AuthenticationResponse { res, .. } => {
-                let Some(UeCtx::AwaitAuthResponse {
-                    via_enb,
-                    started,
-                    vector,
-                    ..
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return; // stray or late response
-                };
-                if res == vector.xres {
+                        sn_id,
+                        resync_sqn,
+                    };
+                    self.send(ctx, self.hss_addr, wire::S6A_REQUEST, req);
+                }
+                Output::Challenge(v) => {
+                    let (rand, autn, sn_id) = (v.rand, v.autn, self.sn_id);
+                    let nas = Nas::AuthenticationRequest { rand, autn, sn_id };
+                    self.send(ctx, via_enb, wire::AUTH_REQUEST, S1Nas { imsi, nas });
+                }
+                Output::Authenticated { started } => {
                     obs::nas_end(ctx, NasProc::Auth, imsi, true);
                     obs::nas_start(ctx, NasProc::Session, imsi);
                     let teid_dl = self.alloc_teid();
@@ -260,111 +258,58 @@ impl MmeNode {
                             teid_dl,
                         },
                     );
-                    let req =
-                        ctx.make_packet(self.sgw_addr, wire::GTPC)
-                            .with_payload(Payload::control(Gtpc::CreateSessionRequest {
-                                imsi,
-                                enb_addr: via_enb,
-                                teid_dl_enb: teid_dl,
-                            }));
-                    self.proc.process_one(ctx, req);
-                } else {
-                    self.stats.attaches_rejected += 1;
-                    self.contexts.remove(&imsi);
-                    obs::aka(ctx, AkaStep::Failure, imsi);
-                    obs::nas_end(ctx, NasProc::Auth, imsi, false);
-                    obs::nas_end(ctx, NasProc::Attach, imsi, false);
-                    let rej = Self::nas_to_enb(
-                        ctx,
-                        via_enb,
+                    let req = Gtpc::CreateSessionRequest {
                         imsi,
-                        Nas::AttachReject {
-                            imsi,
-                            cause: RejectCause::AuthenticationFailed,
-                        },
-                        wire::ATTACH_REJECT,
-                    );
-                    self.proc.process_one(ctx, rej);
+                        enb_addr: via_enb,
+                        teid_dl_enb: teid_dl,
+                    };
+                    self.send(ctx, self.sgw_addr, wire::GTPC, req);
                 }
+                Output::Reject(cause) => {
+                    self.stats.attaches_rejected += 1;
+                    let nas = Nas::AttachReject { imsi, cause };
+                    self.send(ctx, via_enb, wire::ATTACH_REJECT, S1Nas { imsi, nas });
+                }
+                Output::Abandon => self.stats.resync_timeouts += 1,
+            }
+        }
+    }
+
+    /// Feed `input` to `imsi`'s attach, if one is in progress.
+    fn feed(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, input: Input) {
+        if let Some(UeCtx::Authenticating { via_enb, attach }) = self.contexts.get(&imsi).copied() {
+            self.drive(ctx, imsi, via_enb, Some(attach), input);
+        }
+    }
+
+    fn handle_nas(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, nas: Nas) {
+        match nas {
+            Nas::AttachRequest { via_enb, .. } => {
+                self.stats.attach_requests += 1;
+                // A duplicate attach replaces any stale context.
+                self.drive(ctx, imsi, via_enb, None, Input::Start { at: ctx.now });
+            }
+            Nas::AuthenticationResponse { res, .. } => {
+                self.feed(ctx, imsi, Input::Response { res, refuse: None });
             }
             Nas::AuthenticationFailure { ue_sqn, .. } => {
-                let Some(UeCtx::AwaitAuthResponse {
-                    via_enb,
-                    started,
-                    resyncs,
-                    ..
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                match ue_sqn {
-                    Some(sqn) if resyncs == 0 => {
-                        // Resynchronize at the HSS and retry once. The
-                        // retry is guarded by a timer: if the HSS answer is
-                        // lost the context is dropped instead of hanging
-                        // the attach forever.
-                        self.stats.auth_resyncs += 1;
-                        obs::aka(ctx, AkaStep::Resync, imsi);
-                        self.contexts.insert(
-                            imsi,
-                            UeCtx::AwaitVector {
-                                via_enb,
-                                started,
-                                resyncs: resyncs + 1,
-                            },
-                        );
-                        let epoch = self.next_resync_epoch;
-                        self.next_resync_epoch += 1;
-                        self.resync_watch.insert(epoch, imsi);
-                        ctx.set_timer(RESYNC_GUARD, TAG_RESYNC_BASE + epoch);
-                        let req = ctx
-                            .make_packet(self.hss_addr, wire::S6A_REQUEST)
-                            .with_payload(Payload::control(S6a::AuthInfoRequest {
-                                imsi,
-                                sn_id: self.sn_id,
-                                resync_sqn: Some(sqn),
-                            }));
-                        self.proc.process_one(ctx, req);
-                    }
-                    _ => {
-                        self.stats.attaches_rejected += 1;
-                        self.contexts.remove(&imsi);
-                        obs::aka(ctx, AkaStep::Failure, imsi);
-                        obs::nas_end(ctx, NasProc::Auth, imsi, false);
-                        obs::nas_end(ctx, NasProc::Attach, imsi, false);
-                        let rej = Self::nas_to_enb(
-                            ctx,
-                            via_enb,
-                            imsi,
-                            Nas::AttachReject {
-                                imsi,
-                                cause: RejectCause::AuthenticationFailed,
-                            },
-                            wire::ATTACH_REJECT,
-                        );
-                        self.proc.process_one(ctx, rej);
-                    }
-                }
+                self.feed(ctx, imsi, Input::Failure { ue_sqn });
             }
             Nas::DetachRequest { .. } => {
                 if let Some(UeCtx::Active { via_enb, .. }) = self.contexts.remove(&imsi) {
                     obs::nas_start(ctx, NasProc::Detach, imsi);
                     obs::nas_end(ctx, NasProc::Detach, imsi, true);
-                    let del = ctx
-                        .make_packet(self.sgw_addr, wire::GTPC)
-                        .with_payload(Payload::control(Gtpc::DeleteSessionRequest { imsi }));
-                    let rel = ctx
-                        .make_packet(via_enb, wire::S1AP_CONTEXT)
-                        .with_payload(Payload::control(S1ap::UeContextRelease { imsi }));
+                    let del = Gtpc::DeleteSessionRequest { imsi };
+                    let del = Self::control(ctx, self.sgw_addr, wire::GTPC, del);
+                    let rel = S1ap::UeContextRelease { imsi };
+                    let rel = Self::control(ctx, via_enb, wire::S1AP_CONTEXT, rel);
                     self.proc.process(ctx, vec![del, rel]);
                 }
             }
             // ServiceRequest is converted to PathSwitchRequest by the eNB;
             // the MME never sees it as NAS. Downlink NAS types are not
             // expected here.
-            _ => {
-                let _ = from;
-            }
+            _ => {}
         }
     }
 
@@ -372,63 +317,21 @@ impl MmeNode {
         let S6a::AuthInfoAnswer { imsi, vector } = msg else {
             return;
         };
-        let Some(UeCtx::AwaitVector {
-            via_enb,
-            started,
-            resyncs,
-        }) = self.contexts.get(&imsi).cloned()
+        let Some(UeCtx::Authenticating { via_enb, attach }) = self.contexts.get(&imsi).copied()
         else {
             return;
         };
-        if resyncs > 0 {
+        if !attach.awaits_vector() {
+            return;
+        }
+        if attach.awaits_resync() {
             // The guarded resync answer arrived; disarm its watchdog.
             self.resync_watch.retain(|_, i| *i != imsi);
         }
-        match vector {
-            Some(v) => {
-                obs::aka(ctx, AkaStep::VectorIssued, imsi);
-                obs::aka(ctx, AkaStep::Challenge, imsi);
-                self.contexts.insert(
-                    imsi,
-                    UeCtx::AwaitAuthResponse {
-                        via_enb,
-                        started,
-                        vector: v,
-                        resyncs,
-                    },
-                );
-                let auth = Self::nas_to_enb(
-                    ctx,
-                    via_enb,
-                    imsi,
-                    Nas::AuthenticationRequest {
-                        rand: v.rand,
-                        autn: v.autn,
-                        sn_id: self.sn_id,
-                    },
-                    wire::AUTH_REQUEST,
-                );
-                self.proc.process_one(ctx, auth);
-            }
-            None => {
-                self.stats.attaches_rejected += 1;
-                self.contexts.remove(&imsi);
-                obs::aka(ctx, AkaStep::Failure, imsi);
-                obs::nas_end(ctx, NasProc::Auth, imsi, false);
-                obs::nas_end(ctx, NasProc::Attach, imsi, false);
-                let rej = Self::nas_to_enb(
-                    ctx,
-                    via_enb,
-                    imsi,
-                    Nas::AttachReject {
-                        imsi,
-                        cause: RejectCause::UnknownSubscriber,
-                    },
-                    wire::ATTACH_REJECT,
-                );
-                self.proc.process_one(ctx, rej);
-            }
+        if vector.is_some() {
+            obs::aka(ctx, AkaStep::VectorIssued, imsi);
         }
+        self.drive(ctx, imsi, via_enb, Some(attach), Input::Vector(vector));
     }
 
     fn handle_gtpc(&mut self, ctx: &mut NodeCtx<'_>, msg: Gtpc) {
@@ -436,8 +339,8 @@ impl MmeNode {
             Gtpc::CreateSessionResponse {
                 imsi,
                 ue_addr,
-                sgw_addr,
                 teid_ul_sgw,
+                ..
             } => {
                 let Some(UeCtx::AwaitSession {
                     via_enb,
@@ -447,7 +350,6 @@ impl MmeNode {
                 else {
                     return;
                 };
-                let _ = sgw_addr;
                 self.contexts.insert(
                     imsi,
                     UeCtx::Active {
@@ -474,13 +376,8 @@ impl MmeNode {
                             teid_ul: teid_ul_sgw,
                             teid_dl,
                         }));
-                let accept = Self::nas_to_enb(
-                    ctx,
-                    via_enb,
-                    imsi,
-                    Nas::AttachAccept { ue_addr },
-                    wire::ATTACH_ACCEPT,
-                );
+                let nas = Nas::AttachAccept { ue_addr };
+                let accept = Self::control(ctx, via_enb, wire::ATTACH_ACCEPT, S1Nas { imsi, nas });
                 self.proc.process(ctx, vec![setup, accept]);
             }
             Gtpc::DownlinkDataNotification { imsi } => {
@@ -495,10 +392,7 @@ impl MmeNode {
                 // Single-tracking-area simplification: page the last
                 // serving eNB (a multi-eNB TA would fan this out).
                 self.stats.pages_sent += 1;
-                let page = ctx
-                    .make_packet(via_enb, wire::PAGING)
-                    .with_payload(Payload::control(S1ap::Paging { imsi }));
-                self.proc.process_one(ctx, page);
+                self.send(ctx, via_enb, wire::PAGING, S1ap::Paging { imsi });
             }
             Gtpc::ModifyBearerResponse { imsi } => {
                 let Some(UeCtx::Switching {
@@ -527,36 +421,13 @@ impl MmeNode {
                     .switch_latency_ms
                     .push_duration_ms(ctx.now.saturating_since(started));
                 obs::nas_end(ctx, NasProc::Handover, imsi, true);
-                let _ = (ue_addr, teid_dl, teid_ul_sgw);
-                let ack = ctx
-                    .make_packet(new_enb, wire::S1AP_PATH_SWITCH)
-                    .with_payload(Payload::control(S1ap::PathSwitchAck { imsi }));
-                let accept = Self::nas_to_enb(
-                    ctx,
-                    new_enb,
-                    imsi,
-                    Nas::ServiceAccept { imsi },
-                    wire::S1AP_PATH_SWITCH,
-                );
+                let size = wire::S1AP_PATH_SWITCH;
+                let nas = Nas::ServiceAccept { imsi };
+                let ack = Self::control(ctx, new_enb, size, S1ap::PathSwitchAck { imsi });
+                let accept = Self::control(ctx, new_enb, size, S1Nas { imsi, nas });
                 self.proc.process(ctx, vec![ack, accept]);
             }
             _ => {}
-        }
-    }
-
-    /// A resync guard fired: if the attach is still waiting on that HSS
-    /// answer, give up on it (the UE's own retransmission recovers).
-    fn on_resync_guard(&mut self, ctx: &NodeCtx<'_>, epoch: u64) {
-        let Some(imsi) = self.resync_watch.remove(&epoch) else {
-            return; // answered (or superseded) in time
-        };
-        if let Some(UeCtx::AwaitVector { resyncs, .. }) = self.contexts.get(&imsi) {
-            if *resyncs > 0 {
-                self.contexts.remove(&imsi);
-                self.stats.resync_timeouts += 1;
-                obs::nas_end(ctx, NasProc::Auth, imsi, false);
-                obs::nas_end(ctx, NasProc::Attach, imsi, false);
-            }
         }
     }
 
@@ -660,18 +531,7 @@ impl MmeNode {
                 obs::nas_end(ctx, NasProc::Attach, imsi, false);
                 continue;
             }
-            let release = ctx
-                .make_packet(enb, wire::S1AP_RELEASE)
-                .with_payload(Payload::control(S1ap::UeContextRelease { imsi }));
-            let detach = Self::nas_to_enb(
-                ctx,
-                enb,
-                imsi,
-                Nas::NetworkDetach { imsi },
-                wire::NETWORK_DETACH,
-            );
-            batch.push(release);
-            batch.push(detach);
+            batch.extend(Self::detach_order(ctx, enb, imsi));
             // Neither message is acknowledged and the backhaul may be the
             // very thing that is failing: remember the order and re-send it
             // from the path tick until the UE re-appears.
@@ -694,28 +554,13 @@ impl MmeNode {
         let mut batch = Vec::new();
         let mut done: Vec<Imsi> = Vec::new();
         for (&imsi, &mut (enb, ref mut left)) in self.pending_detach.iter_mut() {
-            if self.contexts.contains_key(&imsi) {
-                done.push(imsi);
-                continue;
-            }
-            if *left == 0 {
+            if self.contexts.contains_key(&imsi) || *left == 0 {
                 done.push(imsi);
                 continue;
             }
             *left -= 1;
             self.stats.detach_retries += 1;
-            let release = ctx
-                .make_packet(enb, wire::S1AP_RELEASE)
-                .with_payload(Payload::control(S1ap::UeContextRelease { imsi }));
-            let detach = Self::nas_to_enb(
-                ctx,
-                enb,
-                imsi,
-                Nas::NetworkDetach { imsi },
-                wire::NETWORK_DETACH,
-            );
-            batch.push(release);
-            batch.push(detach);
+            batch.extend(Self::detach_order(ctx, enb, imsi));
         }
         for imsi in done {
             self.pending_detach.remove(&imsi);
@@ -777,91 +622,73 @@ impl MmeNode {
                 // context; the UE keeps its IP.
                 let Some(UeCtx::Active {
                     via_enb,
-                    ue_addr,
-                    teid_dl,
-                    teid_ul_sgw,
-                    ecm_idle: false,
-                }) = self.contexts.get(&imsi).cloned()
+                    ecm_idle: idle @ false,
+                    ..
+                }) = self.contexts.get_mut(&imsi)
                 else {
                     return;
                 };
+                *idle = true;
+                let via_enb = *via_enb;
+                self.stats.s1_releases += 1;
+                let rel_bearers = Gtpc::ReleaseAccessBearers { imsi };
+                let rel_bearers = Self::control(ctx, self.sgw_addr, wire::GTPC, rel_bearers);
+                let rel_enb = S1ap::UeContextRelease { imsi };
+                let rel_enb = Self::control(ctx, via_enb, wire::S1AP_RELEASE, rel_enb);
+                self.proc.process(ctx, vec![rel_bearers, rel_enb]);
+            }
+            S1ap::PathSwitchRequest {
+                imsi,
+                ue_addr,
+                new_enb,
+            } => {
+                let Some(UeCtx::Active {
+                    via_enb: old_enb,
+                    teid_dl,
+                    teid_ul_sgw,
+                    ..
+                }) = self.contexts.get(&imsi).cloned()
+                else {
+                    return; // unknown UE: ignore (UE will fall back to attach)
+                };
+                obs::nas_start(ctx, NasProc::Handover, imsi);
                 self.contexts.insert(
                     imsi,
-                    UeCtx::Active {
-                        via_enb,
+                    UeCtx::Switching {
+                        new_enb,
                         ue_addr,
                         teid_dl,
                         teid_ul_sgw,
-                        ecm_idle: true,
+                        started: ctx.now,
                     },
                 );
-                self.stats.s1_releases += 1;
-                let rel_bearers = ctx
-                    .make_packet(self.sgw_addr, wire::GTPC)
-                    .with_payload(Payload::control(Gtpc::ReleaseAccessBearers { imsi }));
-                let rel_enb = ctx
-                    .make_packet(via_enb, wire::S1AP_RELEASE)
-                    .with_payload(Payload::control(S1ap::UeContextRelease { imsi }));
-                self.proc.process(ctx, vec![rel_bearers, rel_enb]);
-                return;
-            }
-            S1ap::PathSwitchRequest { .. } => {}
-            _ => return,
-        }
-        if let S1ap::PathSwitchRequest {
-            imsi,
-            ue_addr,
-            new_enb,
-        } = msg
-        {
-            let Some(UeCtx::Active {
-                via_enb: old_enb,
-                teid_dl,
-                teid_ul_sgw,
-                ..
-            }) = self.contexts.get(&imsi).cloned()
-            else {
-                return; // unknown UE: ignore (UE will fall back to attach)
-            };
-            obs::nas_start(ctx, NasProc::Handover, imsi);
-            self.contexts.insert(
-                imsi,
-                UeCtx::Switching {
-                    old_enb,
-                    new_enb,
+                // The target eNB gets the context immediately (in real S1AP
+                // it already holds it — it initiated the path switch), so
+                // downlink flushed by the S-GW never races an uninstalled
+                // tunnel.
+                let setup = S1ap::InitialContextSetup {
+                    imsi,
                     ue_addr,
+                    sgw_addr: self.sgw_addr,
+                    teid_ul: teid_ul_sgw,
                     teid_dl,
-                    teid_ul_sgw,
-                    started: ctx.now,
-                },
-            );
-            // The target eNB gets the context immediately (in real S1AP it
-            // already holds it — it initiated the path switch), so downlink
-            // flushed by the S-GW never races an uninstalled tunnel.
-            let setup =
-                ctx.make_packet(new_enb, wire::S1AP_CONTEXT)
-                    .with_payload(Payload::control(S1ap::InitialContextSetup {
-                        imsi,
-                        ue_addr,
-                        sgw_addr: self.sgw_addr,
-                        teid_ul: teid_ul_sgw,
-                        teid_dl,
-                    }));
-            let modify = ctx
-                .make_packet(self.sgw_addr, wire::GTPC)
-                .with_payload(Payload::control(Gtpc::ModifyBearerRequest {
+                };
+                let modify = Gtpc::ModifyBearerRequest {
                     imsi,
                     new_enb_addr: new_enb,
                     teid_dl_enb: teid_dl,
-                }));
-            let mut batch = vec![setup, modify];
-            if old_enb != new_enb {
-                let release = ctx
-                    .make_packet(old_enb, wire::S1AP_CONTEXT)
-                    .with_payload(Payload::control(S1ap::UeContextRelease { imsi }));
-                batch.push(release);
+                };
+                let mut batch = vec![
+                    Self::control(ctx, new_enb, wire::S1AP_CONTEXT, setup),
+                    Self::control(ctx, self.sgw_addr, wire::GTPC, modify),
+                ];
+                if old_enb != new_enb {
+                    let release = S1ap::UeContextRelease { imsi };
+                    batch.push(Self::control(ctx, old_enb, wire::S1AP_CONTEXT, release));
+                }
+                self.proc.process(ctx, batch);
             }
-            self.proc.process(ctx, batch);
+            _ => {}
         }
     }
 }
@@ -869,7 +696,7 @@ impl MmeNode {
 impl NodeHandler for MmeNode {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
         if let Some(s1nas) = packet.payload.as_control::<S1Nas>().cloned() {
-            self.handle_nas(ctx, s1nas.imsi, s1nas.nas, packet.src);
+            self.handle_nas(ctx, s1nas.imsi, s1nas.nas);
         } else if let Some(msg) = packet.payload.as_control::<S6a>().cloned() {
             self.handle_s6a(ctx, msg);
         } else if let Some(msg) = packet.payload.as_control::<Gtpc>().cloned() {
@@ -893,7 +720,12 @@ impl NodeHandler for MmeNode {
         if tag == TAG_PATH_TICK {
             self.path_tick(ctx);
         } else if tag >= TAG_RESYNC_BASE {
-            self.on_resync_guard(ctx, tag - TAG_RESYNC_BASE);
+            // A resync guard fired: if the attach still waits on that HSS
+            // answer, the machine abandons it (the UE's retransmission
+            // recovers). A guard answered in time finds no watch entry.
+            if let Some(imsi) = self.resync_watch.remove(&(tag - TAG_RESYNC_BASE)) {
+                self.feed(ctx, imsi, Input::GuardExpired);
+            }
         } else {
             self.proc.on_timer(ctx, tag);
         }

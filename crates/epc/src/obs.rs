@@ -65,12 +65,6 @@ impl HarqTracer {
         }
     }
 
-    /// Override the SINR operating point (tests force failures this way).
-    pub fn with_sinr_db(mut self, sinr_db: f64) -> Self {
-        self.sinr_db = sinr_db;
-        self
-    }
-
     /// Run one block through the HARQ process and emit its attempt trail.
     /// No-op (and no RNG draw) unless tracing is enabled.
     pub fn observe_block(&mut self, ctx: &NodeCtx<'_>, ue: Imsi) {

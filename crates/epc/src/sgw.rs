@@ -109,19 +109,10 @@ impl SgwNode {
         self.path_mgmt = Some(PathMonitor::new(self.pgw_addr, interval, max_misses));
     }
 
-    /// Whether path management currently considers the P-GW dead.
-    pub fn pgw_path_dead(&self) -> bool {
-        self.path_mgmt.as_ref().is_some_and(|m| m.is_dead())
-    }
-
     fn alloc_teid(&mut self) -> Teid {
         let t = self.next_teid;
         self.next_teid += 1;
         t
-    }
-
-    pub fn active_bearers(&self) -> usize {
-        self.bearers.len()
     }
 
     /// Snapshot the bearer table for post-run invariant checking.

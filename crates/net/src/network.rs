@@ -480,9 +480,9 @@ impl Network {
     }
 
     /// Apply a fault to the world. Normally reached through a scheduled
-    /// [`NetEvent::Fault`] (see [`NodeCtx::schedule_fault`]) so faults are
-    /// ordered deterministically with all other events; calling it directly
-    /// between runs is also fine.
+    /// [`NetEvent::Fault`] (see `ShardedSim::schedule_fault_broadcast`) so
+    /// faults are ordered deterministically with all other events; calling
+    /// it directly between runs is also fine.
     ///
     /// Sharded runs broadcast every fault into every replica (link/route
     /// state is replicated), so the trace records a fault produces are

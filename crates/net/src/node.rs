@@ -188,11 +188,6 @@ impl NodeCtx<'_> {
             .unwrap_or(Addr::UNSPECIFIED)
     }
 
-    /// Name of this node (diagnostics).
-    pub fn my_name(&self) -> &str {
-        &self.core.nodes[self.node].name
-    }
-
     /// Allocate a fresh packet id. Ids are per-origin-node sequences
     /// (`(node+1) << 40 | seq`), so the id a packet gets is a pure function
     /// of its originator's history — independent of how other nodes'
@@ -240,11 +235,6 @@ impl NodeCtx<'_> {
         )
     }
 
-    /// Cancel a previously armed timer.
-    pub fn cancel_timer(&mut self, key: EventKey) {
-        self.queue.cancel(key);
-    }
-
     /// Uniform draw in [0,1), deterministic per node: the k-th draw made by
     /// node `n` is `hash(seed, salt, n, k)`. Counter-based rather than a
     /// shared stream so the value never depends on what *other* nodes drew
@@ -274,34 +264,6 @@ impl NodeCtx<'_> {
     /// whether it was present.
     pub fn remove_addr(&mut self, node: NodeId, addr: Addr) -> bool {
         self.core.nodes[node].remove_addr(addr)
-    }
-
-    /// Install a route on an arbitrary node (control-plane actions reach
-    /// across the topology; the "wire" cost is modeled by the control
-    /// packets the caller sends).
-    pub fn set_route_on(&mut self, node: NodeId, prefix: Prefix, link: LinkId) {
-        self.core.nodes[node].set_route(prefix, link);
-    }
-
-    /// Bring a link up or down (fault-injection orchestration).
-    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.core.links[link].up = up;
-    }
-
-    /// Schedule a fault to be applied after `delay`. Faults are ordinary
-    /// events, so they interleave deterministically with packets and timers.
-    ///
-    /// Sharding caveat: this schedules into the *local* shard's queue only.
-    /// Pre-planned fault timelines are instead broadcast into every shard
-    /// at build time (see `ShardedSim::schedule_fault_broadcast`), so a
-    /// handler calling this at runtime must only target state its own
-    /// shard reads — or the run must stay at `--shards 1`.
-    pub fn schedule_fault(
-        &mut self,
-        delay: SimDuration,
-        fault: crate::network::NetFault,
-    ) -> EventKey {
-        self.queue.schedule_in(delay, NetEvent::Fault(fault))
     }
 
     /// Whether a link is currently up.

@@ -9,11 +9,10 @@
 //! cargo run --release --example backhaul_outage
 //! ```
 
-use dlte::resilience::{Action, FailureScript};
 use dlte::scenario::{DlteNetworkBuilder, DltePlan};
 use dlte::DlteApNode;
 use dlte_epc::ue::{UeApp, UeNode};
-use dlte_net::Prefix;
+use dlte_net::{NetFault, Prefix};
 use dlte_sim::{SimDuration, SimTime};
 
 fn main() {
@@ -35,50 +34,23 @@ fn main() {
     let ap0_addr = net.sim.world().core.nodes[net.aps[0]].addrs()[0];
     let fail = SimTime::from_secs(5);
     let reconverge = SimTime::from_secs(7);
-    let actions = vec![
-        (
-            fail,
-            Action::SetLink {
-                link: net.ap_backhaul[0],
-                up: false,
-            },
-        ),
-        (
-            reconverge,
-            Action::SetRoute {
-                node: net.r_agg,
-                prefix: DlteNetworkBuilder::ap_pool(0),
-                link: net.ap_backhaul[1],
-            },
-        ),
-        (
-            reconverge,
-            Action::SetRoute {
-                node: net.aps[1],
-                prefix: DlteNetworkBuilder::ap_pool(0),
-                link: net.ap_mesh[0],
-            },
-        ),
-        (
-            reconverge,
-            Action::SetRoute {
-                node: net.r_agg,
-                prefix: Prefix::new(ap0_addr, 32),
-                link: net.ap_backhaul[1],
-            },
-        ),
-        (
-            reconverge,
-            Action::SetRoute {
-                node: net.aps[1],
-                prefix: Prefix::new(ap0_addr, 32),
-                link: net.ap_mesh[0],
-            },
-        ),
-    ];
-    net.sim
-        .world_mut()
-        .set_handler(net.chaos, Box::new(FailureScript::new(actions)));
+    net.sim.schedule_fault_broadcast(
+        fail,
+        NetFault::LinkUp {
+            link: net.ap_backhaul[0],
+            up: false,
+        },
+    );
+    for prefix in [DlteNetworkBuilder::ap_pool(0), Prefix::new(ap0_addr, 32)] {
+        let reroutes = [
+            (net.r_agg, net.ap_backhaul[1]),
+            (net.aps[1], net.ap_mesh[0]),
+        ];
+        for (node, link) in reroutes {
+            net.sim
+                .schedule_fault_broadcast(reconverge, NetFault::RouteSet { node, prefix, link });
+        }
+    }
 
     println!("t=5s: AP0's backhaul will be cut. Watching the client on AP0…\n");
     let mut last_pongs = 0;
