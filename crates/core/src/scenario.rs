@@ -29,7 +29,6 @@ use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 use dlte_transport::connection::TransportConfig;
 use dlte_transport::handlers::TransportServerNode;
 use dlte_x2::{CoordinationMode, X2Agent};
-use std::cell::RefCell;
 
 /// Per-UE plan for dLTE scenarios.
 pub struct DltePlan {
@@ -275,29 +274,17 @@ impl DlteNetworkBuilder {
     /// split into contiguous cluster ranges, each UE following its home
     /// AP. Radio traffic thus stays intra-shard; only backhaul/mesh links
     /// cross the cut, so the conservative lookahead is the backhaul delay.
-    /// Results are bit-identical at any `n` (the tentpole invariant).
+    /// The topology is built once and then split ([`ShardedSim::build`]):
+    /// each node's handler and routes move to its shard, and every
+    /// shard keeps all node names, addresses and links. Results are
+    /// bit-identical at any `n` (the tentpole invariant).
     pub fn build_sharded(self, n: usize) -> DlteNet {
-        // One registry round per network, not per replica: every shard's
-        // copy gets the same peer lists and `--metrics` shows one
-        // `grants_issued` per coordinating AP at any shard count.
-        // Independent agents never report to peers, so they skip discovery.
-        let x2_neighbors = if self.x2_mode == CoordinationMode::Independent {
-            vec![Vec::new(); self.n_aps]
-        } else {
-            Self::x2_neighbors(self.n_aps)
-        };
-        let handles: RefCell<Option<ReplicaHandles>> = RefCell::new(None);
+        let (sim, h) = self.build_network();
+        let m = n.min(self.n_aps).max(1);
         let sim = ShardedSim::build(
             n,
-            || {
-                let (sim, h) = self.build_replica(&x2_neighbors);
-                *handles.borrow_mut() = Some(h);
-                sim
-            },
+            || sim,
             |net| {
-                let h = handles.borrow();
-                let h = h.as_ref().expect("first replica built");
-                let m = n.min(self.n_aps).max(1);
                 let mut map = vec![0usize; net.core.nodes.len()];
                 for (k, &ap) in h.aps.iter().enumerate() {
                     map[ap] = k * m / self.n_aps;
@@ -308,7 +295,6 @@ impl DlteNetworkBuilder {
                 map
             },
         );
-        let h = handles.into_inner().expect("replica built");
         DlteNet {
             sim,
             ues: h.ues,
@@ -323,14 +309,15 @@ impl DlteNetworkBuilder {
         }
     }
 
-    /// Build one full replica of the topology. Deterministic: every call
-    /// produces the same network, handlers and seeds, which is what lets
-    /// [`ShardedSim::build`] replicate it per shard and prune.
-    /// `x2_neighbors[k]` lists AP `k`'s X2 peers by AP index.
-    fn build_replica(
-        &self,
-        x2_neighbors: &[Vec<usize>],
-    ) -> (Simulation<dlte_net::Network>, ReplicaHandles) {
+    /// Build the whole topology as one simulation.
+    fn build_network(&self) -> (Simulation<dlte_net::Network>, NetHandles) {
+        // AP `k`'s X2 peers, by AP index. Independent agents never report
+        // to peers, so they skip discovery.
+        let x2_neighbors = if self.x2_mode == CoordinationMode::Independent {
+            vec![Vec::new(); self.n_aps]
+        } else {
+            Self::x2_neighbors(self.n_aps)
+        };
         let mut b = NetworkBuilder::new(self.seed);
         let rng = SimRng::new(self.seed ^ 0xD17E);
         let total_ues = self.n_aps * self.ues_per_ap;
@@ -508,7 +495,7 @@ impl DlteNetworkBuilder {
         }
         (
             sim,
-            ReplicaHandles {
+            NetHandles {
                 ues,
                 aps,
                 ott_echo,
@@ -523,10 +510,8 @@ impl DlteNetworkBuilder {
     }
 }
 
-/// Node handles produced by one replica build. Handles are identical
-/// across replicas (the builder is deterministic), so the first build's
-/// copy serves the whole sharded simulation.
-struct ReplicaHandles {
+/// Node and link handles of a built topology.
+struct NetHandles {
     ues: Vec<NodeId>,
     aps: Vec<NodeId>,
     ott_echo: NodeId,

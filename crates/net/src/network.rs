@@ -394,6 +394,8 @@ pub struct Network {
     paused: Vec<bool>,
     /// Timers that fired while their node was paused, in firing order.
     deferred: Vec<Vec<u64>>,
+    /// Whether the `Start` event has been dispatched.
+    started: bool,
 }
 
 impl Network {
@@ -572,7 +574,7 @@ impl Network {
                 }
             }
             // Broadcast into every replica, but only the owner routes for
-            // `node` (see `apply_shard_plan`).
+            // `node` (see `Network::split`).
             NetFault::RouteSet { node, prefix, link } => {
                 if self.core.shard_of[node] == self.core.my_shard {
                     self.core.nodes[node].set_route(prefix, link);
@@ -581,32 +583,79 @@ impl Network {
         }
     }
 
-    /// Turn this replica into one shard of a partitioned run: record the
-    /// ownership map and drop the handlers and routes of nodes other shards
-    /// own. A packet is routed only by its node's owning replica, so those
-    /// tables are never read here. Every replica keeps the rest of the
-    /// topology (links, node names and addresses) — link endpoints only
-    /// ever mutate their own direction's state, and faults are broadcast —
-    /// so no cross-shard memory access is ever needed.
-    pub fn apply_shard_plan(&mut self, plan: &ShardPlan, my_shard: usize) {
-        assert_eq!(
-            plan.num_nodes(),
-            self.core.nodes.len(),
-            "plan covers a different topology"
-        );
-        assert!(my_shard < plan.n());
-        self.core.my_shard = my_shard;
-        self.core.shard_of = (0..plan.num_nodes()).map(|i| plan.shard_of(i)).collect();
-        for node in 0..plan.num_nodes() {
-            if plan.shard_of(node) != my_shard {
-                self.handlers[node] = None;
-                self.core.nodes[node].retain_routes(|_, _| false);
-            }
-        }
+    /// Whether `node` has a handler installed in this replica.
+    pub fn has_handler(&self, node: NodeId) -> bool {
+        self.handlers[node].is_some()
     }
 
-    /// The shard this replica runs as (0 unless [`Network::apply_shard_plan`]
-    /// said otherwise).
+    /// Split a network that has not started into one replica per shard of
+    /// `plan`. Each node's handler and routes *move* to the replica that
+    /// owns it; in every other replica the node keeps only its name and
+    /// addresses, since a packet is routed only by its node's owner. Links
+    /// and the seed are copied into every replica — link endpoints only
+    /// ever mutate their own direction's state, and faults are broadcast —
+    /// so no replica ever reaches into another's memory.
+    ///
+    /// Panics if the network has dispatched its `Start` event or `plan`
+    /// covers a different number of nodes.
+    pub fn split(self, plan: &ShardPlan) -> Vec<Network> {
+        let n = self.core.nodes.len();
+        assert_eq!(plan.num_nodes(), n, "plan covers a different topology");
+        assert!(!self.started, "split a network before it starts");
+        let shard_of: Vec<usize> = (0..n).map(|i| plan.shard_of(i)).collect();
+        let Network {
+            core,
+            handlers,
+            down,
+            paused,
+            deferred,
+            started: _,
+        } = self;
+        let mut replicas: Vec<Network> = (0..plan.n())
+            .map(|my_shard| Network {
+                core: NetCore {
+                    nodes: Vec::with_capacity(n),
+                    links: core.links.clone(),
+                    trace: TraceStats::new(),
+                    fabric: FabricCounters::default(),
+                    drops: [0; DROP_REASONS],
+                    rng: core.rng.clone(),
+                    pkt_seqs: core.pkt_seqs.clone(),
+                    draw_seqs: core.draw_seqs.clone(),
+                    my_shard,
+                    shard_of: shard_of.clone(),
+                    outbound: Vec::new(),
+                    pool: PacketPool::new(),
+                },
+                handlers: Vec::with_capacity(n),
+                down: down.clone(),
+                paused: paused.clone(),
+                deferred: deferred.clone(),
+                started: false,
+            })
+            .collect();
+        for (node, (info, handler)) in core.nodes.into_iter().zip(handlers).enumerate() {
+            let stub = info.without_routes();
+            for replica in &mut replicas {
+                replica.core.nodes.push(stub.clone());
+                replica.handlers.push(None);
+            }
+            let owner = &mut replicas[shard_of[node]];
+            owner.core.nodes[node] = info;
+            owner.handlers[node] = handler;
+        }
+        replicas
+    }
+
+    /// Wrap into a ready-to-run simulation with the `Start` event pending.
+    pub(crate) fn into_simulation(self) -> Simulation<Network> {
+        let mut sim = Simulation::new(self);
+        sim.queue_mut().schedule_at(SimTime::ZERO, NetEvent::Start);
+        sim
+    }
+
+    /// The shard this replica runs as (0 unless it came out of
+    /// [`Network::split`]).
     pub fn my_shard(&self) -> usize {
         self.core.my_shard
     }
@@ -683,6 +732,7 @@ impl World for Network {
                 self.with_handler(node, queue, now, |h, ctx| h.on_timer(ctx, tag));
             }
             NetEvent::Start => {
+                self.started = true;
                 for node in 0..self.handlers.len() {
                     queue.set_origin(node as u64 + 1);
                     self.with_handler(node, queue, now, |h, ctx| h.on_start(ctx));
@@ -828,10 +878,9 @@ impl NetworkBuilder {
             down: vec![false; n],
             paused: vec![false; n],
             deferred: vec![Vec::new(); n],
+            started: false,
         };
-        let mut sim = Simulation::new(world);
-        sim.queue_mut().schedule_at(SimTime::ZERO, NetEvent::Start);
-        sim
+        world.into_simulation()
     }
 }
 

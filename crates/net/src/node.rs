@@ -50,6 +50,15 @@ impl NodeInfo {
         }
     }
 
+    /// This node's name and addresses, with an empty forwarding table.
+    pub(crate) fn without_routes(&self) -> NodeInfo {
+        NodeInfo {
+            name: self.name.clone(),
+            addrs: self.addrs.clone(),
+            fib: Vec::new(),
+        }
+    }
+
     /// Addresses owned by this node.
     pub fn addrs(&self) -> &[Addr] {
         &self.addrs

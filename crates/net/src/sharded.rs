@@ -2,18 +2,20 @@
 //!
 //! [`ShardedSim`] is the driver experiments hold instead of a bare
 //! [`Simulation<Network>`]. At `--shards 1` it is a thin wrapper; at
-//! `--shards N` it owns N full replicas of the topology, each with the
-//! handlers of only its own nodes installed, advancing in lockstep epochs
-//! under the conservative synchronization of [`dlte_sim::run_sharded`].
+//! `--shards N` it owns N replicas of the topology, each with the handlers
+//! of only its own nodes installed, advancing in lockstep epochs under the
+//! conservative synchronization of [`dlte_sim::run_sharded`] (one worker
+//! thread per shard for each `run_until` call).
 //!
 //! ## Replication model
 //!
-//! Every shard holds the whole topology — all node names, addresses and
-//! links — built by running the same deterministic builder N times and
-//! pruning the handlers and routes of foreign nodes
-//! ([`Network::apply_shard_plan`]); a node's routes are read only where
-//! its packets are forwarded, in its own shard. This trades memory for the
-//! guarantee that no shard ever reaches into another's state:
+//! The builder runs **once**; [`ShardedSim::build`] then splits the built
+//! network into one replica per shard ([`Network::split`]). Each node's
+//! handler and routes move to the replica that owns it, since a node's
+//! routes are read only where its packets are forwarded, in its own shard.
+//! Every replica keeps the whole topology otherwise — all node names,
+//! addresses and links — which guarantees that no shard ever reaches into
+//! another's state:
 //!
 //! * link state is safe to replicate because an endpoint only mutates its
 //!   own transmit direction, and up/override flips arrive as broadcast
@@ -72,40 +74,42 @@ impl ShardedSim {
         ShardedSim::Single(sim)
     }
 
-    /// Build an `n`-shard simulation. `build` must be a deterministic
-    /// builder (same topology, handlers and seeds every call) — it runs
-    /// once per shard. `shard_of` maps the built topology to shards; it is
-    /// evaluated on the first replica.
+    /// Build an `n`-shard simulation. `build` runs once; `shard_of` maps
+    /// the built topology to shards, and the network is then split into
+    /// one replica per shard ([`Network::split`]), each with its own
+    /// `Start` event.
     ///
     /// `n <= 1` (or a map that uses a single shard) degenerates to
     /// [`ShardedSim::Single`] with zero overhead.
+    ///
+    /// Panics if the built simulation has anything pending but its `Start`
+    /// event, since the split would lose it.
     pub fn build<B, P>(n: usize, build: B, shard_of: P) -> ShardedSim
     where
-        B: Fn() -> Simulation<Network>,
+        B: FnOnce() -> Simulation<Network>,
         P: FnOnce(&Network) -> Vec<usize>,
     {
-        let first = build();
+        let sim = build();
         if n <= 1 {
-            return ShardedSim::Single(first);
+            return ShardedSim::Single(sim);
         }
-        let map = shard_of(first.world());
+        let map = shard_of(sim.world());
         let used = map.iter().max().map_or(1, |&m| m + 1);
         if used <= 1 {
-            return ShardedSim::Single(first);
+            return ShardedSim::Single(sim);
         }
-        let plan = plan_for(first.world(), used, map);
-        let mut shards = Vec::with_capacity(used);
-        // Prune each replica as soon as it is built so peak memory holds at
-        // most one full handler set, not `used` of them — at E16 scale the
-        // handlers (key directories, per-UE state) dominate the footprint.
-        let mut first = first;
-        first.world_mut().apply_shard_plan(&plan, 0);
-        shards.push(first);
-        for i in 1..used {
-            let mut sim = build();
-            sim.world_mut().apply_shard_plan(&plan, i);
-            shards.push(sim);
-        }
+        assert_eq!(
+            sim.queue().pending(),
+            1,
+            "a sharded build splits a simulation whose only pending event is Start"
+        );
+        let plan = plan_for(sim.world(), used, map);
+        let shards = sim
+            .into_world()
+            .split(&plan)
+            .into_iter()
+            .map(Network::into_simulation)
+            .collect();
         ShardedSim::Multi { shards, plan }
     }
 
@@ -437,6 +441,50 @@ mod tests {
         assert_eq!(f1, f2, "per-flow stats");
         assert_eq!(r1.len(), r2.len(), "trace record count");
         assert_eq!(r1, r2, "trace records");
+    }
+
+    /// The builder runs once, and every handler lands in exactly one
+    /// replica: the one that owns its node.
+    #[test]
+    fn build_runs_the_builder_once_and_moves_each_handler() {
+        let calls = std::cell::Cell::new(0);
+        let sim = ShardedSim::build(
+            2,
+            || {
+                calls.set(calls.get() + 1);
+                two_cluster_sim()
+            },
+            cluster_map,
+        );
+        assert_eq!(calls.get(), 1, "builder calls");
+        let single = two_cluster_sim();
+        let ShardedSim::Multi { shards, plan } = &sim else {
+            panic!("two shards expected");
+        };
+        let mut moved = 0;
+        for node in 0..single.world().core.nodes.len() {
+            let holders: Vec<usize> = (0..shards.len())
+                .filter(|&s| shards[s].world().has_handler(node))
+                .collect();
+            if single.world().has_handler(node) {
+                assert_eq!(holders, [plan.shard_of(node)], "node {node}");
+                moved += 1;
+            } else {
+                assert!(holders.is_empty(), "node {node} gained a handler");
+            }
+        }
+        assert_eq!(moved, 4, "pinger, echo and both CBR sources");
+    }
+
+    /// Splitting is for networks that have not started: a started one
+    /// has handler state and pending events the split cannot carry.
+    #[test]
+    #[should_panic(expected = "split a network before it starts")]
+    fn split_refuses_a_started_network() {
+        let mut sim = two_cluster_sim();
+        sim.run_until(SimTime::from_millis(1), 1_000);
+        let plan = plan_for(sim.world(), 2, cluster_map(sim.world()));
+        sim.into_world().split(&plan);
     }
 
     /// Each replica keeps the routes of its own nodes only — including
