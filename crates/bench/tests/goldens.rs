@@ -4,12 +4,13 @@
 //! default params; the others pin parameter variants and the tables
 //! `benchmark/` reads. `meta` is cut to its deterministic per-reason
 //! `drops` (and, in `all.json`, `events_dispatched`), as in the files.
+//! `e14_trace.jsonl` pins the E14 event trace byte for byte.
 //!
 //! One `#[test]` in its own binary: `--jobs` and `--shards` are process
 //! globals, so parallel tests in one process would race on them.
 
 use dlte::experiments::Table;
-use dlte_bench::runner::{run, Invocation};
+use dlte_bench::runner::{run, take_trace_jsonl, Invocation};
 use dlte_sim::RunReport;
 use std::path::Path;
 
@@ -181,8 +182,63 @@ fn first_difference(want: &[Table], got: &[Table]) -> Option<String> {
     None
 }
 
+/// The E14 trace golden: every control-plane event of the fault-injection
+/// run, including NAS, GTP path management and error indications.
+const TRACE_FILE: &str = "e14_trace.jsonl";
+const TRACE_PARAMS: &str = r#"{"total_s": 10.0}"#;
+/// The `(--jobs, --shards)` runs that must reproduce the trace.
+const TRACE_RUNS: &[(usize, usize)] = &[(2, 1), (1, 2)];
+
+fn trace_actual(jobs: usize, shards: usize) -> String {
+    let inv = Invocation {
+        targets: vec!["e14".to_string()],
+        json: true,
+        jobs: Some(jobs),
+        shards: Some(shards),
+        seed: Some(7),
+        params: Some(serde_json::from_str(TRACE_PARAMS).expect("params literal parses")),
+        trace: Some("in-memory".to_string()),
+        ..Invocation::default()
+    };
+    run(&inv).unwrap_or_else(|e| panic!("{TRACE_FILE}: {e}"));
+    take_trace_jsonl()
+}
+
+/// The first record (1-based line) where two JSONL traces differ.
+fn first_trace_difference(want: &str, got: &str) -> Option<String> {
+    let (w, g): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
+    let n = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i))?;
+    let end = "<end of trace>";
+    let (a, b) = (w.get(n).copied(), g.get(n).copied());
+    Some(format!(
+        "record {}:\n  golden {}\n  got    {}",
+        n + 1,
+        a.unwrap_or(end),
+        b.unwrap_or(end)
+    ))
+}
+
+fn trace_golden_holds() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../goldens")
+        .join(TRACE_FILE);
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    for &(jobs, shards) in TRACE_RUNS {
+        let got = trace_actual(jobs, shards);
+        if let Some(diff) = first_trace_difference(&want, &got) {
+            panic!(
+                "goldens/{TRACE_FILE} differs at --jobs {jobs} --shards {shards}: {diff}\n\
+                 If the change is intended, regenerate with:\n  \
+                 ./target/release/dlte-run e14 --trace goldens/{TRACE_FILE} --json --seed 7 \
+                 --jobs 2 --params '{TRACE_PARAMS}' > /dev/null"
+            );
+        }
+    }
+}
+
 #[test]
 fn goldens_hold_at_every_jobs_and_shards_count() {
+    trace_golden_holds();
     for golden in &GOLDENS {
         let expected = golden.expected();
         for &(jobs, shards) in golden.runs {
