@@ -17,6 +17,9 @@
 //! [`MmeNode`] and [`LocalCoreNode`] run one and the same network-side
 //! EPS-AKA attach procedure (`attach.rs`, a sans-IO state machine); they
 //! differ only in where vectors come from and how a session is opened.
+//! [`MmeNode`] and [`SgwNode`] likewise drive the two halves of one sans-IO
+//! GTP session lifecycle (`session.rs`) and share one echo path-management
+//! driver ([`path`]).
 //!
 //! Control-plane entities process messages through a [`proc::Processor`]
 //! with finite service rate, which is what makes the centralized core a
@@ -32,8 +35,10 @@ pub mod local_core;
 pub mod messages;
 pub mod mme;
 pub mod obs;
+pub mod path;
 pub mod pgw;
 pub mod proc;
+mod session;
 pub mod sgw;
 pub mod topology;
 pub mod ue;

@@ -2,27 +2,30 @@
 //!
 //! Drives the shared EPS-AKA attach machine (`attach.rs`) for every UE
 //! in the network, fetching its vectors from the HSS over S6a and guarding
-//! the one resync retry with a timer; then S11 session creation → S1AP
-//! context setup, S1 path-switch handover and detach. This is the component
-//! the paper calls out as the chokepoint: every control event of every UE in
-//! a centralized network serializes here.
+//! the one resync retry with a timer; then the MME half of the session
+//! lifecycle (`session.rs`): S11 session creation → S1AP context setup,
+//! ECM-IDLE release and paging, S1 path-switch handover, detach, and the
+//! loss of the S-GW, which echo path management (`path.rs`) detects. This
+//! node keeps the I/O: it allocates TEIDs, builds the packets each step
+//! asks for, and batches them through its processor. It is the component
+//! the paper calls out as the chokepoint: every control event of every UE
+//! in a centralized network serializes here.
 
 use crate::attach::{self, Attach, Input, Output};
 use crate::messages::{wire, Gtpc, Nas, S1Nas, S1ap, S6a, SnId, Teid};
 use crate::obs;
+use crate::path::PathMgmt;
 use crate::proc::Processor;
+use crate::session::mme::{self as session, Bearer, Session};
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
-use dlte_net::gtp::{GtpEcho, PathEvent, PathMonitor, GTP_ECHO_BYTES};
+use dlte_net::gtp::GtpEcho;
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
-use dlte_obs::{AkaStep, Event, NasProc};
+use dlte_obs::{AkaStep, NasProc};
 use dlte_sim::stats::Samples;
-use dlte_sim::{SimDuration, SimTime};
+use dlte_sim::SimDuration;
 use std::any::Any;
 
-/// Timer tag for the S-GW path-management tick (disjoint from the
-/// processor's tags, which grow upward from 0).
-const TAG_PATH_TICK: u64 = 8_900_000;
 /// Timer tag base for EPS-AKA resync guard timers (`base + epoch`).
 const TAG_RESYNC_BASE: u64 = 9_200_000;
 /// How long a resync retry may wait for the HSS before the attach context
@@ -34,28 +37,8 @@ const RESYNC_GUARD: SimDuration = SimDuration::from_secs(3);
 enum UeCtx {
     /// The shared EPS-AKA attach machine is running.
     Authenticating { via_enb: Addr, attach: Attach },
-    AwaitSession {
-        via_enb: Addr,
-        started: SimTime,
-        teid_dl: Teid,
-    },
-    Active {
-        via_enb: Addr,
-        ue_addr: Addr,
-        teid_dl: Teid,
-        /// Uplink TEID at the S-GW (handed to each serving eNB).
-        teid_ul_sgw: Teid,
-        /// ECM state: true = S1 released, UE reachable only via paging.
-        ecm_idle: bool,
-    },
-    /// Path switch in progress: waiting for the S-GW to move the bearer.
-    Switching {
-        new_enb: Addr,
-        ue_addr: Addr,
-        teid_dl: Teid,
-        teid_ul_sgw: Teid,
-        started: SimTime,
-    },
+    /// Authenticated: the session lifecycle (`session.rs`) runs.
+    Session(Session),
 }
 
 /// MME statistics.
@@ -96,10 +79,8 @@ pub struct MmeNode {
     contexts: FxHashMap<Imsi, UeCtx>,
     next_teid: Teid,
     pub stats: MmeStats,
-    /// Echo-based liveness tracking of the S-GW. Off by default: path
-    /// management adds periodic traffic, so topologies opt in explicitly
-    /// (keeps fault-free experiment seeds undisturbed).
-    path_mgmt: Option<PathMonitor>,
+    /// Echo path management toward the S-GW (off unless enabled).
+    pub path: PathMgmt,
     /// Guard timers for in-flight resync retries: epoch → imsi.
     resync_watch: FxHashMap<u64, Imsi>,
     next_resync_epoch: u64,
@@ -124,19 +105,11 @@ impl MmeNode {
             contexts: FxHashMap::default(),
             next_teid: 1,
             stats: MmeStats::default(),
-            path_mgmt: None,
+            path: PathMgmt::default(),
             resync_watch: FxHashMap::default(),
             next_resync_epoch: 0,
             pending_detach: std::collections::BTreeMap::new(),
         }
-    }
-
-    /// Turn on GTP echo path management toward the S-GW: an echo request
-    /// every `interval`, declaring the peer dead after `max_misses`
-    /// unanswered requests (or instantly on a restart-counter change), then
-    /// tearing down every session it held.
-    pub fn enable_path_mgmt(&mut self, interval: SimDuration, max_misses: u32) {
-        self.path_mgmt = Some(PathMonitor::new(self.sgw_addr, interval, max_misses));
     }
 
     fn alloc_teid(&mut self) -> Teid {
@@ -145,33 +118,28 @@ impl MmeNode {
         t
     }
 
-    /// Number of UEs in `Active` state.
+    /// Number of UEs with a bearer up (ECM-IDLE ones included).
     pub fn active_ues(&self) -> usize {
         self.contexts
             .values()
-            .filter(|c| matches!(c, UeCtx::Active { .. }))
+            .filter(|c| matches!(c, UeCtx::Session(Session::Active(..) | Session::Idle(..))))
             .count()
     }
 
     /// Snapshot the UE context table for post-run invariant checking.
     pub fn audit(&self) -> crate::audit::MmeAudit {
-        let mut ues = Vec::new();
-        let mut transient = Vec::new();
+        let (mut ues, mut transient) = (Vec::new(), Vec::new());
         for (&imsi, c) in &self.contexts {
-            match c {
-                UeCtx::Active {
-                    ue_addr,
-                    teid_dl,
-                    teid_ul_sgw,
-                    ecm_idle,
-                    ..
-                } => ues.push(crate::audit::MmeUeAudit {
-                    imsi,
-                    ue_addr: *ue_addr,
-                    teid_dl: *teid_dl,
-                    teid_ul_sgw: *teid_ul_sgw,
-                    ecm_idle: *ecm_idle,
-                }),
+            match *c {
+                UeCtx::Session(s @ (Session::Active(_, b) | Session::Idle(_, b))) => {
+                    ues.push(crate::audit::MmeUeAudit {
+                        imsi,
+                        ue_addr: b.ue_addr,
+                        teid_dl: b.teid_dl,
+                        teid_ul_sgw: b.teid_ul_sgw,
+                        ecm_idle: matches!(s, Session::Idle(..)),
+                    })
+                }
                 _ => transient.push(imsi),
             }
         }
@@ -180,15 +148,9 @@ impl MmeNode {
         crate::audit::MmeAudit { ues, transient }
     }
 
-    /// A control packet of `size` bytes carrying `msg` to `dst`.
-    fn control(ctx: &mut NodeCtx<'_>, dst: Addr, size: u32, msg: impl Any + Send + Sync) -> Packet {
-        ctx.make_packet(dst, size)
-            .with_payload(Payload::control(msg))
-    }
-
     /// Queue one control message to `dst` through the processor.
     fn send(&mut self, ctx: &mut NodeCtx<'_>, dst: Addr, size: u32, msg: impl Any + Send + Sync) {
-        let p = Self::control(ctx, dst, size, msg);
+        let p = control(ctx, dst, size, msg);
         self.proc.process_one(ctx, p);
     }
 
@@ -197,8 +159,8 @@ impl MmeNode {
     fn detach_order(ctx: &mut NodeCtx<'_>, enb: Addr, imsi: Imsi) -> [Packet; 2] {
         let (release, nas) = (S1ap::UeContextRelease { imsi }, Nas::NetworkDetach { imsi });
         [
-            Self::control(ctx, enb, wire::S1AP_RELEASE, release),
-            Self::control(ctx, enb, wire::NETWORK_DETACH, S1Nas { imsi, nas }),
+            control(ctx, enb, wire::S1AP_RELEASE, release),
+            control(ctx, enb, wire::NETWORK_DETACH, S1Nas { imsi, nas }),
         ]
     }
 
@@ -248,22 +210,9 @@ impl MmeNode {
                 }
                 Output::Authenticated { started } => {
                     obs::nas_end(ctx, NasProc::Auth, imsi, true);
-                    obs::nas_start(ctx, NasProc::Session, imsi);
                     let teid_dl = self.alloc_teid();
-                    self.contexts.insert(
-                        imsi,
-                        UeCtx::AwaitSession {
-                            via_enb,
-                            started,
-                            teid_dl,
-                        },
-                    );
-                    let req = Gtpc::CreateSessionRequest {
-                        imsi,
-                        enb_addr: via_enb,
-                        teid_dl_enb: teid_dl,
-                    };
-                    self.send(ctx, self.sgw_addr, wire::GTPC, req);
+                    let open = session::Input::Open(via_enb, teid_dl, started);
+                    self.sessions(ctx, &[imsi], open);
                 }
                 Output::Reject(cause) => {
                     self.stats.attaches_rejected += 1;
@@ -296,20 +245,22 @@ impl MmeNode {
                 self.feed(ctx, imsi, Input::Failure { ue_sqn });
             }
             Nas::DetachRequest { .. } => {
-                if let Some(UeCtx::Active { via_enb, .. }) = self.contexts.remove(&imsi) {
-                    obs::nas_start(ctx, NasProc::Detach, imsi);
-                    obs::nas_end(ctx, NasProc::Detach, imsi, true);
-                    let del = Gtpc::DeleteSessionRequest { imsi };
-                    let del = Self::control(ctx, self.sgw_addr, wire::GTPC, del);
-                    let rel = S1ap::UeContextRelease { imsi };
-                    let rel = Self::control(ctx, via_enb, wire::S1AP_CONTEXT, rel);
-                    self.proc.process(ctx, vec![del, rel]);
+                // A detach drops an attach in progress too.
+                if let Some(UeCtx::Authenticating { .. }) = self.contexts.get(&imsi) {
+                    self.contexts.remove(&imsi);
                 }
+                self.sessions(ctx, &[imsi], session::Input::Detach);
             }
             // ServiceRequest is converted to PathSwitchRequest by the eNB;
-            // the MME never sees it as NAS. Downlink NAS types are not
-            // expected here.
-            _ => {}
+            // the MME never sees it as NAS. Downlink NAS is not expected.
+            Nas::ServiceRequest { .. }
+            | Nas::AuthenticationRequest { .. }
+            | Nas::AttachAccept { .. }
+            | Nas::AttachReject { .. }
+            | Nas::RrcRelease { .. }
+            | Nas::PagingNotify { .. }
+            | Nas::ServiceAccept { .. }
+            | Nas::NetworkDetach { .. } => {}
         }
     }
 
@@ -334,212 +285,178 @@ impl MmeNode {
         self.drive(ctx, imsi, via_enb, Some(attach), Input::Vector(vector));
     }
 
+    /// Step every session, in IMSI order, with `input`.
+    fn step_all(&mut self, ctx: &mut NodeCtx<'_>, input: session::Input) {
+        let mut imsis: Vec<Imsi> = self
+            .contexts
+            .iter()
+            .filter(|(_, c)| matches!(c, UeCtx::Session(_)))
+            .map(|(&imsi, _)| imsi)
+            .collect();
+        imsis.sort_unstable();
+        self.sessions(ctx, &imsis, input);
+    }
+
+    /// Step the sessions of `imsis` (an attach in progress has none), in
+    /// order, with `input`, and carry out what they ask for; all the
+    /// packets are one unit of processor work.
+    fn sessions(&mut self, ctx: &mut NodeCtx<'_>, imsis: &[Imsi], input: session::Input) {
+        use session::Output as Out;
+        let mut outputs = Vec::new();
+        for &imsi in imsis {
+            let state = match self.contexts.get(&imsi) {
+                Some(UeCtx::Session(s)) => Some(*s),
+                _ => None,
+            };
+            let (next, out) = session::step(state, input);
+            match next {
+                Some(s) => _ = self.contexts.insert(imsi, UeCtx::Session(s)),
+                None if state.is_some() => _ = self.contexts.remove(&imsi),
+                None => {}
+            }
+            outputs.extend(out.into_iter().map(|out| (imsi, out)));
+        }
+        let (sgw, mut batch) = (self.sgw_addr, Vec::new());
+        for (imsi, out) in outputs {
+            match out {
+                Out::Trace(t) => obs::emit(ctx, t.event(imsi)),
+                Out::Create(enb_addr, teid_dl_enb) => {
+                    let req = Gtpc::CreateSessionRequest {
+                        imsi,
+                        enb_addr,
+                        teid_dl_enb,
+                    };
+                    batch.push(control(ctx, sgw, wire::GTPC, req));
+                }
+                Out::Attached(enb, bearer, latency) => {
+                    self.stats.attaches_completed += 1;
+                    self.stats.attach_latency_ms.push_duration_ms(latency);
+                    batch.push(self.setup(ctx, enb, imsi, bearer));
+                    let ue_addr = bearer.ue_addr;
+                    let nas = Nas::AttachAccept { ue_addr };
+                    batch.push(control(ctx, enb, wire::ATTACH_ACCEPT, S1Nas { imsi, nas }));
+                }
+                Out::Page(enb) => {
+                    self.stats.pages_sent += 1;
+                    batch.push(control(ctx, enb, wire::PAGING, S1ap::Paging { imsi }));
+                }
+                Out::Release(enb) => {
+                    self.stats.s1_releases += 1;
+                    let release = Gtpc::ReleaseAccessBearers { imsi };
+                    batch.push(control(ctx, sgw, wire::GTPC, release));
+                    let release = S1ap::UeContextRelease { imsi };
+                    batch.push(control(ctx, enb, wire::S1AP_RELEASE, release));
+                }
+                Out::Switch { from, to, bearer } => {
+                    batch.push(self.setup(ctx, to, imsi, bearer));
+                    batch.push(self.modify(ctx, imsi, to, bearer.teid_dl));
+                    if from != to {
+                        let release = S1ap::UeContextRelease { imsi };
+                        batch.push(control(ctx, from, wire::S1AP_CONTEXT, release));
+                    }
+                }
+                Out::RetrySwitch(enb, teid_dl) => {
+                    self.stats.switch_retries += 1;
+                    batch.push(self.modify(ctx, imsi, enb, teid_dl));
+                }
+                Out::Switched(enb, latency) => {
+                    self.stats.handovers_completed += 1;
+                    self.stats.switch_latency_ms.push_duration_ms(latency);
+                    let (size, nas) = (wire::S1AP_PATH_SWITCH, Nas::ServiceAccept { imsi });
+                    batch.push(control(ctx, enb, size, S1ap::PathSwitchAck { imsi }));
+                    batch.push(control(ctx, enb, size, S1Nas { imsi, nas }));
+                }
+                Out::Delete(enb) => {
+                    let delete = Gtpc::DeleteSessionRequest { imsi };
+                    batch.push(control(ctx, sgw, wire::GTPC, delete));
+                    let release = S1ap::UeContextRelease { imsi };
+                    batch.push(control(ctx, enb, wire::S1AP_CONTEXT, release));
+                }
+                Out::Lost(detach) => {
+                    self.stats.sessions_cleaned += 1;
+                    if let Some(enb) = detach {
+                        batch.extend(Self::detach_order(ctx, enb, imsi));
+                        // Neither message is acknowledged and the backhaul
+                        // may be the very thing that is failing: re-send
+                        // from the path tick until the UE re-appears.
+                        self.pending_detach.insert(imsi, (enb, DETACH_RESENDS));
+                    }
+                }
+            }
+        }
+        if !batch.is_empty() {
+            self.proc.process(ctx, batch);
+        }
+    }
+
+    /// The context setup that installs `bearer` for `imsi` at `enb`.
+    fn setup(&self, ctx: &mut NodeCtx<'_>, enb: Addr, imsi: Imsi, bearer: Bearer) -> Packet {
+        let setup = S1ap::InitialContextSetup {
+            imsi,
+            ue_addr: bearer.ue_addr,
+            sgw_addr: self.sgw_addr,
+            teid_ul: bearer.teid_ul_sgw,
+            teid_dl: bearer.teid_dl,
+        };
+        control(ctx, enb, wire::S1AP_CONTEXT, setup)
+    }
+
+    /// The ModifyBearerRequest that moves `imsi`'s downlink to `enb`.
+    fn modify(&self, ctx: &mut NodeCtx<'_>, imsi: Imsi, enb: Addr, teid_dl: Teid) -> Packet {
+        let modify = Gtpc::ModifyBearerRequest {
+            imsi,
+            new_enb_addr: enb,
+            teid_dl_enb: teid_dl,
+        };
+        control(ctx, self.sgw_addr, wire::GTPC, modify)
+    }
+
     fn handle_gtpc(&mut self, ctx: &mut NodeCtx<'_>, msg: Gtpc) {
-        match msg {
+        let (imsi, input) = match msg {
             Gtpc::CreateSessionResponse {
                 imsi,
                 ue_addr,
                 teid_ul_sgw,
                 ..
+            } => (imsi, session::Input::Created(ue_addr, teid_ul_sgw, ctx.now)),
+            Gtpc::DownlinkDataNotification { imsi } => (imsi, session::Input::DataWaiting),
+            Gtpc::ModifyBearerResponse { imsi } => (imsi, session::Input::Modified(ctx.now)),
+            // Requests the MME sends and never receives.
+            Gtpc::CreateSessionRequest { .. }
+            | Gtpc::ModifyBearerRequest { .. }
+            | Gtpc::DeleteSessionRequest { .. }
+            | Gtpc::ReleaseAccessBearers { .. } => return,
+        };
+        self.sessions(ctx, &[imsi], input);
+    }
+
+    fn handle_s1ap(&mut self, ctx: &mut NodeCtx<'_>, msg: S1ap) {
+        let (imsi, input) = match msg {
+            // eNB-reported inactivity: the UE goes ECM-IDLE and keeps its IP.
+            S1ap::UeContextReleaseRequest { imsi } => (imsi, session::Input::Inactive),
+            S1ap::PathSwitchRequest {
+                imsi,
+                ue_addr,
+                new_enb: to,
             } => {
-                let Some(UeCtx::AwaitSession {
-                    via_enb,
-                    started,
-                    teid_dl,
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                self.contexts.insert(
-                    imsi,
-                    UeCtx::Active {
-                        via_enb,
-                        ue_addr,
-                        teid_dl,
-                        teid_ul_sgw,
-                        ecm_idle: false,
-                    },
-                );
-                self.stats.attaches_completed += 1;
-                self.stats
-                    .attach_latency_ms
-                    .push_duration_ms(ctx.now.saturating_since(started));
-                obs::nas_end(ctx, NasProc::Session, imsi, true);
-                obs::nas_end(ctx, NasProc::Attach, imsi, true);
-                // Install the context at the eNB, then accept the UE.
-                let setup =
-                    ctx.make_packet(via_enb, wire::S1AP_CONTEXT)
-                        .with_payload(Payload::control(S1ap::InitialContextSetup {
-                            imsi,
-                            ue_addr,
-                            sgw_addr: self.sgw_addr,
-                            teid_ul: teid_ul_sgw,
-                            teid_dl,
-                        }));
-                let nas = Nas::AttachAccept { ue_addr };
-                let accept = Self::control(ctx, via_enb, wire::ATTACH_ACCEPT, S1Nas { imsi, nas });
-                self.proc.process(ctx, vec![setup, accept]);
+                let at = ctx.now;
+                (imsi, session::Input::PathSwitch { ue_addr, to, at })
             }
-            Gtpc::DownlinkDataNotification { imsi } => {
-                let Some(UeCtx::Active {
-                    via_enb,
-                    ecm_idle: true,
-                    ..
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                // Single-tracking-area simplification: page the last
-                // serving eNB (a multi-eNB TA would fan this out).
-                self.stats.pages_sent += 1;
-                self.send(ctx, via_enb, wire::PAGING, S1ap::Paging { imsi });
-            }
-            Gtpc::ModifyBearerResponse { imsi } => {
-                let Some(UeCtx::Switching {
-                    new_enb,
-                    ue_addr,
-                    teid_dl,
-                    teid_ul_sgw,
-                    started,
-                    ..
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return;
-                };
-                self.contexts.insert(
-                    imsi,
-                    UeCtx::Active {
-                        via_enb: new_enb,
-                        ue_addr,
-                        teid_dl,
-                        teid_ul_sgw,
-                        ecm_idle: false,
-                    },
-                );
-                self.stats.handovers_completed += 1;
-                self.stats
-                    .switch_latency_ms
-                    .push_duration_ms(ctx.now.saturating_since(started));
-                obs::nas_end(ctx, NasProc::Handover, imsi, true);
-                let size = wire::S1AP_PATH_SWITCH;
-                let nas = Nas::ServiceAccept { imsi };
-                let ack = Self::control(ctx, new_enb, size, S1ap::PathSwitchAck { imsi });
-                let accept = Self::control(ctx, new_enb, size, S1Nas { imsi, nas });
-                self.proc.process(ctx, vec![ack, accept]);
-            }
-            _ => {}
-        }
-    }
-
-    /// Periodic S-GW path-management tick: send an echo request, and tear
-    /// sessions down when the miss threshold declares the peer dead.
-    fn path_tick(&mut self, ctx: &mut NodeCtx<'_>) {
-        let Some(monitor) = self.path_mgmt.as_mut() else {
-            return;
+            // What the MME sends to eNBs and never receives.
+            S1ap::InitialContextSetup { .. }
+            | S1ap::PathSwitchAck { .. }
+            | S1ap::UeContextRelease { .. }
+            | S1ap::Paging { .. } => return,
         };
-        let interval = monitor.interval;
-        let peer = monitor.peer;
-        let (echo, edge) = monitor.tick(0);
-        obs::emit(
-            ctx,
-            Event::GtpEcho {
-                peer: peer.to_string(),
-                restart_counter: 0,
-            },
-        );
-        let req = ctx
-            .make_packet(peer, GTP_ECHO_BYTES)
-            .with_payload(Payload::control(echo));
-        ctx.forward(req);
-        ctx.set_timer(interval, TAG_PATH_TICK);
-        self.retry_pending_detach(ctx);
-        self.retry_stuck_switches(ctx, interval);
-        if edge == Some(PathEvent::PeerDead) {
-            dlte_obs::metrics::counter_add("gtp_path_down", 1);
-            obs::emit(
-                ctx,
-                Event::GtpPathDown {
-                    peer: peer.to_string(),
-                },
-            );
-            self.on_sgw_failure(ctx);
-        }
-    }
-
-    fn handle_echo(&mut self, ctx: &mut NodeCtx<'_>, echo: GtpEcho, from: Addr) {
-        if echo.is_request {
-            // Answer echoes regardless of monitoring config (the MME never
-            // restarts in our scenarios, so its counter is constant).
-            let resp = ctx
-                .make_packet(from, GTP_ECHO_BYTES)
-                .with_payload(Payload::control(GtpEcho {
-                    seq: echo.seq,
-                    restart_counter: 0,
-                    is_request: false,
-                }));
-            ctx.forward(resp);
-            return;
-        }
-        let Some(monitor) = self.path_mgmt.as_mut() else {
-            return;
-        };
-        if from == monitor.peer && monitor.on_response(echo) == PathEvent::PeerRestarted {
-            dlte_obs::metrics::counter_add("gtp_peer_restart", 1);
-            obs::emit(
-                ctx,
-                Event::GtpPeerRestart {
-                    peer: from.to_string(),
-                },
-            );
-            self.on_sgw_failure(ctx);
-        }
+        self.sessions(ctx, &[imsi], input);
     }
 
     /// The S-GW died (or restarted, losing its bearers): drop every session
     /// it backed, releasing eNB contexts and detaching UEs so they
-    /// re-attach cleanly. IMSIs are processed in sorted order to keep event
-    /// schedules deterministic.
+    /// re-attach cleanly.
     fn on_sgw_failure(&mut self, ctx: &mut NodeCtx<'_>) {
         self.stats.peer_failures += 1;
-        let mut imsis: Vec<Imsi> = self
-            .contexts
-            .iter()
-            .filter(|(_, c)| {
-                matches!(
-                    c,
-                    UeCtx::Active { .. } | UeCtx::Switching { .. } | UeCtx::AwaitSession { .. }
-                )
-            })
-            .map(|(&imsi, _)| imsi)
-            .collect();
-        imsis.sort_unstable();
-        let mut batch = Vec::new();
-        for imsi in imsis {
-            let Some(c) = self.contexts.remove(&imsi) else {
-                continue;
-            };
-            self.stats.sessions_cleaned += 1;
-            let enb = match c {
-                UeCtx::Active { via_enb, .. } | UeCtx::AwaitSession { via_enb, .. } => via_enb,
-                UeCtx::Switching { new_enb, .. } => new_enb,
-                _ => continue,
-            };
-            if matches!(c, UeCtx::AwaitSession { .. }) {
-                // No eNB context installed yet; the UE's attach timer will
-                // retry on its own.
-                obs::nas_end(ctx, NasProc::Session, imsi, false);
-                obs::nas_end(ctx, NasProc::Attach, imsi, false);
-                continue;
-            }
-            batch.extend(Self::detach_order(ctx, enb, imsi));
-            // Neither message is acknowledged and the backhaul may be the
-            // very thing that is failing: remember the order and re-send it
-            // from the path tick until the UE re-appears.
-            self.pending_detach.insert(imsi, (enb, DETACH_RESENDS));
-        }
-        if !batch.is_empty() {
-            self.proc.process(ctx, batch);
-        }
+        self.step_all(ctx, session::Input::SgwLost);
     }
 
     /// Re-send post-failure detach orders whose UE has not come back. A UE
@@ -548,147 +465,18 @@ impl MmeNode {
     /// tick, so this retries at the path-management cadence and stops
     /// naturally once every UE re-attached.
     fn retry_pending_detach(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.pending_detach.is_empty() {
-            return;
-        }
         let mut batch = Vec::new();
-        let mut done: Vec<Imsi> = Vec::new();
-        for (&imsi, &mut (enb, ref mut left)) in self.pending_detach.iter_mut() {
-            if self.contexts.contains_key(&imsi) || *left == 0 {
-                done.push(imsi);
-                continue;
+        self.pending_detach.retain(|&imsi, (enb, left)| {
+            let done = self.contexts.contains_key(&imsi) || *left == 0;
+            if !done {
+                *left -= 1;
+                self.stats.detach_retries += 1;
+                batch.extend(Self::detach_order(ctx, *enb, imsi));
             }
-            *left -= 1;
-            self.stats.detach_retries += 1;
-            batch.extend(Self::detach_order(ctx, enb, imsi));
-        }
-        for imsi in done {
-            self.pending_detach.remove(&imsi);
-        }
+            !done
+        });
         if !batch.is_empty() {
             self.proc.process(ctx, batch);
-        }
-    }
-
-    /// Re-send the ModifyBearerRequest for any path switch stuck in
-    /// `Switching` longer than one path-tick interval. The original request
-    /// (or its answer) was lost — an S-GW pause as short as the switch
-    /// itself is enough — and nothing else retransmits it, so without this
-    /// the context wedges in `Switching` forever while the UE believes it
-    /// is attached. The request is idempotent at the S-GW (it re-points the
-    /// bearer's eNB endpoint and replies), and the reply drives the normal
-    /// `Switching` → `Active` transition. Sorted IMSI order keeps event
-    /// schedules deterministic.
-    fn retry_stuck_switches(&mut self, ctx: &mut NodeCtx<'_>, interval: SimDuration) {
-        let mut stuck: Vec<(Imsi, Addr, Teid)> = self
-            .contexts
-            .iter()
-            .filter_map(|(&imsi, c)| match c {
-                UeCtx::Switching {
-                    new_enb,
-                    teid_dl,
-                    started,
-                    ..
-                } if ctx.now.saturating_since(*started) >= interval => {
-                    Some((imsi, *new_enb, *teid_dl))
-                }
-                _ => None,
-            })
-            .collect();
-        if stuck.is_empty() {
-            return;
-        }
-        stuck.sort_unstable_by_key(|&(imsi, _, _)| imsi);
-        let mut batch = Vec::new();
-        for (imsi, new_enb, teid_dl) in stuck {
-            self.stats.switch_retries += 1;
-            batch.push(
-                ctx.make_packet(self.sgw_addr, wire::GTPC)
-                    .with_payload(Payload::control(Gtpc::ModifyBearerRequest {
-                        imsi,
-                        new_enb_addr: new_enb,
-                        teid_dl_enb: teid_dl,
-                    })),
-            );
-        }
-        self.proc.process(ctx, batch);
-    }
-
-    fn handle_s1ap(&mut self, ctx: &mut NodeCtx<'_>, msg: S1ap) {
-        match msg {
-            S1ap::UeContextReleaseRequest { imsi } => {
-                // eNB-reported inactivity: move the UE to ECM-IDLE. The
-                // S-GW drops the access bearer; the eNB clears the radio
-                // context; the UE keeps its IP.
-                let Some(UeCtx::Active {
-                    via_enb,
-                    ecm_idle: idle @ false,
-                    ..
-                }) = self.contexts.get_mut(&imsi)
-                else {
-                    return;
-                };
-                *idle = true;
-                let via_enb = *via_enb;
-                self.stats.s1_releases += 1;
-                let rel_bearers = Gtpc::ReleaseAccessBearers { imsi };
-                let rel_bearers = Self::control(ctx, self.sgw_addr, wire::GTPC, rel_bearers);
-                let rel_enb = S1ap::UeContextRelease { imsi };
-                let rel_enb = Self::control(ctx, via_enb, wire::S1AP_RELEASE, rel_enb);
-                self.proc.process(ctx, vec![rel_bearers, rel_enb]);
-            }
-            S1ap::PathSwitchRequest {
-                imsi,
-                ue_addr,
-                new_enb,
-            } => {
-                let Some(UeCtx::Active {
-                    via_enb: old_enb,
-                    teid_dl,
-                    teid_ul_sgw,
-                    ..
-                }) = self.contexts.get(&imsi).cloned()
-                else {
-                    return; // unknown UE: ignore (UE will fall back to attach)
-                };
-                obs::nas_start(ctx, NasProc::Handover, imsi);
-                self.contexts.insert(
-                    imsi,
-                    UeCtx::Switching {
-                        new_enb,
-                        ue_addr,
-                        teid_dl,
-                        teid_ul_sgw,
-                        started: ctx.now,
-                    },
-                );
-                // The target eNB gets the context immediately (in real S1AP
-                // it already holds it — it initiated the path switch), so
-                // downlink flushed by the S-GW never races an uninstalled
-                // tunnel.
-                let setup = S1ap::InitialContextSetup {
-                    imsi,
-                    ue_addr,
-                    sgw_addr: self.sgw_addr,
-                    teid_ul: teid_ul_sgw,
-                    teid_dl,
-                };
-                let modify = Gtpc::ModifyBearerRequest {
-                    imsi,
-                    new_enb_addr: new_enb,
-                    teid_dl_enb: teid_dl,
-                };
-                let mut batch = vec![
-                    Self::control(ctx, new_enb, wire::S1AP_CONTEXT, setup),
-                    Self::control(ctx, self.sgw_addr, wire::GTPC, modify),
-                ];
-                if old_enb != new_enb {
-                    let release = S1ap::UeContextRelease { imsi };
-                    batch.push(Self::control(ctx, old_enb, wire::S1AP_CONTEXT, release));
-                }
-                self.proc.process(ctx, batch);
-            }
-            _ => {}
         }
     }
 }
@@ -704,21 +492,27 @@ impl NodeHandler for MmeNode {
         } else if let Some(msg) = packet.payload.as_control::<S1ap>().cloned() {
             self.handle_s1ap(ctx, msg);
         } else if let Some(echo) = packet.payload.as_control::<GtpEcho>().copied() {
-            self.handle_echo(ctx, echo, packet.src);
+            // The MME never restarts in our scenarios: its counter stays 0.
+            if self.path.on_echo(ctx, echo, packet.src, 0) {
+                self.on_sgw_failure(ctx);
+            }
         } else if !ctx.peer_info(ctx.node).owns(packet.dst) {
             ctx.forward(packet);
         }
     }
 
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        if let Some(m) = &self.path_mgmt {
-            ctx.set_timer(m.interval, TAG_PATH_TICK);
-        }
+        self.path.start(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag == TAG_PATH_TICK {
-            self.path_tick(ctx);
+        if let Some((interval, lost)) = self.path.on_timer(ctx, tag, 0) {
+            self.retry_pending_detach(ctx);
+            // A path switch stuck past one interval lost its request.
+            self.step_all(ctx, session::Input::Tick(ctx.now, interval));
+            if lost {
+                self.on_sgw_failure(ctx);
+            }
         } else if tag >= TAG_RESYNC_BASE {
             // A resync guard fired: if the attach still waits on that HSS
             // answer, the machine abandons it (the UE's retransmission
@@ -730,4 +524,10 @@ impl NodeHandler for MmeNode {
             self.proc.on_timer(ctx, tag);
         }
     }
+}
+
+/// A control packet of `size` bytes carrying `msg` to `dst`.
+fn control(ctx: &mut NodeCtx<'_>, dst: Addr, size: u32, msg: impl Any + Send + Sync) -> Packet {
+    ctx.make_packet(dst, size)
+        .with_payload(Payload::control(msg))
 }

@@ -7,14 +7,13 @@
 //! addresses and tunnel toward the S-GW.
 
 use crate::messages::{wire, Teid, S5};
-use crate::obs;
+use crate::path;
 use crate::proc::Processor;
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::gtp;
-use dlte_net::gtp::{GtpEcho, GtpErrorIndication, GTP_ECHO_BYTES, GTP_ERROR_BYTES};
+use dlte_net::gtp::GtpEcho;
 use dlte_net::{Addr, AddrPool, NodeCtx, NodeHandler, Packet, Payload};
-use dlte_obs::Event;
 use dlte_sim::SimDuration;
 
 #[derive(Clone, Debug)]
@@ -132,15 +131,13 @@ impl PgwNode {
                 };
                 let teid_ul_pgw = self.next_teid;
                 self.next_teid += 1;
-                self.by_ue_addr.insert(
-                    ue_addr,
-                    PdnSession {
-                        imsi,
-                        sgw_addr,
-                        teid_dl_sgw,
-                        teid_ul_pgw,
-                    },
-                );
+                let session = PdnSession {
+                    imsi,
+                    sgw_addr,
+                    teid_dl_sgw,
+                    teid_ul_pgw,
+                };
+                self.by_ue_addr.insert(ue_addr, session);
                 self.by_ul_teid.insert(teid_ul_pgw, ue_addr);
                 self.by_imsi.insert(imsi, ue_addr);
                 let my_addr = ctx.my_addr();
@@ -162,7 +159,8 @@ impl PgwNode {
                     self.pool.release(ue_addr);
                 }
             }
-            _ => {}
+            // The answer the P-GW sends and never receives.
+            S5::CreateResponse { .. } => {}
         }
     }
 
@@ -186,13 +184,8 @@ impl PgwNode {
             // No context (e.g. we restarted): tell the S-GW so it tears the
             // stale bearer down instead of blackholing forever.
             self.stats.unknown_teid_drops += 1;
-            self.stats.error_indications_sent += 1;
-            dlte_obs::metrics::counter_add("gtp_error_indications", 1);
-            obs::emit(ctx, Event::GtpErrorIndication { teid: teid as u64 });
-            let err = ctx
-                .make_packet(packet.src, GTP_ERROR_BYTES)
-                .with_payload(Payload::control(GtpErrorIndication { teid }));
-            ctx.forward(err);
+            let sent = &mut self.stats.error_indications_sent;
+            path::error_indication(ctx, sent, packet.src, teid);
         }
     }
 
@@ -217,16 +210,7 @@ impl NodeHandler for PgwNode {
         if let Some(msg) = packet.payload.as_control::<S5>().cloned() {
             self.handle_s5(ctx, msg, packet.src);
         } else if let Some(echo) = packet.payload.as_control::<GtpEcho>().copied() {
-            if echo.is_request {
-                let reply =
-                    ctx.make_packet(packet.src, GTP_ECHO_BYTES)
-                        .with_payload(Payload::control(GtpEcho {
-                            seq: echo.seq,
-                            restart_counter: self.restart_counter,
-                            is_request: false,
-                        }));
-                ctx.forward(reply);
-            }
+            path::answer_echo(ctx, echo, packet.src, self.restart_counter);
         } else if ctx.peer_info(ctx.node).owns(packet.dst) {
             self.handle_user_plane(ctx, packet);
         } else if self.pool.prefix().contains(packet.dst) {

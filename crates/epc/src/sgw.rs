@@ -2,48 +2,25 @@
 //!
 //! User-plane anchor between eNBs and the P-GW: re-tunnels every user
 //! packet in both directions and moves the eNB-side tunnel on handover.
-//! Control (S11 from MME, S5 from P-GW) goes through the finite-capacity
-//! processor; user-plane forwarding is charged a fixed per-packet time via
-//! the same mechanism kept deliberately small (hardware fast path).
+//! Control (S11 from the MME, S5 from the P-GW) is the S-GW half of the
+//! session lifecycle (`session.rs`); this node allocates TEIDs, indexes
+//! bearers by them, builds the packets each step asks for and sends them
+//! through the finite-capacity processor. The per-packet user plane reads
+//! the bearer table directly and never calls the step. Echo path
+//! management toward the P-GW (`path.rs`) tears bearers down when the
+//! P-GW is lost.
 
 use crate::messages::{wire, Gtpc, Teid, S5};
-use crate::obs;
+use crate::path::{self, PathMgmt};
 use crate::proc::Processor;
+use crate::session::sgw::{self as session, Bearer, Input, Output};
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::gtp;
-use dlte_net::gtp::{
-    GtpEcho, GtpErrorIndication, PathEvent, PathMonitor, GTP_ECHO_BYTES, GTP_ERROR_BYTES,
-};
+use dlte_net::gtp::{GtpEcho, GtpErrorIndication};
 use dlte_net::{Addr, NodeCtx, NodeHandler, Packet, Payload};
-use dlte_obs::Event;
 use dlte_sim::SimDuration;
-
-/// Timer tag for the GTP-U path-management tick (disjoint from the
-/// processor's tag space, which grows upward from 0).
-const TAG_PATH_TICK: u64 = 8_900_000;
-
-#[derive(Clone, Debug)]
-struct Bearer {
-    enb_addr: Addr,
-    teid_dl_enb: Teid,
-    /// False while the UE is ECM-IDLE: the eNB tunnel is torn down,
-    /// downlink is buffered, and a notification wakes the MME.
-    enb_connected: bool,
-    /// One notification per idle period.
-    ddn_sent: bool,
-    /// Buffered downlink packets awaiting paging (bounded).
-    buffer: Vec<Packet>,
-    /// Uplink TEID at this S-GW (eNB → us).
-    teid_ul_sgw: Teid,
-    /// Downlink TEID at this S-GW (P-GW → us).
-    teid_dl_sgw: Teid,
-    pgw_addr: Addr,
-    teid_ul_pgw: Option<Teid>,
-    ue_addr: Option<Addr>,
-    /// MME to answer once the P-GW responds.
-    pending_mme: Option<Addr>,
-}
+use std::any::Any;
 
 /// S-GW statistics.
 #[derive(Clone, Debug, Default)]
@@ -74,14 +51,17 @@ pub struct SgwNode {
     /// Downlink buffer capacity per idle bearer, packets.
     pub buffer_cap: usize,
     pub proc: Processor,
-    bearers: FxHashMap<Imsi, Bearer>,
+    /// Each bearer, and the downlink it buffers while the UE is ECM-IDLE
+    /// (bounded).
+    bearers: FxHashMap<Imsi, (Bearer, Vec<Packet>)>,
     by_ul_teid: FxHashMap<Teid, Imsi>,
     by_dl_teid: FxHashMap<Teid, Imsi>,
     next_teid: Teid,
     /// GTP restart counter: bumped on every restart so peers running path
     /// management can tell "rebooted and lost state" from "slow".
     pub restart_counter: u32,
-    path_mgmt: Option<PathMonitor>,
+    /// Echo path management toward the P-GW (off unless enabled).
+    pub path: PathMgmt,
     pub stats: SgwStats,
 }
 
@@ -97,16 +77,9 @@ impl SgwNode {
             by_dl_teid: FxHashMap::default(),
             next_teid: 0x1000_0000,
             restart_counter: 0,
-            path_mgmt: None,
+            path: PathMgmt::default(),
             stats: SgwStats::default(),
         }
-    }
-
-    /// Run GTP-U echo path management toward the P-GW: an echo request
-    /// every `interval`, declaring the peer dead after `max_misses`
-    /// consecutive unanswered requests. Off by default.
-    pub fn enable_path_mgmt(&mut self, interval: SimDuration, max_misses: u32) {
-        self.path_mgmt = Some(PathMonitor::new(self.pgw_addr, interval, max_misses));
     }
 
     fn alloc_teid(&mut self) -> Teid {
@@ -120,7 +93,7 @@ impl SgwNode {
         let mut bearers: Vec<_> = self
             .bearers
             .iter()
-            .map(|(&imsi, b)| crate::audit::SgwBearerAudit {
+            .map(|(&imsi, (b, _))| crate::audit::SgwBearerAudit {
                 imsi,
                 teid_ul_sgw: b.teid_ul_sgw,
                 teid_dl_sgw: b.teid_dl_sgw,
@@ -143,138 +116,156 @@ impl SgwNode {
     /// error indication so it tears its side down.
     fn unknown_teid(&mut self, ctx: &mut NodeCtx<'_>, src: Addr, teid: Teid) {
         self.stats.unknown_teid_drops += 1;
-        self.stats.error_indications_sent += 1;
-        dlte_obs::metrics::counter_add("gtp_error_indications", 1);
-        obs::emit(ctx, Event::GtpErrorIndication { teid: teid as u64 });
-        let err = ctx
-            .make_packet(src, GTP_ERROR_BYTES)
-            .with_payload(Payload::control(GtpErrorIndication { teid }));
-        ctx.forward(err);
+        path::error_indication(ctx, &mut self.stats.error_indications_sent, src, teid);
     }
 
-    fn handle_gtpc(&mut self, ctx: &mut NodeCtx<'_>, msg: Gtpc, from: Addr) {
-        match msg {
+    /// Queue one S11/S5 message to `dst` through the processor.
+    fn send(&mut self, ctx: &mut NodeCtx<'_>, dst: Addr, msg: impl Any + Send + Sync) {
+        let p = ctx.make_packet(dst, wire::GTPC);
+        self.proc
+            .process_one(ctx, p.with_payload(Payload::control(msg)));
+    }
+
+    fn handle_gtpc(&mut self, ctx: &mut NodeCtx<'_>, msg: Gtpc, mme: Addr) {
+        let (imsi, input) = match msg {
             Gtpc::CreateSessionRequest {
                 imsi,
                 enb_addr,
                 teid_dl_enb,
             } => {
-                // Re-create for a subscriber we already serve (the MME
-                // re-attached it after tearing the old session down on its
-                // side): unindex the stale bearer's TEIDs first.
-                if let Some(old) = self.bearers.remove(&imsi) {
-                    self.by_ul_teid.remove(&old.teid_ul_sgw);
-                    self.by_dl_teid.remove(&old.teid_dl_sgw);
-                }
-                let teid_ul_sgw = self.alloc_teid();
-                let teid_dl_sgw = self.alloc_teid();
-                self.by_ul_teid.insert(teid_ul_sgw, imsi);
-                self.by_dl_teid.insert(teid_dl_sgw, imsi);
-                self.bearers.insert(
-                    imsi,
-                    Bearer {
-                        enb_addr,
-                        teid_dl_enb,
-                        enb_connected: true,
-                        ddn_sent: false,
-                        buffer: Vec::new(),
-                        teid_ul_sgw,
-                        teid_dl_sgw,
-                        pgw_addr: self.pgw_addr,
-                        teid_ul_pgw: None,
-                        ue_addr: None,
-                        pending_mme: Some(from),
-                    },
-                );
-                let my_addr = ctx.my_addr();
-                let req =
-                    ctx.make_packet(self.pgw_addr, wire::GTPC)
-                        .with_payload(Payload::control(S5::CreateRequest {
-                            imsi,
-                            sgw_addr: my_addr,
-                            teid_dl_sgw,
-                        }));
-                self.proc.process_one(ctx, req);
+                let bearer = Bearer {
+                    enb_addr,
+                    teid_dl_enb,
+                    enb_connected: true,
+                    ddn_sent: false,
+                    teid_ul_sgw: self.alloc_teid(),
+                    teid_dl_sgw: self.alloc_teid(),
+                    pgw_addr: self.pgw_addr,
+                    teid_ul_pgw: None,
+                    ue_addr: None,
+                    pending_mme: Some(mme),
+                };
+                (imsi, Input::Create(bearer))
             }
             Gtpc::ModifyBearerRequest {
                 imsi,
-                new_enb_addr,
-                teid_dl_enb,
-            } => {
-                if let Some(b) = self.bearers.get_mut(&imsi) {
-                    b.enb_addr = new_enb_addr;
-                    b.teid_dl_enb = teid_dl_enb;
-                    b.enb_connected = true;
-                    b.ddn_sent = false;
-                    self.stats.bearers_modified += 1;
-                    // Flush anything buffered while the UE was idle.
-                    let waiting = std::mem::take(&mut b.buffer);
-                    let (enb, teid) = (b.enb_addr, b.teid_dl_enb);
-                    let my_addr = ctx.my_addr();
-                    for p in waiting {
-                        self.stats.buffer_flushed += 1;
-                        let out = gtp::encapsulate(p, teid, my_addr, enb);
-                        ctx.forward(out);
-                    }
-                    let resp = ctx
-                        .make_packet(from, wire::GTPC)
-                        .with_payload(Payload::control(Gtpc::ModifyBearerResponse { imsi }));
-                    self.proc.process_one(ctx, resp);
-                }
-            }
-            Gtpc::ReleaseAccessBearers { imsi } => {
-                if let Some(b) = self.bearers.get_mut(&imsi) {
-                    b.enb_connected = false;
-                    b.ddn_sent = false;
-                    self.stats.bearers_released += 1;
-                }
-            }
-            Gtpc::DeleteSessionRequest { imsi } => {
-                if let Some(b) = self.bearers.remove(&imsi) {
-                    self.by_ul_teid.remove(&b.teid_ul_sgw);
-                    self.by_dl_teid.remove(&b.teid_dl_sgw);
-                    let del =
-                        ctx.make_packet(self.pgw_addr, wire::GTPC)
-                            .with_payload(Payload::control(S5::DeleteRequest {
-                                imsi,
-                                ue_addr: b.ue_addr.unwrap_or(Addr::UNSPECIFIED),
-                            }));
-                    self.proc.process_one(ctx, del);
-                }
-            }
-            _ => {}
-        }
+                new_enb_addr: enb,
+                teid_dl_enb: teid,
+            } => (imsi, Input::Modify { enb, teid, mme }),
+            Gtpc::ReleaseAccessBearers { imsi } => (imsi, Input::ReleaseAccess),
+            Gtpc::DeleteSessionRequest { imsi } => (imsi, Input::Delete),
+            // What the S-GW sends to the MME and never receives.
+            Gtpc::CreateSessionResponse { .. }
+            | Gtpc::ModifyBearerResponse { .. }
+            | Gtpc::DownlinkDataNotification { .. } => return,
+        };
+        self.step(ctx, imsi, input);
     }
 
     fn handle_s5(&mut self, ctx: &mut NodeCtx<'_>, msg: S5) {
-        if let S5::CreateResponse {
-            imsi,
-            ue_addr,
-            pgw_addr,
-            teid_ul_pgw,
-        } = msg
-        {
-            let Some(b) = self.bearers.get_mut(&imsi) else {
-                return;
-            };
-            b.teid_ul_pgw = Some(teid_ul_pgw);
-            b.ue_addr = Some(ue_addr);
-            b.pgw_addr = pgw_addr;
-            self.stats.sessions_created += 1;
-            let (teid_ul_sgw, mme) = (b.teid_ul_sgw, b.pending_mme.take());
-            if let Some(mme) = mme {
-                let my_addr = ctx.my_addr();
-                let resp = ctx
-                    .make_packet(mme, wire::GTPC)
-                    .with_payload(Payload::control(Gtpc::CreateSessionResponse {
+        match msg {
+            S5::CreateResponse {
+                imsi,
+                ue_addr,
+                pgw_addr: pgw,
+                teid_ul_pgw: teid,
+            } => self.step(ctx, imsi, Input::Created { ue_addr, pgw, teid }),
+            // Requests the S-GW sends and never receives.
+            S5::CreateRequest { .. } | S5::DeleteRequest { .. } => {}
+        }
+    }
+
+    /// Step `imsi`'s bearer and carry out what it asks for.
+    fn step(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi, input: Input) {
+        let (old, buffer) = self.bearers.remove(&imsi).unzip();
+        let mut buffer = buffer.unwrap_or_default();
+        let (next, outputs) = session::step(old, input);
+        let teids = |b: Option<Bearer>| b.map(|b| (b.teid_ul_sgw, b.teid_dl_sgw));
+        if teids(old) != teids(next) {
+            // A bearer came, went or was replaced: re-index its TEIDs; what
+            // a replaced bearer buffered goes with it.
+            if let Some((ul, dl)) = teids(old) {
+                self.by_ul_teid.remove(&ul);
+                self.by_dl_teid.remove(&dl);
+            }
+            if let Some((ul, dl)) = teids(next) {
+                self.by_ul_teid.insert(ul, imsi);
+                self.by_dl_teid.insert(dl, imsi);
+            }
+            buffer = Vec::new();
+        }
+        for out in outputs {
+            match out {
+                Output::Create(teid_dl_sgw) => {
+                    let sgw_addr = ctx.my_addr();
+                    let req = S5::CreateRequest {
                         imsi,
-                        ue_addr,
-                        sgw_addr: my_addr,
-                        teid_ul_sgw,
-                    }));
-                self.proc.process_one(ctx, resp);
+                        sgw_addr,
+                        teid_dl_sgw,
+                    };
+                    self.send(ctx, self.pgw_addr, req);
+                }
+                Output::Created(mme, ue_addr, teid_ul_sgw) => {
+                    self.stats.sessions_created += 1;
+                    if let Some(mme) = mme {
+                        let sgw_addr = ctx.my_addr();
+                        let resp = Gtpc::CreateSessionResponse {
+                            imsi,
+                            ue_addr,
+                            sgw_addr,
+                            teid_ul_sgw,
+                        };
+                        self.send(ctx, mme, resp);
+                    }
+                }
+                Output::Modified { enb, teid, mme } => {
+                    self.stats.bearers_modified += 1;
+                    // Flush anything buffered while the UE was idle.
+                    let my_addr = ctx.my_addr();
+                    for p in std::mem::take(&mut buffer) {
+                        self.stats.buffer_flushed += 1;
+                        ctx.forward(gtp::encapsulate(p, teid, my_addr, enb));
+                    }
+                    self.send(ctx, mme, Gtpc::ModifyBearerResponse { imsi });
+                }
+                Output::Released => self.stats.bearers_released += 1,
+                Output::Delete(ue_addr) => {
+                    self.send(ctx, self.pgw_addr, S5::DeleteRequest { imsi, ue_addr })
+                }
+                Output::TornDown(error_to) => {
+                    self.stats.sessions_cleaned += 1;
+                    if let Some((enb, teid)) = error_to {
+                        let sent = &mut self.stats.error_indications_sent;
+                        path::error_indication(ctx, sent, enb, teid);
+                    }
+                }
             }
         }
+        if let Some(b) = next {
+            self.bearers.insert(imsi, (b, buffer));
+        }
+    }
+
+    /// Tear down the bearers `stale` picks, in IMSI order, telling each
+    /// connected eNB (by its own downlink TEID) so the radio side releases
+    /// the UE and it re-attaches.
+    fn teardown(&mut self, ctx: &mut NodeCtx<'_>, stale: impl Fn(&Bearer) -> bool) {
+        let mut imsis: Vec<Imsi> = self
+            .bearers
+            .iter()
+            .filter(|(_, (b, _))| stale(b))
+            .map(|(&imsi, _)| imsi)
+            .collect();
+        imsis.sort_unstable();
+        for imsi in imsis {
+            self.step(ctx, imsi, Input::Teardown);
+        }
+    }
+
+    /// The P-GW died or rebooted: every bearer it anchored is gone.
+    fn on_pgw_failure(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.stats.peer_failures += 1;
+        self.teardown(ctx, |_| true);
     }
 
     /// Re-tunnel a user-plane packet (already addressed to this S-GW).
@@ -287,7 +278,7 @@ impl SgwNode {
         let src = packet.src;
         if let Some(&imsi) = self.by_ul_teid.get(&teid) {
             // Uplink: eNB → us → P-GW.
-            let Some(b) = self.bearers.get(&imsi) else {
+            let Some((b, _)) = self.bearers.get(&imsi) else {
                 // Dangling index entry (bearer torn down without
                 // unindexing): repair the index and answer as for any
                 // unknown TEID instead of panicking on hostile input.
@@ -297,9 +288,8 @@ impl SgwNode {
             };
             let (pgw, teid_ul_pgw) = (b.pgw_addr, b.teid_ul_pgw);
             let Some(teid_pgw) = teid_ul_pgw else { return };
-            let inner = match gtp::decapsulate(packet, Some(teid)) {
-                Ok(p) => p,
-                Err(_) => return,
+            let Ok(inner) = gtp::decapsulate(packet, Some(teid)) else {
+                return;
             };
             self.stats.ul_packets += 1;
             let my_addr = ctx.my_addr();
@@ -307,11 +297,10 @@ impl SgwNode {
             ctx.forward(out);
         } else if let Some(&imsi) = self.by_dl_teid.get(&teid) {
             // Downlink: P-GW → us → eNB (or the idle-mode buffer).
-            let inner = match gtp::decapsulate(packet, Some(teid)) {
-                Ok(p) => p,
-                Err(_) => return,
+            let Ok(inner) = gtp::decapsulate(packet, Some(teid)) else {
+                return;
             };
-            let Some(b) = self.bearers.get_mut(&imsi) else {
+            let Some((b, buffer)) = self.bearers.get_mut(&imsi) else {
                 // Dangling index entry, as above.
                 self.by_dl_teid.remove(&teid);
                 self.unknown_teid(ctx, src, teid);
@@ -319,8 +308,8 @@ impl SgwNode {
             };
             if !b.enb_connected {
                 // ECM-IDLE: buffer and (once) notify the MME so it pages.
-                if b.buffer.len() < self.buffer_cap {
-                    b.buffer.push(inner);
+                if buffer.len() < self.buffer_cap {
+                    buffer.push(inner);
                     self.stats.buffered += 1;
                 } else {
                     self.stats.buffer_drops += 1;
@@ -328,10 +317,7 @@ impl SgwNode {
                 if !b.ddn_sent && !self.mme_addr.is_unspecified() {
                     b.ddn_sent = true;
                     self.stats.ddn_sent += 1;
-                    let ddn = ctx
-                        .make_packet(self.mme_addr, wire::GTPC)
-                        .with_payload(Payload::control(Gtpc::DownlinkDataNotification { imsi }));
-                    self.proc.process_one(ctx, ddn);
+                    self.send(ctx, self.mme_addr, Gtpc::DownlinkDataNotification { imsi });
                 }
                 return;
             }
@@ -346,120 +332,11 @@ impl SgwNode {
             self.unknown_teid(ctx, src, teid);
         }
     }
-
-    /// Tear one bearer down and propagate a GTP-U error indication to its
-    /// eNB (addressed by the eNB's own downlink TEID) so the radio side
-    /// releases the UE and it re-attaches.
-    fn teardown_bearer(&mut self, ctx: &mut NodeCtx<'_>, imsi: Imsi) {
-        let Some(b) = self.bearers.remove(&imsi) else {
-            return;
-        };
-        self.by_ul_teid.remove(&b.teid_ul_sgw);
-        self.by_dl_teid.remove(&b.teid_dl_sgw);
-        self.stats.sessions_cleaned += 1;
-        if b.enb_connected {
-            self.stats.error_indications_sent += 1;
-            dlte_obs::metrics::counter_add("gtp_error_indications", 1);
-            obs::emit(
-                ctx,
-                Event::GtpErrorIndication {
-                    teid: b.teid_dl_enb as u64,
-                },
-            );
-            let err = ctx
-                .make_packet(b.enb_addr, GTP_ERROR_BYTES)
-                .with_payload(Payload::control(GtpErrorIndication {
-                    teid: b.teid_dl_enb,
-                }));
-            ctx.forward(err);
-        }
-    }
-
-    /// The P-GW died or rebooted: every bearer it anchored is gone.
-    fn on_pgw_failure(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.stats.peer_failures += 1;
-        let mut imsis: Vec<Imsi> = self.bearers.keys().copied().collect();
-        imsis.sort_unstable();
-        for imsi in imsis {
-            self.teardown_bearer(ctx, imsi);
-        }
-    }
-
-    /// The P-GW told us it has no context for a TEID we are still sending
-    /// to: that one bearer is stale.
-    fn on_error_indication(&mut self, ctx: &mut NodeCtx<'_>, teid: Teid) {
-        let mut imsis: Vec<Imsi> = self
-            .bearers
-            .iter()
-            .filter(|(_, b)| b.teid_ul_pgw == Some(teid))
-            .map(|(&imsi, _)| imsi)
-            .collect();
-        imsis.sort_unstable();
-        for imsi in imsis {
-            self.teardown_bearer(ctx, imsi);
-        }
-    }
-
-    fn path_tick(&mut self, ctx: &mut NodeCtx<'_>) {
-        let Some(monitor) = &mut self.path_mgmt else {
-            return;
-        };
-        let (echo, event) = monitor.tick(self.restart_counter);
-        let (peer, interval) = (monitor.peer, monitor.interval);
-        obs::emit(
-            ctx,
-            Event::GtpEcho {
-                peer: peer.to_string(),
-                restart_counter: self.restart_counter,
-            },
-        );
-        let req = ctx
-            .make_packet(peer, GTP_ECHO_BYTES)
-            .with_payload(Payload::control(echo));
-        ctx.forward(req);
-        ctx.set_timer(interval, TAG_PATH_TICK);
-        if event == Some(PathEvent::PeerDead) {
-            dlte_obs::metrics::counter_add("gtp_path_down", 1);
-            obs::emit(
-                ctx,
-                Event::GtpPathDown {
-                    peer: peer.to_string(),
-                },
-            );
-            self.on_pgw_failure(ctx);
-        }
-    }
-
-    fn handle_echo(&mut self, ctx: &mut NodeCtx<'_>, echo: GtpEcho, from: Addr) {
-        if echo.is_request {
-            let reply = ctx
-                .make_packet(from, GTP_ECHO_BYTES)
-                .with_payload(Payload::control(GtpEcho {
-                    seq: echo.seq,
-                    restart_counter: self.restart_counter,
-                    is_request: false,
-                }));
-            ctx.forward(reply);
-        } else if let Some(monitor) = &mut self.path_mgmt {
-            if from == monitor.peer && monitor.on_response(echo) == PathEvent::PeerRestarted {
-                dlte_obs::metrics::counter_add("gtp_peer_restart", 1);
-                obs::emit(
-                    ctx,
-                    Event::GtpPeerRestart {
-                        peer: from.to_string(),
-                    },
-                );
-                self.on_pgw_failure(ctx);
-            }
-        }
-    }
 }
 
 impl NodeHandler for SgwNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        if let Some(monitor) = &self.path_mgmt {
-            ctx.set_timer(monitor.interval, TAG_PATH_TICK);
-        }
+        self.path.start(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
@@ -468,9 +345,14 @@ impl NodeHandler for SgwNode {
         } else if let Some(msg) = packet.payload.as_control::<S5>().cloned() {
             self.handle_s5(ctx, msg);
         } else if let Some(echo) = packet.payload.as_control::<GtpEcho>().copied() {
-            self.handle_echo(ctx, echo, packet.src);
+            let rc = self.restart_counter;
+            if self.path.on_echo(ctx, echo, packet.src, rc) {
+                self.on_pgw_failure(ctx);
+            }
         } else if let Some(err) = packet.payload.as_control::<GtpErrorIndication>().copied() {
-            self.on_error_indication(ctx, err.teid);
+            // The P-GW has no context for a TEID we still send to: that
+            // bearer is stale.
+            self.teardown(ctx, |b| b.teid_ul_pgw == Some(err.teid));
         } else if ctx.peer_info(ctx.node).owns(packet.dst) {
             self.handle_user_plane(ctx, packet);
         } else {
@@ -479,10 +361,10 @@ impl NodeHandler for SgwNode {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
-        if tag == TAG_PATH_TICK {
-            self.path_tick(ctx);
-        } else {
-            self.proc.on_timer(ctx, tag);
+        match self.path.on_timer(ctx, tag, self.restart_counter) {
+            Some((_, true)) => self.on_pgw_failure(ctx),
+            Some((_, false)) => {}
+            None => _ = self.proc.on_timer(ctx, tag),
         }
     }
 
@@ -495,9 +377,7 @@ impl NodeHandler for SgwNode {
         self.by_ul_teid.clear();
         self.by_dl_teid.clear();
         self.proc.reset();
-        if let Some(m) = &self.path_mgmt {
-            self.path_mgmt = Some(PathMonitor::new(m.peer, m.interval, m.max_misses));
-        }
+        self.path.reset();
     }
 
     fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {

@@ -166,14 +166,14 @@ impl CentralizedLteBuilder {
         }
         let mut mme_node = MmeNode::new(self.sn_id, hss_addr, sgw_addr, self.mme_per_msg);
         if let Some((interval, max_misses)) = self.path_mgmt {
-            mme_node.enable_path_mgmt(interval, max_misses);
+            mme_node.path.enable(sgw_addr, interval, max_misses);
         }
         let mme = b.host("mme", Box::new(mme_node));
         b.addr(mme, mme_addr);
         let mut sgw_node = SgwNode::new(pgw_addr, self.gw_per_msg);
         sgw_node.mme_addr = mme_addr;
         if let Some((interval, max_misses)) = self.path_mgmt {
-            sgw_node.enable_path_mgmt(interval, max_misses);
+            sgw_node.path.enable(pgw_addr, interval, max_misses);
         }
         let sgw = b.host("sgw", Box::new(sgw_node));
         b.addr(sgw, sgw_addr);
