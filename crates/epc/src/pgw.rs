@@ -131,13 +131,15 @@ impl PgwNode {
                 };
                 let teid_ul_pgw = self.next_teid;
                 self.next_teid += 1;
-                let session = PdnSession {
-                    imsi,
-                    sgw_addr,
-                    teid_dl_sgw,
-                    teid_ul_pgw,
-                };
-                self.by_ue_addr.insert(ue_addr, session);
+                self.by_ue_addr.insert(
+                    ue_addr,
+                    PdnSession {
+                        imsi,
+                        sgw_addr,
+                        teid_dl_sgw,
+                        teid_ul_pgw,
+                    },
+                );
                 self.by_ul_teid.insert(teid_ul_pgw, ue_addr);
                 self.by_imsi.insert(imsi, ue_addr);
                 let my_addr = ctx.my_addr();

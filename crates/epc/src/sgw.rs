@@ -288,8 +288,9 @@ impl SgwNode {
             };
             let (pgw, teid_ul_pgw) = (b.pgw_addr, b.teid_ul_pgw);
             let Some(teid_pgw) = teid_ul_pgw else { return };
-            let Ok(inner) = gtp::decapsulate(packet, Some(teid)) else {
-                return;
+            let inner = match gtp::decapsulate(packet, Some(teid)) {
+                Ok(p) => p,
+                Err(_) => return,
             };
             self.stats.ul_packets += 1;
             let my_addr = ctx.my_addr();
@@ -297,8 +298,9 @@ impl SgwNode {
             ctx.forward(out);
         } else if let Some(&imsi) = self.by_dl_teid.get(&teid) {
             // Downlink: P-GW → us → eNB (or the idle-mode buffer).
-            let Ok(inner) = gtp::decapsulate(packet, Some(teid)) else {
-                return;
+            let inner = match gtp::decapsulate(packet, Some(teid)) {
+                Ok(p) => p,
+                Err(_) => return,
             };
             let Some((b, buffer)) = self.bearers.get_mut(&imsi) else {
                 // Dangling index entry, as above.
