@@ -164,7 +164,6 @@ impl TtiScheduler for ProportionalFair {
             return;
         }
         let mut granted_bits = vec![0f64; ues.len()];
-        let mut granted_prb = vec![0u32; ues.len()];
         while grid.available() > 0 && !demand.is_empty() {
             // Metric uses avg updated with this TTI's provisional grants so a
             // single TTI doesn't dump the whole grid on one UE.
@@ -184,7 +183,6 @@ impl TtiScheduler for ProportionalFair {
                 break;
             }
             granted_bits[i] += ues[i].bits_per_prb;
-            granted_prb[i] += 1;
             if remaining <= 1 {
                 demand.swap_remove(best_pos);
             } else {
