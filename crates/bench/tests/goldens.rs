@@ -31,7 +31,7 @@ struct Golden {
 /// Every combination of `--jobs 1,2` × `--shards 1,2,4`.
 const ALL_RUNS: &[(usize, usize)] = &[(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)];
 
-const GOLDENS: [Golden; 5] = [
+const GOLDENS: [Golden; 6] = [
     Golden {
         file: "all.json",
         targets: &["all"],
@@ -57,6 +57,16 @@ const GOLDENS: [Golden; 5] = [
         jq: "map(.meta |= {drops: .drops})",
         events: false,
         runs: ALL_RUNS,
+    },
+    // 200 nodes is 20 APs, three X2 towns: the cross-town report mesh
+    // must not depend on where the shard cut falls.
+    Golden {
+        file: "e15.json",
+        targets: &["e15"],
+        params: Some(r#"{"sizes": [50, 200], "total_s": 5.0}"#),
+        jq: ".meta |= {drops: .drops}",
+        events: false,
+        runs: &[(1, 1), (1, 2), (1, 4)],
     },
     Golden {
         file: "e17.json",
