@@ -18,7 +18,7 @@
 
 use dlte_faults::{MovePlan, MoveSpec};
 use dlte_sim::rng::hash_unit;
-use dlte_sim::SimRng;
+use dlte_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How a UE population moves between APs.
@@ -94,6 +94,23 @@ pub fn cell_index_for(home_ap: usize, ap: usize, n_aps: usize) -> usize {
     } else {
         ap
     }
+}
+
+/// One UE's cell changes under a population move plan, as the builders
+/// hand them to the UE: its moves to APs below `n_aps`, each target mapped
+/// onto the UE's cell list with [`cell_index_for`].
+pub fn cell_schedule(
+    moves: &MovePlan,
+    ue: usize,
+    home_ap: usize,
+    n_aps: usize,
+) -> Vec<(SimTime, usize)> {
+    moves
+        .schedule_for(ue)
+        .into_iter()
+        .filter(|&(_, ap)| ap < n_aps)
+        .map(|(t, ap)| (t, cell_index_for(home_ap, ap, n_aps)))
+        .collect()
 }
 
 /// Inverse of [`cell_index_for`]: which AP a UE's cell-list index refers
