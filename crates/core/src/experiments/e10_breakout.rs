@@ -8,7 +8,7 @@
 use super::{f2c, Table};
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode};
+use dlte_epc::ue::{UeApp, UeNode};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +39,6 @@ fn rtt_centralized(epc_delay_ms: u64, seed: u64) -> f64 {
                 interval: SimDuration::from_millis(100),
                 probe_bytes: 100,
             },
-            mode: MobilityMode::PathSwitch,
             schedule: vec![],
         })
         .build();

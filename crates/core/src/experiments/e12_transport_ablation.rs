@@ -14,7 +14,7 @@
 use super::{f2c, mbps, Table};
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
 use crate::transport_app::TransportUeApp;
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode};
+use dlte_epc::ue::{UeApp, UeNode};
 use dlte_sim::SimTime;
 use dlte_transport::connection::TransportConfig;
 use serde::{Deserialize, Serialize};
@@ -111,7 +111,6 @@ fn run_arm(cfg: TransportConfig, p: &Params) -> Outcome {
             } else {
                 UeApp::None
             },
-            mode: MobilityMode::ReAttach,
             schedule: if i == 0 {
                 schedule(dwell, total)
             } else {

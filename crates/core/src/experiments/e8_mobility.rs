@@ -16,7 +16,7 @@
 use super::{f2c, Table};
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode};
+use dlte_epc::ue::{UeApp, UeNode};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -77,7 +77,6 @@ fn run_centralized(dwell_s: f64, p: &Params, total_s: f64) -> Arm {
     let mut net = b
         .with_ue_plan(move |i| UePlan {
             app: ping_app(CentralizedLteBuilder::ott_addr()),
-            mode: MobilityMode::PathSwitch,
             schedule: if i == 0 {
                 schedule(dwell_s, total_s)
             } else {
@@ -102,7 +101,6 @@ fn run_dlte(dwell_s: f64, p: &Params, total_s: f64) -> Arm {
     let mut net = b
         .with_ue_plan(move |i| DltePlan {
             app: ping_app(DlteNetworkBuilder::ott_addr()),
-            mode: MobilityMode::ReAttach,
             schedule: if i == 0 {
                 schedule(dwell_s, total_s)
             } else {

@@ -9,7 +9,7 @@ use super::{f2c, Table};
 use crate::scenario::{DlteNetworkBuilder, DltePlan};
 use crate::DlteApNode;
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode};
+use dlte_epc::ue::{UeApp, UeNode};
 use dlte_epc::{PgwNode, SgwNode};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -47,7 +47,6 @@ fn centralized(p: &Params) -> SideResult {
                 interval: SimDuration::from_millis(100),
                 probe_bytes: 100,
             },
-            mode: MobilityMode::PathSwitch,
             schedule: vec![],
         })
         .build();

@@ -12,14 +12,15 @@
 //!   AP, assigns locally routable addresses and performs local breakout.
 //!   No mobility management, no inter-gateway signaling, no billing.
 //! * The common actors: [`EnbNode`] (radio-side relay + GTP endpoint) and
-//!   [`UeNode`] (attach state machine + embedded application).
+//!   [`UeNode`] (the I/O of the UE's NAS machine + embedded application).
 //!
 //! [`MmeNode`] and [`LocalCoreNode`] run one and the same network-side
 //! EPS-AKA attach procedure (`attach.rs`, a sans-IO state machine); they
 //! differ only in where vectors come from and how a session is opened.
 //! [`MmeNode`] and [`SgwNode`] likewise drive the two halves of one sans-IO
 //! GTP session lifecycle (`session.rs`) and share one echo path-management
-//! driver ([`path`]).
+//! driver ([`path`]). The UE's side of the NAS is one sans-IO machine too
+//! (`ue_nas.rs`), whatever core it attaches to.
 //!
 //! Control-plane entities process messages through a [`proc::Processor`]
 //! with finite service rate, which is what makes the centralized core a
@@ -42,6 +43,7 @@ mod session;
 pub mod sgw;
 pub mod topology;
 pub mod ue;
+mod ue_nas;
 
 pub use audit::{LocalCoreAudit, MmeAudit, PgwAudit, SgwAudit};
 pub use enb::EnbNode;

@@ -18,7 +18,7 @@ pub type SnId = u64;
 pub type Teid = u32;
 
 /// NAS messages (UE ↔ MME / local core).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Nas {
     AttachRequest {
         imsi: Imsi,

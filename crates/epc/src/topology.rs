@@ -25,10 +25,10 @@ use dlte_net::handlers::EchoServer;
 use dlte_net::{Addr, AddrPool, LinkConfig, Network, NetworkBuilder, NodeId, Prefix};
 use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 
-/// Per-UE experiment plan.
+/// Per-UE experiment plan, for either architecture's builder; the builder
+/// picks the mobility procedure.
 pub struct UePlan {
     pub app: UeApp,
-    pub mode: MobilityMode,
     /// (when, cell index) cell changes.
     pub schedule: Vec<(SimTime, usize)>,
 }
@@ -37,7 +37,6 @@ impl Default for UePlan {
     fn default() -> Self {
         UePlan {
             app: UeApp::None,
-            mode: MobilityMode::PathSwitch,
             schedule: Vec::new(),
         }
     }
@@ -236,7 +235,7 @@ impl CentralizedLteBuilder {
             }
             let plan = (self.ue_plan)(i);
             let ue_node = UeNode::new(imsi, Usim::new(imsi, Self::key_of(i)), cells, plan.app)
-                .with_mobility(plan.mode, plan.schedule);
+                .with_mobility(MobilityMode::PathSwitch, plan.schedule);
             b.set_handler(ue, Box::new(ue_node));
             ues.push(ue);
         }
@@ -313,7 +312,6 @@ mod tests {
                     interval: SimDuration::from_millis(200),
                     probe_bytes: 100,
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![],
             })
             .build();
@@ -362,7 +360,6 @@ mod tests {
                     interval: SimDuration::from_secs(2),
                     probe_bytes: 100,
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![],
             })
             .build();
@@ -414,7 +411,6 @@ mod tests {
                 } else {
                     UeApp::None
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![],
             })
             .build();
@@ -458,7 +454,6 @@ mod tests {
                     interval: SimDuration::from_millis(200),
                     probe_bytes: 100,
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![],
             })
             .build();
@@ -517,7 +512,6 @@ mod tests {
                     interval: SimDuration::from_millis(200),
                     probe_bytes: 100,
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![],
             })
             .build();
@@ -557,7 +551,6 @@ mod tests {
                     interval: SimDuration::from_millis(50),
                     probe_bytes: 100,
                 },
-                mode: MobilityMode::PathSwitch,
                 schedule: vec![(SimTime::from_secs(3), 1)],
             })
             .build();

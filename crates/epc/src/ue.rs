@@ -1,42 +1,28 @@
-//! The User Equipment: attach state machine, mobility behaviour, and an
+//! The User Equipment: the cells it camps on, its NAS's I/O, and an
 //! embedded measurement application.
 //!
-//! The same UE code attaches to a centralized MME or a dLTE local core —
+//! The same UE attaches to a centralized MME or a dLTE local core —
 //! deliberately: the paper's backwards-compatibility claim (§4.1) is that
-//! *standard clients* work against the stub. The difference between
-//! architectures is expressed in the UE's **mobility mode**:
+//! *standard clients* work against the stub. Its NAS procedures are one
+//! sans-IO machine (`ue_nas.rs`); [`UeNode`] turns that machine's outputs
+//! into packets, timers and addresses. The architectures differ only in
+//! the procedure a cell change runs, and each builder passes its own:
 //!
 //! * [`MobilityMode::PathSwitch`] — centralized LTE: keep the IP address,
 //!   send a service request at the new eNB and let the MME move the bearer;
 //! * [`MobilityMode::ReAttach`] — dLTE: the address dies with the old AP;
 //!   run a full attach at the new one and let the endpoints resume (§4.2).
 
-use crate::messages::{wire, Nas, S1Nas};
+use crate::messages::S1Nas;
 use crate::obs;
-use dlte_auth::usim::{AkaError, Usim};
+use crate::ue_nas::{self, Ecm, Input, Output, Ue};
+pub use crate::ue_nas::{MobilityMode, UeState};
+use dlte_auth::usim::Usim;
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::{Addr, LinkId, NodeCtx, NodeHandler, Packet, Payload, Prefix};
-use dlte_obs::{AkaStep, NasProc};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
-
-/// How the UE handles moving between cells.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MobilityMode {
-    /// S1 path switch: IP preserved, core updates tunnels.
-    PathSwitch,
-    /// Full re-attach with a fresh address (the dLTE way).
-    ReAttach,
-}
-
-/// Attach state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum UeState {
-    Detached,
-    Attaching,
-    Attached,
-}
 
 /// Hook for higher layers riding on the UE (e.g. a transport connection
 /// that must react to attach/re-attach and address changes — the `dlte`
@@ -118,28 +104,12 @@ pub struct CellAttachment {
 const TAG_BEGIN_ATTACH: u64 = 1;
 const TAG_APP: u64 = 3;
 const TAG_MOBILITY_BASE: u64 = 1000;
-/// Attach-timeout tags encode the attempt epoch they guard, so a stale
-/// timer from a completed attach can never restart a later one.
-const TAG_ATTACH_TIMEOUT_BASE: u64 = 100_000;
-/// Service-request retransmission tags, epoch-encoded like attach timeouts.
-const TAG_SERVICE_RETRY_BASE: u64 = 200_000;
-
-/// Capped exponential backoff: `base_ms << (attempt-1)`, clamped to
-/// `cap_ms`. Attempt 1 waits the base interval.
-fn backoff(base_ms: u64, attempt: u32, cap_ms: u64) -> SimDuration {
-    let exp = attempt.saturating_sub(1).min(16);
-    SimDuration::from_millis((base_ms << exp).min(cap_ms))
-}
+/// NAS timers: the tag is this plus the timer's ordinal.
+const TAG_NAS_BASE: u64 = 100_000;
 
 /// The UE node handler.
 pub struct UeNode {
     pub imsi: Imsi,
-    /// RRC connection state: true after the eNB released us to ECM-IDLE
-    /// (we keep the IP, but must service-request before transmitting).
-    pub rrc_idle: bool,
-    service_requested_at: Option<SimTime>,
-    service_epoch: u64,
-    service_attempts: u32,
     usim: Usim,
     cells: Vec<CellAttachment>,
     current: usize,
@@ -147,17 +117,18 @@ pub struct UeNode {
     /// Scheduled cell changes: (when, cell index).
     mobility: Vec<(SimTime, usize)>,
     app: UeApp,
+    /// EMM: the registration state.
     pub state: UeState,
+    /// ECM: the signalling connection state.
+    ecm: Ecm,
     /// Current user-plane address (None when detached in ReAttach mode).
     pub addr: Option<Addr>,
-    attach_started: Option<SimTime>,
-    attach_attempts: u32,
-    attach_epoch: u64,
+    /// NAS timers armed so far.
+    armed: u64,
     handover_started: Option<SimTime>,
     outstanding: FxHashMap<u64, SimTime>,
     seq: u64,
     app_running: bool,
-    had_first_attach: bool,
     pub stats: UeReportStats,
 }
 
@@ -166,31 +137,25 @@ impl UeNode {
         assert!(!cells.is_empty(), "UE needs at least one cell");
         UeNode {
             imsi,
-            rrc_idle: false,
-            service_requested_at: None,
-            service_epoch: 0,
-            service_attempts: 0,
             usim,
             cells,
             current: 0,
             mode: MobilityMode::PathSwitch,
             mobility: Vec::new(),
             app,
-            state: UeState::Detached,
+            state: UeState::Detached(0),
+            ecm: Ecm::Connected,
             addr: None,
-            attach_started: None,
-            attach_attempts: 0,
-            attach_epoch: 0,
+            armed: 0,
             handover_started: None,
             outstanding: FxHashMap::default(),
             seq: 0,
             app_running: false,
-            had_first_attach: false,
             stats: UeReportStats::default(),
         }
     }
 
-    /// Configure the mobility schedule and mode.
+    /// Configure the mobility procedure and schedule.
     pub fn with_mobility(mut self, mode: MobilityMode, schedule: Vec<(SimTime, usize)>) -> Self {
         self.mode = mode;
         self.mobility = schedule;
@@ -214,77 +179,72 @@ impl UeNode {
         }
     }
 
-    fn send_nas(&mut self, ctx: &mut NodeCtx<'_>, nas: Nas, size: u32) {
-        let cell = self.current_cell();
-        let p = ctx
-            .make_packet(cell.enb_addr, size)
-            .with_payload(Payload::control(S1Nas {
-                imsi: self.imsi,
-                nas,
-            }));
-        ctx.forward_via(cell.radio_link, p);
+    /// Run one NAS input and carry out its outputs, in order.
+    fn nas(&mut self, ctx: &mut NodeCtx<'_>, input: Input) {
+        let ue = Ue {
+            emm: self.state,
+            ecm: self.ecm,
+            addr: self.addr,
+            armed: self.armed,
+        };
+        let (ue, outputs) = ue_nas::step(&mut self.usim, &mut self.stats, ue, input);
+        Ue {
+            emm: self.state,
+            ecm: self.ecm,
+            addr: self.addr,
+            armed: self.armed,
+        } = ue;
+        for output in outputs {
+            match output {
+                Output::Trace(t) => obs::emit(ctx, t.event(self.imsi)),
+                Output::Send(nas, size) => {
+                    let cell = self.current_cell();
+                    let imsi = self.imsi;
+                    let p = ctx
+                        .make_packet(cell.enb_addr, size)
+                        .with_payload(Payload::control(S1Nas { imsi, nas }));
+                    ctx.forward_via(cell.radio_link, p);
+                }
+                Output::Arm(timer, after) => _ = ctx.set_timer(after, TAG_NAS_BASE + timer),
+                Output::SwitchCell(to) => {
+                    self.current = to;
+                    self.stats.cell_moves += 1;
+                    // Re-point the default route at the new radio link.
+                    ctx.node_info_mut()
+                        .set_route(Prefix::DEFAULT, self.cells[to].radio_link);
+                    self.handover_started = Some(ctx.now);
+                    // Probes in flight across the move are lost; forget them
+                    // so the gap measurement keys off post-move probes.
+                    self.outstanding.clear();
+                }
+                Output::Release(addr) => _ = ctx.remove_addr(ctx.node, addr),
+                Output::Attached(addr, started) => {
+                    let reattach = self.stats.attaches_completed > 0;
+                    self.stats.attaches_completed += 1;
+                    self.stats
+                        .attach_latency_ms
+                        .push_duration_ms(ctx.now.saturating_since(started));
+                    ctx.add_addr(ctx.node, addr);
+                    if !self.app_running && !matches!(self.app, UeApp::None | UeApp::Upper(_)) {
+                        self.app_running = true;
+                        ctx.set_timer(SimDuration::ZERO, TAG_APP);
+                    }
+                    if let UeApp::Upper(upper) = &mut self.app {
+                        upper.on_attached(ctx, addr, reattach);
+                    }
+                }
+            }
+        }
     }
 
-    fn begin_attach(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.state = UeState::Attaching;
-        if self.attach_started.is_none() {
-            self.attach_started = Some(ctx.now);
-            obs::nas_start(ctx, NasProc::Attach, self.imsi);
-        }
-        self.attach_attempts += 1;
-        self.attach_epoch += 1;
-        if self.attach_attempts > 1 {
-            self.stats.attach_retries += 1;
-        }
-        self.send_nas(
-            ctx,
-            Nas::AttachRequest {
-                imsi: self.imsi,
-                via_enb: Addr::UNSPECIFIED,
-            },
-            wire::ATTACH_REQUEST,
-        );
-        // Retransmission guard with capped exponential backoff (3 s, 6 s,
-        // 12 s, then 24 s forever): the UE never gives up — an outage
-        // longer than any fixed attempt budget must still end in recovery.
-        // The tag carries the epoch so only the *newest* attempt's timer
-        // can retry.
-        ctx.set_timer(
-            backoff(3_000, self.attach_attempts, 24_000),
-            TAG_ATTACH_TIMEOUT_BASE + self.attach_epoch,
-        );
-    }
-
-    fn start_app(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.app_running {
-            return;
-        }
-        if matches!(self.app, UeApp::None | UeApp::Upper(_)) {
-            return;
-        }
-        self.app_running = true;
-        ctx.set_timer(SimDuration::ZERO, TAG_APP);
-    }
-
-    fn app_packet(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        dst: Addr,
-        bytes: u32,
-        flow: u64,
-    ) -> Option<Packet> {
+    fn app_packet(&mut self, ctx: &mut NodeCtx<'_>, dst: Addr, bytes: u32) -> Option<Packet> {
         let src = self.addr?;
-        let id = ctx.new_packet_id();
-        Some(
-            Packet::new(id, src, dst, bytes, ctx.now).with_payload(Payload::Flow {
-                flow,
-                seq: {
-                    let s = self.seq;
-                    self.seq += 1;
-                    s
-                },
-            }),
-        )
+        let flow = Payload::Flow {
+            flow: self.imsi,
+            seq: self.seq,
+        };
+        self.seq += 1;
+        Some(Packet::new(ctx.new_packet_id(), src, dst, bytes, ctx.now).with_payload(flow))
     }
 
     fn app_tick(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -293,11 +253,11 @@ impl UeNode {
             ctx.set_timer(SimDuration::from_millis(20), TAG_APP);
             return;
         }
-        if self.rrc_idle {
+        if self.ecm != Ecm::Connected {
             // Uplink pending while idle: service-request first, retry the
             // app tick shortly (radio bearer restores in a few control
             // RTTs).
-            self.service_request(ctx);
+            self.nas(ctx, Input::Uplink);
             ctx.set_timer(SimDuration::from_millis(50), TAG_APP);
             return;
         }
@@ -309,7 +269,7 @@ impl UeNode {
                 probe_bytes,
             } => {
                 let seq_for_probe = self.seq;
-                if let Some(p) = self.app_packet(ctx, dst, probe_bytes, self.imsi) {
+                if let Some(p) = self.app_packet(ctx, dst, probe_bytes) {
                     self.outstanding.insert(seq_for_probe, ctx.now);
                     self.stats.probes_sent += 1;
                     ctx.forward(p);
@@ -321,218 +281,12 @@ impl UeNode {
                 rate_bps,
                 packet_bytes,
             } => {
-                if let Some(p) = self.app_packet(ctx, dst, packet_bytes, self.imsi) {
+                if let Some(p) = self.app_packet(ctx, dst, packet_bytes) {
                     self.stats.cbr_packets_sent += 1;
                     ctx.forward(p);
                 }
                 let gap = SimDuration::from_secs_f64(packet_bytes as f64 * 8.0 / rate_bps);
                 ctx.set_timer(gap, TAG_APP);
-            }
-        }
-    }
-
-    fn handle_nas(&mut self, ctx: &mut NodeCtx<'_>, nas: Nas) {
-        match nas {
-            Nas::AuthenticationRequest { rand, autn, sn_id } => {
-                match self.usim.authenticate(rand, autn, sn_id) {
-                    Ok(resp) => {
-                        obs::aka(ctx, AkaStep::Response, self.imsi);
-                        self.send_nas(
-                            ctx,
-                            Nas::AuthenticationResponse {
-                                imsi: self.imsi,
-                                res: resp.res,
-                            },
-                            wire::AUTH_RESPONSE,
-                        )
-                    }
-                    Err(AkaError::SyncFailure { ue_sqn }) => {
-                        obs::aka(ctx, AkaStep::Resync, self.imsi);
-                        self.send_nas(
-                            ctx,
-                            Nas::AuthenticationFailure {
-                                imsi: self.imsi,
-                                ue_sqn: Some(ue_sqn),
-                            },
-                            wire::AUTH_FAILURE,
-                        )
-                    }
-                    Err(AkaError::MacFailure) => {
-                        obs::aka(ctx, AkaStep::Failure, self.imsi);
-                        self.send_nas(
-                            ctx,
-                            Nas::AuthenticationFailure {
-                                imsi: self.imsi,
-                                ue_sqn: None,
-                            },
-                            wire::AUTH_FAILURE,
-                        )
-                    }
-                }
-            }
-            Nas::AttachAccept { ue_addr } => {
-                if self.state != UeState::Attaching {
-                    return;
-                }
-                self.state = UeState::Attached;
-                self.attach_epoch += 1;
-                self.stats.attaches_completed += 1;
-                obs::nas_end(ctx, NasProc::Attach, self.imsi, true);
-                if let Some(started) = self.attach_started.take() {
-                    self.stats
-                        .attach_latency_ms
-                        .push_duration_ms(ctx.now.saturating_since(started));
-                }
-                self.attach_attempts = 0;
-                let reattach = self.had_first_attach;
-                self.had_first_attach = true;
-                self.addr = Some(ue_addr);
-                ctx.add_addr(ctx.node, ue_addr);
-                self.start_app(ctx);
-                if let UeApp::Upper(upper) = &mut self.app {
-                    upper.on_attached(ctx, ue_addr, reattach);
-                }
-            }
-            Nas::AttachReject { .. } => {
-                self.stats.attach_rejects += 1;
-                self.state = UeState::Detached;
-                if self.attach_started.take().is_some() {
-                    obs::nas_end(ctx, NasProc::Attach, self.imsi, false);
-                }
-            }
-            Nas::RrcRelease { .. } if self.state == UeState::Attached => {
-                self.rrc_idle = true;
-                self.stats.rrc_releases += 1;
-            }
-            Nas::RrcRelease { .. } => {}
-            Nas::PagingNotify { .. } => {
-                self.stats.pages_received += 1;
-                self.service_request(ctx);
-            }
-            Nas::ServiceAccept { .. } => {
-                self.rrc_idle = false;
-                if self.service_requested_at.take().is_some() {
-                    obs::nas_end(ctx, NasProc::ServiceRequest, self.imsi, true);
-                }
-                self.service_attempts = 0;
-                self.service_epoch += 1; // invalidate any pending retry
-            }
-            Nas::NetworkDetach { .. } => {
-                // The core lost our session: the address is dead, a full
-                // re-attach is the only way back.
-                self.stats.network_detaches += 1;
-                if let Some(old) = self.addr.take() {
-                    ctx.remove_addr(ctx.node, old);
-                }
-                self.rrc_idle = false;
-                self.service_requested_at = None;
-                self.service_epoch += 1;
-                if self.state == UeState::Attaching {
-                    return; // re-attach already under way
-                }
-                self.state = UeState::Detached;
-                self.attach_started = None;
-                self.attach_attempts = 0;
-                self.begin_attach(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    /// Leave ECM-IDLE: ask the network to restore the bearer. The UE keeps
-    /// holding uplink until the service accept arrives (an idle UE cannot
-    /// just transmit). Retransmission is timer-driven with capped
-    /// exponential backoff; this entry point is a no-op while a request is
-    /// already in flight.
-    fn service_request(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.service_requested_at.is_some() {
-            return; // retransmission timer owns the retries
-        }
-        self.service_attempts = 0;
-        self.send_service_request(ctx);
-    }
-
-    fn send_service_request(&mut self, ctx: &mut NodeCtx<'_>) {
-        let Some(ue_addr) = self.addr else { return };
-        if !self.rrc_idle {
-            return;
-        }
-        self.service_requested_at = Some(ctx.now);
-        self.service_attempts += 1;
-        if self.service_attempts > 1 {
-            self.stats.service_request_retries += 1;
-        } else {
-            obs::nas_start(ctx, NasProc::ServiceRequest, self.imsi);
-        }
-        self.stats.service_requests += 1;
-        self.send_nas(
-            ctx,
-            Nas::ServiceRequest {
-                imsi: self.imsi,
-                ue_addr,
-            },
-            wire::S1AP_PATH_SWITCH,
-        );
-        // Retransmit at 500 ms, 1 s, 2 s, then every 4 s until accepted.
-        self.service_epoch += 1;
-        ctx.set_timer(
-            backoff(500, self.service_attempts, 4_000),
-            TAG_SERVICE_RETRY_BASE + self.service_epoch,
-        );
-    }
-
-    fn move_to_cell(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
-        if idx == self.current || idx >= self.cells.len() {
-            return;
-        }
-        if self.mode == MobilityMode::ReAttach {
-            // Tell the cell we are leaving to release its session *before*
-            // re-pointing the radio: the detach rides the old radio link
-            // (which is not a fault target), so the old core frees the
-            // address instead of stranding it until an idle sweep. This
-            // also covers a move arriving while a previous attach (or
-            // detach) is still in flight — the old AP's half-open state is
-            // torn down by the same message.
-            self.send_nas(ctx, Nas::DetachRequest { imsi: self.imsi }, wire::DETACH);
-        }
-        self.current = idx;
-        self.stats.cell_moves += 1;
-        let cell = self.current_cell();
-        // Re-point the default route at the new radio link.
-        ctx.node_info_mut()
-            .set_route(Prefix::DEFAULT, cell.radio_link);
-        self.handover_started = Some(ctx.now);
-        // Probes in flight across the move are lost; forget them so the gap
-        // measurement keys off post-move probes.
-        self.outstanding.clear();
-        match self.mode {
-            MobilityMode::PathSwitch => {
-                if let Some(ue_addr) = self.addr {
-                    self.send_nas(
-                        ctx,
-                        Nas::ServiceRequest {
-                            imsi: self.imsi,
-                            ue_addr,
-                        },
-                        wire::S1AP_PATH_SWITCH,
-                    );
-                } else {
-                    self.begin_attach(ctx);
-                }
-            }
-            MobilityMode::ReAttach => {
-                // The old address dies with the old AP.
-                if let Some(old) = self.addr.take() {
-                    ctx.remove_addr(ctx.node, old);
-                }
-                self.state = UeState::Detached;
-                self.attach_started = None;
-                // A fresh cell is a fresh attach, not a retry: resetting
-                // the attempt counter keeps a rapid move sequence from
-                // double-incrementing the backoff (and `attach_retries`)
-                // for timeouts that belong to a cell we already left.
-                self.attach_attempts = 0;
-                self.begin_attach(ctx);
             }
         }
     }
@@ -552,32 +306,18 @@ impl NodeHandler for UeNode {
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, tag: u64) {
         match tag {
-            TAG_BEGIN_ATTACH => self.begin_attach(ctx),
+            TAG_BEGIN_ATTACH => self.nas(ctx, Input::PowerOn(ctx.now)),
             TAG_APP => self.app_tick(ctx),
             t if t >= UPPER_TAG_BASE => {
                 if let UeApp::Upper(upper) = &mut self.app {
                     upper.on_timer(ctx, t);
                 }
             }
-            t if t >= TAG_SERVICE_RETRY_BASE => {
-                let epoch = t - TAG_SERVICE_RETRY_BASE;
-                if epoch == self.service_epoch
-                    && self.rrc_idle
-                    && self.service_requested_at.is_some()
-                {
-                    self.send_service_request(ctx);
-                }
-            }
-            t if t >= TAG_ATTACH_TIMEOUT_BASE => {
-                let epoch = t - TAG_ATTACH_TIMEOUT_BASE;
-                if epoch == self.attach_epoch && self.state == UeState::Attaching {
-                    self.begin_attach(ctx);
-                }
-            }
+            t if t >= TAG_NAS_BASE => self.nas(ctx, Input::Expired(t - TAG_NAS_BASE)),
             t if t >= TAG_MOBILITY_BASE => {
-                let idx = (t - TAG_MOBILITY_BASE) as usize;
-                if let Some(&(_, cell)) = self.mobility.get(idx) {
-                    self.move_to_cell(ctx, cell);
+                let (_, to) = self.mobility[(t - TAG_MOBILITY_BASE) as usize];
+                if to != self.current && to < self.cells.len() {
+                    self.nas(ctx, Input::Move(to, ctx.now, self.mode));
                 }
             }
             _ => {}
@@ -587,24 +327,9 @@ impl NodeHandler for UeNode {
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
         if let Some(s1nas) = packet.payload.as_control::<S1Nas>() {
             if s1nas.imsi == self.imsi {
-                // Only the serving cell may *advance* our NAS state machine.
-                // Without this, an attach accept from a cell we already
-                // left (a rapid move sequence A→B→C where B's accept is
-                // still in flight) would attach us to the wrong core with
-                // an address its pool owns — a split-brain session. Fail-safe
-                // orders are exempt: a NetworkDetach from an old cell is how
-                // the network tears down a bearer it still anchors there
-                // (e.g. a GTP error indication landing at the last eNB that
-                // completed our path switch while our newest switch is lost
-                // in flight) — dropping it wedges the UE with a dead bearer,
-                // while honoring it merely costs one safe re-attach.
-                let fail_safe = matches!(s1nas.nas, Nas::NetworkDetach { .. });
-                if !fail_safe && packet.src != self.current_cell().enb_addr {
-                    self.stats.stale_nas_dropped += 1;
-                    return;
-                }
-                let nas = s1nas.nas.clone();
-                self.handle_nas(ctx, nas);
+                let serving = packet.src == self.current_cell().enb_addr;
+                let input = Input::Downlink(s1nas.nas, serving, ctx.now);
+                self.nas(ctx, input);
             }
             return;
         }

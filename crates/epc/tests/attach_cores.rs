@@ -88,7 +88,7 @@ impl NodeHandler for ScriptedUe {
         let Some(S1Nas { nas, .. }) = packet.payload.as_control::<S1Nas>().cloned() else {
             return; // S1AP context setup toward the "eNB"
         };
-        self.received.push(nas.clone());
+        self.received.push(nas);
         let Nas::AuthenticationRequest { rand, autn, sn_id } = nas else {
             return;
         };

@@ -10,7 +10,7 @@
 
 use dlte::scenario::{DlteNetworkBuilder, DltePlan};
 use dlte::TransportUeApp;
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode};
+use dlte_epc::ue::{UeApp, UeNode};
 use dlte_sim::SimTime;
 use dlte_transport::connection::TransportConfig;
 
@@ -33,7 +33,6 @@ fn main() {
             } else {
                 UeApp::None
             },
-            mode: MobilityMode::ReAttach,
             schedule: if i == 0 { schedule.clone() } else { vec![] },
         })
         .build();

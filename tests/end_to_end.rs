@@ -4,7 +4,7 @@
 
 use dlte::scenario::{DlteNetworkBuilder, DltePlan, KeyDistribution};
 use dlte::{DlteApNode, TransportUeApp};
-use dlte_epc::ue::{MobilityMode, UeApp, UeNode, UeState};
+use dlte_epc::ue::{UeApp, UeNode, UeState};
 use dlte_sim::{SimDuration, SimTime};
 use dlte_transport::connection::TransportConfig;
 use dlte_x2::CoordinationMode;
@@ -25,7 +25,6 @@ fn full_stack_story() {
                 interval: SimDuration::from_millis(100),
                 probe_bytes: 120,
             },
-            mode: MobilityMode::ReAttach,
             // UE 0 roams to AP 1's coverage at t = 6 s.
             schedule: if i == 0 {
                 vec![(SimTime::from_secs(6), 1)]
@@ -101,7 +100,6 @@ fn transport_survives_roaming_legacy_does_not() {
                 } else {
                     UeApp::None
                 },
-                mode: MobilityMode::ReAttach,
                 schedule: if i == 0 {
                     vec![
                         (SimTime::from_secs(4), 1),
