@@ -11,10 +11,12 @@
 //! the E5/E7 experiments).
 
 use crate::resilience::BackhaulFailover;
+use dlte_auth::Imsi;
 use dlte_epc::local_core::{DirMsg, LocalCoreNode};
 use dlte_epc::messages::{Nas, S1Nas};
+use dlte_epc::topology::CellHandler;
 use dlte_net::fxhash::FxHashMap;
-use dlte_net::{NodeCtx, NodeHandler, Packet};
+use dlte_net::{Addr, LinkId, NodeCtx, NodeHandler, Packet};
 use dlte_sim::SimDuration;
 use dlte_x2::messages::wire as x2wire;
 use dlte_x2::{X2Agent, X2Msg};
@@ -230,6 +232,12 @@ impl DlteApNode {
             }
             _ => Some(packet),
         }
+    }
+}
+
+impl CellHandler for DlteApNode {
+    fn wire_ue(&mut self, imsi: Imsi, link: LinkId, ue_ctrl: Addr) {
+        self.core.wire_ue(imsi, link, ue_ctrl);
     }
 }
 

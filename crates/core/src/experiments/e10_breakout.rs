@@ -6,9 +6,9 @@
 //! doesn't contain it at all.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -28,44 +28,37 @@ impl Default for Params {
     }
 }
 
-fn rtt_centralized(epc_delay_ms: u64, seed: u64) -> f64 {
-    let mut b = CentralizedLteBuilder::new(1, 1);
-    b.epc_delay = SimDuration::from_millis(epc_delay_ms);
-    b.seed = seed;
-    let mut net = b
-        .with_ue_plan(|_| UePlan {
-            app: UeApp::Pinger {
-                dst: CentralizedLteBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 100,
-            },
-            schedule: vec![],
-        })
-        .build();
+/// Median RTT of one UE pinging the OTT service every 100 ms; the EPC
+/// site sits `epc_delay_ms` from the aggregation point, which only the
+/// centralized network has.
+fn rtt(arch: Arch, epc_delay_ms: u64, seed: u64) -> f64 {
+    let plan = |_| UePlan {
+        app: UeApp::Pinger {
+            dst: DlteNetworkBuilder::ott_addr(),
+            interval: SimDuration::from_millis(100),
+            probe_bytes: 100,
+        },
+        ..Default::default()
+    };
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(1, 1);
+            b.epc_delay = SimDuration::from_millis(epc_delay_ms);
+            b.seed = seed;
+            b.with_ue_plan(plan).build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(1, 1);
+            b.seed = seed;
+            b.with_ue_plan(plan).build().into()
+        }
+    };
     net.sim.run_until(SimTime::from_secs(6), 10_000_000);
-    let ue = net.sim.world().handler_as::<UeNode>(net.ues[0]).unwrap();
-    ue.stats.rtt_ms.median()
-}
-
-fn rtt_dlte(seed: u64) -> f64 {
-    let mut net = DlteNetworkBuilder::new(1, 1)
-        .with_ue_plan(|_| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 100,
-            },
-            ..Default::default()
-        })
-        .build();
-    let _ = seed;
-    net.sim.run_until(SimTime::from_secs(6), 10_000_000);
-    let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-    ue.stats.rtt_ms.median()
+    net.ue(0).stats.rtt_ms.median()
 }
 
 pub fn run_with(p: Params) -> Table {
-    let dlte = rtt_dlte(p.seed);
+    let dlte = rtt(Arch::Dlte, 0, p.seed);
     let mut t = Table::new(
         "E10",
         "User RTT vs EPC distance: tunneled vs local breakout (paper §2.1/§4.2)",
@@ -77,7 +70,7 @@ pub fn run_with(p: Params) -> Table {
         ],
     );
     for &d in &p.epc_delay_ms {
-        let c = rtt_centralized(d, p.seed);
+        let c = rtt(Arch::Centralized, d, p.seed);
         t.row(vec![d.to_string(), f2c(c), f2c(dlte), f2c(c - dlte)]);
     }
     t.expect("centralized RTT grows ~2× the EPC one-way distance; dLTE RTT is constant — the whole detour is architectural");

@@ -15,11 +15,11 @@
 //! NAS re-attach.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
 use dlte_epc::ue::{UeApp, UeNode};
 use dlte_faults::{FaultPlan, FaultSpec};
-use dlte_net::{Addr, NodeId, ShardedSim};
+use dlte_net::{Addr, NodeId, Prefix, ShardedSim};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -124,69 +124,56 @@ fn measure(sim: &mut ShardedSim, ues: &[NodeId], p: &Params) -> Outcome {
     }
 }
 
-fn run_centralized(p: &Params) -> Outcome {
-    let mut builder = CentralizedLteBuilder::new(1, 2);
-    builder.path_mgmt = Some((SimDuration::from_millis(500), 2));
+/// Two UEs on one cell, each sending to the other's address: the first two
+/// of the cell's pool, assigned in attach order. Centralized, that traffic
+/// hairpins at the P-GW; dLTE's breaks out at the AP and never touches the
+/// backhaul.
+fn run_arm(arch: Arch, p: &Params) -> Outcome {
     let (rate_bps, packet_bytes) = (p.rate_bps, p.packet_bytes);
-    let net = builder
-        .with_ue_plan(move |i| UePlan {
+    let talk_to_peer = move |pool: Prefix| {
+        move |i| UePlan {
             app: UeApp::UplinkCbr {
-                // Each UE talks to the other's (deterministic) pool
-                // address; the traffic hairpins at the P-GW.
-                dst: Addr::new(100, 64, 0, if i == 0 { 2 } else { 1 }),
+                dst: Addr(pool.addr.0 + if i == 0 { 2 } else { 1 }),
                 rate_bps,
                 packet_bytes,
             },
             ..Default::default()
-        })
-        .build();
-    // The centralized twin always runs on one engine; wrapping it keeps
-    // the measurement code shared with the (possibly sharded) dLTE arm.
-    let mut sim = ShardedSim::single(net.sim);
-    FaultPlan::new(p.seed)
-        .with(FaultSpec::LinkFlap {
-            link: net.l_agg_epc,
-            at_s: p.outage_at_s,
-            down_s: p.outage_s,
-            times: 1,
-            gap_s: 0.0,
-        })
-        .with(FaultSpec::NodeCrash {
-            node: net.sgw,
+        }
+    };
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(1, 2);
+            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
+            b.seed = p.seed;
+            let pool = CentralizedLteBuilder::ue_pool_prefix();
+            b.with_ue_plan(talk_to_peer(pool)).build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(1, 2);
+            b.seed = p.seed;
+            let pool = DlteNetworkBuilder::ap_pool(0);
+            b.with_ue_plan(talk_to_peer(pool)).build().into()
+        }
+    };
+    // The site loses its backhaul: the centralized one its trunk toward
+    // the EPC site, whose S-GW crashes with full state loss for as long.
+    let backhaul = net.epc.map_or(net.cell_backhaul[0], |epc| epc.l_agg_epc);
+    let mut plan = FaultPlan::new(p.seed).with(FaultSpec::LinkFlap {
+        link: backhaul,
+        at_s: p.outage_at_s,
+        down_s: p.outage_s,
+        times: 1,
+        gap_s: 0.0,
+    });
+    if let Some(epc) = net.epc {
+        plan = plan.with(FaultSpec::NodeCrash {
+            node: epc.sgw,
             at_s: p.outage_at_s,
             restart_after_s: Some(p.outage_s),
-        })
-        .inject_sharded(&mut sim);
-    measure(&mut sim, &net.ues, p)
-}
-
-fn run_dlte(p: &Params) -> Outcome {
-    let mut b = DlteNetworkBuilder::new(1, 2);
-    b.seed = p.seed;
-    let (rate_bps, packet_bytes) = (p.rate_bps, p.packet_bytes);
-    let mut net = b
-        .with_ue_plan(move |i| DltePlan {
-            app: UeApp::UplinkCbr {
-                // The AP's own pool: UE↔UE traffic breaks out locally and
-                // never touches the backhaul.
-                dst: Addr::new(100, 66, 0, if i == 0 { 2 } else { 1 }),
-                rate_bps,
-                packet_bytes,
-            },
-            ..Default::default()
-        })
-        .build();
-    FaultPlan::new(p.seed)
-        .with(FaultSpec::LinkFlap {
-            link: net.ap_backhaul[0],
-            at_s: p.outage_at_s,
-            down_s: p.outage_s,
-            times: 1,
-            gap_s: 0.0,
-        })
-        .inject_sharded(&mut net.sim);
-    let ues = net.ues.clone();
-    measure(&mut net.sim, &ues, p)
+        });
+    }
+    plan.inject(&mut net.sim);
+    measure(&mut net.sim, &net.ues, p)
 }
 
 fn fmt_recovery(r: Option<f64>) -> String {
@@ -198,12 +185,8 @@ fn fmt_recovery(r: Option<f64>) -> String {
 
 pub fn run_with(p: Params) -> Table {
     // Independent seeded simulations; par_map keeps the arm order.
-    let mut arms = dlte_sim::par_map(vec![false, true], |dlte| {
-        if dlte {
-            run_dlte(&p)
-        } else {
-            run_centralized(&p)
-        }
+    let mut arms = dlte_sim::par_map(vec![Arch::Centralized, Arch::Dlte], |arch| {
+        run_arm(arch, &p)
     });
     let dlte = arms.pop().expect("two arms");
     let cent = arms.pop().expect("two arms");

@@ -16,10 +16,9 @@
 //! `fabric_dlte` workloads of `benchmark/`.
 
 use super::Table;
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{UeApp, UeNode};
-use dlte_net::{NodeId, ShardedSim};
+use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -67,69 +66,52 @@ pub struct BenchRun {
 }
 
 /// size → (cells, ues_per_cell): ~10% of nodes are cells, the rest UEs,
-/// capped at 255 cells (the AP pool allocator keys pools by a u8 octet).
+/// capped at 255 cells: the centralized builder numbers its eNBs with one
+/// address octet (`10.1.e.1`), so it cannot build more than 256.
 fn shape(size: usize) -> (usize, usize) {
     let cells = (size / 10).clamp(1, 255);
     let ues = (size.saturating_sub(cells) / cells).max(1);
     (cells, ues)
 }
 
-fn finish(arch: &str, size: usize, p: &Params, mut sim: ShardedSim, ues: Vec<NodeId>) -> BenchRun {
+/// One arm: every UE pings the OTT service for `total_s`.
+fn run_arm(arch: Arch, size: usize, p: &Params) -> BenchRun {
+    let (cells, ues_per_cell) = shape(size);
+    let interval = SimDuration::from_millis(p.ping_interval_ms);
+    let probe_bytes = p.probe_bytes;
+    let plan = move |_| UePlan {
+        app: UeApp::Pinger {
+            dst: DlteNetworkBuilder::ott_addr(),
+            interval,
+            probe_bytes,
+        },
+        ..Default::default()
+    };
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(cells, ues_per_cell);
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(cells, ues_per_cell);
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+    };
     let ((), report) = dlte_sim::report::scope(|| {
-        sim.run_until(SimTime::from_secs_f64(p.total_s), u64::MAX);
+        net.sim
+            .run_until(SimTime::from_secs_f64(p.total_s), u64::MAX);
     });
-    let pongs = ues
-        .iter()
-        .map(|&u| sim.handler_as::<UeNode>(u).unwrap().stats.pongs)
-        .sum();
-    let nodes = sim.shards()[0].world().core.nodes.len();
     BenchRun {
         arch: arch.to_string(),
         size,
-        nodes,
-        ues: ues.len(),
+        nodes: net.sim.shards()[0].world().core.nodes.len(),
+        ues: net.ues.len(),
         events_dispatched: report.events_dispatched,
-        packets_forwarded: sim.audit_merged().fabric.accepted,
-        pongs,
+        packets_forwarded: net.sim.audit_merged().fabric.accepted,
+        pongs: net.ue_nodes().map(|u| u.stats.pongs).sum(),
     }
-}
-
-fn run_centralized(size: usize, p: &Params) -> BenchRun {
-    let (cells, ues_per_cell) = shape(size);
-    let interval = SimDuration::from_millis(p.ping_interval_ms);
-    let probe_bytes = p.probe_bytes;
-    let mut b = CentralizedLteBuilder::new(cells, ues_per_cell);
-    b.seed = p.seed;
-    let net = b
-        .with_ue_plan(move |_| UePlan {
-            app: UeApp::Pinger {
-                dst: CentralizedLteBuilder::ott_addr(),
-                interval,
-                probe_bytes,
-            },
-            ..Default::default()
-        })
-        .build();
-    finish("centralized", size, p, ShardedSim::single(net.sim), net.ues)
-}
-
-fn run_dlte(size: usize, p: &Params) -> BenchRun {
-    let (cells, ues_per_cell) = shape(size);
-    let interval = SimDuration::from_millis(p.ping_interval_ms);
-    let probe_bytes = p.probe_bytes;
-    let mut b = DlteNetworkBuilder::new(cells, ues_per_cell);
-    b.seed = p.seed;
-    let net = b
-        .with_ue_plan(move |_| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval,
-                probe_bytes,
-            },
-            ..Default::default()
-        })
-        .build();
-    finish("dlte", size, p, net.sim, net.ues)
 }
 
 /// Run the full sweep and return every arm, in (size, arch) order — the
@@ -137,8 +119,8 @@ fn run_dlte(size: usize, p: &Params) -> BenchRun {
 pub fn bench_runs(p: &Params) -> Vec<BenchRun> {
     let mut runs = Vec::new();
     for &size in &p.sizes {
-        runs.push(run_centralized(size, p));
-        runs.push(run_dlte(size, p));
+        runs.push(run_arm(Arch::Centralized, size, p));
+        runs.push(run_arm(Arch::Dlte, size, p));
     }
     runs
 }

@@ -17,11 +17,10 @@
 //! which `crates/bench/tests/goldens.rs` enforces against `goldens/e18.json`.
 
 use super::{f2c, Table};
-use crate::ap::DlteApNode;
 use crate::mobility::{cell_schedule, MovementModel};
-use crate::scenario::{DlteNetworkBuilder, DltePlan, KeyDistribution};
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder, KeyDistribution};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_faults::{FaultPlan, FaultSpec, MovePlan};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
@@ -54,14 +53,6 @@ impl Default for Params {
             seed: 1,
             chaos: true,
         }
-    }
-}
-
-fn ping_app(dst: dlte_net::Addr) -> UeApp {
-    UeApp::Pinger {
-        dst,
-        interval: SimDuration::from_millis(25),
-        probe_bytes: 100,
     }
 }
 
@@ -128,74 +119,52 @@ fn arm_from(gaps: Samples, moves: u64, dwell_s: f64, x2_hits: u64) -> Arm {
     }
 }
 
-fn run_centralized(p: &Params, dwell_s: f64) -> Arm {
-    let plan = storm_plan(p, dwell_s);
-    let mut b = CentralizedLteBuilder::new(p.n_aps, p.ues_per_ap);
-    b.wire_all_cells = true;
-    b.seed = p.seed;
-    let n_aps = p.n_aps;
-    let ues_per_ap = p.ues_per_ap;
-    let mut net = b
-        .with_ue_plan(move |i| {
-            let home = i / ues_per_ap;
-            UePlan {
-                app: ping_app(CentralizedLteBuilder::ott_addr()),
-                schedule: cell_schedule(&plan, i, home, n_aps),
-            }
-        })
-        .build();
+/// One arm: the population pings the OTT service every 25 ms while it
+/// rides the storm. `x2_fetch` picks the dLTE variant and is ignored by the
+/// centralized arm.
+fn run_arm(arch: Arch, p: &Params, dwell_s: f64, x2_fetch: bool) -> Arm {
+    let moves = storm_plan(p, dwell_s);
+    let pinging = |_| UePlan {
+        app: UeApp::Pinger {
+            dst: DlteNetworkBuilder::ott_addr(),
+            interval: SimDuration::from_millis(25),
+            probe_bytes: 100,
+        },
+        schedule: Vec::new(),
+    };
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(p.n_aps, p.ues_per_ap);
+            b.wire_all_cells = true;
+            b.seed = p.seed;
+            let (n_aps, ues_per_ap) = (p.n_aps, p.ues_per_ap);
+            b.with_ue_plan(move |i| UePlan {
+                schedule: cell_schedule(&moves, i, i / ues_per_ap, n_aps),
+                ..pinging(i)
+            })
+            .build()
+            .into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(p.n_aps, p.ues_per_ap);
+            b.seed = p.seed;
+            b.keys = KeyDistribution::RemoteDirectory;
+            b.x2_context_fetch = x2_fetch;
+            b.with_ue_plan(pinging).with_move_plan(moves).build().into()
+        }
+    };
     if p.chaos {
-        chaos_plan(p.seed, &net.enb_backhaul).inject(&mut net.sim);
+        chaos_plan(p.seed, &net.cell_backhaul).inject(&mut net.sim);
     }
     net.sim
         .run_until(SimTime::from_secs_f64(p.total_s), 50_000_000);
     let mut gaps = Samples::new();
     let mut moves = 0;
-    let w = net.sim.world();
-    for &u in &net.ues {
-        let ue = w.handler_as::<UeNode>(u).unwrap();
+    for ue in net.ue_nodes() {
         gaps.extend(&ue.stats.handover_gap_ms);
         moves += ue.stats.cell_moves;
     }
-    arm_from(gaps, moves, dwell_s, 0)
-}
-
-fn run_dlte(p: &Params, dwell_s: f64, x2_fetch: bool) -> Arm {
-    let plan = storm_plan(p, dwell_s);
-    let mut b = DlteNetworkBuilder::new(p.n_aps, p.ues_per_ap);
-    b.seed = p.seed;
-    b.keys = KeyDistribution::RemoteDirectory;
-    b.x2_context_fetch = x2_fetch;
-    let mut net = b
-        .with_ue_plan(|_| DltePlan {
-            app: ping_app(DlteNetworkBuilder::ott_addr()),
-            schedule: Vec::new(),
-        })
-        .with_move_plan(plan)
-        .build();
-    if p.chaos {
-        chaos_plan(p.seed, &net.ap_backhaul).inject_sharded(&mut net.sim);
-    }
-    net.sim
-        .run_until(SimTime::from_secs_f64(p.total_s), 50_000_000);
-    let mut gaps = Samples::new();
-    let mut moves = 0;
-    for &u in &net.ues {
-        let ue = net.sim.handler_as::<UeNode>(u).unwrap();
-        gaps.extend(&ue.stats.handover_gap_ms);
-        moves += ue.stats.cell_moves;
-    }
-    let x2_hits = net
-        .aps
-        .iter()
-        .map(|&a| {
-            net.sim
-                .handler_as::<DlteApNode>(a)
-                .unwrap()
-                .fetch_stats
-                .hits
-        })
-        .sum();
+    let x2_hits = net.aps().map(|ap| ap.fetch_stats.hits).sum();
     arm_from(gaps, moves, dwell_s, x2_hits)
 }
 
@@ -216,9 +185,9 @@ pub fn run_with(p: Params) -> Table {
         ],
     );
     for &dwell in &p.dwell_s {
-        let c = run_centralized(&p, dwell);
-        let d = run_dlte(&p, dwell, false);
-        let x = run_dlte(&p, dwell, true);
+        let c = run_arm(Arch::Centralized, &p, dwell, false);
+        let d = run_arm(Arch::Dlte, &p, dwell, false);
+        let x = run_arm(Arch::Dlte, &p, dwell, true);
         t.row(vec![
             f2c(dwell),
             f2c(c.p99_gap_ms),

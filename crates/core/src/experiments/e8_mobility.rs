@@ -14,9 +14,9 @@
 //!   availability collapsing when dwell ≈ gap.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -40,14 +40,6 @@ impl Default for Params {
     }
 }
 
-fn ping_app(dst: dlte_net::Addr) -> UeApp {
-    UeApp::Pinger {
-        dst,
-        interval: SimDuration::from_millis(25),
-        probe_bytes: 100,
-    }
-}
-
 /// Schedule of alternating cell changes covering `total_s` seconds.
 fn schedule(dwell_s: f64, total_s: f64) -> Vec<(SimTime, usize)> {
     let mut out = Vec::new();
@@ -67,52 +59,39 @@ struct Arm {
     availability: f64,
 }
 
-fn run_centralized(dwell_s: f64, p: &Params, total_s: f64) -> Arm {
-    let mut b = CentralizedLteBuilder::new(2, 1);
-    b.wire_all_cells = true;
-    b.inet_delay = SimDuration::from_millis(p.inet_delay_ms);
-    b.seed = p.seed;
+/// UE 0 pings the OTT service every 25 ms while it hops between the two
+/// cells; UE 1 stays home.
+fn run_arm(arch: Arch, dwell_s: f64, p: &Params, total_s: f64) -> Arm {
     let sched = schedule(dwell_s, total_s);
     let n_moves = sched.len();
-    let mut net = b
-        .with_ue_plan(move |i| UePlan {
-            app: ping_app(CentralizedLteBuilder::ott_addr()),
-            schedule: if i == 0 {
-                schedule(dwell_s, total_s)
-            } else {
-                vec![]
-            },
-        })
-        .build();
+    let plan = move |i| UePlan {
+        app: UeApp::Pinger {
+            dst: DlteNetworkBuilder::ott_addr(),
+            interval: SimDuration::from_millis(25),
+            probe_bytes: 100,
+        },
+        schedule: if i == 0 { sched.clone() } else { vec![] },
+    };
+    let inet_delay = SimDuration::from_millis(p.inet_delay_ms);
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(2, 1);
+            b.wire_all_cells = true;
+            b.inet_delay = inet_delay;
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(2, 1);
+            b.wire_all_cells = true;
+            b.inet_delay = inet_delay;
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+    };
     net.sim
         .run_until(SimTime::from_secs_f64(total_s), 50_000_000);
-    let ue = net.sim.world().handler_as::<UeNode>(net.ues[0]).unwrap();
-    let gaps = ue.stats.handover_gap_ms.clone();
-    arm_from(gaps, n_moves, dwell_s)
-}
-
-fn run_dlte(dwell_s: f64, p: &Params, total_s: f64) -> Arm {
-    let mut b = DlteNetworkBuilder::new(2, 1);
-    b.wire_all_cells = true;
-    b.inet_delay = SimDuration::from_millis(p.inet_delay_ms);
-    b.seed = p.seed;
-    let sched = schedule(dwell_s, total_s);
-    let n_moves = sched.len();
-    let mut net = b
-        .with_ue_plan(move |i| DltePlan {
-            app: ping_app(DlteNetworkBuilder::ott_addr()),
-            schedule: if i == 0 {
-                schedule(dwell_s, total_s)
-            } else {
-                vec![]
-            },
-        })
-        .build();
-    net.sim
-        .run_until(SimTime::from_secs_f64(total_s), 50_000_000);
-    let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let gaps = ue.stats.handover_gap_ms.clone();
-    arm_from(gaps, n_moves, dwell_s)
+    arm_from(net.ue(0).stats.handover_gap_ms.clone(), n_moves, dwell_s)
 }
 
 fn arm_from(gaps: dlte_sim::stats::Samples, n_moves: usize, dwell_s: f64) -> Arm {
@@ -150,8 +129,8 @@ pub fn run_with(p: Params) -> Table {
     );
     for &dwell in &p.dwell_s {
         let total = (dwell * 8.0 + 6.0).min(60.0);
-        let c = run_centralized(dwell, &p, total);
-        let d = run_dlte(dwell, &p, total);
+        let c = run_arm(Arch::Centralized, dwell, &p, total);
+        let d = run_arm(Arch::Dlte, dwell, &p, total);
         t.row(vec![
             f2c(dwell),
             f2c(c.mean_gap_ms),

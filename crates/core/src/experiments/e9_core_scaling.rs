@@ -8,9 +8,8 @@
 //! APs, each with its own stub.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::UeNode;
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
+use dlte_epc::topology::CentralizedLteBuilder;
 use dlte_sim::stats::Samples;
 use dlte_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -33,34 +32,26 @@ impl Default for Params {
     }
 }
 
-fn attach_latencies_centralized(n: usize, p: &Params) -> Samples {
+/// Every attach latency of `n` UEs powering on together, `ues_per_site` to
+/// a cell.
+fn attach_latencies(arch: Arch, n: usize, p: &Params) -> Samples {
     let sites = (n / p.ues_per_site).max(1);
-    let mut b = CentralizedLteBuilder::new(sites, p.ues_per_site);
-    b.seed = p.seed;
-    let mut net = b.with_ue_plan(|_| UePlan::default()).build();
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(sites, p.ues_per_site);
+            b.seed = p.seed;
+            b.build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(sites, p.ues_per_site);
+            b.seed = p.seed;
+            b.build().into()
+        }
+    };
     net.sim.run_until(SimTime::from_secs(30), 100_000_000);
     let mut s = Samples::new();
-    for &ue_id in &net.ues {
-        let ue = net.sim.world().handler_as::<UeNode>(ue_id).unwrap();
-        for &v in ue.stats.attach_latency_ms.values() {
-            s.push(v);
-        }
-    }
-    s
-}
-
-fn attach_latencies_dlte(n: usize, p: &Params) -> Samples {
-    let sites = (n / p.ues_per_site).max(1);
-    let mut b = DlteNetworkBuilder::new(sites, p.ues_per_site);
-    b.seed = p.seed;
-    let mut net = b.with_ue_plan(|_| DltePlan::default()).build();
-    net.sim.run_until(SimTime::from_secs(30), 100_000_000);
-    let mut s = Samples::new();
-    for &ue_id in &net.ues {
-        let ue = net.sim.handler_as::<UeNode>(ue_id).unwrap();
-        for &v in ue.stats.attach_latency_ms.values() {
-            s.push(v);
-        }
+    for ue in net.ue_nodes() {
+        s.extend(&ue.stats.attach_latency_ms);
     }
     s
 }
@@ -82,8 +73,8 @@ pub fn run_with(p: Params) -> Table {
     // heaviest sweep in the suite) — fan it out across threads; par_map keeps
     // row order deterministic.
     let rows = dlte_sim::par_map(p.ue_counts.clone(), |n| {
-        let c = attach_latencies_centralized(n, &p);
-        let d = attach_latencies_dlte(n, &p);
+        let c = attach_latencies(Arch::Centralized, n, &p);
+        let d = attach_latencies(Arch::Dlte, n, &p);
         vec![
             n.to_string(),
             f2c(c.mean()),

@@ -6,10 +6,9 @@
 //! (tunnels vs native), where control lives, what that costs in latency.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
-use crate::DlteApNode;
+use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_epc::{PgwNode, SgwNode};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -37,25 +36,41 @@ struct SideResult {
     breakout_packets: u64,
 }
 
-fn centralized(p: &Params) -> SideResult {
-    let mut b = CentralizedLteBuilder::new(1, 1);
-    b.seed = p.seed;
-    let mut net = b
-        .with_ue_plan(|_| UePlan {
-            app: UeApp::Pinger {
-                dst: CentralizedLteBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 100,
-            },
-            schedule: vec![],
-        })
-        .build();
+/// One UE pinging the OTT service every 100 ms for `p.seconds`.
+fn side(arch: Arch, p: &Params) -> SideResult {
+    let plan = |_| UePlan {
+        app: UeApp::Pinger {
+            dst: DlteNetworkBuilder::ott_addr(),
+            interval: SimDuration::from_millis(100),
+            probe_bytes: 100,
+        },
+        ..Default::default()
+    };
+    let mut net: Deployed = match arch {
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(1, 1);
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(1, 1);
+            b.seed = p.seed;
+            b.with_ue_plan(plan).build().into()
+        }
+    };
     net.sim.run_until(SimTime::from_secs(p.seconds), 10_000_000);
-    let w = net.sim.world();
-    let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let sgw = w.handler_as::<SgwNode>(net.sgw).unwrap();
-    let pgw = w.handler_as::<PgwNode>(net.pgw).unwrap();
-    let rtts = &ue.stats.rtt_ms;
+    let ue = net.ue(0);
+    // User packets cross the gateways only in the centralized network, and
+    // break out at a cell only in dLTE.
+    let tunneled_packets = net.epc.map_or(0, |epc| {
+        let sgw = net.sim.handler_as::<SgwNode>(epc.sgw).unwrap();
+        let pgw = net.sim.handler_as::<PgwNode>(epc.pgw).unwrap();
+        sgw.stats.ul_packets + sgw.stats.dl_packets + pgw.stats.ul_packets + pgw.stats.dl_packets
+    });
+    let breakout_packets = net
+        .aps()
+        .map(|ap| ap.core.stats.ul_user_packets + ap.core.stats.dl_user_packets)
+        .sum();
     SideResult {
         attach_ms: ue
             .stats
@@ -64,49 +79,15 @@ fn centralized(p: &Params) -> SideResult {
             .first()
             .copied()
             .unwrap_or(f64::NAN),
-        rtt_ms: rtts.median(),
-        tunneled_packets: sgw.stats.ul_packets
-            + sgw.stats.dl_packets
-            + pgw.stats.ul_packets
-            + pgw.stats.dl_packets,
-        breakout_packets: 0,
-    }
-}
-
-fn dlte(p: &Params) -> SideResult {
-    let mut b = DlteNetworkBuilder::new(1, 1);
-    b.seed = p.seed;
-    let mut net = b
-        .with_ue_plan(|_| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 100,
-            },
-            ..Default::default()
-        })
-        .build();
-    net.sim.run_until(SimTime::from_secs(p.seconds), 10_000_000);
-    let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let ap = net.sim.handler_as::<DlteApNode>(net.aps[0]).unwrap();
-    let rtts = &ue.stats.rtt_ms;
-    SideResult {
-        attach_ms: ue
-            .stats
-            .attach_latency_ms
-            .values()
-            .first()
-            .copied()
-            .unwrap_or(f64::NAN),
-        rtt_ms: rtts.median(),
-        tunneled_packets: 0,
-        breakout_packets: ap.core.stats.ul_user_packets + ap.core.stats.dl_user_packets,
+        rtt_ms: ue.stats.rtt_ms.median(),
+        tunneled_packets,
+        breakout_packets,
     }
 }
 
 pub fn run_with(p: Params) -> Table {
-    let c = centralized(&p);
-    let d = dlte(&p);
+    let c = side(Arch::Centralized, &p);
+    let d = side(Arch::Dlte, &p);
     let mut t = Table::new(
         "F1",
         "Architecture comparison on identical geometry (paper Figure 1)",

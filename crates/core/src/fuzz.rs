@@ -38,18 +38,18 @@
 
 use crate::chaos::ChaosDomain;
 use crate::mobility::{ap_index_for, cell_schedule};
-use crate::scenario::{DlteNet, DlteNetworkBuilder, DltePlan, KeyDistribution};
+pub use crate::scenario::Arch;
+use crate::scenario::{Deployed, DlteNetworkBuilder, KeyDistribution};
 use dlte_check::{
     check_all, check_recovery, check_sessions, Bounds, CoreView, Evidence, MobilityEvidence,
     MobilityUeView, SpanView, UeView, Violation,
 };
-use dlte_epc::topology::{CentralizedLteBuilder, CentralizedLteNet, UePlan};
+use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
 use dlte_epc::ue::{UeApp, UeNode, UeState};
 use dlte_epc::{MmeNode, PgwNode, SgwNode};
 use dlte_faults::{ChaosTargets, FaultPlan, FaultSpec, MovePlan};
-use dlte_net::{in_flight_packets, Network, NodeId};
 use dlte_obs::{set_tracing, take_records, tracing_enabled};
-use dlte_sim::{SimDuration, SimRng, SimTime};
+use dlte_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// Event budget per `run_until` segment (same order as the experiments).
@@ -59,22 +59,6 @@ const FAULT_START_S: f64 = 2.0;
 const FAULT_END_S: f64 = 8.0;
 /// …and each is repaired within 2 s.
 const MAX_DOWN_S: f64 = 2.0;
-
-/// Which architecture a fuzz case exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Arch {
-    Centralized,
-    Dlte,
-}
-
-impl std::fmt::Display for Arch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Arch::Centralized => write!(f, "centralized"),
-            Arch::Dlte => write!(f, "dlte"),
-        }
-    }
-}
 
 /// One self-contained fuzz case: everything needed to rebuild the exact
 /// simulation. Plain serde data — a repro file carries this verbatim.
@@ -211,24 +195,16 @@ impl FuzzCase {
 /// remote key directory, for instance, is built ahead of the APs and
 /// shifts every later id).
 pub fn case_targets(case: &FuzzCase) -> ChaosTargets {
-    match case.arch {
-        Arch::Centralized => {
-            let net = build_centralized_case(case);
-            let mut links = net.enb_backhaul.clone();
-            links.push(net.l_agg_epc);
-            ChaosTargets {
-                links,
-                crashable: vec![net.sgw, net.pgw],
-            }
+    let net = build_case(case);
+    let mut links = net.cell_backhaul;
+    let crashable = match net.epc {
+        Some(epc) => {
+            links.push(epc.l_agg_epc);
+            vec![epc.sgw, epc.pgw]
         }
-        Arch::Dlte => {
-            let net = build_dlte_case(case);
-            ChaosTargets {
-                links: net.ap_backhaul.clone(),
-                crashable: Vec::new(),
-            }
-        }
-    }
+        None => Vec::new(),
+    };
+    ChaosTargets { links, crashable }
 }
 
 /// [`case_targets`] for the classic static envelope. Public so property
@@ -254,167 +230,105 @@ fn pinger(dst: dlte_net::Addr) -> UeApp {
     }
 }
 
-fn build_centralized_case(case: &FuzzCase) -> CentralizedLteNet {
-    let mut b = CentralizedLteBuilder::new(case.n_cells, case.ues_per_cell);
-    b.seed = case.seed;
-    b.path_mgmt = Some((SimDuration::from_millis(500), 2));
-    b.wire_all_cells = !case.moves.is_empty();
-    let moves = case.moves.clone();
-    let (n_cells, ues_per_cell) = (case.n_cells, case.ues_per_cell);
-    b.with_ue_plan(move |i| UePlan {
-        app: pinger(CentralizedLteBuilder::ott_addr()),
-        schedule: cell_schedule(&moves, i, i / ues_per_cell, n_cells),
-    })
-    .build()
-}
-
-fn build_dlte_case(case: &FuzzCase) -> DlteNet {
-    let mut b = DlteNetworkBuilder::new(case.n_cells, case.ues_per_cell);
-    b.seed = case.seed;
-    if case.remote_keys {
-        b.keys = KeyDistribution::RemoteDirectory;
-    }
-    b.x2_context_fetch = case.x2_fetch;
-    let b = b.with_ue_plan(|_| DltePlan {
+fn build_case(case: &FuzzCase) -> Deployed {
+    let pinging = |_| UePlan {
         app: pinger(DlteNetworkBuilder::ott_addr()),
-        ..DltePlan::default()
-    });
-    if case.moves.is_empty() {
-        b.build()
-    } else {
-        b.with_move_plan(case.moves.clone()).build()
-    }
-}
-
-fn build_case(case: &FuzzCase) -> Built {
+        ..UePlan::default()
+    };
     match case.arch {
-        Arch::Centralized => Built::Cent(build_centralized_case(case)),
-        Arch::Dlte => Built::Dl(build_dlte_case(case)),
-    }
-}
-
-/// The two builds behind one settle-loop driver.
-enum Built {
-    Cent(CentralizedLteNet),
-    Dl(DlteNet),
-}
-
-impl Built {
-    /// Schedule the fault plan. The dLTE arm may be sharded (global
-    /// `--shards`), so its faults are broadcast; the centralized twin
-    /// always runs on one engine.
-    fn inject(&mut self, plan: &FaultPlan) {
-        match self {
-            Built::Cent(n) => plan.inject(&mut n.sim),
-            Built::Dl(n) => plan.inject_sharded(&mut n.sim),
+        Arch::Centralized => {
+            let mut b = CentralizedLteBuilder::new(case.n_cells, case.ues_per_cell);
+            b.seed = case.seed;
+            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
+            b.wire_all_cells = !case.moves.is_empty();
+            let moves = case.moves.clone();
+            let (n_cells, ues_per_cell) = (case.n_cells, case.ues_per_cell);
+            b.with_ue_plan(move |i| UePlan {
+                schedule: cell_schedule(&moves, i, i / ues_per_cell, n_cells),
+                ..pinging(i)
+            })
+            .build()
+            .into()
         }
-    }
-
-    fn run_until(&mut self, t: SimTime, max_events: u64) {
-        match self {
-            Built::Cent(n) => {
-                n.sim.run_until(t, max_events);
+        Arch::Dlte => {
+            let mut b = DlteNetworkBuilder::new(case.n_cells, case.ues_per_cell);
+            b.seed = case.seed;
+            if case.remote_keys {
+                b.keys = KeyDistribution::RemoteDirectory;
             }
-            Built::Dl(n) => {
-                n.sim.run_until(t, max_events);
+            b.x2_context_fetch = case.x2_fetch;
+            let b = b.with_ue_plan(pinging);
+            if case.moves.is_empty() {
+                b.build().into()
+            } else {
+                b.with_move_plan(case.moves.clone()).build().into()
             }
         }
     }
+}
 
-    fn evidence(&self) -> Evidence {
-        match self {
-            Built::Cent(n) => {
-                let w = n.sim.world();
-                Evidence {
-                    elapsed_s: n.sim.now().as_secs_f64(),
-                    net: w.audit(in_flight_packets(n.sim.queue())),
-                    ues: ue_views(w, &n.ues),
-                    core: CoreView::Centralized {
-                        mme: w.handler_as::<MmeNode>(n.mme).expect("mme typed").audit(),
-                        sgw: w.handler_as::<SgwNode>(n.sgw).expect("sgw typed").audit(),
-                        pgw: w.handler_as::<PgwNode>(n.pgw).expect("pgw typed").audit(),
-                    },
-                    mobility: None,
-                }
-            }
-            Built::Dl(n) => Evidence {
-                elapsed_s: n.sim.now().as_secs_f64(),
-                net: n.sim.audit_merged(),
-                ues: n
-                    .ues
-                    .iter()
-                    .map(|&id| ue_view(n.sim.handler_as::<UeNode>(id).expect("ue typed")))
-                    .collect(),
-                core: CoreView::Dlte {
-                    cores: n
-                        .aps
-                        .iter()
-                        .map(|&ap| {
-                            n.sim
-                                .handler_as::<crate::DlteApNode>(ap)
-                                .expect("ap typed")
-                                .core
-                                .audit()
-                        })
-                        .collect(),
-                },
-                mobility: None,
+/// The oracles' view of a network mid-run.
+fn evidence(net: &Deployed) -> Evidence {
+    let sim = &net.sim;
+    Evidence {
+        elapsed_s: sim.now().as_secs_f64(),
+        net: sim.audit_merged(),
+        ues: net.ue_nodes().map(ue_view).collect(),
+        core: match net.epc {
+            Some(epc) => CoreView::Centralized {
+                mme: sim
+                    .handler_as::<MmeNode>(epc.mme)
+                    .expect("mme typed")
+                    .audit(),
+                sgw: sim
+                    .handler_as::<SgwNode>(epc.sgw)
+                    .expect("sgw typed")
+                    .audit(),
+                pgw: sim
+                    .handler_as::<PgwNode>(epc.pgw)
+                    .expect("pgw typed")
+                    .audit(),
             },
-        }
+            None => CoreView::Dlte {
+                cores: net.aps().map(|ap| ap.core.audit()).collect(),
+            },
+        },
+        mobility: None,
     }
 }
 
-/// Mobility evidence for a moving-UE case: per-core session spans (dLTE —
-/// the centralized EPC holds sessions centrally, so span-based oracles
-/// don't apply) plus per-UE serving state and measured service gaps.
-fn mobility_evidence(built: &Built, case: &FuzzCase) -> MobilityEvidence {
+/// Mobility evidence for a moving-UE case: per-core session spans and
+/// serving cores (dLTE only: the centralized EPC holds sessions centrally,
+/// so span-based oracles don't apply) plus per-UE measured service gaps.
+fn mobility_evidence(net: &Deployed, case: &FuzzCase) -> MobilityEvidence {
     let mut ev = MobilityEvidence {
         // Gap budget: the whole fault window is the worst admissible dwell.
         max_dwell_s: FAULT_END_S - FAULT_START_S,
         ..MobilityEvidence::default()
     };
-    match built {
-        Built::Cent(n) => {
-            let w = n.sim.world();
-            for &id in &n.ues {
-                let u = w.handler_as::<UeNode>(id).expect("ue typed");
-                ev.ues.push(MobilityUeView {
-                    imsi: u.imsi,
-                    attached: u.state == UeState::Attached,
-                    serving_core: None,
-                    moves: u.stats.cell_moves,
-                    gaps_ms: u.stats.handover_gap_ms.values().to_vec(),
-                });
-            }
+    for (k, ap) in net.aps().enumerate() {
+        for s in ap.core.session_spans() {
+            ev.spans.push(SpanView {
+                core: k,
+                imsi: s.imsi,
+                start_ns: s.start_ns,
+                end_ns: s.end_ns,
+            });
         }
-        Built::Dl(n) => {
-            for (k, &ap) in n.aps.iter().enumerate() {
-                let core = &n
-                    .sim
-                    .handler_as::<crate::DlteApNode>(ap)
-                    .expect("ap typed")
-                    .core;
-                for s in core.session_spans() {
-                    ev.spans.push(SpanView {
-                        core: k,
-                        imsi: s.imsi,
-                        start_ns: s.start_ns,
-                        end_ns: s.end_ns,
-                    });
-                }
-            }
-            for (i, &id) in n.ues.iter().enumerate() {
-                let u = n.sim.handler_as::<UeNode>(id).expect("ue typed");
-                let home = i / case.ues_per_cell;
-                ev.ues.push(MobilityUeView {
-                    imsi: u.imsi,
-                    attached: u.state == UeState::Attached,
-                    serving_core: Some(ap_index_for(home, u.current_cell_index(), case.n_cells)),
-                    moves: u.stats.cell_moves,
-                    gaps_ms: u.stats.handover_gap_ms.values().to_vec(),
-                });
-            }
-        }
+    }
+    for (i, u) in net.ue_nodes().enumerate() {
+        let home = i / case.ues_per_cell;
+        let serving_core = net
+            .epc
+            .is_none()
+            .then(|| ap_index_for(home, u.current_cell_index(), case.n_cells));
+        ev.ues.push(MobilityUeView {
+            imsi: u.imsi,
+            attached: u.state == UeState::Attached,
+            serving_core,
+            moves: u.stats.cell_moves,
+            gaps_ms: u.stats.handover_gap_ms.values().to_vec(),
+        });
     }
     ev
 }
@@ -429,12 +343,6 @@ fn ue_view(u: &UeNode) -> UeView {
     }
 }
 
-fn ue_views(w: &Network, ues: &[NodeId]) -> Vec<UeView> {
-    ues.iter()
-        .map(|&id| ue_view(w.handler_as::<UeNode>(id).expect("ue typed")))
-        .collect()
-}
-
 /// Execute one case end to end and evaluate every oracle.
 ///
 /// Drives the sim to the last fault transition, then settles in 1 s steps
@@ -445,7 +353,7 @@ fn ue_views(w: &Network, ues: &[NodeId]) -> Vec<UeView> {
 /// step with every UE attached is the recovery time; the stream/counter
 /// oracles and the recovery bound are then judged on the final snapshot.
 pub fn run_case(case: &FuzzCase) -> CaseReport {
-    let mut built = build_case(case);
+    let mut net = build_case(case);
     let bounds = Bounds::default();
 
     // Tracing must be on for the whole run, in sweep and replay alike, so
@@ -454,16 +362,16 @@ pub fn run_case(case: &FuzzCase) -> CaseReport {
     set_tracing(true);
     let _ = take_records(); // discard anything a previous case buffered
 
-    built.inject(&case.plan);
+    case.plan.inject(&mut net.sim);
     let t_last = case.plan.last_fault_time().max(case.moves.last_move_time());
-    built.run_until(t_last, MAX_EVENTS);
+    net.sim.run_until(t_last, MAX_EVENTS);
 
     let mut recovered_at_s = None;
-    let mut ev = built.evidence();
+    let mut ev = evidence(&net);
     for k in 1..=(bounds.recovery_bound_s.ceil() as u64) {
         let t = t_last + SimDuration::from_secs_f64(k as f64);
-        built.run_until(t, MAX_EVENTS);
-        ev = built.evidence();
+        net.sim.run_until(t, MAX_EVENTS);
+        ev = evidence(&net);
         if check_sessions(&ev).is_empty() && ev.ues.iter().all(|u| u.attached) {
             recovered_at_s = Some(t.as_secs_f64());
             break;
@@ -474,7 +382,7 @@ pub fn run_case(case: &FuzzCase) -> CaseReport {
     set_tracing(was_tracing);
 
     if !case.moves.is_empty() {
-        ev.mobility = Some(mobility_evidence(&built, case));
+        ev.mobility = Some(mobility_evidence(&net, case));
     }
     let mut violations = check_all(&ev, &records, &bounds);
     violations.extend(check_recovery(
@@ -578,12 +486,6 @@ mod tests {
     use crate::chaos::{replay_repro, shrink};
     use std::path::Path;
 
-    fn sum_pongs(w: &Network, ues: &[NodeId]) -> u64 {
-        ues.iter()
-            .map(|&id| w.handler_as::<UeNode>(id).unwrap().stats.pongs)
-            .sum()
-    }
-
     #[test]
     fn generation_is_deterministic_and_nonempty() {
         let a = FuzzCase::generate(7);
@@ -617,20 +519,13 @@ mod tests {
                 report.recovered_at_s.is_some(),
                 "seed {seed} never recovered"
             );
-            let mut built = build_case(&case);
-            built.inject(&case.plan);
+            let mut net = build_case(&case);
+            case.plan.inject(&mut net.sim);
             let horizon = case.plan.last_fault_time()
                 + SimDuration::from_secs_f64(report.recovered_at_s.unwrap());
-            built.run_until(horizon, MAX_EVENTS);
-            let ev = built.evidence();
-            let pongs: u64 = match &built {
-                Built::Cent(n) => sum_pongs(n.sim.world(), &n.ues),
-                Built::Dl(n) => n
-                    .ues
-                    .iter()
-                    .map(|&id| n.sim.handler_as::<UeNode>(id).unwrap().stats.pongs)
-                    .sum(),
-            };
+            net.sim.run_until(horizon, MAX_EVENTS);
+            let ev = evidence(&net);
+            let pongs: u64 = net.ue_nodes().map(|u| u.stats.pongs).sum();
             assert!(pongs > 0, "seed {seed}: no user traffic ever flowed");
             assert!(
                 ev.net.fabric.accepted > 0,

@@ -17,7 +17,9 @@
 //! * [`ap::DlteApNode`] — one network node that *is* a dLTE AP: local core
 //!   + X2 agent behind a single handler;
 //! * [`scenario`] — topology builders for dLTE networks (the centralized
-//!   twin lives in [`dlte_epc::topology`]);
+//!   twin lives in [`dlte_epc::topology`]), and [`scenario::Deployed`], the
+//!   one handle through which a built network of either [`scenario::Arch`]
+//!   is driven and read;
 //! * [`transport_app`] — the UE upper layer that rides a modern transport
 //!   across dLTE's address churn (§4.2);
 //! * [`design_space`] — Table 1 as an executable classification;

@@ -14,22 +14,27 @@
 //! between peer APs — the neighbours the open registry names for each AP's
 //! grant ([`DlteNetworkBuilder::x2_neighbors`]), not every AP in the
 //! deployment.
+//!
+//! Either builder's network converts into a [`Deployed`], so a comparison
+//! writes one arm over [`Arch`]: a `match` picks the builder, and the run,
+//! the fault plan and the readout are shared.
 
 use crate::ap::DlteApNode;
 use dlte_auth::open::PublishedKeyDirectory;
 use dlte_auth::usim::Usim;
 use dlte_auth::{Imsi, Key};
 use dlte_epc::local_core::{KeyDirectoryNode, KeySource, LocalCoreNode};
-use dlte_epc::topology::UePlan;
-use dlte_epc::ue::{CellAttachment, MobilityMode, UeNode};
+use dlte_epc::topology::{add_ues, CentralizedLteNet, UePlan};
+use dlte_epc::ue::{MobilityMode, UeNode};
 use dlte_net::handlers::EchoServer;
-use dlte_net::{Addr, AddrPool, LinkConfig, NetworkBuilder, NodeId, Prefix, ShardedSim};
+use dlte_net::{Addr, AddrPool, LinkConfig, LinkId, NetworkBuilder, NodeId, Prefix, ShardedSim};
 use dlte_phy::band::Band;
 use dlte_registry::{ChannelPlan, GrantRequest, LicenseGrant, Point, SpectrumRegistry};
 use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 use dlte_transport::connection::TransportConfig;
 use dlte_transport::handlers::TransportServerNode;
 use dlte_x2::{CoordinationMode, X2Agent};
+use serde::{Deserialize, Serialize};
 
 /// Per-UE plan for dLTE scenarios: the centralized builder's plan, since
 /// the builder, not the plan, picks the mobility procedure.
@@ -178,18 +183,6 @@ impl DlteNetworkBuilder {
             (2 + k / 62_500) as u8,
             (k % 250) as u8,
             ((k / 250) % 250) as u8 + 1,
-        )
-    }
-
-    /// Pre-attach control address of UE `i` (172.16.0.0/12-ish space; the
-    /// first 62 500 UEs keep their historical `172.16.(i/250).(i%250+1)`).
-    pub fn ue_ctrl_addr(i: usize) -> Addr {
-        assert!(i < 14_937_500, "UE control address space exhausted (i={i})");
-        Addr::new(
-            172,
-            (16 + i / 62_500) as u8,
-            ((i / 250) % 250) as u8,
-            (i % 250) as u8 + 1,
         )
     }
 
@@ -394,45 +387,26 @@ impl DlteNetworkBuilder {
             ap_links.push(l);
         }
 
-        // UEs.
-        let mut ues = Vec::new();
-        let mut wiring: Vec<(usize, Imsi, dlte_net::LinkId, Addr)> = Vec::new();
-        for i in 0..total_ues {
-            let imsi = Self::imsi_of(i);
-            let home_ap = i / self.ues_per_ap;
-            let ue_ctrl = Self::ue_ctrl_addr(i);
-            let ue = b.node(format!("ue{i}"));
-            let mut cells = Vec::new();
-            // Home cell first (mobility indices are positions in this list).
-            let cell_range: Vec<usize> = if self.wire_all_cells {
-                std::iter::once(home_ap)
-                    .chain((0..self.n_aps).filter(|&k| k != home_ap))
-                    .collect()
-            } else {
-                vec![home_ap]
-            };
-            for &k in &cell_range {
-                let link = b.link(ue, aps[k], self.radio);
-                cells.push(CellAttachment {
-                    enb_addr: ap_addrs[k],
-                    radio_link: link,
-                });
-                wiring.push((k, imsi, link, ue_ctrl));
-            }
-            let plan = (self.ue_plan)(i);
-            // A population move plan fills in schedules the per-UE plan
-            // left empty, mapping AP indices onto this UE's cell list.
-            let schedule = match (&self.moves, plan.schedule.is_empty()) {
-                (Some(moves), true) if self.wire_all_cells => {
-                    crate::mobility::cell_schedule(moves, i, home_ap, self.n_aps)
+        // UEs. A population move plan fills in the schedules the per-UE
+        // plans left empty, mapping AP indices onto each UE's cell list.
+        let moves = self.moves.as_ref().filter(|_| self.wire_all_cells);
+        let cells: Vec<(NodeId, Addr)> = aps.iter().copied().zip(ap_addrs).collect();
+        let pop = add_ues(
+            &mut b,
+            &cells,
+            self.ues_per_ap,
+            self.wire_all_cells,
+            self.radio,
+            MobilityMode::ReAttach,
+            |i| {
+                let mut plan = (self.ue_plan)(i);
+                if let (Some(moves), true) = (moves, plan.schedule.is_empty()) {
+                    let home = i / self.ues_per_ap;
+                    plan.schedule = crate::mobility::cell_schedule(moves, i, home, self.n_aps);
                 }
-                _ => plan.schedule,
-            };
-            let ue_node = UeNode::new(imsi, Usim::new(imsi, Self::key_of(i)), cells, plan.app)
-                .with_mobility(MobilityMode::ReAttach, schedule);
-            b.set_handler(ue, Box::new(ue_node));
-            ues.push(ue);
-        }
+                (Usim::new(Self::imsi_of(i), Self::key_of(i)), plan)
+            },
+        );
 
         // Routing.
         b.auto_routes();
@@ -458,13 +432,7 @@ impl DlteNetworkBuilder {
         }
 
         let mut sim = b.build();
-        for (k, imsi, link, ue_ctrl) in wiring {
-            sim.world_mut()
-                .handler_as_mut::<DlteApNode>(aps[k])
-                .expect("ap handler")
-                .core
-                .wire_ue(imsi, link, ue_ctrl);
-        }
+        pop.wire::<DlteApNode>(sim.world_mut());
         if self.mesh && !ap_mesh.is_empty() {
             for k in 0..self.n_aps {
                 // Fall back over the mesh link this AP participates in.
@@ -481,7 +449,7 @@ impl DlteNetworkBuilder {
         (
             sim,
             NetHandles {
-                ues,
+                ues: pop.ues,
                 aps,
                 ott_echo,
                 ott_transport,
@@ -506,6 +474,98 @@ struct NetHandles {
     r_inet: NodeId,
     ap_backhaul: Vec<dlte_net::LinkId>,
     ap_mesh: Vec<dlte_net::LinkId>,
+}
+
+/// Which architecture a network is built as.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Arch {
+    Centralized,
+    Dlte,
+}
+
+impl std::fmt::Display for Arch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Arch::Centralized => write!(f, "centralized"),
+            Arch::Dlte => write!(f, "dlte"),
+        }
+    }
+}
+
+/// A built network of either architecture, driven and read through one
+/// handle. A comparison builds each arm with its own builder, converts it
+/// with `into()`, and from then on runs the same code for both.
+pub struct Deployed {
+    /// The driver. A centralized network always runs on one engine.
+    pub sim: ShardedSim,
+    pub ues: Vec<NodeId>,
+    /// The eNBs or the APs, by cell index.
+    pub cells: Vec<NodeId>,
+    /// Each cell's backhaul link, by cell index.
+    pub cell_backhaul: Vec<LinkId>,
+    /// The centralized core; `None` for dLTE, whose cores live in its APs.
+    pub epc: Option<Epc>,
+}
+
+/// The node ids of the centralized core, and its trunk.
+#[derive(Clone, Copy, Debug)]
+pub struct Epc {
+    pub mme: NodeId,
+    pub sgw: NodeId,
+    pub pgw: NodeId,
+    /// Aggregation ↔ EPC-site link, which every eNB shares toward the core.
+    pub l_agg_epc: LinkId,
+}
+
+impl Deployed {
+    /// The handler of UE `i`.
+    pub fn ue(&self, i: usize) -> &UeNode {
+        self.sim
+            .handler_as::<UeNode>(self.ues[i])
+            .expect("ue handler")
+    }
+
+    /// Every UE's handler, in UE order.
+    pub fn ue_nodes(&self) -> impl Iterator<Item = &UeNode> + '_ {
+        (0..self.ues.len()).map(|i| self.ue(i))
+    }
+
+    /// The dLTE APs' handlers, in cell order; none on a centralized
+    /// network, so a sum over them reads 0 there.
+    pub fn aps(&self) -> impl Iterator<Item = &DlteApNode> + '_ {
+        self.cells
+            .iter()
+            .filter_map(|&cell| self.sim.handler_as::<DlteApNode>(cell))
+    }
+}
+
+impl From<CentralizedLteNet> for Deployed {
+    fn from(net: CentralizedLteNet) -> Deployed {
+        Deployed {
+            sim: ShardedSim::single(net.sim),
+            ues: net.ues,
+            cells: net.enbs,
+            cell_backhaul: net.enb_backhaul,
+            epc: Some(Epc {
+                mme: net.mme,
+                sgw: net.sgw,
+                pgw: net.pgw,
+                l_agg_epc: net.l_agg_epc,
+            }),
+        }
+    }
+}
+
+impl From<DlteNet> for Deployed {
+    fn from(net: DlteNet) -> Deployed {
+        Deployed {
+            sim: net.sim,
+            ues: net.ues,
+            cells: net.aps,
+            cell_backhaul: net.ap_backhaul,
+            epc: None,
+        }
+    }
 }
 
 /// True if `addr` belongs to any dLTE AP pool (used by the failover logic
@@ -667,6 +727,75 @@ mod tests {
         assert!(one.1.iter().all(|&p| p > 10), "every UE's pinger ran");
         assert_eq!(one, two);
         assert_eq!(one, four);
+    }
+
+    /// Wrapping a centralized network in [`Deployed`] runs it through the
+    /// engine's one-shard path, which gives each run segment's trace the
+    /// canonical `(t_ns, node)` order that sharded dLTE traces have. It
+    /// reorders records of the same instant across nodes and changes
+    /// nothing else: at the S-GW crash, a direct run emits node 5's fault
+    /// before node 4's echo.
+    #[test]
+    fn deployed_centralized_trace_is_canonically_ordered() {
+        use dlte_epc::topology::CentralizedLteBuilder;
+        use dlte_faults::{FaultPlan, FaultSpec};
+        use dlte_obs::{set_tracing, take_records, Record};
+        let build = || {
+            let mut b = CentralizedLteBuilder::new(3, 3);
+            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
+            let net = b.build();
+            let plan = FaultPlan::new(1).with(FaultSpec::NodeCrash {
+                node: net.sgw,
+                at_s: 3.0,
+                restart_after_s: Some(1.0),
+            });
+            (net, plan)
+        };
+        let key = |r: &Record| (r.t_ns, r.node, format!("{:?}", r.event));
+        set_tracing(true);
+        let _ = take_records();
+
+        let (net, plan) = build();
+        let mut deployed = Deployed::from(net);
+        plan.inject(&mut deployed.sim);
+        for k in 1..=24 {
+            deployed
+                .sim
+                .run_until(SimTime::from_millis(250 * k), 10_000_000);
+        }
+        let wrapped = take_records();
+
+        let (mut net, plan) = build();
+        for (t, fault) in plan.compile() {
+            net.sim
+                .queue_mut()
+                .schedule_at(t, dlte_net::NetEvent::Fault(fault));
+        }
+        net.sim.run_until(SimTime::from_secs(6), 10_000_000);
+        let direct = take_records();
+        set_tracing(false);
+
+        assert!(
+            wrapped
+                .windows(2)
+                .all(|w| (w[0].t_ns, w[0].node) <= (w[1].t_ns, w[1].node)),
+            "records out of (t_ns, node) order"
+        );
+        assert_ne!(
+            wrapped.iter().map(key).collect::<Vec<_>>(),
+            direct.iter().map(key).collect::<Vec<_>>(),
+            "the direct run interleaves nodes at some instant"
+        );
+        let sorted = |records: &[Record]| {
+            let mut keys: Vec<_> = records.iter().map(key).collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(sorted(&wrapped), sorted(&direct));
+        assert_eq!(
+            deployed.sim.events_dispatched(),
+            net.sim.events_dispatched()
+        );
     }
 
     #[test]
@@ -845,7 +974,7 @@ mod tests {
                 at_s: 2.9,
                 for_s: 2.0,
             })
-            .inject_sharded(&mut net.sim);
+            .inject(&mut net.sim);
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
         let w = net.sim.world();
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();

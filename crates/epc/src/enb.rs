@@ -8,6 +8,7 @@
 
 use crate::messages::{wire, Nas, S1Nas, S1ap, Teid};
 use crate::obs::{self, HarqTracer};
+use crate::topology::CellHandler;
 use dlte_auth::Imsi;
 use dlte_net::fxhash::FxHashMap;
 use dlte_net::gtp;
@@ -76,12 +77,6 @@ impl EnbNode {
             harq: HarqTracer::new(SimRng::new(0x48415251)),
             stats: EnbStats::default(),
         }
-    }
-
-    /// Wire a UE's radio link (done at topology build for every UE that can
-    /// ever camp on this eNB). `ue_ctrl` is the UE's NAS-relay address.
-    pub fn wire_ue(&mut self, imsi: Imsi, link: LinkId, ue_ctrl: Addr) {
-        self.radio.insert(imsi, (link, ue_ctrl));
     }
 
     fn relay_nas_downlink(&mut self, ctx: &mut NodeCtx<'_>, s1nas: S1Nas, size: u32) {
@@ -219,6 +214,12 @@ impl EnbNode {
             .make_packet(self.mme_addr, size)
             .with_payload(Payload::control(s1nas));
         ctx.forward(p);
+    }
+}
+
+impl CellHandler for EnbNode {
+    fn wire_ue(&mut self, imsi: Imsi, link: LinkId, ue_ctrl: Addr) {
+        self.radio.insert(imsi, (link, ue_ctrl));
     }
 }
 

@@ -9,8 +9,10 @@
 //!
 //! Every user packet tunnels eNB → S-GW → P-GW before reaching the Internet;
 //! every control event serializes through the shared MME/HSS. The dLTE
-//! counterpart topology lives in the `dlte` core crate; this builder is also
-//! used directly by experiments E9/E10.
+//! counterpart topology lives in the `dlte` core crate, and `dlte::scenario`
+//! drives a network of either kind through one handle. Both builders add
+//! their UEs through [`add_ues`], so a UE's cells, plan and radio links are
+//! set up the same way whichever core it attaches to.
 
 use crate::enb::EnbNode;
 use crate::hss::HssNode;
@@ -22,7 +24,9 @@ use crate::ue::{CellAttachment, MobilityMode, UeApp, UeNode};
 use dlte_auth::usim::Usim;
 use dlte_auth::{Imsi, Key};
 use dlte_net::handlers::EchoServer;
-use dlte_net::{Addr, AddrPool, LinkConfig, Network, NetworkBuilder, NodeId, Prefix};
+use dlte_net::{
+    Addr, AddrPool, LinkConfig, LinkId, Network, NetworkBuilder, NodeHandler, NodeId, Prefix,
+};
 use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
 
 /// Per-UE experiment plan, for either architecture's builder; the builder
@@ -186,59 +190,38 @@ impl CentralizedLteBuilder {
         b.addr(pgw, pgw_addr);
         let hss = b.host("hss", Box::new(hss_node));
         b.addr(hss, hss_addr);
-        let l_epc_mme = b.link(r_epc, mme, LinkConfig::lan());
-        let l_epc_sgw = b.link(r_epc, sgw, LinkConfig::lan());
+        b.link(r_epc, mme, LinkConfig::lan());
+        b.link(r_epc, sgw, LinkConfig::lan());
         let l_epc_pgw = b.link(r_epc, pgw, LinkConfig::lan());
-        let l_epc_hss = b.link(r_epc, hss, LinkConfig::lan());
-        let _ = (l_epc_mme, l_epc_sgw, l_epc_hss);
+        b.link(r_epc, hss, LinkConfig::lan());
 
-        // eNBs.
-        let mut enbs = Vec::new();
-        let mut enb_addrs = Vec::new();
+        // eNBs, each with its control address.
+        let mut cells = Vec::new();
         let mut enb_backhaul = Vec::new();
         for e in 0..self.n_enb {
+            // One octet numbers the eNBs: past it, addresses would repeat.
+            assert!(e < 256, "eNB address space exhausted (e={e})");
             let addr = Addr::new(10, 1, e as u8, 1);
             let mut enb_node = EnbNode::new(mme_addr);
             enb_node.idle_timeout = self.enb_idle_timeout;
             let enb = b.host(format!("enb{e}"), Box::new(enb_node));
             b.addr(enb, addr);
             enb_backhaul.push(b.link(enb, r_agg, self.backhaul));
-            enbs.push(enb);
-            enb_addrs.push(addr);
+            cells.push((enb, addr));
         }
 
-        // UEs with radio links; wire them into the eNB handlers afterwards.
-        let mut ues = Vec::new();
-        let mut wiring: Vec<(usize, Imsi, dlte_net::LinkId, Addr)> = Vec::new();
-        for i in 0..total_ues {
-            let imsi = Self::imsi_of(i);
-            let home_enb = i / self.ues_per_enb;
-            let ue_ctrl = Addr::new(172, 16, (i / 250) as u8, (i % 250) as u8 + 1);
-            let ue = b.node(format!("ue{i}"));
-            let mut cells = Vec::new();
-            // Home cell first: a UE camps on its home AP at start, and a
-            // mobility schedule's indices are positions in this list.
-            let cell_range: Vec<usize> = if self.wire_all_cells {
-                std::iter::once(home_enb)
-                    .chain((0..self.n_enb).filter(|&e| e != home_enb))
-                    .collect()
-            } else {
-                vec![home_enb]
-            };
-            for &e in &cell_range {
-                let link = b.link(ue, enbs[e], self.radio);
-                cells.push(CellAttachment {
-                    enb_addr: enb_addrs[e],
-                    radio_link: link,
-                });
-                wiring.push((e, imsi, link, ue_ctrl));
-            }
-            let plan = (self.ue_plan)(i);
-            let ue_node = UeNode::new(imsi, Usim::new(imsi, Self::key_of(i)), cells, plan.app)
-                .with_mobility(MobilityMode::PathSwitch, plan.schedule);
-            b.set_handler(ue, Box::new(ue_node));
-            ues.push(ue);
-        }
+        let pop = add_ues(
+            &mut b,
+            &cells,
+            self.ues_per_enb,
+            self.wire_all_cells,
+            self.radio,
+            MobilityMode::PathSwitch,
+            |i| {
+                let usim = Usim::new(Self::imsi_of(i), Self::key_of(i));
+                (usim, (self.ue_plan)(i))
+            },
+        );
 
         // Infrastructure routing (host routes to every addressed node).
         b.auto_routes();
@@ -250,18 +233,11 @@ impl CentralizedLteBuilder {
         b.route(ott, Prefix::DEFAULT, l_inet_ott);
 
         let mut sim = b.build();
-        // Wire UEs into eNB handlers (needs the built world for typed
-        // access).
-        for (e, imsi, link, ue_ctrl) in wiring {
-            sim.world_mut()
-                .handler_as_mut::<EnbNode>(enbs[e])
-                .expect("enb handler")
-                .wire_ue(imsi, link, ue_ctrl);
-        }
+        pop.wire::<EnbNode>(sim.world_mut());
         CentralizedLteNet {
             sim,
-            ues,
-            enbs,
+            ues: pop.ues,
+            enbs: cells.iter().map(|&(enb, _)| enb).collect(),
             mme,
             sgw,
             pgw,
@@ -271,6 +247,93 @@ impl CentralizedLteBuilder {
             l_agg_epc,
         }
     }
+}
+
+/// Pre-attach control address of UE `i`, where its cell relays NAS
+/// (172.16.0.0/12-ish space; the first 62 500 UEs keep their historical
+/// `172.16.(i/250).(i%250+1)`).
+fn ue_ctrl_addr(i: usize) -> Addr {
+    assert!(i < 14_937_500, "UE control address space exhausted (i={i})");
+    Addr::new(
+        172,
+        (16 + i / 62_500) as u8,
+        ((i / 250) % 250) as u8,
+        (i % 250) as u8 + 1,
+    )
+}
+
+/// A node that serves UEs over radio links: an eNB or a dLTE AP.
+pub trait CellHandler: NodeHandler {
+    /// Wire a UE's radio link (done at build for every UE that can ever
+    /// camp on this cell). `ue_ctrl` is the UE's NAS-relay address.
+    fn wire_ue(&mut self, imsi: Imsi, link: LinkId, ue_ctrl: Addr);
+}
+
+/// The UEs [`add_ues`] put into a network under construction.
+pub struct UePopulation {
+    pub ues: Vec<NodeId>,
+    /// Every radio link: its cell, the UE's IMSI, the link, the UE's
+    /// control address.
+    radios: Vec<(NodeId, Imsi, LinkId, Addr)>,
+}
+
+impl UePopulation {
+    /// Wire every radio link into its cell, whose handler is a `C`, once
+    /// the network is built.
+    pub fn wire<C: CellHandler>(&self, net: &mut Network) {
+        for &(cell, imsi, link, ue_ctrl) in &self.radios {
+            net.handler_as_mut::<C>(cell)
+                .expect("cell handler")
+                .wire_ue(imsi, link, ue_ctrl);
+        }
+    }
+}
+
+/// Add the UE population of either architecture: `ues_per_cell` UEs per
+/// cell of `cells` (node and control address, by cell index), UE `i` at
+/// home in cell `i / ues_per_cell`. A UE camps on its home cell at start,
+/// so that cell comes first in its list, then, with `wire_all_cells`, every
+/// other cell in index order, each over its own `radio` link; a schedule's
+/// cell indices are positions in this list. `ue(i)` is UE `i`'s USIM and
+/// plan, and `mode` the architecture's mobility procedure.
+pub fn add_ues(
+    b: &mut NetworkBuilder,
+    cells: &[(NodeId, Addr)],
+    ues_per_cell: usize,
+    wire_all_cells: bool,
+    radio: LinkConfig,
+    mode: MobilityMode,
+    ue: impl Fn(usize) -> (Usim, UePlan),
+) -> UePopulation {
+    let mut pop = UePopulation {
+        ues: Vec::new(),
+        radios: Vec::new(),
+    };
+    for i in 0..cells.len() * ues_per_cell {
+        let (usim, plan) = ue(i);
+        let home = i / ues_per_cell;
+        let ue_ctrl = ue_ctrl_addr(i);
+        let node = b.node(format!("ue{i}"));
+        let reach = if wire_all_cells { cells.len() } else { 0 };
+        let others = (0..reach).filter(|&c| c != home);
+        let attachments = std::iter::once(home)
+            .chain(others)
+            .map(|c| {
+                let (cell, enb_addr) = cells[c];
+                let radio_link = b.link(node, cell, radio);
+                pop.radios.push((cell, usim.imsi, radio_link, ue_ctrl));
+                CellAttachment {
+                    enb_addr,
+                    radio_link,
+                }
+            })
+            .collect();
+        let ue_node =
+            UeNode::new(usim.imsi, usim, attachments, plan.app).with_mobility(mode, plan.schedule);
+        b.set_handler(node, Box::new(ue_node));
+        pop.ues.push(node);
+    }
+    pop
 }
 
 #[cfg(test)]
@@ -331,6 +394,13 @@ mod tests {
         let pgw = w.handler_as::<crate::pgw::PgwNode>(net.pgw).unwrap();
         assert!(pgw.stats.ul_packets > 15);
         assert!(pgw.stats.dl_packets > 15);
+    }
+
+    /// eNB 256 would wrap its address's octet onto eNB 0's.
+    #[test]
+    #[should_panic(expected = "eNB address space exhausted (e=256)")]
+    fn enb_past_the_address_octet_panics() {
+        CentralizedLteBuilder::new(257, 1).build();
     }
 
     #[test]

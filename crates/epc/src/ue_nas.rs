@@ -241,8 +241,11 @@ pub fn step(usim: &mut Usim, stats: &mut UeReportStats, ue: Ue, input: Input) ->
                 }
                 (MobilityMode::PathSwitch, None) => s.attach(at),
                 // A fresh cell is a fresh attach, not a retry, so a rapid
-                // move sequence does not inflate the backoff.
+                // move sequence does not inflate the backoff. The attach
+                // brings up a new connection: a service request left over
+                // from the old cell has no address to send from.
                 (MobilityMode::ReAttach, _) => {
+                    s.ue.ecm = Ecm::Connected;
                     s.release();
                     s.ue.emm = UeState::Detached(0);
                     s.attach(at);
@@ -787,15 +790,15 @@ mod tests {
             ("Att R1#7 a 7", "move/switch", "=", cat(&[leave(false), path_switch()]), &[]),
             ("Att R3#7 a 7", "move/switch", "=", cat(&[leave(false), path_switch()]), &[]),
             // A re-attach detaches at the old cell, drops the address and
-            // starts a fresh attach at the new one.
+            // starts a fresh attach, on a fresh connection, at the new one.
             ("D0 C - 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), attach(true, 1)]), &[]),
             ("D2 C - 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), attach(true, 1)]), &[]),
             ("A1@0#7 C - 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), attach(true, 1)]), &[]),
             ("A3@0#7 C - 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), attach(true, 1)]), &[]),
             ("Att C a 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
-            ("Att I a 7", "move/reattach", "A1@1#8 I - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
-            ("Att R1#7 a 7", "move/reattach", "A1@1#8 R1#7 - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
-            ("Att R3#7 a 7", "move/reattach", "A1@1#8 R3#7 - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
+            ("Att I a 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
+            ("Att R1#7 a 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
+            ("Att R3#7 a 7", "move/reattach", "A1@1#8 C - 8", cat(&[leave(true), release(), attach(true, 1)]), &[]),
         ];
         assert_eq!(table.len(), STATES.len() * INPUTS.len());
         for s in STATES {
@@ -811,6 +814,26 @@ mod tests {
             assert_eq!(got, (next, outputs.clone()), "({s}, {i})");
             assert_eq!(counted(&stats), *counters, "({s}, {i}) counters");
         }
+    }
+
+    /// A re-attach move made while a service request is out used to keep
+    /// ECM `Requesting` with no address: the retry then sent nothing and
+    /// re-armed nothing, and an idle UE never asked for service again.
+    #[test]
+    fn reattach_while_requesting_service_can_request_again() {
+        let mut usim = usim();
+        let mut stats = UeReportStats::default();
+        let mut ue = state("Att R1#7 a 7");
+        let mut outputs = Vec::new();
+        for name in ["move/reattach", "accept", "release", "uplink"] {
+            (ue, outputs) = step(&mut usim, &mut stats, ue, input(name));
+        }
+        let request = Nas::ServiceRequest {
+            imsi: IMSI,
+            ue_addr: B,
+        };
+        assert_eq!(ue.ecm, Ecm::Requesting(1, 9));
+        assert!(outputs.contains(&Output::Send(request, wire::S1AP_PATH_SWITCH)));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! backhaul flaps, the central EPC crashes, a site is partitioned. This
 //! crate turns those scenarios into data: a [`FaultPlan`] is a serde-able,
 //! seeded, composable list of [`FaultSpec`]s that compiles to a sorted
-//! timeline of raw [`NetFault`]s and injects them into a simulation as
-//! ordinary events. Determinism is total — all randomness happens at *plan
+//! timeline of raw [`NetFault`]s and injects them into a [`ShardedSim`], the
+//! one driver of a network of either architecture, as ordinary events
+//! ([`FaultPlan::inject`]). Determinism is total — all randomness happens at *plan
 //! generation* time (see [`FaultPlan::chaos_mix`]), so the same plan JSON
 //! replays identically regardless of `--jobs` or host.
 //!
@@ -15,8 +16,8 @@
 
 #![forbid(unsafe_code)]
 
-use dlte_net::{LinkId, LinkOverride, NetEvent, NetFault, Network, NodeId};
-use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
+use dlte_net::{LinkId, LinkOverride, NetFault, NodeId, ShardedSim};
+use dlte_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 pub mod mobility;
@@ -24,7 +25,8 @@ pub mod registry;
 pub use mobility::{MovePlan, MoveSpec};
 pub use registry::{RegistryFault, RegistryFaultPlan, RegistryFaultSpec};
 
-/// A composable fault scenario.
+/// A composable fault scenario, scheduled into a run by
+/// [`FaultPlan::inject`].
 ///
 /// The `seed` is carried for provenance (plans produced by
 /// [`FaultPlan::chaos_mix`] record the seed that generated them); replaying
@@ -464,18 +466,10 @@ impl FaultPlan {
     }
 
     /// Schedule every fault of this plan into `sim` as `NetEvent::Fault`
-    /// events. Call once, before (or during) the run.
-    pub fn inject(&self, sim: &mut Simulation<Network>) {
-        for (t, fault) in self.compile() {
-            sim.queue_mut().schedule_at(t, NetEvent::Fault(fault));
-        }
-    }
-
-    /// Schedule every fault of this plan into a (possibly sharded)
-    /// simulation. Each fault is broadcast to every shard so replicated
-    /// link/route/liveness state stays in sync — the sharded equivalent of
-    /// [`FaultPlan::inject`], and identical to it at one shard.
-    pub fn inject_sharded(&self, sim: &mut dlte_net::ShardedSim) {
+    /// events. Call once, before (or during) the run. Each fault is
+    /// broadcast to every shard, so replicated link, route and liveness
+    /// state stays in sync; at one shard that is one event per fault.
+    pub fn inject(&self, sim: &mut ShardedSim) {
         for (t, fault) in self.compile() {
             sim.schedule_fault_broadcast(t, fault);
         }
