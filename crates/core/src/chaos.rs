@@ -32,8 +32,9 @@ pub trait ChaosDomain {
     fn violations(outcome: &Self::Outcome) -> &[Violation];
     /// Strictly-simpler variants of a case, in a deterministic order.
     fn shrink_candidates(case: &Self::Case) -> Vec<Self::Case>;
-    /// Check every id the case names against what the case builds. Only
-    /// replay calls it: generated cases are valid by construction.
+    /// Check the case's shape and every id it names against what the case
+    /// would build. Only replay calls it: generated cases are valid by
+    /// construction.
     fn check_ids(case: &Self::Case) -> Result<(), String>;
     /// When the run re-converged, for domains with a settle loop.
     fn recovered_at_s(_outcome: &Self::Outcome) -> Option<f64> {

@@ -8,11 +8,17 @@
 //! shrinks a violating case to a repro that replays bit-for-bit.
 //!
 //! Everything downstream of the seed is deterministic: the scenario builder
-//! is seeded with the case seed, the fault plan is plain data, and event
-//! tracing is force-enabled for the whole run in both the sweep and the
-//! replay path so the RNG draw sequence is identical. `run_case(case)`
-//! therefore returns the same [`CaseReport`] on every invocation, which is
-//! what makes greedy shrinking and `--repro` replay sound.
+//! is seeded with the case seed and the fault plan is plain data, so
+//! `run_case(case)` returns the same [`CaseReport`] on every invocation,
+//! which is what makes greedy shrinking and `--repro` replay sound. Event
+//! tracing is on for the whole run, in sweep and replay alike, because the
+//! stream oracles (`check_event_stream`, `check_harq`) judge its records;
+//! it does not steer the run (the HARQ tracer draws from its own RNG
+//! stream), so a case dispatches the same events with tracing off.
+//!
+//! A case's fault targets are a fixed function of its shape, which the
+//! builders name ([`case_targets`]): generating a case or checking a
+//! repro's ids builds nothing, and [`run_case`] is the one build.
 //!
 //! Scenario envelope (kept deliberately narrow so every oracle is a hard
 //! invariant, not a flaky heuristic):
@@ -114,7 +120,7 @@ impl FuzzCase {
         };
         let ues_per_cell = 1 + rng.index(2);
         let n_faults = 1 + rng.index(3);
-        let targets = chaos_targets(arch, seed, n_cells, ues_per_cell);
+        let targets = chaos_targets(arch, n_cells);
         let plan = FaultPlan::chaos_mix(
             seed,
             &targets,
@@ -174,8 +180,8 @@ impl FuzzCase {
             remote_keys,
             x2_fetch,
         };
-        // Targets must come from the *case's* topology: the remote
-        // directory adds a node and link ahead of the APs, shifting ids.
+        // Targets must come from the *case's* shape: the remote directory
+        // adds a link ahead of the APs' backhauls, shifting their ids.
         let targets = case_targets(&case);
         case.plan = FaultPlan::chaos_mix(
             seed,
@@ -189,37 +195,65 @@ impl FuzzCase {
     }
 }
 
-/// Node/link ids are assigned in build order, so they are a deterministic
-/// function of the scenario shape — build a throwaway topology *with the
-/// case's exact configuration* to read the fault-injection handles (the
-/// remote key directory, for instance, is built ahead of the APs and
-/// shifts every later id).
+/// The fault-injection handles of a case: every cell's backhaul link and,
+/// for the centralized core, its trunk, S-GW and P-GW. Node and link ids
+/// are assigned in build order, so they depend only on the architecture,
+/// the cell count and (dLTE) whether a key directory is built; the builders
+/// name them and assert them at build, so nothing is built here.
 pub fn case_targets(case: &FuzzCase) -> ChaosTargets {
-    let net = build_case(case);
-    let mut links = net.cell_backhaul;
-    let crashable = match net.epc {
-        Some(epc) => {
-            links.push(epc.l_agg_epc);
-            vec![epc.sgw, epc.pgw]
-        }
-        None => Vec::new(),
-    };
-    ChaosTargets { links, crashable }
+    targets(case.arch, case.n_cells, key_distribution(case))
 }
 
 /// [`case_targets`] for the classic static envelope. Public so property
 /// tests can aim arbitrary plans at valid targets.
-pub fn chaos_targets(arch: Arch, seed: u64, n_cells: usize, ues_per_cell: usize) -> ChaosTargets {
-    case_targets(&FuzzCase {
-        seed,
-        arch,
-        n_cells,
-        ues_per_cell,
-        plan: FaultPlan::new(seed),
-        moves: MovePlan::default(),
-        remote_keys: false,
-        x2_fetch: false,
-    })
+pub fn chaos_targets(arch: Arch, n_cells: usize) -> ChaosTargets {
+    targets(arch, n_cells, KeyDistribution::PreSynced)
+}
+
+fn targets(arch: Arch, n_cells: usize, keys: KeyDistribution) -> ChaosTargets {
+    match arch {
+        Arch::Centralized => ChaosTargets {
+            links: (0..n_cells)
+                .map(CentralizedLteBuilder::enb_backhaul)
+                .chain([CentralizedLteBuilder::L_AGG_EPC])
+                .collect(),
+            crashable: vec![CentralizedLteBuilder::SGW, CentralizedLteBuilder::PGW],
+        },
+        Arch::Dlte => ChaosTargets {
+            links: (0..n_cells)
+                .map(|k| DlteNetworkBuilder::ap_backhaul(k, keys))
+                .collect(),
+            crashable: Vec::new(),
+        },
+    }
+}
+
+/// Where a dLTE case's APs get subscriber keys.
+fn key_distribution(case: &FuzzCase) -> KeyDistribution {
+    if case.remote_keys {
+        KeyDistribution::RemoteDirectory
+    } else {
+        KeyDistribution::PreSynced
+    }
+}
+
+/// Why the builders cannot serve a case's shape, if they cannot: a replayed
+/// file may carry any counts, and an empty network would sweep green.
+fn check_shape(case: &FuzzCase) -> Result<(), String> {
+    let max_cells = match case.arch {
+        Arch::Centralized => CentralizedLteBuilder::MAX_ENBS,
+        Arch::Dlte => DlteNetworkBuilder::MAX_APS,
+    };
+    if case.n_cells == 0 || case.n_cells > max_cells {
+        return Err(format!(
+            "n_cells is {}; a {} case holds 1..={max_cells} cells",
+            case.n_cells, case.arch
+        ));
+    }
+    if case.ues_per_cell == 0 {
+        return Err("ues_per_cell is 0; a case needs at least one UE per cell".to_string());
+    }
+    Ok(())
 }
 
 fn pinger(dst: dlte_net::Addr) -> UeApp {
@@ -253,9 +287,7 @@ fn build_case(case: &FuzzCase) -> Deployed {
         Arch::Dlte => {
             let mut b = DlteNetworkBuilder::new(case.n_cells, case.ues_per_cell);
             b.seed = case.seed;
-            if case.remote_keys {
-                b.keys = KeyDistribution::RemoteDirectory;
-            }
+            b.keys = key_distribution(case);
             b.x2_context_fetch = case.x2_fetch;
             let b = b.with_ue_plan(pinging);
             if case.moves.is_empty() {
@@ -356,8 +388,8 @@ pub fn run_case(case: &FuzzCase) -> CaseReport {
     let mut net = build_case(case);
     let bounds = Bounds::default();
 
-    // Tracing must be on for the whole run, in sweep and replay alike, so
-    // the RNG draw sequence (and thus the trajectory) is identical.
+    // The stream oracles judge the trace, so it must cover the whole run,
+    // in sweep and replay alike.
     let was_tracing = tracing_enabled();
     set_tracing(true);
     let _ = take_records(); // discard anything a previous case buffered
@@ -442,10 +474,12 @@ impl<const MOBILE: bool> ChaosDomain for NetChaos<MOBILE> {
             }))
             .collect()
     }
-    /// Every spec must aim at the case's own fault targets
-    /// ([`case_targets`]): anything else would index past the topology or
-    /// fault a node the envelope keeps alive.
+    /// The builders must serve the case's shape, and every spec must aim
+    /// at the case's own fault targets ([`case_targets`]): anything else
+    /// would index past the topology or fault a node the envelope keeps
+    /// alive.
     fn check_ids(case: &FuzzCase) -> Result<(), String> {
+        check_shape(case)?;
         let ChaosTargets { links, crashable } = case_targets(case);
         for (i, spec) in case.plan.faults.iter().enumerate() {
             let ok = match spec {
@@ -493,6 +527,111 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.plan.faults.is_empty());
         assert_ne!(a, FuzzCase::generate(8));
+    }
+
+    /// The fault targets as a built network names them.
+    fn built_targets(case: &FuzzCase) -> ChaosTargets {
+        let net = build_case(case);
+        let mut links = net.cell_backhaul;
+        let crashable = match net.epc {
+            Some(epc) => {
+                links.push(epc.l_agg_epc);
+                vec![epc.sgw, epc.pgw]
+            }
+            None => Vec::new(),
+        };
+        ChaosTargets { links, crashable }
+    }
+
+    /// Every fuzz shape, including the one-cell and flag combinations only
+    /// a repro file carries: the targets read without a build are the ids
+    /// the build assigns.
+    #[test]
+    fn case_targets_are_the_built_ids_on_every_shape() {
+        use dlte_faults::MoveSpec;
+        let mut shapes = 0;
+        for arch in [Arch::Centralized, Arch::Dlte] {
+            for (n_cells, ues_per_cell) in (1..=3).flat_map(|n| [(n, 1), (n, 2)]) {
+                for (remote_keys, x2_fetch, moving) in
+                    (0..8).map(|b| (b & 1 > 0, b & 2 > 0, b & 4 > 0))
+                {
+                    let moves = MovePlan {
+                        seed: 9,
+                        moves: vec![MoveSpec {
+                            ue: 0,
+                            at_s: 3.0,
+                            ap: n_cells - 1,
+                        }],
+                    };
+                    let case = FuzzCase {
+                        seed: 9,
+                        arch,
+                        n_cells,
+                        ues_per_cell,
+                        plan: FaultPlan::new(9),
+                        moves: if moving { moves } else { MovePlan::default() },
+                        remote_keys,
+                        x2_fetch,
+                    };
+                    assert_eq!(case_targets(&case), built_targets(&case), "{case:?}");
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!(shapes, 96);
+    }
+
+    /// `run_case` is the one build: generating a case, reading its targets
+    /// and checking a repro's ids build nothing.
+    #[test]
+    fn only_run_case_builds_a_case() {
+        let src = include_str!("fuzz.rs");
+        let code = &src[..src.find("#[cfg(test)]").unwrap()];
+        let calls: Vec<usize> = code
+            .match_indices("build_case(")
+            .map(|(i, _)| i)
+            .filter(|&i| !code[..i].ends_with("fn "))
+            .collect();
+        let start = code.find("pub fn run_case(").unwrap();
+        let end = start + code[start..].find("\n}\n").unwrap();
+        assert_eq!(
+            calls.len(),
+            1,
+            "build_case called at byte offsets {calls:?}"
+        );
+        assert!(
+            (start..end).contains(&calls[0]),
+            "the one call is not in run_case"
+        );
+    }
+
+    /// Tracing is on in `run_case` for the oracles' sake, not the run's: a
+    /// static and a moving case dispatch the same events, account the same
+    /// packets and answer the same pings with it off.
+    #[test]
+    fn tracing_does_not_steer_a_case() {
+        for case in [FuzzCase::generate(3), FuzzCase::generate_mobility(3)] {
+            let run = |trace: bool| {
+                let was_tracing = tracing_enabled();
+                set_tracing(trace);
+                let mut net = build_case(&case);
+                case.plan.inject(&mut net.sim);
+                let t_last = case.plan.last_fault_time().max(case.moves.last_move_time());
+                net.sim
+                    .run_until(t_last + SimDuration::from_secs(5), MAX_EVENTS);
+                let records = take_records().len();
+                set_tracing(was_tracing);
+                let pongs: Vec<u64> = net.ue_nodes().map(|u| u.stats.pongs).collect();
+                let outcome = (net.sim.events_dispatched(), net.sim.audit_merged(), pongs);
+                (records, outcome)
+            };
+            let (off_records, off) = run(false);
+            let (on_records, on) = run(true);
+            assert_eq!(off_records, 0);
+            assert!(on_records > 0, "the traced run recorded nothing");
+            assert!(off.2.iter().sum::<u64>() > 0, "no pings answered");
+            assert_eq!(off, on, "{case:?}");
+        }
     }
 
     #[test]
@@ -627,7 +766,7 @@ mod tests {
                 .unwrap(),
         };
         let mut case = FuzzCase::generate(cent_seed);
-        let targets = chaos_targets(case.arch, case.seed, case.n_cells, case.ues_per_cell);
+        let targets = chaos_targets(case.arch, case.n_cells);
         case.plan = FaultPlan::new(case.seed)
             .with(FaultSpec::LinkFlap {
                 link: targets.links[0],
@@ -675,7 +814,7 @@ mod tests {
     /// the UE re-appears; this pins the fix.
     #[test]
     fn lost_detach_order_under_loss_burst_recovers() {
-        let targets = chaos_targets(Arch::Centralized, 397_424, 1, 2);
+        let targets = chaos_targets(Arch::Centralized, 1);
         let case = FuzzCase {
             seed: 397_424,
             arch: Arch::Centralized,
@@ -843,5 +982,56 @@ mod tests {
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A repro whose shape no builder serves is an `Err` naming the field,
+    /// not a false green (no cells or no UEs) or a builder panic (past an
+    /// address space).
+    #[test]
+    fn replay_rejects_shapes_the_builders_cannot_serve() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/fuzz_repro_sgw_halt.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join("dlte-fuzz-test-bad-shape");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (field, bad, want) in [
+            (
+                "n_cells",
+                "0",
+                "n_cells is 0; a centralized case holds 1..=256 cells",
+            ),
+            (
+                "n_cells",
+                "257",
+                "n_cells is 257; a centralized case holds 1..=256 cells",
+            ),
+            ("ues_per_cell", "0", "ues_per_cell is 0"),
+        ] {
+            let was = if field == "n_cells" { "1" } else { "2" };
+            let file = dir.join("bad.json");
+            let edited = text.replace(
+                &format!(r#""{field}": {was}"#),
+                &format!(r#""{field}": {bad}"#),
+            );
+            std::fs::write(&file, edited).unwrap();
+            let err = replay_repro::<Net>(&file).unwrap_err();
+            assert!(err.contains(want), "{field} = {bad}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut central = FuzzCase::generate(0);
+        central.arch = Arch::Centralized;
+        central.plan = FaultPlan::new(0);
+        central.n_cells = CentralizedLteBuilder::MAX_ENBS;
+        assert_eq!(Net::check_ids(&central), Ok(()));
+        let mut dlte = FuzzCase {
+            arch: Arch::Dlte,
+            n_cells: DlteNetworkBuilder::MAX_APS,
+            ..central
+        };
+        assert_eq!(Net::check_ids(&dlte), Ok(()));
+        dlte.n_cells += 1;
+        let err = Net::check_ids(&dlte).unwrap_err();
+        assert_eq!(err, "n_cells is 15873; a dlte case holds 1..=15872 cells");
     }
 }

@@ -160,12 +160,25 @@ impl DlteNetworkBuilder {
         Addr::new(9, 9, 9, 9)
     }
 
+    /// Most APs one network holds: past it, [`Self::ap_pool`] would leave
+    /// the CGNAT space.
+    pub const MAX_APS: usize = 15_872;
+
+    /// Backhaul link id of AP `k` that [`Self::build`] assigns whatever the
+    /// UE count or seed: three core links, the key directory's link when
+    /// `keys` builds one, then one per AP in AP order. Fault injection
+    /// reads it without a build; `build` asserts it.
+    pub fn ap_backhaul(k: usize, keys: KeyDistribution) -> LinkId {
+        let dir_link = usize::from(keys == KeyDistribution::RemoteDirectory);
+        3 + dir_link + k
+    }
+
     /// The /24 pool of AP `k`. Pools are carved from 100.64.0.0/10
-    /// (CGNAT space) starting at 100.66.0.0, so deployments up to ~15k
-    /// APs get disjoint /24s; the first 256 APs keep their historical
-    /// `100.66.k.0/24` pools.
+    /// (CGNAT space) starting at 100.66.0.0, so deployments up to
+    /// [`Self::MAX_APS`] APs get disjoint /24s; the first 256 APs keep
+    /// their historical `100.66.k.0/24` pools.
     pub fn ap_pool(k: usize) -> Prefix {
-        assert!(k < 15_872, "AP pool space exhausted (k={k})");
+        assert!(k < Self::MAX_APS, "AP pool space exhausted (k={k})");
         Prefix::new(Addr::new(100, (66 + k / 256) as u8, (k % 256) as u8, 0), 24)
     }
 
@@ -383,6 +396,7 @@ impl DlteNetworkBuilder {
             );
             b.addr(ap, ap_addrs[k]);
             let l = b.link(ap, r_agg, self.backhaul);
+            assert_eq!(l, Self::ap_backhaul(k, self.keys), "AP {k} backhaul id");
             aps.push(ap);
             ap_links.push(l);
         }

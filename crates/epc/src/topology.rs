@@ -92,6 +92,22 @@ pub struct CentralizedLteNet {
 }
 
 impl CentralizedLteBuilder {
+    /// Most eNBs one network holds: one address octet numbers them.
+    pub const MAX_ENBS: usize = 256;
+    /// Ids [`Self::build`] assigns whatever the eNB count, UE count or
+    /// seed: the routers, the OTT server and the EPC come first in a fixed
+    /// order, then each eNB with its backhaul link ([`Self::enb_backhaul`]).
+    /// Fault injection reads them without a build; `build` asserts them.
+    pub const SGW: NodeId = 5;
+    pub const PGW: NodeId = 6;
+    /// The aggregation ↔ EPC-site trunk ([`CentralizedLteNet::l_agg_epc`]).
+    pub const L_AGG_EPC: LinkId = 0;
+
+    /// Backhaul link id of eNB `e`, after the seven core links.
+    pub fn enb_backhaul(e: usize) -> LinkId {
+        7 + e
+    }
+
     pub fn new(n_enb: usize, ues_per_enb: usize) -> Self {
         CentralizedLteBuilder {
             n_enb,
@@ -194,19 +210,26 @@ impl CentralizedLteBuilder {
         b.link(r_epc, sgw, LinkConfig::lan());
         let l_epc_pgw = b.link(r_epc, pgw, LinkConfig::lan());
         b.link(r_epc, hss, LinkConfig::lan());
+        assert_eq!(
+            (l_agg_epc, sgw, pgw),
+            (Self::L_AGG_EPC, Self::SGW, Self::PGW),
+            "EPC ids"
+        );
 
         // eNBs, each with its control address.
         let mut cells = Vec::new();
         let mut enb_backhaul = Vec::new();
         for e in 0..self.n_enb {
             // One octet numbers the eNBs: past it, addresses would repeat.
-            assert!(e < 256, "eNB address space exhausted (e={e})");
+            assert!(e < Self::MAX_ENBS, "eNB address space exhausted (e={e})");
             let addr = Addr::new(10, 1, e as u8, 1);
             let mut enb_node = EnbNode::new(mme_addr);
             enb_node.idle_timeout = self.enb_idle_timeout;
             let enb = b.host(format!("enb{e}"), Box::new(enb_node));
             b.addr(enb, addr);
-            enb_backhaul.push(b.link(enb, r_agg, self.backhaul));
+            let backhaul = b.link(enb, r_agg, self.backhaul);
+            assert_eq!(backhaul, Self::enb_backhaul(e), "eNB {e} backhaul id");
+            enb_backhaul.push(backhaul);
             cells.push((enb, addr));
         }
 

@@ -577,7 +577,7 @@ impl FaultPlan {
 }
 
 /// What a chaos generator is allowed to break.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosTargets {
     pub links: Vec<LinkId>,
     pub crashable: Vec<NodeId>,

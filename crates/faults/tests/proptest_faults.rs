@@ -220,7 +220,7 @@ fn arb_chaos_shape() -> impl Strategy<Value = ChaosShape> {
 /// back to link faults when the architecture has no crashable node (dLTE:
 /// the local core shares fate with its AP).
 fn realize(arch: Arch, seed: u64, n_cells: usize, ues: usize, shapes: &[ChaosShape]) -> FuzzCase {
-    let targets = chaos_targets(arch, seed, n_cells, ues);
+    let targets = chaos_targets(arch, n_cells);
     let link = |i: usize| targets.links[i % targets.links.len()];
     let mut plan = FaultPlan::new(seed);
     for s in shapes {
