@@ -12,21 +12,16 @@
 //!   freshness, resynchronization;
 //! * [`vectors`] — the network side: subscriber records and authentication
 //!   vector generation (what an HSS, or a dLTE stub core, computes);
-//! * [`esim`] — remotely provisionable multi-profile eSIMs (GSMA-style),
-//!   which let one device hold a secured carrier identity *and* an open
-//!   dLTE identity simultaneously;
 //! * [`open`] — the published-key directory that makes dLTE APs universal
 //!   authenticators.
 
 #![forbid(unsafe_code)]
 
-pub mod esim;
 pub mod milenage;
 pub mod open;
 pub mod usim;
 pub mod vectors;
 
-pub use esim::{EsimCard, Profile, ProfileKind};
 pub use open::PublishedKeyDirectory;
 pub use usim::{AkaError, AkaResponse, Usim};
 pub use vectors::{AuthVector, SubscriberDb, SubscriberRecord};

@@ -36,7 +36,6 @@ impl Default for Params {
 fn measured_x2_bps(n_aps: usize, p: &Params) -> (f64, f64) {
     let mut b = DlteNetworkBuilder::new(n_aps, 1);
     b.seed = p.seed;
-    b.x2_interval = SimDuration::from_millis(500);
     let mut net = b
         .with_ue_plan(|_| DltePlan {
             app: UeApp::UplinkCbr {

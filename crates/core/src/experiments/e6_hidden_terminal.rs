@@ -80,12 +80,10 @@ fn dlte_registry_coordination(p: &Params) -> Row {
         lease: SimDuration::from_secs(3600),
     };
     let a = reg.request(req(0.0), SimTime::ZERO).expect("open registry");
-    let b = reg
-        .request(req(15.0), SimTime::ZERO)
+    reg.request(req(15.0), SimTime::ZERO)
         .expect("open registry");
     let dom_a = reg.contention_domain(&a, SimTime::ZERO);
     assert_eq!(dom_a.len(), 1, "registry reveals the hidden peer");
-    let _ = b;
     // X2 fair share over the discovered domain → 50/50 TDM, zero overlap.
     let shares = max_min_shares(&[1.0, 1.0], 1.0);
     let mut total = 0.0;

@@ -25,8 +25,6 @@
 //! * [`design_space`] — Table 1 as an executable classification;
 //! * [`econ`] — the §5 deployment cost/coverage model (Figure 2's bill of
 //!   materials);
-//! * [`radio`] — the bridge between the subframe-accurate radio simulator
-//!   (`dlte-mac`) and the packet-level topologies (`dlte-net`);
 //! * [`resilience`] — the §7 future-work extension: multi-hop backhaul
 //!   sharing between neighboring APs for emergency redundancy;
 //! * [`experiments`] — one function per table/figure/claim, producing the
@@ -66,7 +64,6 @@ pub mod experiments;
 pub mod fuzz;
 pub mod fuzz_registry;
 pub mod mobility;
-pub mod radio;
 pub mod registry_chaos;
 pub mod resilience;
 pub mod scenario;

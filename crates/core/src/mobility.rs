@@ -1,4 +1,4 @@
-//! Movement models and traffic workloads for mobility scenarios.
+//! Movement models for mobility scenarios.
 //!
 //! The paper's §4.2 mobility story (detach → re-attach, endpoint
 //! transports absorbing address churn) is only credible if it is tested
@@ -13,12 +13,10 @@
 //!   (the tinyLTE drive-test shape: predictable sequential handovers at
 //!   vehicular cell-crossing rates).
 //!
-//! plus a heavy-tailed, diurnally-modulated workload model for sizing the
-//! traffic the movers carry. Everything is a pure function of the seed.
+//! Every plan is a pure function of the seed.
 
 use dlte_faults::{MovePlan, MoveSpec};
-use dlte_sim::rng::hash_unit;
-use dlte_sim::{SimRng, SimTime};
+use dlte_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// How a UE population moves between APs.
@@ -126,75 +124,6 @@ pub fn ap_index_for(home_ap: usize, cell: usize, n_aps: usize) -> usize {
     }
 }
 
-/// A heavy-tailed, diurnally-modulated traffic workload: flow sizes follow
-/// a bounded Pareto (the classic mice-and-elephants mix) and the offered
-/// load swings sinusoidally over a 24-hour cycle with a commuter-rush
-/// peak. Pure functions of the seed — safe to call from any shard.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct WorkloadModel {
-    pub seed: u64,
-    /// Pareto tail exponent (smaller = heavier tail; 1 < α < 2 gives the
-    /// infinite-variance regime measured for flow sizes).
-    pub pareto_alpha: f64,
-    pub min_flow_bytes: u64,
-    pub max_flow_bytes: u64,
-    /// Peak-to-mean load swing in \[0, 1\): 0.5 means the rush hour offers
-    /// 1.5× the mean and the quietest hour 0.5×.
-    pub diurnal_amplitude: f64,
-    /// Hour of day (0..24) the load peaks at.
-    pub peak_hour: f64,
-}
-
-impl Default for WorkloadModel {
-    fn default() -> Self {
-        WorkloadModel {
-            seed: 1,
-            pareto_alpha: 1.2,
-            min_flow_bytes: 2_000,
-            max_flow_bytes: 20_000_000,
-            diurnal_amplitude: 0.5,
-            peak_hour: 18.0,
-        }
-    }
-}
-
-impl WorkloadModel {
-    /// Size of flow number `k` of UE `ue`: a bounded-Pareto draw by inverse
-    /// CDF, deterministic in `(seed, ue, k)`.
-    pub fn flow_bytes(&self, ue: u64, k: u64) -> u64 {
-        let u = hash_unit(&[self.seed, 0xF10B, ue, k]);
-        let a = self.pareto_alpha;
-        let lo = self.min_flow_bytes.max(1) as f64;
-        let hi = self.max_flow_bytes.max(self.min_flow_bytes + 1) as f64;
-        // Bounded Pareto inverse CDF: F⁻¹(u) over [lo, hi].
-        let num = u * (hi.powf(a) - lo.powf(a)) + lo.powf(a);
-        let x = (hi.powf(a) * lo.powf(a) / num).powf(1.0 / a);
-        (x.round() as u64).clamp(self.min_flow_bytes, self.max_flow_bytes)
-    }
-
-    /// Relative offered load at `hour` of day (mean 1.0 over the cycle).
-    pub fn load_factor(&self, hour: f64) -> f64 {
-        let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
-        1.0 + self.diurnal_amplitude.clamp(0.0, 0.99) * phase.cos()
-    }
-
-    /// Per-UE mean think time between flows at `hour`, milliseconds:
-    /// `base_ms` at mean load, compressed at the rush peak. A seeded
-    /// per-UE jitter (±20%) breaks phase locks between identical UEs.
-    pub fn think_ms(&self, ue: u64, hour: f64, base_ms: f64) -> f64 {
-        let jitter = 0.8 + 0.4 * hash_unit(&[self.seed, 0x71ED, ue]);
-        base_ms * jitter / self.load_factor(hour)
-    }
-}
-
-/// A seeded RNG for mobility decisions, forked per UE off the workload
-/// namespace (kept separate from topology RNGs so adding movers does not
-/// perturb existing draws).
-pub fn mobility_rng(seed: u64, ue: u64) -> SimRng {
-    SimRng::new(seed).fork_idx("mobility-ue", ue)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,38 +177,5 @@ mod tests {
                 assert_eq!(ap_index_for(home, cell, 5), ap, "home {home} ap {ap}");
             }
         }
-    }
-
-    #[test]
-    fn flow_sizes_are_heavy_tailed_and_bounded() {
-        let w = WorkloadModel::default();
-        let draws: Vec<u64> = (0..2_000).map(|k| w.flow_bytes(0, k)).collect();
-        for &d in &draws {
-            assert!((w.min_flow_bytes..=w.max_flow_bytes).contains(&d));
-        }
-        let mut sorted = draws.clone();
-        sorted.sort_unstable();
-        let median = sorted[sorted.len() / 2] as f64;
-        let p99 = sorted[sorted.len() * 99 / 100] as f64;
-        // Heavy tail: the 99th percentile dwarfs the median (mice and
-        // elephants), which a light-tailed draw would not produce.
-        assert!(p99 / median > 20.0, "p99 {p99} vs median {median}");
-        // Determinism.
-        assert_eq!(w.flow_bytes(3, 7), w.flow_bytes(3, 7));
-        assert_ne!(w.flow_bytes(3, 7), w.flow_bytes(3, 8));
-    }
-
-    #[test]
-    fn diurnal_load_peaks_at_rush_hour() {
-        let w = WorkloadModel::default();
-        let peak = w.load_factor(w.peak_hour);
-        let trough = w.load_factor(w.peak_hour + 12.0);
-        assert!(peak > 1.4 && trough < 0.6, "peak {peak}, trough {trough}");
-        // Think time compresses under load, and jitter stays within ±20%.
-        let busy = w.think_ms(0, w.peak_hour, 1_000.0);
-        let quiet = w.think_ms(0, w.peak_hour + 12.0, 1_000.0);
-        assert!(busy < quiet);
-        let j = w.think_ms(5, w.peak_hour, 1_000.0) * w.load_factor(w.peak_hour) / 1_000.0;
-        assert!((0.8..=1.2).contains(&j), "jitter {j}");
     }
 }

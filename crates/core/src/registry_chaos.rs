@@ -340,8 +340,7 @@ impl ChaosRegistry {
         }
     }
 
-    fn release(&mut self, id: u64, operator: u64, now: SimTime) -> Result<bool, GrantDenied> {
-        let _ = now;
+    fn release(&mut self, id: u64, operator: u64) -> Result<bool, GrantDenied> {
         match self {
             ChaosRegistry::Fed(f) => f.release(id),
             ChaosRegistry::Rep(r) => r.release(id, operator),
@@ -736,7 +735,7 @@ fn tick_ap(
                 if let Some(rec) = grant_log.get_mut(&id) {
                     rec.live_until_s = now.as_secs_f64();
                 }
-                let _ = reg.release(id, ap.operator, now);
+                let _ = reg.release(id, ap.operator);
                 let half_x = rec_area_half(ap);
                 ap.location = Point::new(
                     ap.rng.uniform(-half_x, half_x),

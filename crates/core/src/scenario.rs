@@ -61,13 +61,8 @@ pub struct DlteNetworkBuilder {
     /// Aggregation ↔ Internet-core delay (the paper's backhaul to the
     /// nearest exchange).
     pub inet_delay: SimDuration,
-    pub radio: LinkConfig,
-    pub backhaul: LinkConfig,
-    pub stub_per_msg: SimDuration,
-    pub dir_per_msg: SimDuration,
     pub keys: KeyDistribution,
     pub x2_mode: CoordinationMode,
-    pub x2_interval: SimDuration,
     pub transport_cfg: TransportConfig,
     /// Wire every UE to every AP (mobility experiments).
     pub wire_all_cells: bool,
@@ -104,23 +99,20 @@ pub struct DlteNet {
 }
 
 impl DlteNetworkBuilder {
+    /// Per-message processing time of an AP's local core and of the key
+    /// directory.
+    const STUB_PER_MSG: SimDuration = SimDuration::from_micros(500);
+    const DIR_PER_MSG: SimDuration = SimDuration::from_micros(300);
+    /// How often an AP reports its load to its X2 peers.
+    const X2_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
     pub fn new(n_aps: usize, ues_per_ap: usize) -> Self {
         DlteNetworkBuilder {
             n_aps,
             ues_per_ap,
             inet_delay: SimDuration::from_millis(10),
-            radio: LinkConfig {
-                delay: SimDuration::from_millis(5),
-                rate_bps: 20e6,
-                queue_pkts: 300,
-                loss: 0.0,
-            },
-            backhaul: LinkConfig::rural_backhaul(),
-            stub_per_msg: SimDuration::from_micros(500),
-            dir_per_msg: SimDuration::from_micros(300),
             keys: KeyDistribution::PreSynced,
             x2_mode: CoordinationMode::FairShare,
-            x2_interval: SimDuration::from_millis(500),
             transport_cfg: TransportConfig::modern(),
             wire_all_cells: false,
             mesh: false,
@@ -351,7 +343,7 @@ impl DlteNetworkBuilder {
                     "key-dir",
                     Box::new(KeyDirectoryNode::new(
                         directory_of(0..total_ues),
-                        self.dir_per_msg,
+                        Self::DIR_PER_MSG,
                     )),
                 );
                 b.addr(dir, Self::dir_addr());
@@ -385,17 +377,17 @@ impl DlteNetworkBuilder {
                 42_000 + k as u64,
                 AddrPool::new(Self::ap_pool(k)),
                 key_source,
-                self.stub_per_msg,
+                Self::STUB_PER_MSG,
                 rng.fork_idx("stub", k as u64),
             );
             let peers: Vec<Addr> = x2_neighbors[k].iter().map(|&j| ap_addrs[j]).collect();
-            let x2 = X2Agent::new(self.x2_mode, peers, self.x2_interval);
+            let x2 = X2Agent::new(self.x2_mode, peers, Self::X2_INTERVAL);
             let ap = b.host(
                 format!("ap{k}"),
                 Box::new(DlteApNode::new(core, x2).with_context_fetch(self.x2_context_fetch)),
             );
             b.addr(ap, ap_addrs[k]);
-            let l = b.link(ap, r_agg, self.backhaul);
+            let l = b.link(ap, r_agg, LinkConfig::rural_backhaul());
             assert_eq!(l, Self::ap_backhaul(k, self.keys), "AP {k} backhaul id");
             aps.push(ap);
             ap_links.push(l);
@@ -410,7 +402,6 @@ impl DlteNetworkBuilder {
             &cells,
             self.ues_per_ap,
             self.wire_all_cells,
-            self.radio,
             MobilityMode::ReAttach,
             |i| {
                 let mut plan = (self.ue_plan)(i);
@@ -440,7 +431,7 @@ impl DlteNetworkBuilder {
                 if self.n_aps == 2 && k == 1 {
                     break; // avoid a duplicate second link between the pair
                 }
-                let l = b.link(aps[k], aps[next], self.backhaul);
+                let l = b.link(aps[k], aps[next], LinkConfig::rural_backhaul());
                 ap_mesh.push(l);
             }
         }

@@ -54,17 +54,11 @@ pub struct CentralizedLteBuilder {
     pub epc_delay: SimDuration,
     /// EPC-site ↔ Internet-core distance.
     pub inet_delay: SimDuration,
-    pub radio: LinkConfig,
-    pub backhaul: LinkConfig,
-    pub mme_per_msg: SimDuration,
-    pub hss_per_msg: SimDuration,
-    pub gw_per_msg: SimDuration,
     /// Wire every UE to every eNB (needed for mobility experiments).
     pub wire_all_cells: bool,
     /// eNB inactivity timeout before S1 release to ECM-IDLE (None =
     /// always-connected).
     pub enb_idle_timeout: Option<SimDuration>,
-    pub sn_id: SnId,
     pub seed: u64,
     /// Run GTP-U echo path management (MME→S-GW, S-GW→P-GW) with this
     /// (interval, max_misses). Off by default: fault-free experiments keep
@@ -102,6 +96,12 @@ impl CentralizedLteBuilder {
     pub const PGW: NodeId = 6;
     /// The aggregation ↔ EPC-site trunk ([`CentralizedLteNet::l_agg_epc`]).
     pub const L_AGG_EPC: LinkId = 0;
+    /// Per-message processing time of the MME, the HSS and each gateway.
+    const MME_PER_MSG: SimDuration = SimDuration::from_micros(500);
+    const HSS_PER_MSG: SimDuration = SimDuration::from_micros(300);
+    const GW_PER_MSG: SimDuration = SimDuration::from_micros(100);
+    /// Serving-network id the MME binds authentication vectors to.
+    const SN_ID: SnId = 51089;
 
     /// Backhaul link id of eNB `e`, after the seven core links.
     pub fn enb_backhaul(e: usize) -> LinkId {
@@ -114,19 +114,8 @@ impl CentralizedLteBuilder {
             ues_per_enb,
             epc_delay: SimDuration::from_millis(15),
             inet_delay: SimDuration::from_millis(10),
-            radio: LinkConfig {
-                delay: SimDuration::from_millis(5),
-                rate_bps: 20e6,
-                queue_pkts: 300,
-                loss: 0.0,
-            },
-            backhaul: LinkConfig::rural_backhaul(),
-            mme_per_msg: SimDuration::from_micros(500),
-            hss_per_msg: SimDuration::from_micros(300),
-            gw_per_msg: SimDuration::from_micros(100),
             wire_all_cells: false,
             enb_idle_timeout: None,
-            sn_id: 51089,
             seed: 1,
             path_mgmt: None,
             ue_plan: Box::new(|_| UePlan::default()),
@@ -178,18 +167,18 @@ impl CentralizedLteBuilder {
         let sgw_addr = Addr::new(10, 255, 0, 2);
         let pgw_addr = Addr::new(10, 255, 0, 3);
         let hss_addr = Addr::new(10, 255, 0, 4);
-        let mut hss_node = HssNode::new(self.hss_per_msg, rng.fork("hss"));
+        let mut hss_node = HssNode::new(Self::HSS_PER_MSG, rng.fork("hss"));
         let total_ues = self.n_enb * self.ues_per_enb;
         for i in 0..total_ues {
             hss_node.provision(Self::imsi_of(i), Self::key_of(i));
         }
-        let mut mme_node = MmeNode::new(self.sn_id, hss_addr, sgw_addr, self.mme_per_msg);
+        let mut mme_node = MmeNode::new(Self::SN_ID, hss_addr, sgw_addr, Self::MME_PER_MSG);
         if let Some((interval, max_misses)) = self.path_mgmt {
             mme_node.path.enable(sgw_addr, interval, max_misses);
         }
         let mme = b.host("mme", Box::new(mme_node));
         b.addr(mme, mme_addr);
-        let mut sgw_node = SgwNode::new(pgw_addr, self.gw_per_msg);
+        let mut sgw_node = SgwNode::new(pgw_addr, Self::GW_PER_MSG);
         sgw_node.mme_addr = mme_addr;
         if let Some((interval, max_misses)) = self.path_mgmt {
             sgw_node.path.enable(pgw_addr, interval, max_misses);
@@ -200,7 +189,7 @@ impl CentralizedLteBuilder {
             "pgw",
             Box::new(PgwNode::new(
                 AddrPool::new(Self::ue_pool_prefix()),
-                self.gw_per_msg,
+                Self::GW_PER_MSG,
             )),
         );
         b.addr(pgw, pgw_addr);
@@ -227,7 +216,7 @@ impl CentralizedLteBuilder {
             enb_node.idle_timeout = self.enb_idle_timeout;
             let enb = b.host(format!("enb{e}"), Box::new(enb_node));
             b.addr(enb, addr);
-            let backhaul = b.link(enb, r_agg, self.backhaul);
+            let backhaul = b.link(enb, r_agg, LinkConfig::rural_backhaul());
             assert_eq!(backhaul, Self::enb_backhaul(e), "eNB {e} backhaul id");
             enb_backhaul.push(backhaul);
             cells.push((enb, addr));
@@ -238,7 +227,6 @@ impl CentralizedLteBuilder {
             &cells,
             self.ues_per_enb,
             self.wire_all_cells,
-            self.radio,
             MobilityMode::PathSwitch,
             |i| {
                 let usim = Usim::new(Self::imsi_of(i), Self::key_of(i));
@@ -271,6 +259,15 @@ impl CentralizedLteBuilder {
         }
     }
 }
+
+/// Every UE's radio link, in either architecture: a fixed 20 Mb/s pipe
+/// with LTE's classic 5 ms one-way user-plane latency.
+const RADIO_LINK: LinkConfig = LinkConfig {
+    delay: SimDuration::from_millis(5),
+    rate_bps: 20e6,
+    queue_pkts: 300,
+    loss: 0.0,
+};
 
 /// Pre-attach control address of UE `i`, where its cell relays NAS
 /// (172.16.0.0/12-ish space; the first 62 500 UEs keep their historical
@@ -316,15 +313,15 @@ impl UePopulation {
 /// cell of `cells` (node and control address, by cell index), UE `i` at
 /// home in cell `i / ues_per_cell`. A UE camps on its home cell at start,
 /// so that cell comes first in its list, then, with `wire_all_cells`, every
-/// other cell in index order, each over its own `radio` link; a schedule's
-/// cell indices are positions in this list. `ue(i)` is UE `i`'s USIM and
-/// plan, and `mode` the architecture's mobility procedure.
+/// other cell in index order, each over its own radio link (a fixed
+/// 20 Mb/s pipe); a schedule's cell indices are positions in this list.
+/// `ue(i)` is UE `i`'s USIM and plan, and `mode` the architecture's
+/// mobility procedure.
 pub fn add_ues(
     b: &mut NetworkBuilder,
     cells: &[(NodeId, Addr)],
     ues_per_cell: usize,
     wire_all_cells: bool,
-    radio: LinkConfig,
     mode: MobilityMode,
     ue: impl Fn(usize) -> (Usim, UePlan),
 ) -> UePopulation {
@@ -343,7 +340,7 @@ pub fn add_ues(
             .chain(others)
             .map(|c| {
                 let (cell, enb_addr) = cells[c];
-                let radio_link = b.link(node, cell, radio);
+                let radio_link = b.link(node, cell, RADIO_LINK);
                 pop.radios.push((cell, usim.imsi, radio_link, ue_ctrl));
                 CellAttachment {
                     enb_addr,
@@ -635,8 +632,6 @@ mod tests {
     fn path_switch_handover_preserves_address_and_resumes_traffic() {
         let mut builder = CentralizedLteBuilder::new(2, 1);
         builder.wire_all_cells = true;
-        builder.ues_per_enb = 1;
-        builder.n_enb = 2;
         let mut net = builder
             .with_ue_plan(|_| UePlan {
                 app: UeApp::Pinger {
@@ -647,10 +642,8 @@ mod tests {
                 schedule: vec![(SimTime::from_secs(3), 1)],
             })
             .build();
-        // Only one UE: index 0 (2 eNB × 1 UE-per-eNB = 2 UEs; keep both but
-        // move only ue0 — plan applies to all, schedule moves all to cell 1;
-        // ue1 is already on cell 1? No: ue1's home is enb1 and cells list is
-        // all eNBs in order, so moving to index 1 is enb1 for both.)
+        // The plan moves both UEs to cell index 1 of their own lists (home
+        // first): UE 0 to enb1, UE 1 to enb0. The checks read UE 0.
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
         let w = net.sim.world();
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();

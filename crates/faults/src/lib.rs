@@ -453,7 +453,7 @@ impl FaultPlan {
     }
 
     /// Expand to the raw fault timeline, sorted by time. Same-instant faults
-    /// are ordered by a total key ([`same_instant_key`]: breaks before
+    /// are ordered by a total key (`same_instant_key`: breaks before
     /// repairs, then entity and parameters), never by insertion order — so
     /// any permutation of the same specs compiles to the identical timeline.
     pub fn compile(&self) -> Vec<(SimTime, NetFault)> {

@@ -204,7 +204,7 @@ impl RegistryFaultPlan {
     }
 
     /// Expand to the raw fault timeline, sorted by time then
-    /// break-before-repair ([`same_instant_key`]) — insertion order never
+    /// break-before-repair (`same_instant_key`) — insertion order never
     /// matters.
     pub fn compile(&self) -> Vec<(SimTime, RegistryFault)> {
         let mut out = Vec::new();

@@ -14,14 +14,11 @@
 //! Not for untrusted keys: no seeding, trivially collidable. Keep it inside
 //! the simulator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -88,9 +85,6 @@ mod tests {
         m.insert(0xFFFF_FFFF, "max");
         assert_eq!(m.get(&7), Some(&"seven"));
         assert_eq!(m.get(&0xFFFF_FFFF), Some(&"max"));
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(42));
-        assert!(!s.insert(42));
         // Same key, same hash, every time (no per-instance random state).
         let hash = |n: u64| {
             let mut h = FxHasher::default();

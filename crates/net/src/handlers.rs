@@ -1,8 +1,8 @@
-//! Stock node handlers: traffic sources, sinks and echo servers.
+//! Stock node handlers: a traffic source and an RTT probe pair.
 //!
-//! These are the workload generators of the experiment harness — CBR and
-//! Poisson flow sources, a counting sink, and an echo responder for RTT
-//! measurement (standing in for the OTT services dLTE leans on).
+//! These are the workload generators of the experiment harness — a CBR
+//! flow source, and a pinger with the echo responder it measures RTT
+//! against (standing in for the OTT services dLTE leans on).
 
 use crate::addr::Addr;
 use crate::node::{NodeCtx, NodeHandler};
@@ -70,56 +70,6 @@ impl NodeHandler for CbrSource {
 
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
         // Sources also act as sinks for return traffic.
-        ctx.deliver_local(&packet);
-    }
-}
-
-/// Poisson packet source (exponential inter-arrivals at the same mean rate).
-pub struct PoissonSource {
-    pub dst: Addr,
-    pub flow: FlowId,
-    pub rate_bps: f64,
-    pub packet_bytes: u32,
-    seq: u64,
-}
-
-impl PoissonSource {
-    pub fn new(dst: Addr, flow: FlowId, rate_bps: f64, packet_bytes: u32) -> Self {
-        PoissonSource {
-            dst,
-            flow,
-            rate_bps,
-            packet_bytes,
-            seq: 0,
-        }
-    }
-
-    fn mean_interval_s(&self) -> f64 {
-        self.packet_bytes as f64 * 8.0 / self.rate_bps
-    }
-}
-
-impl NodeHandler for PoissonSource {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.set_timer(SimDuration::ZERO, 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _tag: u64) {
-        let p = ctx
-            .make_packet(self.dst, self.packet_bytes)
-            .with_payload(Payload::Flow {
-                flow: self.flow,
-                seq: self.seq,
-            });
-        self.seq += 1;
-        ctx.forward(p);
-        // Exponential gap via inverse CDF on the ctx RNG.
-        let u = ctx.rand_unit().max(f64::MIN_POSITIVE);
-        let gap = -self.mean_interval_s() * u.ln();
-        ctx.set_timer(SimDuration::from_secs_f64(gap), 0);
-    }
-
-    fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, packet: Packet) {
         ctx.deliver_local(&packet);
     }
 }
@@ -242,27 +192,6 @@ mod tests {
         let f = sim.world().trace().flow(1).expect("flow");
         assert!(
             (199..=201).contains(&f.delivered_packets),
-            "{}",
-            f.delivered_packets
-        );
-    }
-
-    #[test]
-    fn poisson_source_mean_rate() {
-        let mut b = NetworkBuilder::new(6);
-        let dst_addr = Addr::new(10, 0, 0, 2);
-        let src = b.host("src", Box::new(PoissonSource::new(dst_addr, 2, 1e6, 1250)));
-        b.addr(src, Addr::new(10, 0, 0, 1));
-        let dst = b.node("dst");
-        b.addr(dst, dst_addr);
-        let l = b.link(src, dst, LinkConfig::lan());
-        b.route(src, Prefix::new(dst_addr, 32), l);
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(20), 1_000_000);
-        let f = sim.world().trace().flow(2).expect("flow");
-        // 100 pkts/s × 20 s = 2000 expected; allow ±10%.
-        assert!(
-            (1800..2200).contains(&f.delivered_packets),
             "{}",
             f.delivered_packets
         );

@@ -27,10 +27,9 @@ use dlte_sim::{EventQueue, OutMsg, ShardPlan, ShardWorld, SimRng, SimTime, Simul
 use serde::{Deserialize, Serialize};
 
 /// Domain-separation salts for the counter-based (hashed) draws, so the
-/// loss, jitter and handler-visible streams never collide.
+/// loss and jitter streams never collide.
 const LOSS_SALT: u64 = 0x6c6f_7373; // "loss"
 const JITTER_SALT: u64 = 0x6a69_7474; // "jitt"
-const NODE_RAND_SALT: u64 = 0x6e6f_6465; // "node"
 
 /// The loss and jitter uniforms `l.offer` takes for one transmission.
 ///
@@ -244,8 +243,6 @@ pub struct NetCore {
     pub rng: SimRng,
     /// Per-node packet-id sequences (see [`NetCore::next_packet_id`]).
     pkt_seqs: Vec<u64>,
-    /// Per-node counters for [`NetCore::node_rand_unit`].
-    draw_seqs: Vec<u64>,
     /// Which shard this replica is (0 in single-shard runs).
     pub(crate) my_shard: usize,
     /// Owner shard of every node (all zero in single-shard runs).
@@ -268,14 +265,6 @@ impl NetCore {
         let seq = self.pkt_seqs[node];
         self.pkt_seqs[node] += 1;
         ((node as u64 + 1) << 40) | seq
-    }
-
-    /// The k-th uniform draw of `node`, as a pure hash of
-    /// `(seed, salt, node, k)` — see [`crate::node::NodeCtx::rand_unit`].
-    pub(crate) fn node_rand_unit(&mut self, node: NodeId) -> f64 {
-        let k = self.draw_seqs[node];
-        self.draw_seqs[node] += 1;
-        hash_unit(&[self.rng.seed(), NODE_RAND_SALT, node as u64, k])
     }
 
     /// Take the pooled packet behind `r` out of the arena and account its
@@ -621,7 +610,6 @@ impl Network {
                     drops: [0; DROP_REASONS],
                     rng: core.rng.clone(),
                     pkt_seqs: core.pkt_seqs.clone(),
-                    draw_seqs: core.draw_seqs.clone(),
                     my_shard,
                     shard_of: shard_of.clone(),
                     outbound: Vec::new(),
@@ -868,7 +856,6 @@ impl NetworkBuilder {
                 drops: [0; DROP_REASONS],
                 rng: self.rng,
                 pkt_seqs: vec![0; n],
-                draw_seqs: vec![0; n],
                 my_shard: 0,
                 shard_of: vec![0; n],
                 outbound: Vec::new(),

@@ -244,14 +244,6 @@ impl NodeCtx<'_> {
         )
     }
 
-    /// Uniform draw in [0,1), deterministic per node: the k-th draw made by
-    /// node `n` is `hash(seed, salt, n, k)`. Counter-based rather than a
-    /// shared stream so the value never depends on what *other* nodes drew
-    /// first — a shard-count-invariance requirement.
-    pub fn rand_unit(&mut self) -> f64 {
-        self.core.node_rand_unit(self.node)
-    }
-
     /// Mutate this node's routing/address state (e.g. a P-GW announcing a
     /// UE address, or a dLTE AP assigning a new one).
     pub fn node_info_mut(&mut self) -> &mut NodeInfo {

@@ -81,15 +81,6 @@ impl Band {
         BAND_TABLE.iter().find(|b| b.number == number)
     }
 
-    /// All bands whose downlink center is below `mhz` — the "better
-    /// propagation" selection the paper's §3.2 describes.
-    pub fn below_mhz(mhz: f64) -> Vec<&'static Band> {
-        BAND_TABLE
-            .iter()
-            .filter(|b| b.downlink_center_mhz() < mhz)
-            .collect()
-    }
-
     /// The full table.
     pub fn all() -> &'static [Band] {
         BAND_TABLE
@@ -358,17 +349,6 @@ mod tests {
         for b in Band::all().iter().filter(|b| b.duplex == Duplex::Tdd) {
             assert_eq!(b.uplink_mhz, b.downlink_mhz, "band {}", b.number);
         }
-    }
-
-    #[test]
-    fn below_mhz_selects_propagation_bands() {
-        let low = Band::below_mhz(1000.0);
-        let numbers: Vec<u16> = low.iter().map(|b| b.number).collect();
-        assert!(numbers.contains(&5));
-        assert!(numbers.contains(&31));
-        assert!(numbers.contains(&71));
-        assert!(!numbers.contains(&7));
-        assert!(!numbers.contains(&1024));
     }
 
     #[test]

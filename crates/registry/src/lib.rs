@@ -22,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod coloring;
 pub mod federated;
 pub mod geo;
 pub mod license;

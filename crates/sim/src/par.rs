@@ -6,7 +6,7 @@
 //! pure function of its input (seeded experiments are — each sweep point
 //! forks its own RNG from the point's seed). Worker threads' instrumentation
 //! tallies are folded back into the calling thread, so a
-//! [`report::scope`](crate::report::scope) around a parallel sweep still
+//! [`report::scope`] around a parallel sweep still
 //! counts every event.
 //!
 //! The worker count comes from [`set_jobs`] (the runner's `--jobs N` flag);

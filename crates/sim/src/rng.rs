@@ -104,50 +104,11 @@ impl SimRng {
         mu + sigma * z
     }
 
-    /// Log-normally distributed value where the *underlying normal* has mean
-    /// `mu_db` and std-dev `sigma_db`. Used directly for shadow fading in dB.
-    pub fn lognormal_db(&mut self, mu_db: f64, sigma_db: f64) -> f64 {
-        self.normal(mu_db, sigma_db)
-    }
-
-    /// Poisson-distributed count with the given mean (Knuth's method; fine
-    /// for the small means used in workload generation).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        debug_assert!(mean >= 0.0);
-        if mean == 0.0 {
-            return 0;
-        }
-        // For large means fall back to the normal approximation to avoid the
-        // O(mean) loop and underflow of exp(-mean).
-        if mean > 30.0 {
-            return self.normal(mean, mean.sqrt()).round().max(0.0) as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.unit();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.inner.gen_range(0..=i);
             items.swap(i, j);
-        }
-    }
-
-    /// Pick a uniformly random element.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
         }
     }
 }
@@ -263,17 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_and_large_means() {
-        let mut r = SimRng::new(17);
-        assert_eq!(r.poisson(0.0), 0);
-        let n = 10_000;
-        let mean_small: f64 = (0..n).map(|_| r.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean_small - 3.0).abs() < 0.15, "small {mean_small}");
-        let mean_large: f64 = (0..n).map(|_| r.poisson(100.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean_large - 100.0).abs() < 1.5, "large {mean_large}");
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SimRng::new(19);
         assert!(!r.chance(0.0));
@@ -291,14 +241,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = SimRng::new(29);
-        let empty: [u8; 0] = [];
-        assert_eq!(r.choose(&empty), None);
-        assert!(r.choose(&[1, 2, 3]).is_some());
     }
 
     #[test]

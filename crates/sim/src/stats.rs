@@ -4,7 +4,7 @@
 //! repository are small enough that keeping raw samples (for percentiles) is
 //! cheaper than the complexity of sketches.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -270,98 +270,6 @@ impl Samples {
     }
 }
 
-/// Fixed-width histogram over a closed range; out-of-range values land in
-/// saturating edge bins so nothing is silently dropped.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0);
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            count: 0,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        let nbins = self.bins.len();
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            nbins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * nbins as f64) as usize
-        };
-        self.bins[idx.min(nbins - 1)] += 1;
-        self.count += 1;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Center of bin `i` (for plotting).
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
-
-/// Counts bytes over time and reports average throughput.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<SimTime>,
-    last: Option<SimTime>,
-}
-
-impl ThroughputMeter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        if self.first.is_none() {
-            self.first = Some(now);
-        }
-        self.last = Some(now);
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Mean throughput in bits/s over an explicit observation window.
-    pub fn bps_over(&self, window: SimDuration) -> f64 {
-        if window.is_zero() {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / window.as_secs_f64()
-    }
-
-    /// Mean throughput in bits/s between the first and last recorded sample.
-    /// Returns 0 with fewer than two samples.
-    pub fn bps(&self) -> f64 {
-        match (self.first, self.last) {
-            (Some(a), Some(b)) if b > a => self.bps_over(b - a),
-            _ => 0.0,
-        }
-    }
-}
-
 /// Jain's fairness index over per-entity allocations.
 ///
 /// Equals 1.0 when all allocations are equal, 1/n when one entity gets
@@ -376,87 +284,6 @@ pub fn jain_index(allocations: &[f64]) -> f64 {
         return 1.0;
     }
     (sum * sum) / (allocations.len() as f64 * sq_sum)
-}
-
-/// Exponentially weighted moving average.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` is the weight of the newest sample (0 < alpha <= 1).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Ewma { alpha, value: None }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            Some(v) => v + self.alpha * (x - v),
-            None => x,
-        });
-    }
-
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-}
-
-/// A time series of (time, value) points with trapezoidal time-average.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a point; time must be non-decreasing (debug-asserted).
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            debug_assert!(t >= last, "TimeSeries points must be time-ordered");
-        }
-        self.points.push((t, v));
-    }
-
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Time-weighted average treating the series as a step function (each
-    /// value holds until the next point). Returns NaN with < 2 points.
-    pub fn step_average(&self) -> f64 {
-        if self.points.len() < 2 {
-            return f64::NAN;
-        }
-        let mut area = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            area += w[0].1 * dt;
-        }
-        let span = (self.points[self.points.len() - 1].0 - self.points[0].0).as_secs_f64();
-        if span == 0.0 {
-            f64::NAN
-        } else {
-            area / span
-        }
-    }
 }
 
 #[cfg(test)]
@@ -616,19 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_edges_saturate() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-5.0);
-        h.push(15.0);
-        h.push(5.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn jain_known_values() {
         assert!((jain_index(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
         assert!((jain_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
@@ -636,43 +450,5 @@ mod tests {
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
         // 2:1 split of two users → (3)^2 / (2*5) = 0.9
         assert!((jain_index(&[2.0, 1.0]) - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_meter() {
-        let mut m = ThroughputMeter::new();
-        assert_eq!(m.bps(), 0.0);
-        m.record(SimTime::from_secs(0), 1000);
-        assert_eq!(m.bps(), 0.0, "single sample has no window");
-        m.record(SimTime::from_secs(1), 1000);
-        // 2000 bytes over 1 s = 16 kbit/s
-        assert!((m.bps() - 16_000.0).abs() < 1e-9);
-        assert!((m.bps_over(SimDuration::from_secs(2)) - 8_000.0).abs() < 1e-9);
-        assert_eq!(m.total_bytes(), 2000);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        assert_eq!(e.get_or(7.0), 7.0);
-        e.push(10.0);
-        assert_eq!(e.get(), Some(10.0));
-        for _ in 0..50 {
-            e.push(0.0);
-        }
-        assert!(e.get().unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn time_series_step_average() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(0), 10.0);
-        ts.push(SimTime::from_secs(1), 20.0);
-        ts.push(SimTime::from_secs(3), 0.0);
-        // 10 for 1s + 20 for 2s over 3s = 50/3
-        assert!((ts.step_average() - 50.0 / 3.0).abs() < 1e-9);
-        let empty = TimeSeries::new();
-        assert!(empty.step_average().is_nan());
     }
 }

@@ -88,36 +88,6 @@ pub fn load_balanced_assignment(
     a
 }
 
-/// Which clients must hand off when moving from `current` to `target`
-/// assignment: `(client index, from AP, to AP)`.
-pub fn handoff_plan(current: &Assignment, target: &Assignment) -> Vec<(usize, usize, usize)> {
-    assert_eq!(current.ap_of.len(), target.ap_of.len());
-    current
-        .ap_of
-        .iter()
-        .zip(target.ap_of.iter())
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, (&a, &b))| (i, a, b))
-        .collect()
-}
-
-/// Expected proportional-fair utility (Σ log throughput) of an assignment,
-/// using `log2(1+snr)` as the rate proxy and equal intra-AP sharing — the
-/// objective cooperative mode improves. Useful for tests and the E7 bench.
-pub fn pf_utility(clients: &[ClientMeasurement], a: &Assignment) -> f64 {
-    clients
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let ap = a.ap_of[i];
-            let rate = (1.0 + 10f64.powf(c.sinr_db[ap] / 10.0)).log2();
-            let share = 1.0 / a.load[ap].max(1) as f64;
-            (rate * share).max(1e-12).ln()
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +97,22 @@ mod tests {
             client,
             sinr_db: sinrs.to_vec(),
         }
+    }
+
+    /// Expected proportional-fair utility (Σ log throughput) of an
+    /// assignment, using `log2(1+snr)` as the rate proxy and equal intra-AP
+    /// sharing — the objective load balancing improves.
+    fn pf_utility(clients: &[ClientMeasurement], a: &Assignment) -> f64 {
+        clients
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let ap = a.ap_of[i];
+                let rate = (1.0 + 10f64.powf(c.sinr_db[ap] / 10.0)).log2();
+                let share = 1.0 / a.load[ap].max(1) as f64;
+                (rate * share).max(1e-12).ln()
+            })
+            .sum()
     }
 
     #[test]
@@ -166,42 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn handoff_plan_diffs_assignments() {
-        let cur = Assignment {
-            ap_of: vec![0, 0, 1],
-            load: vec![2, 1],
-        };
-        let tgt = Assignment {
-            ap_of: vec![0, 1, 1],
-            load: vec![1, 2],
-        };
-        let plan = handoff_plan(&cur, &tgt);
-        assert_eq!(plan, vec![(1, 0, 1)]);
-    }
-
-    #[test]
     fn single_ap_is_trivial() {
         let clients = vec![c(0, &[10.0]), c(1, &[5.0])];
         let a = load_balanced_assignment(&clients, 1, 3.0);
         assert_eq!(a.ap_of, vec![0, 0]);
-    }
-
-    #[test]
-    fn pf_utility_prefers_spreading_equal_clients() {
-        let clients = vec![
-            c(0, &[15.0, 15.0]),
-            c(1, &[15.0, 15.0]),
-            c(2, &[15.0, 15.0]),
-            c(3, &[15.0, 15.0]),
-        ];
-        let packed = Assignment {
-            ap_of: vec![0, 0, 0, 0],
-            load: vec![4, 0],
-        };
-        let spread = Assignment {
-            ap_of: vec![0, 0, 1, 1],
-            load: vec![2, 2],
-        };
-        assert!(pf_utility(&clients, &spread) > pf_utility(&clients, &packed));
     }
 }

@@ -119,20 +119,6 @@ pub fn weighted_shares(demands: &[f64], weights: &[f64], total: f64) -> Vec<f64>
     shares
 }
 
-/// The equilibrium an N-station WiFi DCF network reaches on the same
-/// resource, for comparison in E5: equal shares, but with the contention
-/// efficiency factor `eta(n)` burned (collisions + backoff). `eta` is the
-/// standard Bianchi-flavoured saturation efficiency, here as the simple
-/// fitted form `eta(n) = eta1 * (1 - c)^(n-1)` with per-station collision
-/// pressure `c`.
-pub fn wifi_equivalent_shares(n: usize, total: f64, eta1: f64, c: f64) -> Vec<f64> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let eta = eta1 * (1.0 - c).powi(n as i32 - 1);
-    vec![total * eta / n as f64; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,17 +182,5 @@ mod tests {
         let s = weighted_shares(&[1.0, 0.2], &[1.0, 3.0], 1.0);
         assert!(close(s[1], 0.2), "{s:?}");
         assert!(close(s[0], 0.8), "{s:?}");
-    }
-
-    #[test]
-    fn fair_share_beats_wifi_equivalent_aggregate() {
-        // The E5 headline: same channel, n saturated APs. dLTE fair share
-        // delivers the whole channel; DCF burns eta.
-        for n in [2usize, 5, 10] {
-            let dlte: f64 = max_min_shares(&vec![1.0; n], 1.0).iter().sum();
-            let wifi: f64 = wifi_equivalent_shares(n, 1.0, 0.85, 0.07).iter().sum();
-            assert!(close(dlte, 1.0));
-            assert!(wifi < dlte, "n={n}: wifi {wifi} vs dlte {dlte}");
-        }
     }
 }

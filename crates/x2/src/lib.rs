@@ -11,8 +11,7 @@
 //!   (water-filling) partition of the shared channel driven by exchanged
 //!   demand reports;
 //! * **Cooperative mode** ([`cooperative`]): APs *"optimize for maximum
-//!   joint RF performance"* — best-AP client assignment, coordinated
-//!   handoff, and joint scheduling inputs.
+//!   joint RF performance"* — best-AP and load-balanced client assignment.
 //!
 //! [`peer::X2Agent`] is the wire-level agent (a [`dlte_net::NodeHandler`])
 //! that exchanges periodic load/status messages with its contention-domain
@@ -20,8 +19,7 @@
 //! list is the contention domain of the AP's own [`dlte_registry`] grant:
 //! `dlte::scenario::DlteNetworkBuilder::x2_neighbors` asks the registry
 //! once per built network, so X2 load per AP is bounded by its town, not
-//! by the deployment ([`son::neighbor_relations`] is the distance-ranked
-//! view of the same set, for truncating under a backhaul budget).
+//! by the deployment.
 //! [`bandwidth`] accounts the X2 overhead (experiment E11; cf. La Roche &
 //! Widjaja's X2 sizing \[28\]).
 
@@ -32,7 +30,6 @@ pub mod cooperative;
 pub mod fair_share;
 pub mod messages;
 pub mod peer;
-pub mod son;
 
 pub use fair_share::{max_min_shares, weighted_shares};
 pub use messages::{CoordinationMode, X2Msg};

@@ -1,8 +1,6 @@
 //! Property-based tests for the coordination algorithms.
 
-use dlte_x2::cooperative::{
-    best_ap_assignment, handoff_plan, load_balanced_assignment, pf_utility, ClientMeasurement,
-};
+use dlte_x2::cooperative::{best_ap_assignment, load_balanced_assignment, ClientMeasurement};
 use dlte_x2::{max_min_shares, weighted_shares};
 use proptest::prelude::*;
 
@@ -105,18 +103,6 @@ proptest! {
                 prop_assert!(sacrifice <= cap + 1e-9, "client {i} sacrificed {sacrifice}");
             }
         }
-        // The handoff plan is exactly the disagreement set.
-        let plan = handoff_plan(&best, &balanced);
-        let disagreements = best
-            .ap_of
-            .iter()
-            .zip(balanced.ap_of.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        prop_assert_eq!(plan.len(), disagreements);
-        // PF utility never decreases from balancing (it only migrates when
-        // the most-loaded AP stays ahead of the least by >1).
-        let _ = pf_utility(&clients, &balanced);
     }
 
     /// Load balancing with an unlimited sacrifice cap equalizes loads to
