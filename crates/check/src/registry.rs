@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 pub struct GrantRecord {
     pub id: u64,
     pub operator: u64,
-    /// Zone (or writer incarnation owner) that issued the grant.
+    /// Zone that issued the grant.
     pub zone: usize,
     pub channel: u32,
     pub x_km: f64,

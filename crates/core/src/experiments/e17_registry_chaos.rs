@@ -3,8 +3,8 @@
 //!
 //! The same seeded AP population and the same compiled chaos schedule
 //! (zone crashes with and without state loss, partitions, replica
-//! desyncs) drive a centralized SAS, a federated zone grid, and a
-//! replicated-log writer. The claim under test: **safety is not
+//! desyncs) drive a centralized SAS, a federated zone grid, and one zone
+//! that keeps a replicated log. The claim under test: **safety is not
 //! negotiable and none of the flavours gives it up** — zero double
 //! grants and zero oracle violations everywhere — so the flavours
 //! differentiate purely on *availability* (what fraction of APs hold a
@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 #[serde(default)]
 pub struct Params {
     pub seed: u64,
-    /// Zones in the federated arm (the others map the same schedule onto
-    /// what they have).
+    /// Zones in the federated arm (the others have one zone and map the
+    /// same schedule onto it).
     pub n_zones: usize,
     /// Read replicas in the replicated arm.
     pub n_replicas: usize,

@@ -18,18 +18,24 @@
 //!
 //! ## The three flavours
 //!
+//! Every flavour is a [`FederatedRegistry`]; they differ only in their
+//! zones, so one fault body and one maintenance step serve all three.
+//!
 //! * **Centralized** — one zone owning the whole area (the CBRS SAS). Every
 //!   fault hits the single point; availability pays for simplicity.
 //! * **Federated** — a column grid of zones. Conservative denial at borders
 //!   (deny when any zone whose answer matters is down, partitioned, or
 //!   quarantined) keeps no-double-grant through churn; only the blast
 //!   radius shrinks.
-//! * **Replicated** — one writer appending to a [`ReplicatedLog`], with
-//!   read replicas that sync each tick (writer first, then gossip). A
-//!   state-losing writer restart adopts the longest valid replica chain —
-//!   the *history* survives tamper-evidently — but serves nothing new until
+//! * **Replicated** — one zone that keeps a write-ahead [`ReplicatedLog`],
+//!   with read replicas that sync each tick (log first, then gossip). A
+//!   restart without state loss rebuilds from the log and serves at once.
+//!   A state-losing restart adopts the longest valid replica chain — the
+//!   *history* survives tamper-evidently — but serves nothing new until
 //!   one maximum lease has drained past the crash, and never re-renews a
 //!   grant it cannot prove it issued: recovery is verifiable, not trusted.
+//!
+//! [`ReplicatedLog`]: dlte_registry::ReplicatedLog
 
 use dlte_check::registry::{
     check_registry, CrashRecord, GrantRecord, RegistryEvidence, ReplicaTable,
@@ -40,8 +46,8 @@ use dlte_net::fxhash::FxHashMap;
 use dlte_phy::band::Band;
 use dlte_registry::registry::GrantPolicy;
 use dlte_registry::{
-    ChannelPlan, Entry, FederatedRegistry, GrantDenied, GrantRequest, LicenseGrant, Point, Rect,
-    ReplicatedLog, SpectrumRegistry, Zone, ZoneRecovery,
+    ChannelPlan, FederatedRegistry, GrantDenied, GrantRequest, LicenseGrant, Point, Rect,
+    SpectrumRegistry, Zone, ZoneRecovery,
 };
 use dlte_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -51,7 +57,7 @@ use serde::{Deserialize, Serialize};
 const DT_S: f64 = 0.5;
 /// Zones checkpoint (the `ZoneRecovery::Snapshot` source) every 5 s.
 const CHECKPOINT_EVERY_S: f64 = 5.0;
-/// The replicated writer folds its log every 15 s.
+/// Logging zones fold their logs every 15 s.
 const COMPACT_EVERY_S: f64 = 15.0;
 /// Per-tick probability an AP relocates (break-before-make handoff).
 const MOVE_CHANCE: f64 = 0.01;
@@ -80,10 +86,10 @@ impl std::fmt::Display for Flavour {
 pub struct RegistryWorkload {
     pub seed: u64,
     pub flavour: Flavour,
-    /// Zone count for the federated flavour (the others map the plan's zone
-    /// indices onto what they have: one zone / one writer).
+    /// Zone count for the federated flavour (the others have one zone and
+    /// map the plan's zone indices onto it).
     pub n_zones: usize,
-    /// Read replicas for the replicated flavour.
+    /// Read replicas of the replicated flavour's log.
     pub n_replicas: usize,
     pub n_aps: usize,
     /// Side of the square service area, km.
@@ -101,7 +107,7 @@ pub struct RegistryWorkload {
 
 /// What one chaos run produced: counters for the E17 table and the oracle
 /// verdict (with the evidence that justifies it, for repro files).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosOutcome {
     pub requests: u64,
     pub granted: u64,
@@ -117,252 +123,37 @@ pub struct ChaosOutcome {
     pub evidence: RegistryEvidence,
 }
 
-/// The replicated flavour: a single writer whose serving state is an
-/// ordinary [`SpectrumRegistry`] and whose durable record is the hash
-/// chain, plus read replicas that follow it.
-struct ReplicatedWriter {
-    reg: SpectrumRegistry,
-    log: ReplicatedLog,
-    replicas: Vec<ReplicatedLog>,
-    desynced: Vec<bool>,
-    up: bool,
-    reachable: bool,
-    crashed_at: Option<SimTime>,
-    incarnation: u64,
-}
-
-fn writer_id_base(incarnation: u64) -> u64 {
-    // Same namespacing scheme as federated zones (zone 0), so grant ids
-    // from before a state-losing restart are never reissued.
-    (1u64 << 48) | ((incarnation & 0xFFFF) << 32)
-}
-
-impl ReplicatedWriter {
-    fn new(plan: ChannelPlan, max_lease: SimDuration, n_replicas: usize) -> Self {
-        let mut reg = SpectrumRegistry::exclusive(plan, 55.0).with_lease_cap(max_lease);
-        reg.set_id_base(writer_id_base(0));
-        ReplicatedWriter {
-            reg,
-            log: ReplicatedLog::new(),
-            replicas: vec![ReplicatedLog::new(); n_replicas],
-            desynced: vec![false; n_replicas],
-            up: true,
-            reachable: true,
-            crashed_at: None,
-            incarnation: 0,
-        }
-    }
-
-    fn serving(&self) -> bool {
-        self.up && self.reachable
-    }
-
-    fn request(&mut self, req: GrantRequest, now: SimTime) -> Result<LicenseGrant, GrantDenied> {
-        if !self.serving() {
-            return Err(GrantDenied::ZoneUnavailable);
-        }
-        let g = self.reg.request(req, now)?;
-        self.log.append(Entry::Grant(g));
-        Ok(g)
-    }
-
-    fn renew(
-        &mut self,
-        id: u64,
-        lease: SimDuration,
-        now: SimTime,
-    ) -> Result<LicenseGrant, GrantDenied> {
-        if !self.serving() {
-            return Err(GrantDenied::ZoneUnavailable);
-        }
-        match self.reg.renew(id, lease, now) {
-            Some(g) => {
-                // A renewal is a later Grant entry with the same id; the
-                // derived table supersedes by id.
-                self.log.append(Entry::Grant(g));
-                Ok(g)
+/// The registry under test: every flavour is a federation of columns that
+/// split the service area (one column unless federated), and the
+/// replicated flavour's one zone keeps a log.
+fn build_registry(w: &RegistryWorkload) -> FederatedRegistry {
+    let plan = ChannelPlan::for_band(Band::band5(), 10.0);
+    let max_lease = SimDuration::from_secs_f64(w.max_lease_s);
+    let half = w.area_km / 2.0 + 1.0;
+    let n = match w.flavour {
+        Flavour::Federated => w.n_zones.max(1),
+        Flavour::Centralized | Flavour::Replicated => 1,
+    };
+    let width = (2.0 * half) / n as f64;
+    let zones = (0..n)
+        .map(|i| {
+            let x0 = -half + i as f64 * width;
+            // The last column absorbs rounding so the union covers the
+            // whole area.
+            let x1 = if i + 1 == n { half } else { x0 + width };
+            let zone = Zone::new(
+                format!("zone-{i}"),
+                Rect::new(Point::new(x0, -half), Point::new(x1, half)),
+                SpectrumRegistry::with_policy(plan, 55.0, GrantPolicy::Exclusive)
+                    .with_lease_cap(max_lease),
+            );
+            match w.flavour {
+                Flavour::Replicated => zone.with_log(w.n_replicas),
+                Flavour::Centralized | Flavour::Federated => zone,
             }
-            None => Err(GrantDenied::UnknownGrant),
-        }
-    }
-
-    fn release(&mut self, id: u64, operator: u64) -> Result<bool, GrantDenied> {
-        if !self.serving() {
-            return Err(GrantDenied::ZoneUnavailable);
-        }
-        let had = self.reg.revoke(id);
-        if had {
-            self.log.append(Entry::Revoke { id, by: operator });
-        }
-        Ok(had)
-    }
-
-    fn crash(&mut self, now: SimTime) {
-        if self.up {
-            self.up = false;
-            self.crashed_at = Some(now);
-            dlte_obs::metrics::counter_add("zone_down", 1);
-        }
-    }
-
-    /// Restart the writer. State loss drops serving state *and* the local
-    /// log; the writer re-adopts the longest valid replica chain (history
-    /// survives, tamper-evidently) but installs none of it as live: it
-    /// cannot prove which grants it issued after the replicas' horizon, so
-    /// it quarantines until one maximum lease has drained past the crash
-    /// and lets every pre-crash lease lapse client-side. Without state
-    /// loss the log is the durable record; serving state rebuilds from the
-    /// derived table and renewals keep working.
-    fn restart(&mut self, now: SimTime, state_loss: bool) {
-        if self.up {
-            return;
-        }
-        self.up = true;
-        self.incarnation += 1;
-        let base = writer_id_base(self.incarnation);
-        if state_loss {
-            self.log = ReplicatedLog::new();
-            for r in &self.replicas {
-                self.log.sync_from(r);
-            }
-            self.reg.clear_state(base);
-            let crashed_at = self.crashed_at.unwrap_or(now);
-            let max_lease = self.reg.max_lease();
-            self.reg.begin_quarantine(crashed_at + max_lease);
-        } else {
-            let grants = self.log.grant_table(now);
-            self.reg.clear_state(base);
-            self.reg.install(&dlte_registry::RegistrySnapshot {
-                grants,
-                next_id: base,
-            });
-        }
-        self.crashed_at = None;
-        dlte_obs::metrics::counter_add("zone_resync", 1);
-    }
-
-    /// One sync round: every in-sync replica pulls from the writer (when it
-    /// is serving), then gossips with its in-sync peers — so healed
-    /// replicas converge even while the writer is down or cut off. Returns
-    /// the number of chains adopted.
-    fn sync_round(&mut self) -> u64 {
-        let mut adopted = 0;
-        for i in 0..self.replicas.len() {
-            if self.desynced[i] {
-                continue;
-            }
-            if self.serving() && self.replicas[i].sync_from(&self.log) {
-                adopted += 1;
-            }
-            for j in 0..self.replicas.len() {
-                if i == j || self.desynced[j] {
-                    continue;
-                }
-                let peer = self.replicas[j].clone();
-                if self.replicas[i].sync_from(&peer) {
-                    adopted += 1;
-                }
-            }
-        }
-        adopted
-    }
-}
-
-/// The registry under test, behind one request/renew/release surface.
-/// The replicated arm is boxed: a writer carries its whole log plus every
-/// replica's, dwarfing the federation variant.
-enum ChaosRegistry {
-    /// Centralized (one zone) and federated (a column grid) share every
-    /// mechanism — centralization is just a federation of one.
-    Fed(FederatedRegistry),
-    Rep(Box<ReplicatedWriter>),
-}
-
-impl ChaosRegistry {
-    fn build(w: &RegistryWorkload) -> ChaosRegistry {
-        let plan = ChannelPlan::for_band(Band::band5(), 10.0);
-        let max_lease = SimDuration::from_secs_f64(w.max_lease_s);
-        let half = w.area_km / 2.0 + 1.0;
-        match w.flavour {
-            Flavour::Replicated => ChaosRegistry::Rep(Box::new(ReplicatedWriter::new(
-                plan,
-                max_lease,
-                w.n_replicas,
-            ))),
-            Flavour::Centralized | Flavour::Federated => {
-                let n = match w.flavour {
-                    Flavour::Centralized => 1,
-                    _ => w.n_zones.max(1),
-                };
-                let width = (2.0 * half) / n as f64;
-                let zones = (0..n)
-                    .map(|i| {
-                        let x0 = -half + i as f64 * width;
-                        // The last column absorbs rounding so the union
-                        // covers the whole area.
-                        let x1 = if i + 1 == n { half } else { x0 + width };
-                        Zone::new(
-                            format!("zone-{i}"),
-                            Rect::new(Point::new(x0, -half), Point::new(x1, half)),
-                            SpectrumRegistry::with_policy(plan, 55.0, GrantPolicy::Exclusive)
-                                .with_lease_cap(max_lease),
-                        )
-                    })
-                    .collect();
-                ChaosRegistry::Fed(FederatedRegistry::new(zones))
-            }
-        }
-    }
-
-    fn n_zones(&self) -> usize {
-        match self {
-            ChaosRegistry::Fed(f) => f.zones().len(),
-            ChaosRegistry::Rep(_) => 1,
-        }
-    }
-
-    fn request(&mut self, req: GrantRequest, now: SimTime) -> Result<LicenseGrant, GrantDenied> {
-        match self {
-            ChaosRegistry::Fed(f) => f.request(req, now),
-            ChaosRegistry::Rep(r) => r.request(req, now),
-        }
-    }
-
-    fn renew(
-        &mut self,
-        id: u64,
-        lease: SimDuration,
-        now: SimTime,
-    ) -> Result<LicenseGrant, GrantDenied> {
-        match self {
-            ChaosRegistry::Fed(f) => f.renew(id, lease, now),
-            ChaosRegistry::Rep(r) => r.renew(id, lease, now),
-        }
-    }
-
-    fn release(&mut self, id: u64, operator: u64) -> Result<bool, GrantDenied> {
-        match self {
-            ChaosRegistry::Fed(f) => f.release(id),
-            ChaosRegistry::Rep(r) => r.release(id, operator),
-        }
-    }
-
-    fn expire(&mut self, now: SimTime) {
-        match self {
-            ChaosRegistry::Fed(f) => f.expire(now),
-            ChaosRegistry::Rep(r) => {
-                r.reg.expire(now);
-            }
-        }
-    }
-
-    /// Zone that issued a grant id (for crash accountability bookkeeping).
-    fn zone_of_grant(&self, id: u64) -> usize {
-        match self {
-            ChaosRegistry::Fed(_) => ((id >> 48) as usize).saturating_sub(1),
-            ChaosRegistry::Rep(_) => 0,
-        }
-    }
+        })
+        .collect();
+    FederatedRegistry::new(zones)
 }
 
 /// One AP as a spectrum client.
@@ -387,8 +178,7 @@ enum ApState {
 
 /// Execute one workload end to end and judge it with the registry oracles.
 pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
-    let mut reg = ChaosRegistry::build(w);
-    let n_zones = reg.n_zones();
+    let mut reg = build_registry(w);
     let faults = w.plan.compile();
     let mut next_fault = 0usize;
 
@@ -410,21 +200,12 @@ pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
 
     let lease = SimDuration::from_secs_f64(w.lease_s);
     let mut out = ChaosOutcome {
-        requests: 0,
-        granted: 0,
-        denied: 0,
-        renews_ok: 0,
-        renews_failed: 0,
-        availability_pct: 0.0,
-        zone_crashes: 0,
-        resyncs: 0,
-        compactions: 0,
-        violations: Vec::new(),
         evidence: RegistryEvidence {
             exclusive: true,
             max_lease_s: w.max_lease_s,
             ..RegistryEvidence::default()
         },
+        ..ChaosOutcome::default()
     };
     let mut grant_log: FxHashMap<u64, GrantRecord> = FxHashMap::default();
     let mut licensed_samples = 0u64;
@@ -439,16 +220,7 @@ pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
         while next_fault < faults.len() && faults[next_fault].0 <= now {
             let fault = faults[next_fault].1;
             next_fault += 1;
-            apply_fault(
-                &mut reg,
-                fault,
-                now,
-                n_zones,
-                w.n_replicas,
-                &mut out,
-                &mut grant_log,
-                &mut aps,
-            );
+            apply_fault(&mut reg, fault, now, &mut out, &mut grant_log, &mut aps);
         }
 
         // 2. Lease expiry (the reclamation path).
@@ -467,23 +239,17 @@ pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
             );
         }
 
-        // 4. Maintenance: checkpoints / replica sync + compaction.
+        // 4. Maintenance: zone checkpoints, replica sync, log compaction.
         if now >= next_checkpoint {
-            if let ChaosRegistry::Fed(f) = &mut reg {
-                for z in 0..f.zones().len() {
-                    f.checkpoint_zone(z);
-                }
+            for z in 0..reg.zones().len() {
+                reg.checkpoint_zone(z);
             }
             next_checkpoint = now + SimDuration::from_secs_f64(CHECKPOINT_EVERY_S);
         }
-        if let ChaosRegistry::Rep(r) = &mut reg {
-            out.resyncs += r.sync_round();
-            if now >= next_compaction {
-                if r.up && r.log.compact(now) > 0 {
-                    out.compactions += 1;
-                }
-                next_compaction = now + SimDuration::from_secs_f64(COMPACT_EVERY_S);
-            }
+        out.resyncs += reg.sync_replicas();
+        if now >= next_compaction {
+            out.compactions += reg.compact_logs(now);
+            next_compaction = now + SimDuration::from_secs_f64(COMPACT_EVERY_S);
         }
 
         // 5. Availability sample.
@@ -505,41 +271,30 @@ pub fn run_chaos(w: &RegistryWorkload) -> ChaosOutcome {
         v.sort_by_key(|g| g.id);
         v
     };
-    if let ChaosRegistry::Rep(r) = &reg {
-        let end = SimTime::ZERO + SimDuration::from_secs_f64(w.total_s);
-        let ids = |log: &ReplicatedLog| {
-            let mut ids: Vec<u64> = log.grant_table(end).iter().map(|g| g.id).collect();
-            ids.sort_unstable();
-            ids
-        };
+    let end = SimTime::ZERO + SimDuration::from_secs_f64(w.total_s);
+    let logs = reg.zones().iter().flat_map(Zone::logs);
+    for (replica, (log, healed)) in logs.enumerate() {
+        let mut grant_ids: Vec<u64> = log.grant_table(end).iter().map(|g| g.id).collect();
+        grant_ids.sort_unstable();
         out.evidence.replicas.push(ReplicaTable {
-            replica: 0,
-            healed: r.up,
-            grant_ids: ids(&r.log),
+            replica,
+            healed,
+            grant_ids,
         });
-        for (i, rep) in r.replicas.iter().enumerate() {
-            out.evidence.replicas.push(ReplicaTable {
-                replica: i + 1,
-                healed: !r.desynced[i],
-                grant_ids: ids(rep),
-            });
-        }
     }
     out.violations = check_registry(&out.evidence);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_fault(
-    reg: &mut ChaosRegistry,
+    reg: &mut FederatedRegistry,
     fault: RegistryFault,
     now: SimTime,
-    n_zones: usize,
-    n_replicas: usize,
     out: &mut ChaosOutcome,
     grant_log: &mut FxHashMap<u64, GrantRecord>,
     aps: &mut [Ap],
 ) {
+    let n_zones = reg.zones().len();
     match fault {
         RegistryFault::ZoneDown { zone } => {
             let zone = zone % n_zones;
@@ -551,11 +306,7 @@ fn apply_fault(
             // wrongly condemns snapshot-recovered grants against.
             // (Found by `fuzz --registry` seed 69; pinned in
             // tests/data/fuzz_repro_registry_overlapping_crash.json.)
-            let was_up = match reg {
-                ChaosRegistry::Fed(f) => f.zones()[zone].is_up(),
-                ChaosRegistry::Rep(r) => r.up,
-            };
-            if !was_up {
+            if !reg.zones()[zone].is_up() {
                 return;
             }
             out.zone_crashes += 1;
@@ -567,21 +318,14 @@ fn apply_fault(
                 at_s: now.as_secs_f64(),
                 state_loss: true,
             });
-            match reg {
-                ChaosRegistry::Fed(f) => f.crash_zone(zone, now),
-                ChaosRegistry::Rep(r) => r.crash(now),
-            }
+            reg.crash_zone(zone, now);
         }
         RegistryFault::ZoneRestart { zone, state_loss } => {
             let zone = zone % n_zones;
             // A restart of an already-up zone (its crash was the
             // suppressed overlap above, or an earlier restart beat it) is
             // a mechanism no-op and must not patch anyone else's record.
-            let was_down = match reg {
-                ChaosRegistry::Fed(f) => !f.zones()[zone].is_up(),
-                ChaosRegistry::Rep(r) => !r.up,
-            };
-            if !was_down {
+            if reg.zones()[zone].is_up() {
                 return;
             }
             if !state_loss {
@@ -598,77 +342,43 @@ fn apply_fault(
                 }
             }
             out.resyncs += 1;
-            match reg {
-                ChaosRegistry::Fed(f) => f.restart_zone(
-                    zone,
-                    now,
-                    if state_loss {
-                        ZoneRecovery::StateLoss
-                    } else {
-                        ZoneRecovery::Snapshot
-                    },
-                ),
-                ChaosRegistry::Rep(r) => r.restart(now, state_loss),
-            }
+            let recovery = if state_loss {
+                ZoneRecovery::StateLoss
+            } else {
+                ZoneRecovery::Snapshot
+            };
+            reg.restart_zone(zone, now, recovery);
         }
-        RegistryFault::ZoneCut { zone } => match reg {
-            ChaosRegistry::Fed(f) => f.partition_zone(zone % n_zones),
-            ChaosRegistry::Rep(r) => {
-                if r.reachable {
-                    r.reachable = false;
-                    dlte_obs::metrics::counter_add("zone_down", 1);
-                }
+        RegistryFault::ZoneCut { zone } => reg.partition_zone(zone % n_zones),
+        RegistryFault::ZoneHeal { zone } => {
+            reg.heal_zone(zone % n_zones);
+            // Anti-entropy after the heal: any cross-zone divergence the
+            // partition produced is repaired deterministically, and
+            // revoked licensees are ordered off the air.
+            let revoked = reg.anti_entropy(now);
+            if !revoked.is_empty() {
+                out.resyncs += 1;
             }
-        },
-        RegistryFault::ZoneHeal { zone } => match reg {
-            ChaosRegistry::Fed(f) => {
-                f.heal_zone(zone % n_zones);
-                // Anti-entropy after the heal: any cross-zone divergence
-                // the partition produced is repaired deterministically,
-                // and revoked licensees are ordered off the air.
-                let revoked = f.anti_entropy(now);
-                if !revoked.is_empty() {
-                    out.resyncs += 1;
+            for g in revoked {
+                if let Some(rec) = grant_log.get_mut(&g.id) {
+                    rec.live_until_s = now.as_secs_f64();
                 }
-                for g in revoked {
-                    if let Some(rec) = grant_log.get_mut(&g.id) {
-                        rec.live_until_s = now.as_secs_f64();
-                    }
-                    if let Some(ap) = aps.iter_mut().find(
-                        |a| matches!(&a.state, ApState::Licensed { grant, .. } if grant.id == g.id),
-                    ) {
-                        ap.state = ApState::Idle;
-                        ap.retry_at = now;
-                    }
-                }
-            }
-            ChaosRegistry::Rep(r) => {
-                if !r.reachable {
-                    r.reachable = true;
-                    dlte_obs::metrics::counter_add("zone_resync", 1);
-                }
-            }
-        },
-        RegistryFault::DesyncStart { replica } => {
-            if let ChaosRegistry::Rep(r) = reg {
-                if n_replicas > 0 {
-                    r.desynced[replica % n_replicas] = true;
+                if let Some(ap) = aps.iter_mut().find(
+                    |a| matches!(&a.state, ApState::Licensed { grant, .. } if grant.id == g.id),
+                ) {
+                    ap.state = ApState::Idle;
+                    ap.retry_at = now;
                 }
             }
         }
-        RegistryFault::DesyncEnd { replica } => {
-            if let ChaosRegistry::Rep(r) = reg {
-                if n_replicas > 0 {
-                    r.desynced[replica % n_replicas] = false;
-                }
-            }
-        }
+        RegistryFault::DesyncStart { replica } => reg.desync_replica(replica, true),
+        RegistryFault::DesyncEnd { replica } => reg.desync_replica(replica, false),
     }
 }
 
 fn tick_ap(
     ap: &mut Ap,
-    reg: &mut ChaosRegistry,
+    reg: &mut FederatedRegistry,
     now: SimTime,
     lease: SimDuration,
     contour_km: f64,
@@ -697,7 +407,7 @@ fn tick_ap(
                         GrantRecord {
                             id: g.id,
                             operator: ap.operator,
-                            zone: reg.zone_of_grant(g.id),
+                            zone: reg.zone_of_grant(g.id).expect("a zone minted it"),
                             channel: g.channel,
                             x_km: g.location.x_km,
                             y_km: g.location.y_km,
@@ -892,7 +602,7 @@ mod tests {
             });
         let out = run_chaos(&w);
         assert_eq!(out.violations, Vec::new(), "{:#?}", out.violations);
-        // The adopted chain means history survived: the writer's log still
+        // The adopted chain means history survived: the zone's log still
         // verifies and every replica converged to it.
         assert!(out.evidence.replicas.iter().all(|r| r.healed));
         let reference = &out.evidence.replicas[0].grant_ids;

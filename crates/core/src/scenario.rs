@@ -56,8 +56,8 @@ pub const APS_PER_TOWN: usize = 8;
 
 /// Builder for dLTE networks.
 pub struct DlteNetworkBuilder {
-    pub n_aps: usize,
-    pub ues_per_ap: usize,
+    n_aps: usize,
+    ues_per_ap: usize,
     /// Aggregation ↔ Internet-core delay (the paper's backhaul to the
     /// nearest exchange).
     pub inet_delay: SimDuration,

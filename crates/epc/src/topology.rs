@@ -48,8 +48,8 @@ impl Default for UePlan {
 
 /// Builder for the centralized reference network.
 pub struct CentralizedLteBuilder {
-    pub n_enb: usize,
-    pub ues_per_enb: usize,
+    n_enb: usize,
+    ues_per_enb: usize,
     /// Aggregation ↔ EPC-site distance (one-way delay).
     pub epc_delay: SimDuration,
     /// EPC-site ↔ Internet-core distance.

@@ -25,18 +25,109 @@ pub mod registry;
 pub use mobility::{MovePlan, MoveSpec};
 pub use registry::{RegistryFault, RegistryFaultPlan, RegistryFaultSpec};
 
-/// A composable fault scenario, scheduled into a run by
-/// [`FaultPlan::inject`].
+/// One spec of a [`Plan`]: a fault (or fault pattern) that expands into
+/// raw timed faults and offers the shrinker strictly simpler variants.
+pub trait PlanSpec: Clone {
+    /// The raw timed fault a run consumes.
+    type Fault;
+    /// Total order on same-instant faults (see [`Plan::compile`]).
+    type Key: Ord;
+    /// Expand this spec into raw timed faults.
+    fn compile_into(&self, out: &mut Vec<(SimTime, Self::Fault)>);
+    /// Strictly simpler variants of this spec, in a deterministic order.
+    /// Floors keep every move strictly shrinking, so repeated shrinking
+    /// terminates. May be empty when the spec is already minimal.
+    fn shrink(&self) -> Vec<Self>;
+    /// The same-instant order: "break" faults sort before "repair" faults,
+    /// then by affected entity and parameters.
+    fn same_instant_key(fault: &Self::Fault) -> Self::Key;
+}
+
+/// A composable fault scenario: a list of specs, plain serde data.
 ///
-/// The `seed` is carried for provenance (plans produced by
-/// [`FaultPlan::chaos_mix`] record the seed that generated them); replaying
-/// a plan uses only its `faults` list.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
+/// The `seed` is carried for provenance (plans produced by a `chaos_mix`
+/// generator record the seed that generated them); replaying a plan uses
+/// only its `faults` list.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Plan<S> {
     #[serde(default)]
     pub seed: u64,
     #[serde(default)]
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<S>,
+}
+
+/// Network faults, scheduled into a run by [`FaultPlan::inject`].
+pub type FaultPlan = Plan<FaultSpec>;
+
+impl<S> Plan<S> {
+    pub fn new(seed: u64) -> Self {
+        Plan {
+            seed,
+            faults: Vec::new(),
+        }
+    }
+
+    /// Append a spec (chainable).
+    pub fn with(mut self, spec: S) -> Self {
+        self.faults.push(spec);
+        self
+    }
+}
+
+impl<S: PlanSpec> Plan<S> {
+    /// Expand to the raw fault timeline, sorted by time. Same-instant faults
+    /// are ordered by a total key ([`PlanSpec::same_instant_key`]: breaks
+    /// before repairs, then entity and parameters), never by insertion
+    /// order — so any permutation of the same specs compiles to the
+    /// identical timeline.
+    pub fn compile(&self) -> Vec<(SimTime, S::Fault)> {
+        let mut out = Vec::new();
+        for spec in &self.faults {
+            spec.compile_into(&mut out);
+        }
+        out.sort_by_cached_key(|(t, f)| (*t, S::same_instant_key(f)));
+        out
+    }
+
+    /// Latest time at which this plan changes anything (used to size
+    /// experiment horizons).
+    pub fn last_fault_time(&self) -> SimTime {
+        self.compile()
+            .last()
+            .map(|&(t, _)| t)
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Candidate plans strictly simpler than this one, in a deterministic
+    /// order: first each plan with one spec removed, then each plan with one
+    /// spec replaced by a [`PlanSpec::shrink`] variant. The fuzzer keeps
+    /// the first candidate that still trips an oracle and recurses; because
+    /// every candidate is strictly smaller (fewer specs, or a strictly
+    /// reduced parameter with a floor), greedy shrinking terminates.
+    pub fn shrink_candidates(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        for i in 0..self.faults.len() {
+            let mut p = self.clone();
+            p.faults.remove(i);
+            out.push(p);
+        }
+        for i in 0..self.faults.len() {
+            for s in self.faults[i].shrink() {
+                let mut p = self.clone();
+                p.faults[i] = s;
+                out.push(p);
+            }
+        }
+        out
+    }
+}
+
+/// Push `fault` at `t_s` seconds (negative times clamp to zero).
+fn at<F>(out: &mut Vec<(SimTime, F)>, t_s: f64, fault: F) {
+    out.push((
+        SimTime::ZERO + SimDuration::from_secs_f64(t_s.max(0.0)),
+        fault,
+    ));
 }
 
 /// One scheduled fault (or fault pattern). Times are seconds of simulated
@@ -93,16 +184,11 @@ pub enum FaultSpec {
     At { at_s: f64, fault: NetFault },
 }
 
-fn at(out: &mut Vec<(SimTime, NetFault)>, t_s: f64, fault: NetFault) {
-    out.push((
-        SimTime::ZERO + SimDuration::from_secs_f64(t_s.max(0.0)),
-        fault,
-    ));
-}
+impl PlanSpec for FaultSpec {
+    type Fault = NetFault;
+    type Key = (u8, u64, Vec<u64>);
 
-impl FaultSpec {
-    /// Expand this spec into raw timed faults.
-    pub fn compile_into(&self, out: &mut Vec<(SimTime, NetFault)>) {
+    fn compile_into(&self, out: &mut Vec<(SimTime, NetFault)>) {
         match *self {
             FaultSpec::LinkFlap {
                 link,
@@ -221,12 +307,9 @@ impl FaultSpec {
         }
     }
 
-    /// Strictly simpler variants of this spec, in a deterministic order —
-    /// the moves the fuzzer's repro shrinker tries: halve durations,
-    /// magnitudes and repetition counts, shed partition members. Floors keep
-    /// every move strictly shrinking, so repeated shrinking terminates. May
-    /// be empty when the spec is already minimal.
-    pub fn shrink(&self) -> Vec<FaultSpec> {
+    /// Halve durations, magnitudes and repetition counts; shed partition
+    /// members.
+    fn shrink(&self) -> Vec<FaultSpec> {
         const FLOOR_S: f64 = 0.05;
         let mut out = Vec::new();
         match *self {
@@ -388,83 +471,55 @@ impl FaultSpec {
         }
         out
     }
-}
 
-/// Total order on same-instant faults, independent of the order their specs
-/// were inserted into the plan: "break" events (link/node down, pause,
-/// partition cut, override install) sort before "repair" events (up,
-/// restart, resume, heal, override clear), then by affected entity and
-/// parameters. Break-before-repair keeps zero-duration faults meaningful
-/// (a `down_s: 0.0` flap still downs the link before re-upping it) and the
-/// full key makes [`FaultPlan::compile`] a pure function of the *set* of
-/// specs — see the permutation-invariance test.
-fn same_instant_key(f: &NetFault) -> (u8, u64, Vec<u64>) {
-    fn bits_f(v: Option<f64>) -> [u64; 2] {
-        [v.is_some() as u64, v.unwrap_or(0.0).to_bits()]
-    }
-    fn bits_d(v: Option<SimDuration>) -> [u64; 2] {
-        [v.is_some() as u64, v.map_or(0, SimDuration::as_nanos)]
-    }
-    fn ov_bits(ov: &LinkOverride) -> Vec<u64> {
-        let mut out = Vec::with_capacity(8);
-        out.extend(bits_f(ov.loss));
-        out.extend(bits_d(ov.extra_delay));
-        out.extend(bits_d(ov.jitter));
-        out.extend(bits_f(ov.rate_bps));
-        out
-    }
-    match f {
-        NetFault::LinkUp { link, up: false } => (0, *link as u64, Vec::new()),
-        NetFault::NodeDown { node } => (1, *node as u64, Vec::new()),
-        NetFault::NodePause { node } => (2, *node as u64, Vec::new()),
-        NetFault::Partition { nodes, up: false } => {
-            (3, 0, nodes.iter().map(|&n| n as u64).collect())
+    /// Breaks (link/node down, pause, partition cut, override install)
+    /// before repairs (up, restart, resume, heal, override clear), then
+    /// entity and parameters. Break-before-repair keeps zero-duration faults
+    /// meaningful (a `down_s: 0.0` flap still downs the link before
+    /// re-upping it) and the full key makes [`Plan::compile`] a pure
+    /// function of the *set* of specs — see the permutation-invariance test.
+    fn same_instant_key(f: &NetFault) -> (u8, u64, Vec<u64>) {
+        fn bits_f(v: Option<f64>) -> [u64; 2] {
+            [v.is_some() as u64, v.unwrap_or(0.0).to_bits()]
         }
-        NetFault::LinkOverride { link, ov } if !ov.is_empty() => (4, *link as u64, ov_bits(ov)),
-        NetFault::LinkOverride { link, .. } => (5, *link as u64, Vec::new()),
-        NetFault::LinkUp { link, up: true } => (6, *link as u64, Vec::new()),
-        NetFault::NodeUp { node } => (7, *node as u64, Vec::new()),
-        NetFault::NodeResume { node } => (8, *node as u64, Vec::new()),
-        NetFault::Partition { nodes, up: true } => {
-            (9, 0, nodes.iter().map(|&n| n as u64).collect())
+        fn bits_d(v: Option<SimDuration>) -> [u64; 2] {
+            [v.is_some() as u64, v.map_or(0, SimDuration::as_nanos)]
         }
-        // Route installs are reconvergence actions: they sort with (after)
-        // the repairs, keyed by the full route so the order is total.
-        NetFault::RouteSet { node, prefix, link } => (
-            10,
-            *node as u64,
-            vec![prefix.addr.0 as u64, prefix.len as u64, *link as u64],
-        ),
+        fn ov_bits(ov: &LinkOverride) -> Vec<u64> {
+            let mut out = Vec::with_capacity(8);
+            out.extend(bits_f(ov.loss));
+            out.extend(bits_d(ov.extra_delay));
+            out.extend(bits_d(ov.jitter));
+            out.extend(bits_f(ov.rate_bps));
+            out
+        }
+        match f {
+            NetFault::LinkUp { link, up: false } => (0, *link as u64, Vec::new()),
+            NetFault::NodeDown { node } => (1, *node as u64, Vec::new()),
+            NetFault::NodePause { node } => (2, *node as u64, Vec::new()),
+            NetFault::Partition { nodes, up: false } => {
+                (3, 0, nodes.iter().map(|&n| n as u64).collect())
+            }
+            NetFault::LinkOverride { link, ov } if !ov.is_empty() => (4, *link as u64, ov_bits(ov)),
+            NetFault::LinkOverride { link, .. } => (5, *link as u64, Vec::new()),
+            NetFault::LinkUp { link, up: true } => (6, *link as u64, Vec::new()),
+            NetFault::NodeUp { node } => (7, *node as u64, Vec::new()),
+            NetFault::NodeResume { node } => (8, *node as u64, Vec::new()),
+            NetFault::Partition { nodes, up: true } => {
+                (9, 0, nodes.iter().map(|&n| n as u64).collect())
+            }
+            // Route installs are reconvergence actions: they sort with (after)
+            // the repairs, keyed by the full route so the order is total.
+            NetFault::RouteSet { node, prefix, link } => (
+                10,
+                *node as u64,
+                vec![prefix.addr.0 as u64, prefix.len as u64, *link as u64],
+            ),
+        }
     }
 }
 
 impl FaultPlan {
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Append a spec (builder style).
-    pub fn with(mut self, spec: FaultSpec) -> FaultPlan {
-        self.faults.push(spec);
-        self
-    }
-
-    /// Expand to the raw fault timeline, sorted by time. Same-instant faults
-    /// are ordered by a total key (`same_instant_key`: breaks before
-    /// repairs, then entity and parameters), never by insertion order — so
-    /// any permutation of the same specs compiles to the identical timeline.
-    pub fn compile(&self) -> Vec<(SimTime, NetFault)> {
-        let mut out = Vec::new();
-        for spec in &self.faults {
-            spec.compile_into(&mut out);
-        }
-        out.sort_by_cached_key(|&(t, ref f)| (t, same_instant_key(f)));
-        out
-    }
-
     /// Schedule every fault of this plan into `sim` as `NetEvent::Fault`
     /// events. Call once, before (or during) the run. Each fault is
     /// broadcast to every shard, so replicated link, route and liveness
@@ -473,38 +528,6 @@ impl FaultPlan {
         for (t, fault) in self.compile() {
             sim.schedule_fault_broadcast(t, fault);
         }
-    }
-
-    /// Latest time at which this plan changes anything (used to size
-    /// experiment horizons).
-    pub fn last_fault_time(&self) -> SimTime {
-        self.compile()
-            .last()
-            .map(|&(t, _)| t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Candidate plans strictly simpler than this one, in a deterministic
-    /// order: first each plan with one spec removed, then each plan with one
-    /// spec replaced by a [`FaultSpec::shrink`] variant. The fuzzer keeps
-    /// the first candidate that still trips an oracle and recurses; because
-    /// every candidate is strictly smaller (fewer specs, or a strictly
-    /// reduced parameter with a floor), greedy shrinking terminates.
-    pub fn shrink_candidates(&self) -> Vec<FaultPlan> {
-        let mut out = Vec::new();
-        for i in 0..self.faults.len() {
-            let mut p = self.clone();
-            p.faults.remove(i);
-            out.push(p);
-        }
-        for i in 0..self.faults.len() {
-            for s in self.faults[i].shrink() {
-                let mut p = self.clone();
-                p.faults[i] = s;
-                out.push(p);
-            }
-        }
-        out
     }
 
     /// Generate a seeded random fault mix: `n` faults drawn over the links

@@ -9,18 +9,13 @@
 //! ([`RegistryFaultPlan::chaos_mix`]), so a plan replays identically
 //! however it is run.
 
-use dlte_sim::{SimDuration, SimRng, SimTime};
+use crate::{at, Plan, PlanSpec};
+use dlte_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// A composable registry fault scenario. `seed` is provenance, as in
-/// [`crate::FaultPlan`]; replay uses only the `faults` list.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RegistryFaultPlan {
-    #[serde(default)]
-    pub seed: u64,
-    #[serde(default)]
-    pub faults: Vec<RegistryFaultSpec>,
-}
+/// A composable registry fault scenario, same shell and JSON form
+/// (`seed`, `faults`) as [`crate::FaultPlan`].
+pub type RegistryFaultPlan = Plan<RegistryFaultSpec>;
 
 /// One scheduled registry fault. Times are seconds of simulated time.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -28,7 +23,8 @@ pub enum RegistryFaultSpec {
     /// Crash a zone process at `at_s`. `restart_after_s: None` leaves it
     /// down for good. `state_loss: true` restarts from nothing (the zone
     /// re-enters service quarantined until every grant it could have issued
-    /// has lapsed); `false` restarts from its last checkpoint snapshot.
+    /// has lapsed); `false` restarts from its last checkpoint snapshot, or
+    /// from its log if it keeps one.
     ZoneCrash {
         zone: usize,
         at_s: f64,
@@ -62,31 +58,11 @@ pub enum RegistryFault {
     DesyncEnd { replica: usize },
 }
 
-/// Total order on same-instant faults: breaks (down, cut, desync-start)
-/// before repairs (restart, heal, desync-end), then by entity — so
-/// [`RegistryFaultPlan::compile`] is a pure function of the *set* of specs
-/// and zero-duration windows still take effect.
-fn same_instant_key(f: &RegistryFault) -> (u8, usize) {
-    match *f {
-        RegistryFault::ZoneDown { zone } => (0, zone),
-        RegistryFault::ZoneCut { zone } => (1, zone),
-        RegistryFault::DesyncStart { replica } => (2, replica),
-        RegistryFault::ZoneRestart { zone, state_loss } => (3, zone * 2 + state_loss as usize),
-        RegistryFault::ZoneHeal { zone } => (4, zone),
-        RegistryFault::DesyncEnd { replica } => (5, replica),
-    }
-}
+impl PlanSpec for RegistryFaultSpec {
+    type Fault = RegistryFault;
+    type Key = (u8, usize);
 
-fn at(out: &mut Vec<(SimTime, RegistryFault)>, t_s: f64, fault: RegistryFault) {
-    out.push((
-        SimTime::ZERO + SimDuration::from_secs_f64(t_s.max(0.0)),
-        fault,
-    ));
-}
-
-impl RegistryFaultSpec {
-    /// Expand this spec into raw timed faults.
-    pub fn compile_into(&self, out: &mut Vec<(SimTime, RegistryFault)>) {
+    fn compile_into(&self, out: &mut Vec<(SimTime, RegistryFault)>) {
         match *self {
             RegistryFaultSpec::ZoneCrash {
                 zone,
@@ -124,10 +100,9 @@ impl RegistryFaultSpec {
         }
     }
 
-    /// Strictly simpler variants, deterministic order, floors guarantee
-    /// termination — same contract as [`crate::FaultSpec::shrink`]. A
-    /// state-losing crash also shrinks to the gentler snapshot recovery.
-    pub fn shrink(&self) -> Vec<RegistryFaultSpec> {
+    /// Halve restart, heal and desync windows. A state-losing crash also
+    /// shrinks to the gentler snapshot recovery.
+    fn shrink(&self) -> Vec<RegistryFaultSpec> {
         const FLOOR_S: f64 = 0.05;
         let mut out = Vec::new();
         match *self {
@@ -187,62 +162,24 @@ impl RegistryFaultSpec {
         }
         out
     }
+
+    /// Breaks (down, cut, desync-start) before repairs (restart, heal,
+    /// desync-end), then by entity — so [`Plan::compile`] is a pure
+    /// function of the *set* of specs and zero-duration windows still take
+    /// effect.
+    fn same_instant_key(f: &RegistryFault) -> (u8, usize) {
+        match *f {
+            RegistryFault::ZoneDown { zone } => (0, zone),
+            RegistryFault::ZoneCut { zone } => (1, zone),
+            RegistryFault::DesyncStart { replica } => (2, replica),
+            RegistryFault::ZoneRestart { zone, state_loss } => (3, zone * 2 + state_loss as usize),
+            RegistryFault::ZoneHeal { zone } => (4, zone),
+            RegistryFault::DesyncEnd { replica } => (5, replica),
+        }
+    }
 }
 
 impl RegistryFaultPlan {
-    pub fn new(seed: u64) -> RegistryFaultPlan {
-        RegistryFaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Append a spec (builder style).
-    pub fn with(mut self, spec: RegistryFaultSpec) -> RegistryFaultPlan {
-        self.faults.push(spec);
-        self
-    }
-
-    /// Expand to the raw fault timeline, sorted by time then
-    /// break-before-repair (`same_instant_key`) — insertion order never
-    /// matters.
-    pub fn compile(&self) -> Vec<(SimTime, RegistryFault)> {
-        let mut out = Vec::new();
-        for spec in &self.faults {
-            spec.compile_into(&mut out);
-        }
-        out.sort_by_key(|&(t, ref f)| (t, same_instant_key(f)));
-        out
-    }
-
-    /// Latest time at which this plan changes anything.
-    pub fn last_fault_time(&self) -> SimTime {
-        self.compile()
-            .last()
-            .map(|&(t, _)| t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Candidate plans strictly simpler than this one: each with one spec
-    /// removed, then each with one spec replaced by a shrink variant. Same
-    /// greedy-terminates argument as [`crate::FaultPlan::shrink_candidates`].
-    pub fn shrink_candidates(&self) -> Vec<RegistryFaultPlan> {
-        let mut out = Vec::new();
-        for i in 0..self.faults.len() {
-            let mut p = self.clone();
-            p.faults.remove(i);
-            out.push(p);
-        }
-        for i in 0..self.faults.len() {
-            for s in self.faults[i].shrink() {
-                let mut p = self.clone();
-                p.faults[i] = s;
-                out.push(p);
-            }
-        }
-        out
-    }
-
     /// Generate a seeded random registry fault mix over `n_zones` zones and
     /// `n_replicas` log replicas: `n` faults starting in `[start_s, end_s)`,
     /// each repaired within `max_down_s` (a small fraction never restart —

@@ -6,10 +6,10 @@
 //! * **Structured event tracing** ([`event`], [`recorder`]): typed,
 //!   serde-able [`Record`]s (NAS procedure start/end, EPS-AKA steps, HARQ
 //!   tx/retx/fail, scheduler grants, GTP-U path management, fault
-//!   transitions, packet drops) collected by a thread-local [`Recorder`].
-//!   Tracing is **off by default** and the hot-path [`emit`] is a single
-//!   thread-local boolean load when disabled, so instrumented code costs
-//!   nothing in ordinary runs.
+//!   transitions, packet drops) collected in a thread-local buffer of
+//!   [`RawRecord`]s. Tracing is **off by default** and the hot-path
+//!   [`emit`] is a single thread-local boolean load when disabled, so
+//!   instrumented code costs nothing in ordinary runs.
 //! * **Metrics registry** ([`metrics`]): named counters, gauges and
 //!   log2-bucketed histograms every layer registers into. Counters are
 //!   always on (they feed the deterministic `drops_*` breakdown in
@@ -40,7 +40,6 @@ pub mod span;
 pub use event::{AkaStep, DropReason, Event, NasProc, Record};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use recorder::{
-    absorb_raw, drain_raw, emit, harq_block, set_tracing, take_records, tracing_enabled,
-    BufferRecorder, NoopRecorder, RawRecord, Recorder,
+    absorb_raw, drain_raw, emit, harq_block, set_tracing, take_records, tracing_enabled, RawRecord,
 };
 pub use span::{pair_spans, Span, SpanOutcome};

@@ -18,65 +18,9 @@ use std::cell::{Cell, RefCell};
 /// An unsequenced event capture: `(t_ns, node, event)`.
 pub type RawRecord = (u64, u64, Event);
 
-/// Sink for trace events.
-pub trait Recorder {
-    /// Whether this recorder wants events at all (lets callers skip
-    /// expensive event construction).
-    fn enabled(&self) -> bool;
-    /// Accept one event.
-    fn record(&mut self, t_ns: u64, node: u64, event: Event);
-    /// Surrender everything recorded so far.
-    fn drain(&mut self) -> Vec<RawRecord> {
-        Vec::new()
-    }
-}
-
-/// The default recorder: drops everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&mut self, _t_ns: u64, _node: u64, _event: Event) {}
-}
-
-/// In-memory recorder used while tracing is enabled.
-#[derive(Clone, Debug, Default)]
-pub struct BufferRecorder {
-    entries: Vec<RawRecord>,
-}
-
-impl BufferRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Recorder for BufferRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn record(&mut self, t_ns: u64, node: u64, event: Event) {
-        self.entries.push((t_ns, node, event));
-    }
-    fn drain(&mut self) -> Vec<RawRecord> {
-        std::mem::take(&mut self.entries)
-    }
-}
-
 thread_local! {
     static TRACING: Cell<bool> = const { Cell::new(false) };
-    static BUFFER: RefCell<BufferRecorder> = RefCell::new(BufferRecorder::new());
+    static BUFFER: RefCell<Vec<RawRecord>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Is tracing on for this thread? Instrumentation sites can check this
@@ -92,7 +36,7 @@ pub fn tracing_enabled() -> bool {
 pub fn set_tracing(on: bool) {
     TRACING.with(|t| t.set(on));
     if !on {
-        BUFFER.with(|b| b.borrow_mut().entries.clear());
+        BUFFER.with(|b| b.borrow_mut().clear());
     }
 }
 
@@ -102,7 +46,7 @@ pub fn emit(t_ns: u64, node: u64, event: Event) {
     if !tracing_enabled() {
         return;
     }
-    BUFFER.with(|b| b.borrow_mut().record(t_ns, node, event));
+    BUFFER.with(|b| b.borrow_mut().push((t_ns, node, event)));
 }
 
 /// Record one HARQ-simulated transport block for `ue` at `node`: a
@@ -145,7 +89,7 @@ pub fn harq_block(t_ns: u64, node: u64, ue: u64, transmissions: u8, delivered: b
 /// Drain this thread's raw (unsequenced) records — the worker-thread half
 /// of parallel capture.
 pub fn drain_raw() -> Vec<RawRecord> {
-    BUFFER.with(|b| b.borrow_mut().drain())
+    BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()))
 }
 
 /// Append previously drained records to this thread's buffer — the
@@ -154,7 +98,7 @@ pub fn absorb_raw(records: Vec<RawRecord>) {
     if records.is_empty() {
         return;
     }
-    BUFFER.with(|b| b.borrow_mut().entries.extend(records));
+    BUFFER.with(|b| b.borrow_mut().extend(records));
 }
 
 /// Drain this thread's buffer and assign final sequence numbers.
@@ -256,13 +200,5 @@ mod tests {
         assert_eq!(counters["harq_tx"], 3);
         assert_eq!(counters["harq_retx"], 5);
         assert_eq!(counters["harq_fail"], 1);
-    }
-
-    #[test]
-    fn noop_recorder_reports_disabled() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        r.record(1, 1, drop_ev(1));
-        assert!(r.drain().is_empty());
     }
 }

@@ -8,20 +8,33 @@
 //! handled by having each zone's conflict check consult neighbor zones'
 //! border grants (exchanged on request, like zone transfers).
 //!
+//! All three §4.3 governance flavours are federations: a central SAS is a
+//! federation of one zone, and the replicated log is one zone that keeps a
+//! write-ahead [`ReplicatedLog`] ([`Zone::with_log`]). The federation
+//! appends every grant, renewal and revocation it serves to the owning
+//! zone's log; read replicas follow it ([`FederatedRegistry::
+//! sync_replicas`]) and the log folds into a hash-anchored snapshot
+//! ([`FederatedRegistry::compact_logs`]).
+//!
 //! # Fault model
 //!
 //! Zones crash, restart, and partition independently:
 //!
 //! * a **crashed** zone serves nothing until [`FederatedRegistry::
-//!   restart_zone`] brings it back — either from its last checkpoint
-//!   ([`ZoneRecovery::Snapshot`]) or with nothing ([`ZoneRecovery::
-//!   StateLoss`], fresh grant-id namespace);
+//!   restart_zone`] brings it back — either without state loss
+//!   ([`ZoneRecovery::Snapshot`]: a plain zone restores its last
+//!   checkpoint, a logging zone rebuilds from its log) or with nothing
+//!   ([`ZoneRecovery::StateLoss`], fresh grant-id namespace; a logging zone
+//!   re-adopts the longest valid replica chain as its history but serves
+//!   none of it);
 //! * a **partitioned** zone is unreachable from the federation's query
 //!   plane (and from its own clients) until [`FederatedRegistry::
 //!   heal_zone`];
-//! * any restart after a crash opens a **quarantine window** of one
-//!   maximum lease: the zone denies *new* grants until every grant the
-//!   lost incarnation may have issued has provably lapsed.
+//! * a restart that cannot prove what the zone issued before the crash
+//!   (every plain-zone restart, and a logging zone's state-loss restart)
+//!   opens a **quarantine window** of one maximum lease: the zone denies
+//!   *new* grants until every grant the lost incarnation may have issued
+//!   has provably lapsed. A logging zone's lossless restart needs none.
 //!
 //! The safety rule throughout is *conservative denial*: when a zone whose
 //! answer matters (the owner, or a border neighbor whose area the contour
@@ -31,9 +44,10 @@
 //! price the availability experiments (E17) measure.
 
 use crate::geo::{Point, Rect};
-use crate::license::{GrantId, GrantRequest, LicenseGrant};
+use crate::license::{GrantId, GrantRequest, LicenseGrant, OperatorId};
 use crate::registry::{GrantDenied, RegistrySnapshot, SpectrumRegistry};
-use dlte_sim::SimTime;
+use crate::replicated::{Entry, ReplicatedLog};
+use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How a crashed zone comes back.
@@ -43,8 +57,50 @@ pub enum ZoneRecovery {
     /// grant-id namespace.
     StateLoss,
     /// Restore the last checkpoint taken with [`FederatedRegistry::
-    /// checkpoint_zone`] (falls back to `StateLoss` if none was taken).
+    /// checkpoint_zone`] (falls back to `StateLoss` if none was taken); a
+    /// logging zone rebuilds from its log instead.
     Snapshot,
+}
+
+/// A zone's write-ahead log and the read replicas that follow it.
+struct ZoneLog {
+    log: ReplicatedLog,
+    replicas: Vec<ReplicatedLog>,
+    /// Replicas inside a desync window: they neither pull nor gossip.
+    desynced: Vec<bool>,
+}
+
+impl ZoneLog {
+    /// One sync round: every in-sync replica pulls from the log (only while
+    /// the zone serves), then gossips with its in-sync peers — so healed
+    /// replicas converge even while the zone is down or cut off. Returns
+    /// the number of chains adopted.
+    fn sync_round(&mut self, serving: bool) -> u64 {
+        let mut adopted = 0;
+        for i in 0..self.replicas.len() {
+            if self.desynced[i] {
+                continue;
+            }
+            if serving && self.replicas[i].sync_from(&self.log) {
+                adopted += 1;
+            }
+            for j in 0..self.replicas.len() {
+                if i == j || self.desynced[j] {
+                    continue;
+                }
+                let (head, tail) = self.replicas.split_at_mut(i.max(j));
+                let (me, peer) = if i < j {
+                    (&mut head[i], &tail[0])
+                } else {
+                    (&mut tail[0], &head[j])
+                };
+                if me.sync_from(peer) {
+                    adopted += 1;
+                }
+            }
+        }
+        adopted
+    }
 }
 
 /// One zone: an area plus its registry, plus liveness state.
@@ -57,6 +113,7 @@ pub struct Zone {
     checkpoint: Option<RegistrySnapshot>,
     crashed_at: Option<SimTime>,
     incarnation: u64,
+    log: Option<ZoneLog>,
 }
 
 impl Zone {
@@ -70,7 +127,19 @@ impl Zone {
             checkpoint: None,
             crashed_at: None,
             incarnation: 0,
+            log: None,
         }
+    }
+
+    /// Keep a write-ahead log of everything this zone serves, followed by
+    /// `n_replicas` read replicas (the replicated flavour of §4.3).
+    pub fn with_log(mut self, n_replicas: usize) -> Self {
+        self.log = Some(ZoneLog {
+            log: ReplicatedLog::new(),
+            replicas: vec![ReplicatedLog::new(); n_replicas],
+            desynced: vec![false; n_replicas],
+        });
+        self
     }
 
     pub fn is_up(&self) -> bool {
@@ -81,10 +150,38 @@ impl Zone {
         self.up && self.reachable
     }
 
+    /// Every copy of this zone's log with whether it is in sync: the zone's
+    /// own first (in sync while the zone is up), then each replica (in sync
+    /// outside its desync window). Empty for a zone without a log.
+    pub fn logs(&self) -> Vec<(&ReplicatedLog, bool)> {
+        let Some(wal) = &self.log else {
+            return Vec::new();
+        };
+        let replicas = wal.replicas.iter().zip(&wal.desynced);
+        std::iter::once((&wal.log, self.up))
+            .chain(replicas.map(|(r, &desynced)| (r, !desynced)))
+            .collect()
+    }
+
     /// A zone the federation can safely *rely on* for conflict answers:
     /// reachable and not hiding a lost window behind a quarantine.
     fn dependable(&self, now: SimTime) -> bool {
         self.is_reachable() && !self.registry.is_quarantined(now)
+    }
+
+    fn append(&mut self, entry: Entry) {
+        if let Some(wal) = &mut self.log {
+            wal.log.append(entry);
+        }
+    }
+
+    /// Revoke a grant on behalf of operator `by`, logging the revocation.
+    fn revoke(&mut self, id: GrantId, by: OperatorId) -> bool {
+        let had = self.registry.revoke(id);
+        if had {
+            self.append(Entry::Revoke { id, by });
+        }
+        had
     }
 }
 
@@ -100,15 +197,10 @@ pub struct FederatedRegistry {
 }
 
 /// Grant-id namespace for a zone incarnation: 16 bits of zone, 16 bits of
-/// incarnation, 32 bits of sequence. State loss bumps the incarnation so a
-/// reborn zone can never reissue an id its lost predecessor handed out.
+/// incarnation, 32 bits of sequence. Every restart bumps the incarnation so
+/// a reborn zone can never reissue an id its predecessor handed out.
 fn id_base(zone: usize, incarnation: u64) -> GrantId {
     ((zone as u64 + 1) << 48) | ((incarnation & 0xFFFF) << 32)
-}
-
-/// Zone index back out of a grant id minted by [`id_base`].
-fn zone_of_id(id: GrantId) -> Option<usize> {
-    ((id >> 48) as usize).checked_sub(1)
 }
 
 impl FederatedRegistry {
@@ -126,6 +218,14 @@ impl FederatedRegistry {
 
     fn zone_of(&self, p: Point) -> Option<usize> {
         self.zones.iter().position(|z| z.area.contains(p))
+    }
+
+    /// The zone that issued grant `id`, read back out of its `id_base`
+    /// namespace, if the federation has such a zone.
+    pub fn zone_of_grant(&self, id: GrantId) -> Option<usize> {
+        ((id >> 48) as usize)
+            .checked_sub(1)
+            .filter(|&z| z < self.zones.len())
     }
 
     /// Request a grant; routed to the owning zone, with a border check
@@ -180,60 +280,43 @@ impl FederatedRegistry {
             }
         }
         let zone = &mut self.zones[owner];
-        match req.channel {
-            Some(c) if forbidden.contains(&c) => Err(GrantDenied::RequestedChannelTaken),
-            Some(_) => zone.registry.request(req, now),
-            None => {
-                // Let the owning zone assign, retrying past channels the
-                // neighbors forbid.
-                let plan = zone.registry.plan();
-                for c in 0..plan.n_channels {
-                    if forbidden.contains(&c) {
-                        continue;
-                    }
-                    let mut r = req;
-                    r.channel = Some(c);
-                    match zone.registry.request(r, now) {
-                        Ok(g) => return Ok(g),
-                        Err(GrantDenied::RequestedChannelTaken) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(GrantDenied::NoChannelAvailable)
-            }
-        }
+        let g = zone.registry.request_avoiding(req, &forbidden, now)?;
+        zone.append(Entry::Grant(g));
+        Ok(g)
     }
 
     /// Renew a grant, routed to the issuing zone via its id namespace.
     pub fn renew(
         &mut self,
         id: GrantId,
-        lease: dlte_sim::SimDuration,
+        lease: SimDuration,
         now: SimTime,
     ) -> Result<LicenseGrant, GrantDenied> {
-        let Some(zone) = zone_of_id(id).filter(|&z| z < self.zones.len()) else {
-            return Err(GrantDenied::UnknownGrant);
-        };
-        if !self.zones[zone].is_reachable() {
-            return Err(GrantDenied::ZoneUnavailable);
-        }
-        self.zones[zone]
+        let zone = self.reachable_issuer(id)?;
+        let g = zone
             .registry
             .renew(id, lease, now)
-            .ok_or(GrantDenied::UnknownGrant)
+            .ok_or(GrantDenied::UnknownGrant)?;
+        // A renewal is a later Grant entry with the same id; the derived
+        // table supersedes by id.
+        zone.append(Entry::Grant(g));
+        Ok(g)
     }
 
-    /// Release a grant. Returns `Err(ZoneUnavailable)` when the issuing
-    /// zone cannot be reached — the grant then occupies spectrum until its
-    /// lease lapses (the reclamation path).
-    pub fn release(&mut self, id: GrantId) -> Result<bool, GrantDenied> {
-        let Some(zone) = zone_of_id(id).filter(|&z| z < self.zones.len()) else {
-            return Err(GrantDenied::UnknownGrant);
-        };
-        if !self.zones[zone].is_reachable() {
+    /// Release operator `by`'s grant. Returns `Err(ZoneUnavailable)` when
+    /// the issuing zone cannot be reached — the grant then occupies
+    /// spectrum until its lease lapses (the reclamation path).
+    pub fn release(&mut self, id: GrantId, by: OperatorId) -> Result<bool, GrantDenied> {
+        Ok(self.reachable_issuer(id)?.revoke(id, by))
+    }
+
+    fn reachable_issuer(&mut self, id: GrantId) -> Result<&mut Zone, GrantDenied> {
+        let zone = self.zone_of_grant(id).ok_or(GrantDenied::UnknownGrant)?;
+        let z = &mut self.zones[zone];
+        if !z.is_reachable() {
             return Err(GrantDenied::ZoneUnavailable);
         }
-        Ok(self.zones[zone].registry.revoke(id))
+        Ok(z)
     }
 
     /// Lapse expired grants in every live zone.
@@ -245,11 +328,12 @@ impl FederatedRegistry {
         }
     }
 
-    /// Checkpoint a zone's registry (what `ZoneRecovery::Snapshot`
-    /// restores).
+    /// Checkpoint a plain zone's registry (what `ZoneRecovery::Snapshot`
+    /// restores). A logging zone's log is its durable record, so it takes
+    /// none.
     pub fn checkpoint_zone(&mut self, zone: usize) {
         if let Some(z) = self.zones.get_mut(zone) {
-            if z.up {
+            if z.up && z.log.is_none() {
                 z.checkpoint = Some(z.registry.snapshot());
             }
         }
@@ -266,13 +350,18 @@ impl FederatedRegistry {
         }
     }
 
-    /// Restart a crashed zone. Both recovery modes open a quarantine
-    /// window of one maximum lease from the crash instant: the restarted
-    /// zone cannot prove which grants it issued between its recovery
-    /// horizon and the crash, so it denies new grants until every such
-    /// grant has lapsed on the licensee's side. Snapshot recovery still
-    /// serves renewals for checkpointed grants (the availability edge E17
-    /// measures); state loss starts empty in a fresh id namespace.
+    /// Restart a crashed zone in a fresh incarnation.
+    ///
+    /// A logging zone restarting without state loss rebuilds its serving
+    /// state from its log: that is lossless, so it serves at once. Every
+    /// other restart opens a quarantine window of one maximum lease from
+    /// the crash instant: the zone cannot prove which grants it issued
+    /// between its recovery horizon and the crash, so it denies new grants
+    /// until every such grant has lapsed on the licensee's side. Snapshot
+    /// recovery still serves renewals for checkpointed grants (the
+    /// availability edge E17 measures); state loss starts empty, and a
+    /// logging zone re-adopts the longest valid replica chain — the
+    /// history survives tamper-evidently, but none of it is served again.
     pub fn restart_zone(&mut self, zone: usize, now: SimTime, recovery: ZoneRecovery) {
         let Some(z) = self.zones.get_mut(zone) else {
             return;
@@ -282,15 +371,37 @@ impl FederatedRegistry {
         }
         z.up = true;
         z.incarnation += 1;
-        z.registry.clear_state(id_base(zone, z.incarnation));
-        if recovery == ZoneRecovery::Snapshot {
-            if let Some(snap) = &z.checkpoint {
-                z.registry.install(snap);
-            }
-        }
+        let base = id_base(zone, z.incarnation);
         let crashed_at = z.crashed_at.take().unwrap_or(now);
-        let max_lease = z.registry.max_lease();
-        z.registry.begin_quarantine(crashed_at + max_lease);
+        z.registry.clear_state(base);
+        let lossless = match (&mut z.log, recovery) {
+            (Some(wal), ZoneRecovery::Snapshot) => {
+                let grants = wal.log.grant_table(now);
+                z.registry.install(&RegistrySnapshot {
+                    grants,
+                    next_id: base,
+                });
+                true
+            }
+            (Some(wal), ZoneRecovery::StateLoss) => {
+                wal.log = ReplicatedLog::new();
+                for r in &wal.replicas {
+                    wal.log.sync_from(r);
+                }
+                false
+            }
+            (None, ZoneRecovery::Snapshot) => {
+                if let Some(snap) = &z.checkpoint {
+                    z.registry.install(snap);
+                }
+                false
+            }
+            (None, ZoneRecovery::StateLoss) => false,
+        };
+        if !lossless {
+            let max_lease = z.registry.max_lease();
+            z.registry.begin_quarantine(crashed_at + max_lease);
+        }
         dlte_obs::metrics::counter_add("zone_resync", 1);
     }
 
@@ -313,6 +424,46 @@ impl FederatedRegistry {
                 dlte_obs::metrics::counter_add("zone_resync", 1);
             }
         }
+    }
+
+    /// Open or close replica `replica`'s desync window in every logging
+    /// zone (indices wrap at the zone's replica count): a desynced replica
+    /// neither pulls nor gossips.
+    pub fn desync_replica(&mut self, replica: usize, desynced: bool) {
+        for wal in self.zones.iter_mut().filter_map(|z| z.log.as_mut()) {
+            let n = wal.desynced.len();
+            if n > 0 {
+                wal.desynced[replica % n] = desynced;
+            }
+        }
+    }
+
+    /// One replica sync round in every logging zone (see the pull-then-
+    /// gossip order on each zone's log). Returns the chains adopted.
+    pub fn sync_replicas(&mut self) -> u64 {
+        let mut adopted = 0;
+        for z in &mut self.zones {
+            let serving = z.is_reachable();
+            if let Some(wal) = &mut z.log {
+                adopted += wal.sync_round(serving);
+            }
+        }
+        adopted
+    }
+
+    /// Fold the log of every logging zone that is up into a hash-anchored
+    /// snapshot of its live table at `now`. Returns how many logs folded
+    /// anything.
+    pub fn compact_logs(&mut self, now: SimTime) -> u64 {
+        let mut compacted = 0;
+        for z in &mut self.zones {
+            if let (true, Some(wal)) = (z.up, &mut z.log) {
+                if wal.log.compact(now) > 0 {
+                    compacted += 1;
+                }
+            }
+        }
+        compacted
     }
 
     /// Anti-entropy pass after partitions heal: every pair of reachable
@@ -346,7 +497,7 @@ impl FederatedRegistry {
                 .iter()
                 .any(|(kzi, k)| *kzi != zi && k.conflicts_with(&g));
             if loser {
-                self.zones[zi].registry.revoke(g.id);
+                self.zones[zi].revoke(g.id, g.operator);
                 dlte_obs::metrics::counter_add("zone_resync", 1);
                 revoked.push(g);
             } else {
@@ -408,6 +559,16 @@ mod tests {
         ])
     }
 
+    fn solo(logging: bool, channel_mhz: f64) -> FederatedRegistry {
+        let plan = ChannelPlan::for_band(Band::band5(), channel_mhz);
+        let zone = Zone::new(
+            "solo",
+            Rect::new(Point::new(-100.0, -100.0), Point::new(100.0, 100.0)),
+            SpectrumRegistry::exclusive(plan, 55.0).with_lease_cap(SimDuration::from_secs(100)),
+        );
+        FederatedRegistry::new(vec![if logging { zone.with_log(2) } else { zone }])
+    }
+
     fn req(x: f64, channel: Option<u32>) -> GrantRequest {
         GrantRequest {
             operator: 1,
@@ -434,8 +595,8 @@ mod tests {
         let w = f.request(req(-50.0, None), SimTime::ZERO).unwrap();
         let e = f.request(req(50.0, None), SimTime::ZERO).unwrap();
         assert_ne!(w.id, e.id, "cross-zone grant ids must never collide");
-        assert_eq!(super::zone_of_id(w.id), Some(0));
-        assert_eq!(super::zone_of_id(e.id), Some(1));
+        assert_eq!(f.zone_of_grant(w.id), Some(0));
+        assert_eq!(f.zone_of_grant(e.id), Some(1));
     }
 
     #[test]
@@ -595,7 +756,7 @@ mod tests {
         let t = SimTime::from_secs(4000);
         let g2 = f.request(req(-50.0, None), t).unwrap();
         assert_ne!(g.id, g2.id, "fresh incarnation, fresh id namespace");
-        assert_eq!(super::zone_of_id(g2.id), Some(0));
+        assert_eq!(f.zone_of_grant(g2.id), Some(0));
     }
 
     #[test]
@@ -603,11 +764,11 @@ mod tests {
         let mut f = two_zone_federation();
         let g = f.request(req(-50.0, None), SimTime::ZERO).unwrap();
         f.crash_zone(0, SimTime::from_secs(1));
-        assert_eq!(f.release(g.id), Err(GrantDenied::ZoneUnavailable));
+        assert_eq!(f.release(g.id, 1), Err(GrantDenied::ZoneUnavailable));
         f.restart_zone(0, SimTime::from_secs(2), ZoneRecovery::StateLoss);
         // The reborn zone no longer holds it.
-        assert_eq!(f.release(g.id), Ok(false));
-        assert_eq!(f.release(u64::MAX), Err(GrantDenied::UnknownGrant));
+        assert_eq!(f.release(g.id, 1), Ok(false));
+        assert_eq!(f.release(u64::MAX, 1), Err(GrantDenied::UnknownGrant));
     }
 
     #[test]
@@ -630,5 +791,96 @@ mod tests {
         assert_eq!(f.zones()[0].registry.active_count(SimTime::from_secs(2)), 1);
         // Idempotent once repaired.
         assert!(f.anti_entropy(SimTime::from_secs(3)).is_empty());
+    }
+
+    #[test]
+    fn auto_assigned_request_counts_once() {
+        // Five 5 MHz channels; channels 0 and 1 taken at the same spot.
+        let mut f = solo(false, 5.0);
+        f.request(req(0.0, Some(0)), SimTime::ZERO).unwrap();
+        f.request(req(1.0, Some(1)), SimTime::ZERO).unwrap();
+        let g = f.request(req(2.0, None), SimTime::ZERO).unwrap();
+        assert_eq!(g.channel, 2);
+        let r = &f.zones()[0].registry;
+        assert_eq!((r.requests, r.denials), (3, 0), "one call per request");
+    }
+
+    /// Plain and logging zones through a crash and a restart with and
+    /// without state loss: does a pre-crash grant still renew, do new
+    /// requests wait out crash + max lease, and do new ids come from a
+    /// fresh incarnation.
+    #[test]
+    fn zone_lifecycle_table() {
+        use ZoneRecovery::{Snapshot, StateLoss};
+        // (logging, recovery, pre-crash grant renews, quarantined)
+        let rows = [
+            (false, StateLoss, false, true),
+            (false, Snapshot, false, true),
+            (true, StateLoss, false, true),
+            (true, Snapshot, true, false),
+        ];
+        let lease = SimDuration::from_secs(100);
+        let crash = SimTime::from_secs(10);
+        for (logging, recovery, renews, quarantined) in rows {
+            let row = format!("logging {logging}, {recovery:?}");
+            let mut f = solo(logging, 10.0);
+            // The checkpoint predates the grant: only a log records it.
+            f.checkpoint_zone(0);
+            let g = f.request(req(-50.0, None), SimTime::from_secs(1)).unwrap();
+            f.sync_replicas();
+            f.crash_zone(0, crash);
+            f.restart_zone(0, SimTime::from_secs(20), recovery);
+            let renewed = f.renew(g.id, lease, SimTime::from_secs(21));
+            assert_eq!(renewed.is_ok(), renews, "{row}: {renewed:?}");
+            let fresh = f.request(req(50.0, None), SimTime::from_secs(22));
+            if quarantined {
+                assert_eq!(fresh, Err(GrantDenied::Recovering), "{row}");
+            }
+            let fresh = fresh
+                .or_else(|_| f.request(req(50.0, None), crash + lease))
+                .unwrap();
+            assert_eq!(f.zone_of_grant(fresh.id), Some(0), "{row}");
+            assert_eq!((fresh.id >> 32) & 0xFFFF, 1, "{row}: fresh incarnation");
+            if logging {
+                // Both restarts keep the history: the log, or the replica
+                // chain a state-losing zone re-adopts.
+                let (log, in_sync) = f.zones()[0].logs()[0];
+                assert!(in_sync && log.height() >= 1, "{row}: history lost");
+            }
+        }
+    }
+
+    #[test]
+    fn logging_zone_logs_serves_and_replicates() {
+        let mut f = solo(true, 10.0);
+        let t = SimTime::from_secs(1);
+        let a = f.request(req(-50.0, None), t).unwrap();
+        let b = f.request(req(50.0, None), t).unwrap();
+        f.renew(a.id, SimDuration::from_secs(50), t).unwrap();
+        assert_eq!(f.release(b.id, b.operator), Ok(true));
+        let table = |f: &FederatedRegistry| -> Vec<(u64, usize)> {
+            f.zones()[0]
+                .logs()
+                .iter()
+                .map(|(log, _)| (log.height(), log.grant_table(t).len()))
+                .collect()
+        };
+        // Grant, grant, renewal, revocation; the replicas have nothing yet.
+        assert_eq!(table(&f), [(4, 1), (0, 0), (0, 0)]);
+        // A desynced replica neither pulls nor gossips; the other pulls.
+        f.desync_replica(1, true);
+        assert_eq!(f.sync_replicas(), 1);
+        assert_eq!(table(&f), [(4, 1), (4, 1), (0, 0)]);
+        assert!(!f.zones()[0].logs()[2].1, "replica 1 is out of sync");
+        // Healed, it catches up by gossip even while the zone is down.
+        f.crash_zone(0, t);
+        f.desync_replica(1, false);
+        assert_eq!(f.sync_replicas(), 1);
+        assert_eq!(table(&f), [(4, 1), (4, 1), (4, 1)]);
+        // A down zone does not compact; an up one folds its log.
+        assert_eq!(f.compact_logs(t), 0);
+        f.restart_zone(0, t, ZoneRecovery::Snapshot);
+        assert_eq!(f.compact_logs(t), 1);
+        assert_eq!(f.zones()[0].logs()[0].0.blocks().len(), 0);
     }
 }

@@ -13,7 +13,9 @@
 //!   zones own areas, queries fan out only to intersecting zones;
 //! * [`replicated::ReplicatedLog`] — the fully decentralized option \[27\]:
 //!   a hash-chained append-only log with replica synchronization, from
-//!   which any party can derive the same grant table.
+//!   which any party can derive the same grant table. A zone keeps one as
+//!   its write-ahead log ([`federated::Zone::with_log`]), so all three
+//!   flavours run as a [`federated::FederatedRegistry`].
 //!
 //! The registry's *product* is the answer to one question: **who else
 //! transmits on my channel near me?** ([`registry::SpectrumRegistry::

@@ -213,6 +213,18 @@ impl SpectrumRegistry {
         req: GrantRequest,
         now: SimTime,
     ) -> Result<LicenseGrant, GrantDenied> {
+        self.request_avoiding(req, &[], now)
+    }
+
+    /// Request a grant on none of the `avoid` channels (the ones a
+    /// federation's neighbour zones forbid at the requester's location).
+    /// One call counts one request, whatever channel it lands on.
+    pub fn request_avoiding(
+        &mut self,
+        req: GrantRequest,
+        avoid: &[u32],
+        now: SimTime,
+    ) -> Result<LicenseGrant, GrantDenied> {
         self.requests += 1;
         if self.is_quarantined(now) {
             return Err(self.deny(GrantDenied::Recovering));
@@ -224,8 +236,9 @@ impl SpectrumRegistry {
         }
         let channel = match req.channel {
             Some(c) => {
-                if self.policy == GrantPolicy::Exclusive
-                    && self.channel_conflicts(c, req.location, req.contour_km, now)
+                if avoid.contains(&c)
+                    || self.policy == GrantPolicy::Exclusive
+                        && self.channel_conflicts(c, req.location, req.contour_km, now)
                 {
                     return Err(self.deny(GrantDenied::RequestedChannelTaken));
                 }
@@ -235,6 +248,7 @@ impl SpectrumRegistry {
                 // Automated assignment: channel with the fewest co-channel
                 // conflicts (ties to the lowest index).
                 let best = (0..self.plan.n_channels)
+                    .filter(|c| !avoid.contains(c))
                     .map(|c| {
                         (
                             self.channel_conflict_count(c, req.location, req.contour_km, now),

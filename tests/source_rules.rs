@@ -9,7 +9,12 @@
 //!   `sim/src/par.rs`, which time runs without feeding the time back into
 //!   the simulation.
 //!
-//! A third keeps out code that no run reaches: every module file under
+//! One keeps a mechanism in one place: the `zone_down` and `zone_resync`
+//! counters are counted only under `registry/src`, where zones crash,
+//! restart, partition and heal, so no driver keeps a second copy of that
+//! bookkeeping.
+//!
+//! Another keeps out code that no run reaches: every module file under
 //! `crates/*/src` is reached by the non-test code of some other file under
 //! `crates/*/src`, `examples/` or `benchmark/src` (see [`unreached`]).
 
@@ -20,6 +25,7 @@ use std::path::{Path, PathBuf};
 const RANDOM_STATE_OK: [&str; 1] = ["net/src/fxhash.rs"];
 const CLOCK_OK: [&str; 2] = ["sim/src/report.rs", "sim/src/par.rs"];
 const RANDOM_STATE_NAMES: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
+const ZONE_COUNTERS: [&str; 2] = ["\"zone_down\"", "\"zone_resync\""];
 /// Module files that may stay unreached: `obs::span` pairs trace records
 /// into procedure spans for the planned `dlte-run explain` report.
 const UNREACHED_OK: [&str; 1] = ["obs/src/span.rs"];
@@ -54,6 +60,12 @@ fn breaches(rel: &str, text: &str) -> Vec<String> {
         }
         if !CLOCK_OK.contains(&rel) && code.contains("Instant::now") {
             out.push(format!("{at}: host clock read: {}", line.trim()));
+        }
+        if !rel.starts_with("registry/src/") && ZONE_COUNTERS.iter().any(|c| code.contains(c)) {
+            out.push(format!(
+                "{at}: zone counter outside the registry: {}",
+                line.trim()
+            ));
         }
     }
     out
@@ -461,4 +473,16 @@ fn rules_flag_what_they_should() {
     assert!(breaches("sim/src/par.rs", clock).is_empty());
     let test_only = "fn f() {}\n#[cfg(test)]\nmod tests { use std::collections::HashMap; }\n";
     assert!(breaches("x/src/a.rs", test_only).is_empty());
+    let zone = "    dlte_obs::metrics::counter_add(\"zone_down\", 1);\n";
+    assert_eq!(
+        breaches("core/src/registry_chaos.rs", zone),
+        [
+            "crates/core/src/registry_chaos.rs:1: zone counter outside the registry: \
+             dlte_obs::metrics::counter_add(\"zone_down\", 1);"
+        ]
+    );
+    assert!(breaches("registry/src/federated.rs", zone).is_empty());
+    let resync = "let n = counters[\"zone_resync\"];\n";
+    assert_eq!(breaches("bench/src/main.rs", resync).len(), 1);
+    assert!(breaches("x/src/a.rs", "let n = 1; // \"zone_resync\"\n").is_empty());
 }
