@@ -5,12 +5,14 @@
 //! the shrink made of it. A behaviour change that keeps every oracle green
 //! still shows here as a changed event count.
 //!
-//! Its own test binary: `--shards` is a process global, and nothing in
-//! this process sets it, so every case runs on one engine.
+//! Its own test binary: `--shards` is a process global. The full sweep
+//! runs on one engine; the test then sets two shards and re-runs the first
+//! 200 network and 300 mobility seeds, which must reproduce the golden's
+//! lines exactly, event counts included.
 //!
-//! Each run also writes what it saw to `sweeps.txt` in the test's target
-//! temp directory; on a mismatch the failure names the file to copy over
-//! the golden.
+//! Each one-engine run also writes what it saw to `sweeps.txt` in the
+//! test's target temp directory; on a mismatch the failure names the file
+//! to copy over the golden.
 
 use dlte::chaos::{self, ChaosDomain};
 use dlte::fuzz::{Mob, Net};
@@ -61,6 +63,20 @@ fn sweep<D: ChaosDomain>(seeds: Range<u64>, engine: bool, out: &mut String) {
     }
 }
 
+/// Panic at the first line where the run `got` differs from `want`, the
+/// golden's lines for the same seeds, naming what to do about it.
+fn assert_same_lines(run: &str, want: &[&str], got: &[&str], remedy: &str) {
+    if let Some(n) = (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i)) {
+        let end = "<end of file>";
+        panic!(
+            "{run} differs from goldens/{FILE} at its line {}:\n  golden {}\n  got    {}\n{remedy}",
+            n + 1,
+            want.get(n).copied().unwrap_or(end),
+            got.get(n).copied().unwrap_or(end),
+        );
+    }
+}
+
 #[test]
 fn sweep_verdicts_match_the_golden() {
     let mut got = String::new();
@@ -75,16 +91,29 @@ fn sweep_verdicts_match_the_golden() {
         .join("../../goldens")
         .join(FILE);
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    let (w, g): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
-    if let Some(n) = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i)) {
-        let end = "<end of file>";
-        panic!(
-            "goldens/{FILE} differs at line {}:\n  golden {}\n  got    {}\n\
-             If the change is intended, regenerate with:\n  cp {} goldens/{FILE}",
-            n + 1,
-            w.get(n).copied().unwrap_or(end),
-            g.get(n).copied().unwrap_or(end),
-            ran.display()
-        );
-    }
+    let want: Vec<&str> = want.lines().collect();
+    let adopt = format!(
+        "If the change is intended, regenerate with:\n  cp {} goldens/{FILE}",
+        ran.display()
+    );
+    let got: Vec<&str> = got.lines().collect();
+    assert_same_lines("the sweep", &want, &got, &adopt);
+
+    // The golden's lines are the one-engine truth; a two-shard run of the
+    // same seeds must dispatch the same events and reach the same verdicts.
+    dlte_sim::set_shards(2);
+    let mut two = String::new();
+    sweep::<Net>(0..200, true, &mut two);
+    sweep::<Mob>(0..300, true, &mut two);
+    let want: Vec<&str> = want[..200]
+        .iter()
+        .chain(&want[2000..2300])
+        .copied()
+        .collect();
+    assert_same_lines(
+        "the 2-shard sweep of net 0..200 and mob 0..300",
+        &want,
+        &two.lines().collect::<Vec<_>>(),
+        "The sharded engine diverges from one engine on these seeds.",
+    );
 }

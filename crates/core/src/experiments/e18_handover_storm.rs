@@ -17,7 +17,7 @@
 //! which `crates/bench/tests/goldens.rs` enforces against `goldens/e18.json`.
 
 use super::{f2c, Table};
-use crate::mobility::{cell_schedule, MovementModel};
+use crate::mobility::cell_schedule;
 use crate::scenario::{Arch, Deployed, DlteNetworkBuilder, KeyDistribution};
 use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
 use dlte_epc::ue::UeApp;
@@ -59,14 +59,12 @@ impl Default for Params {
 /// The population's movement plan for one dwell setting: seeded waypoint
 /// churn across every AP, confined to `[2, total_s - 3)`.
 fn storm_plan(p: &Params, dwell_s: f64) -> MovePlan {
-    MovementModel::Waypoint {
-        dwell_min_s: 0.7 * dwell_s,
-        dwell_max_s: 1.3 * dwell_s,
-    }
-    .plan(
+    MovePlan::commuter_mix(
         p.seed,
         p.n_aps * p.ues_per_ap,
         p.n_aps,
+        0.7 * dwell_s,
+        1.3 * dwell_s,
         2.0,
         p.total_s - 3.0,
     )

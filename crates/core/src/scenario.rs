@@ -589,7 +589,7 @@ mod tests {
     fn ue_attaches_to_dlte_ap_with_published_keys() {
         let mut net = DlteNetworkBuilder::new(1, 1).build();
         net.sim.run_until(SimTime::from_secs(3), 1_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert_eq!(ue.state, UeState::Attached);
         let addr = ue.addr.expect("assigned");
@@ -609,7 +609,7 @@ mod tests {
         let mut dlte = DlteNetworkBuilder::new(1, 1).build();
         dlte.sim.run_until(SimTime::from_secs(3), 1_000_000);
         let dlte_lat = {
-            let ue = dlte.sim.world().handler_as::<UeNode>(dlte.ues[0]).unwrap();
+            let ue = dlte.sim.handler_as::<UeNode>(dlte.ues[0]).unwrap();
             ue.stats.attach_latency_ms.values()[0]
         };
         let mut cent = dlte_epc::topology::CentralizedLteBuilder::new(1, 1).build();
@@ -637,7 +637,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert!(ue.stats.pongs > 30);
         let rtts = &ue.stats.rtt_ms;
@@ -662,7 +662,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.attaches_completed, 2, "full re-attach at AP1");
@@ -684,7 +684,7 @@ mod tests {
         builder.keys = KeyDistribution::RemoteDirectory;
         let mut net = builder.build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         for &ue_id in &net.ues {
             let ue = w.handler_as::<UeNode>(ue_id).unwrap();
             assert_eq!(ue.state, UeState::Attached);
@@ -807,7 +807,7 @@ mod tests {
     fn x2_agents_converge_across_aps() {
         let mut net = DlteNetworkBuilder::new(2, 1).build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         for &ap_id in &net.aps {
             let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
             assert_eq!(ap.x2.live_peers(), 1);
@@ -827,7 +827,7 @@ mod tests {
     fn x2_coordination_is_per_town() {
         let mut net = DlteNetworkBuilder::new(20, 1).build();
         net.sim.run_until(SimTime::from_secs(3), 5_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let mut town_share = [0.0f64; 3];
         for (k, &ap_id) in net.aps.iter().enumerate() {
             let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
@@ -870,7 +870,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.cell_moves, 2);
@@ -923,7 +923,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(6), 5_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.attaches_completed, 2);
@@ -981,7 +981,7 @@ mod tests {
             })
             .inject(&mut net.sim);
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         assert_eq!(ue.state, UeState::Attached, "attach not blackholed");
         assert_eq!(
@@ -1012,13 +1012,9 @@ mod tests {
     /// — serving exclusivity, session residency, bounded service gaps.
     #[test]
     fn moving_population_keeps_sessions_exclusive_and_bounded() {
-        use crate::mobility::{ap_index_for, MovementModel};
+        use crate::mobility::ap_index_for;
         use dlte_check::{Bounds, MobilityEvidence, MobilityUeView, SpanView};
-        let model = MovementModel::Waypoint {
-            dwell_min_s: 1.0,
-            dwell_max_s: 2.5,
-        };
-        let plan = model.plan(7, 6, 3, 2.0, 8.0);
+        let plan = dlte_faults::MovePlan::commuter_mix(7, 6, 3, 1.0, 2.5, 2.0, 8.0);
         let mut net = DlteNetworkBuilder::new(3, 2)
             .with_move_plan(plan)
             .with_ue_plan(|_| DltePlan {
@@ -1031,7 +1027,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(12), 20_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let mut ev = MobilityEvidence {
             max_dwell_s: 2.5,
             ..Default::default()
@@ -1081,7 +1077,7 @@ mod tests {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(8), 10_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         let app = ue.upper_as::<TransportUeApp>().expect("typed upper layer");
         assert_eq!(app.connects, 1, "migration avoided a new handshake");

@@ -34,6 +34,9 @@ use dlte_sim::stats::jain_index;
 use dlte_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Node id stamped on a cell's trace events: a `CellSim` is one cell.
+const TRACE_NODE: u64 = 0;
+
 /// Link direction of the simulated cell.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Direction {
@@ -203,8 +206,6 @@ pub struct CellSim {
     util_ttis: u64,
     /// Simulated time covered by all `run` calls so far.
     elapsed: SimDuration,
-    /// Node id stamped on trace events (0 unless the caller names the cell).
-    trace_node: u64,
     /// Dedicated RNG for trace-only sampled HARQ outcomes — never consumed
     /// when tracing is off, so results are identical either way.
     harq_trace_rng: SimRng,
@@ -288,15 +289,8 @@ impl CellSim {
             util_sum: 0.0,
             util_ttis: 0,
             elapsed: SimDuration::ZERO,
-            trace_node: 0,
             harq_trace_rng: rng.fork("harq-trace"),
         }
-    }
-
-    /// Name this cell in trace output (multi-cell experiments give each cell
-    /// a distinct id so grant events stay attributable).
-    pub fn set_trace_node(&mut self, id: u64) {
-        self.trace_node = id;
     }
 
     /// SINR for UE `i` at `now`: the fixed link terms less this TTI's
@@ -431,7 +425,7 @@ impl CellSim {
             let ue = alloc.ue as u64;
             dlte_obs::emit(
                 t_ns,
-                self.trace_node,
+                TRACE_NODE,
                 Event::SchedGrant {
                     ue,
                     rbs: alloc.n_prb,
@@ -441,7 +435,7 @@ impl CellSim {
             let o = self
                 .harq
                 .simulate_block(sinr, cqi, &mut self.harq_trace_rng);
-            dlte_obs::harq_block(t_ns, self.trace_node, ue, o.transmissions, o.delivered);
+            dlte_obs::harq_block(t_ns, TRACE_NODE, ue, o.transmissions, o.delivered);
         }
     }
 

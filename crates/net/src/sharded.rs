@@ -1,11 +1,19 @@
 //! Sharded network simulations: one topology, N engine shards.
 //!
 //! [`ShardedSim`] is the driver experiments hold instead of a bare
-//! [`Simulation<Network>`]. At `--shards 1` it is a thin wrapper; at
+//! [`Simulation<Network>`]. At `--shards 1` it wraps one simulation; at
 //! `--shards N` it owns N replicas of the topology, each with the handlers
 //! of only its own nodes installed, advancing in lockstep epochs under the
 //! conservative synchronization of [`dlte_sim::run_sharded`] (one worker
 //! thread per shard for each `run_until` call).
+//!
+//! Every method is written once, over the slice of shard simulations and
+//! the plan that maps nodes onto them; a one-shard run is a slice of one
+//! under [`ShardPlan::single`]. Reads are routed to the node's owner
+//! ([`ShardedSim::handler_as`]) or folded over every shard
+//! ([`ShardedSim::trace_merged`], [`ShardedSim::audit_merged`]), so the
+//! same caller holds at any shard count and no method panics because of
+//! it.
 //!
 //! ## Replication model
 //!
@@ -31,11 +39,10 @@
 //! golden experiments — is that traces, work counters and every statistic
 //! are **bit-identical at any shard count**.
 
-use crate::link::LinkId;
 use crate::network::{in_flight_packets, NetAudit, NetEvent, NetFault, Network};
 use crate::node::{NodeHandler, NodeId};
 use crate::trace::TraceStats;
-use dlte_sim::{run_sharded, EventQueue, RunOutcome, ShardPlan, SimDuration, SimTime, Simulation};
+use dlte_sim::{run_sharded, RunOutcome, ShardPlan, SimDuration, SimTime, Simulation};
 
 /// Compute the conservative plan for partitioning `net` into `n` shards by
 /// the given node→shard map: the lookahead is the minimum configured
@@ -67,6 +74,9 @@ pub enum ShardedSim {
         plan: ShardPlan,
     },
 }
+
+/// The plan of every one-shard run: shard 0 owns every node.
+static ONE_SHARD: ShardPlan = ShardPlan::single();
 
 impl ShardedSim {
     /// Wrap an already-built single-engine simulation.
@@ -113,24 +123,32 @@ impl ShardedSim {
         ShardedSim::Multi { shards, plan }
     }
 
+    /// The shard simulations (a slice of one for a single-shard run) and
+    /// the plan that maps nodes onto them.
+    fn parts(&self) -> (&[Simulation<Network>], &ShardPlan) {
+        match self {
+            ShardedSim::Single(sim) => (std::slice::from_ref(sim), &ONE_SHARD),
+            ShardedSim::Multi { shards, plan } => (shards, plan),
+        }
+    }
+
+    fn parts_mut(&mut self) -> (&mut [Simulation<Network>], &ShardPlan) {
+        match self {
+            ShardedSim::Single(sim) => (std::slice::from_mut(sim), &ONE_SHARD),
+            ShardedSim::Multi { shards, plan } => (shards, plan),
+        }
+    }
+
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        match self {
-            ShardedSim::Single(_) => 1,
-            ShardedSim::Multi { shards, .. } => shards.len(),
-        }
+        self.parts().0.len()
     }
 
     /// Advance to `horizon`. `max_events` is a per-shard dispatch budget,
     /// exactly as in [`Simulation::run_until`].
     pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        match self {
-            ShardedSim::Single(sim) => {
-                let plan = ShardPlan::single(sim.world().core.nodes.len());
-                run_sharded(std::slice::from_mut(sim), &plan, horizon, max_events)
-            }
-            ShardedSim::Multi { shards, plan } => run_sharded(shards, plan, horizon, max_events),
-        }
+        let (shards, plan) = self.parts_mut();
+        run_sharded(shards, plan, horizon, max_events)
     }
 
     /// Run until every shard drains (or a budget trips).
@@ -141,97 +159,34 @@ impl ShardedSim {
     /// Current time: the barrier front (max over shards — all shards have
     /// processed everything at or before the epochs already completed).
     pub fn now(&self) -> SimTime {
-        match self {
-            ShardedSim::Single(sim) => sim.now(),
-            ShardedSim::Multi { shards, .. } => shards
-                .iter()
-                .map(|s| s.now())
-                .max()
-                .unwrap_or(SimTime::ZERO),
-        }
+        self.parts()
+            .0
+            .iter()
+            .map(Simulation::now)
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// Total (non-control) events dispatched across shards — shard-count
     /// invariant because replicated `Start`/`Fault` events are excluded
     /// (see [`dlte_sim::World::is_control`]).
     pub fn events_dispatched(&self) -> u64 {
-        match self {
-            ShardedSim::Single(sim) => sim.events_dispatched(),
-            ShardedSim::Multi { shards, .. } => shards.iter().map(|s| s.events_dispatched()).sum(),
-        }
+        self.parts()
+            .0
+            .iter()
+            .map(Simulation::events_dispatched)
+            .sum()
     }
 
-    /// The world of a single-shard run. Panics on multi-shard runs — use
-    /// the routed accessors ([`ShardedSim::handler_as`],
-    /// [`ShardedSim::trace_merged`], [`ShardedSim::audit_merged`]) instead.
-    pub fn world(&self) -> &Network {
-        match self {
-            ShardedSim::Single(sim) => sim.world(),
-            ShardedSim::Multi { .. } => {
-                panic!("ShardedSim::world on a multi-shard run: use the routed accessors")
-            }
-        }
-    }
-
-    /// Mutable world access (single-shard runs only, see [`ShardedSim::world`]).
-    pub fn world_mut(&mut self) -> &mut Network {
-        match self {
-            ShardedSim::Single(sim) => sim.world_mut(),
-            ShardedSim::Multi { .. } => {
-                panic!("ShardedSim::world_mut on a multi-shard run: use the routed accessors")
-            }
-        }
-    }
-
-    /// The event queue of a single-shard run (panics on multi-shard — there
-    /// is one queue per shard, and external schedules must pick a side).
-    pub fn queue(&self) -> &EventQueue<NetEvent> {
-        match self {
-            ShardedSim::Single(sim) => sim.queue(),
-            ShardedSim::Multi { .. } => {
-                panic!("ShardedSim::queue on a multi-shard run")
-            }
-        }
-    }
-
-    /// Mutable queue access (single-shard runs only).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<NetEvent> {
-        match self {
-            ShardedSim::Single(sim) => sim.queue_mut(),
-            ShardedSim::Multi { .. } => {
-                panic!("ShardedSim::queue_mut on a multi-shard run")
-            }
-        }
-    }
-
-    /// The replica that owns `node` (any replica for single-shard runs).
+    /// The replica that owns `node`.
     fn owner(&self, node: NodeId) -> &Simulation<Network> {
-        match self {
-            ShardedSim::Single(sim) => sim,
-            ShardedSim::Multi { shards, plan } => &shards[plan.shard_of(node)],
-        }
-    }
-
-    fn owner_mut(&mut self, node: NodeId) -> &mut Simulation<Network> {
-        match self {
-            ShardedSim::Single(sim) => sim,
-            ShardedSim::Multi { shards, plan } => &mut shards[plan.shard_of(node)],
-        }
+        let (shards, plan) = self.parts();
+        &shards[plan.shard_of(node)]
     }
 
     /// Typed handler access, routed to the shard that owns `node`.
     pub fn handler_as<T: NodeHandler>(&self, node: NodeId) -> Option<&T> {
         self.owner(node).world().handler_as::<T>(node)
-    }
-
-    /// Typed mutable handler access, routed to the owning shard.
-    pub fn handler_as_mut<T: NodeHandler>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.owner_mut(node).world_mut().handler_as_mut::<T>(node)
-    }
-
-    /// Install a handler on the owning shard.
-    pub fn set_handler(&mut self, node: NodeId, handler: Box<dyn NodeHandler>) {
-        self.owner_mut(node).world_mut().set_handler(node, handler);
     }
 
     /// Whether `node` is currently crashed (down flags are replicated, so
@@ -240,59 +195,31 @@ impl ShardedSim {
         self.owner(node).world().node_is_down(node)
     }
 
-    /// Whether `node` is currently paused.
-    pub fn node_is_paused(&self, node: NodeId) -> bool {
-        self.owner(node).world().node_is_paused(node)
-    }
-
     /// Addresses bound to `node` (node info is replicated; the owning
     /// shard's copy is authoritative).
     pub fn node_addrs(&self, node: NodeId) -> Vec<crate::addr::Addr> {
         self.owner(node).world().core.nodes[node].addrs().to_vec()
     }
 
-    /// Whether a link is administratively up (link state is replicated;
-    /// shard 0's copy is as good as any).
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        match self {
-            ShardedSim::Single(sim) => sim.world().core.links[link].up,
-            ShardedSim::Multi { shards, .. } => shards[0].world().core.links[link].up,
-        }
-    }
-
     /// Schedule a fault into **every** shard at `at`, keeping replicated
-    /// link/route/liveness state in sync. This is the only correct way to
-    /// inject faults into a sharded run; for single-shard runs it is
-    /// equivalent to scheduling one `NetEvent::Fault`.
+    /// link/route/liveness state in sync. This is the only way to inject
+    /// faults into a run, sharded or not.
     pub fn schedule_fault_broadcast(&mut self, at: SimTime, fault: NetFault) {
-        match self {
-            ShardedSim::Single(sim) => {
-                sim.queue_mut().schedule_at(at, NetEvent::Fault(fault));
-            }
-            ShardedSim::Multi { shards, .. } => {
-                for sim in shards.iter_mut() {
-                    sim.queue_mut()
-                        .schedule_at(at, NetEvent::Fault(fault.clone()));
-                }
-            }
+        for sim in self.parts_mut().0 {
+            sim.queue_mut()
+                .schedule_at(at, NetEvent::Fault(fault.clone()));
         }
     }
 
-    /// The merged end-to-end trace. Single-shard: a clone of the world's
-    /// trace. Multi-shard: the per-shard traces folded in shard order (flow
-    /// entries are disjoint across shards, so the fold is exact — see
-    /// [`TraceStats::absorb`]).
+    /// The merged end-to-end trace: the shards' traces folded in shard
+    /// order (flow entries are disjoint across shards, so the fold is
+    /// exact — see [`TraceStats::absorb`]).
     pub fn trace_merged(&self) -> TraceStats {
-        match self {
-            ShardedSim::Single(sim) => sim.world().trace().clone(),
-            ShardedSim::Multi { shards, .. } => {
-                let mut merged = TraceStats::new();
-                for sim in shards {
-                    merged.absorb(sim.world().trace());
-                }
-                merged
-            }
+        let mut merged = TraceStats::new();
+        for sim in self.parts().0 {
+            merged.absorb(sim.world().trace());
         }
+        merged
     }
 
     /// The merged conservation-ledger audit: per-shard fabric counters and
@@ -300,32 +227,16 @@ impl ShardedSim {
     /// The merged ledger closes exactly like a single-shard one (each packet
     /// fate is counted by exactly one shard).
     pub fn audit_merged(&self) -> NetAudit {
-        match self {
-            ShardedSim::Single(sim) => sim.world().audit(in_flight_packets(sim.queue())),
-            ShardedSim::Multi { shards, .. } => {
-                let mut merged = NetAudit::default();
-                for sim in shards {
-                    merged.absorb(&sim.world().audit(in_flight_packets(sim.queue())));
-                }
-                merged
-            }
+        let mut merged = NetAudit::default();
+        for sim in self.parts().0 {
+            merged.absorb(&sim.world().audit(in_flight_packets(sim.queue())));
         }
+        merged
     }
 
     /// Per-shard immutable access (diagnostics, tests).
     pub fn shards(&self) -> Vec<&Simulation<Network>> {
-        match self {
-            ShardedSim::Single(sim) => vec![sim],
-            ShardedSim::Multi { shards, .. } => shards.iter().collect(),
-        }
-    }
-
-    /// The plan, when sharded.
-    pub fn plan(&self) -> Option<&ShardPlan> {
-        match self {
-            ShardedSim::Single(_) => None,
-            ShardedSim::Multi { plan, .. } => Some(plan),
-        }
+        self.parts().0.iter().collect()
     }
 }
 
@@ -593,6 +504,39 @@ mod tests {
         assert!(drops1 > 0, "outage actually dropped packets");
         assert_eq!(drops1, drops2);
         assert_eq!(audit1, audit2);
+    }
+
+    /// The shard workers hand their `report` tally and metrics back to
+    /// the caller: a `report::scope` around a 2-shard run counts the
+    /// events and the drops a 1-shard run does. (`sim_time_ns` is summed
+    /// per shard, so it is not compared.)
+    #[test]
+    fn shard_workers_hand_tally_and_metrics_to_the_caller() {
+        let run = |n: usize| {
+            let _ = dlte_obs::metrics::take();
+            let ((), report) = dlte_sim::report::scope(|| {
+                let mut sim = ShardedSim::build(n, two_cluster_sim, cluster_map);
+                assert_eq!(sim.num_shards(), n);
+                // Cut the backhaul (link 6) for a while so pings drop.
+                sim.schedule_fault_broadcast(
+                    SimTime::from_millis(500),
+                    NetFault::LinkUp { link: 6, up: false },
+                );
+                sim.schedule_fault_broadcast(
+                    SimTime::from_millis(900),
+                    NetFault::LinkUp { link: 6, up: true },
+                );
+                sim.run_until(SimTime::from_secs(2), 10_000_000);
+            });
+            let drops = dlte_obs::metrics::take().prefixed("drops_");
+            (report.events_dispatched, drops)
+        };
+        let (e1, d1) = run(1);
+        let (e2, d2) = run(2);
+        assert!(e1 > 0, "events counted");
+        assert!(d1.get("link_down").is_some_and(|&d| d > 0), "drops {d1:?}");
+        assert_eq!(e1, e2, "events_dispatched");
+        assert_eq!(d1, d2, "drops_* counters");
     }
 
     /// Handlers that crash and restart across the epoch barrier behave

@@ -1,7 +1,7 @@
 //! # dlte-obs — cross-layer observability
 //!
 //! The shared observability substrate every `dlte-*` crate instruments
-//! into. Three pieces:
+//! into. Two pieces:
 //!
 //! * **Structured event tracing** ([`event`], [`recorder`]): typed,
 //!   serde-able [`Record`]s (NAS procedure start/end, EPS-AKA steps, HARQ
@@ -15,10 +15,6 @@
 //!   always on (they feed the deterministic `drops_*` breakdown in
 //!   `RunReport`); snapshots merge commutatively so parallel sweeps
 //!   aggregate independent of worker count.
-//! * **Span timers** ([`span`]): [`pair_spans`] turns start/end event
-//!   pairs back into latency spans (attach = auth + session + bearer),
-//!   handling nesting, unclosed spans, and spans cut short by a node
-//!   crash.
 //!
 //! ## Determinism
 //!
@@ -35,11 +31,9 @@
 pub mod event;
 pub mod metrics;
 pub mod recorder;
-pub mod span;
 
 pub use event::{AkaStep, DropReason, Event, NasProc, Record};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use recorder::{
     absorb_raw, drain_raw, emit, harq_block, set_tracing, take_records, tracing_enabled, RawRecord,
 };
-pub use span::{pair_spans, Span, SpanOutcome};

@@ -1,21 +1,34 @@
-//! Deterministic fan-out across threads.
+//! Deterministic fan-out across threads, and the hand-off every worker
+//! thread uses to report back.
 //!
 //! [`par_map`] runs one closure per input on a small pool of scoped threads
 //! and returns the results **in input order**, so a parallel sweep is
 //! bit-identical to its sequential counterpart as long as each closure is a
 //! pure function of its input (seeded experiments are — each sweep point
-//! forks its own RNG from the point's seed). Worker threads' instrumentation
-//! tallies are folded back into the calling thread, so a
-//! [`report::scope`] around a parallel sweep still
-//! counts every event.
+//! forks its own RNG from the point's seed).
+//!
+//! Instrumentation is thread-local: the [`report`] tally, the metrics
+//! registry and the trace buffer. A worker thread therefore starts through
+//! `spawn`, which mirrors the caller's tracing switch, wraps each unit of
+//! work in `Handoff::capture`, and the caller folds every `Handoff` back
+//! in with `Handoff::fold`. `par_map` hands off once per input and
+//! folds in input order; the shard workers of
+//! [`run_sharded`](crate::run_sharded) hand off once per epoch and the
+//! coordinator folds at each barrier. Either way a [`report::scope`]
+//! around the call counts every event its workers dispatched, and the
+//! caller's trace stream does not depend on the thread count.
 //!
 //! The worker count comes from [`set_jobs`] (the runner's `--jobs N` flag);
 //! `0`/unset means one worker per available CPU.
 
-use crate::report;
+use crate::report::{self, Tally};
+use dlte_obs::metrics::MetricsSnapshot;
+use dlte_obs::RawRecord;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Instant;
 
 /// Global worker-count override. 0 = auto (one per available CPU).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -36,6 +49,51 @@ pub fn jobs() -> usize {
     }
 }
 
+/// What a unit of work on a worker thread added to that thread's
+/// instrumentation, carried back to the thread that spawned it.
+pub(crate) struct Handoff {
+    /// The `report` tally delta.
+    pub(crate) tally: Tally,
+    metrics: MetricsSnapshot,
+    records: Vec<RawRecord>,
+}
+
+impl Handoff {
+    /// Run `f` on the worker thread and take what it added to the tally,
+    /// the metrics registry and the trace buffer.
+    pub(crate) fn capture<T>(f: impl FnOnce() -> T) -> (T, Handoff) {
+        let before = report::snapshot();
+        let value = f();
+        let handoff = Handoff {
+            tally: report::snapshot().since(before),
+            metrics: dlte_obs::metrics::take(),
+            records: dlte_obs::drain_raw(),
+        };
+        (value, handoff)
+    }
+
+    /// On the calling thread: add the tally and the metrics, and return
+    /// the trace records for the caller to absorb in its canonical order.
+    pub(crate) fn fold(self) -> Vec<RawRecord> {
+        report::merge(self.tally);
+        dlte_obs::metrics::absorb(&self.metrics);
+        self.records
+    }
+}
+
+/// Spawn a worker on `scope` that traces exactly when the calling thread
+/// does (the switch is thread-local, and a new thread starts with it off).
+pub(crate) fn spawn<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedJoinHandle<'scope, T> {
+    let tracing = dlte_obs::tracing_enabled();
+    scope.spawn(move || {
+        dlte_obs::set_tracing(tracing);
+        f()
+    })
+}
+
 /// Apply `f` to every input, possibly in parallel, returning results in input
 /// order. With one worker (or one input) this degenerates to a plain
 /// sequential map on the calling thread — same results, same tallies.
@@ -53,74 +111,42 @@ where
         return inputs.into_iter().map(f).collect();
     }
 
-    // Worker threads start with tracing off (it is thread-local); mirror the
-    // caller's state so instrumented closures keep emitting. Each item's raw
-    // records are captured on the worker and re-absorbed below in input
-    // order, making the caller's event stream independent of `workers`.
-    let tracing = dlte_obs::tracing_enabled();
-
     let work: Mutex<VecDeque<(usize, I)>> = Mutex::new(inputs.into_iter().enumerate().collect());
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut records: Vec<Vec<dlte_obs::RawRecord>> = (0..n).map(|_| Vec::new()).collect();
-    let mut tally_deltas = Vec::with_capacity(workers);
-    let mut metrics_deltas = Vec::with_capacity(workers);
+    let mut slots: Vec<Option<(T, Handoff)>> = (0..n).map(|_| None).collect();
+    let mut worker_ms = Vec::with_capacity(workers);
     let mut panic_payload = None;
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|| {
-                    let before = report::snapshot();
-                    let start = std::time::Instant::now();
-                    if tracing {
-                        dlte_obs::set_tracing(true);
-                    }
+                spawn(s, || {
+                    let start = Instant::now();
                     let mut produced = Vec::new();
                     loop {
                         // Lock only to claim the next item; run `f` unlocked.
                         let claimed = work.lock().unwrap().pop_front();
-                        match claimed {
-                            Some((idx, input)) => {
-                                let value = f(input);
-                                let recs = if tracing {
-                                    dlte_obs::drain_raw()
-                                } else {
-                                    Vec::new()
-                                };
-                                produced.push((idx, value, recs));
-                            }
-                            None => break,
-                        }
+                        let Some((idx, input)) = claimed else {
+                            break;
+                        };
+                        produced.push((idx, Handoff::capture(|| f(input))));
                     }
-                    dlte_obs::metrics::observe(
-                        "par_worker_ms",
-                        start.elapsed().as_secs_f64() * 1e3,
-                    );
-                    (
-                        produced,
-                        report::snapshot().since(before),
-                        dlte_obs::metrics::take(),
-                    )
+                    (produced, start.elapsed().as_secs_f64() * 1e3)
                 })
             })
             .collect();
 
         for handle in handles {
             match handle.join() {
-                Ok((produced, delta, metrics)) => {
-                    for (idx, value, recs) in produced {
-                        slots[idx] = Some(value);
-                        records[idx] = recs;
+                Ok((produced, ms)) => {
+                    for (idx, done) in produced {
+                        slots[idx] = Some(done);
                     }
-                    tally_deltas.push(delta);
-                    metrics_deltas.push(metrics);
+                    worker_ms.push(ms);
                 }
                 Err(payload) => {
                     // Keep joining the rest so the scope exits cleanly, then
                     // re-raise the first panic.
-                    if panic_payload.is_none() {
-                        panic_payload = Some(payload);
-                    }
+                    panic_payload.get_or_insert(payload);
                 }
             }
         }
@@ -129,22 +155,16 @@ where
     if let Some(payload) = panic_payload {
         std::panic::resume_unwind(payload);
     }
-
-    for delta in tally_deltas {
-        report::merge(delta);
+    for ms in worker_ms {
+        dlte_obs::metrics::observe("par_worker_ms", ms);
     }
-    for metrics in &metrics_deltas {
-        dlte_obs::metrics::absorb(metrics);
-    }
-    if tracing {
-        for recs in records {
-            dlte_obs::absorb_raw(recs);
-        }
-    }
-
     slots
         .into_iter()
-        .map(|slot| slot.expect("every input index produced a result"))
+        .map(|slot| {
+            let (value, handoff) = slot.expect("every input index produced a result");
+            dlte_obs::absorb_raw(handoff.fold());
+            value
+        })
         .collect()
 }
 

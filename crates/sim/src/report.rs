@@ -8,9 +8,10 @@
 //! to each result table.
 //!
 //! The tally is thread-local so concurrently running experiments don't mix
-//! their counts; [`crate::par::par_map`] folds its worker threads' deltas
-//! back into the calling thread, so a `scope` around a parallel sweep still
-//! sees every event the sweep dispatched.
+//! their counts; the worker threads of [`crate::par::par_map`] and of
+//! [`crate::run_sharded`] hand their deltas back to the calling thread
+//! (see [`crate::par`]), so a `scope` around a parallel sweep or a sharded
+//! run still sees every event dispatched under it.
 
 use dlte_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
@@ -25,7 +26,8 @@ pub struct RunReport {
     /// Wall-clock time spent inside the scope, milliseconds.
     pub wall_ms: f64,
     /// Simulation events dispatched inside the scope (summed across all
-    /// `run_until` calls, including those on `par_map` worker threads).
+    /// `run_until` calls, including those on `par_map` and shard worker
+    /// threads).
     pub events_dispatched: u64,
     /// Simulated time covered, nanoseconds (summed across runs; a sweep over
     /// ten 60 s simulations reports 600 s).
@@ -150,7 +152,7 @@ pub(crate) fn snapshot() -> Tally {
 }
 
 /// Run `f`, measuring wall-clock time and the simulation work it performed on
-/// this thread (plus any `par_map` workers it spawned). Returns the closure's
+/// this thread (plus any `par_map` or shard workers it spawned). Returns the closure's
 /// output alongside the [`RunReport`].
 pub fn scope<T>(f: impl FnOnce() -> T) -> (T, RunReport) {
     let before = snapshot();

@@ -37,26 +37,31 @@
 //! and the messages routed to it at the last barrier; the worker schedules
 //! those, runs its shard to the epoch end and replies with its outcome,
 //! outbound messages, instrumentation and the time of its next pending
-//! event. Messages routed at the final barrier are scheduled into their
-//! destination queues before the call returns, so a stepped run (fault
-//! injection between segments) sees every in-flight packet in some queue.
-//! A worker that panics drops its reply channel; the coordinator then
-//! panics too, which closes every order channel, so the call unwinds
-//! instead of hanging.
+//! event. Workers start and report through the same thread hand-off as
+//! [`par_map`](crate::par::par_map) (see [`crate::par`]): a worker traces
+//! exactly when the caller does, and each epoch is one hand-off. Messages
+//! routed at the final barrier are scheduled into their destination queues
+//! before the call returns, so a stepped run (fault injection between
+//! segments) sees every in-flight packet in some queue. A worker that
+//! panics drops its reply channel; the coordinator then panics too, which
+//! closes every order channel, so the call unwinds instead of hanging.
 //!
 //! ## Merge rules
 //!
-//! At each barrier the coordinator folds the shards' instrumentation back
-//! into the calling thread exactly like `par_map` does for sweeps: report
-//! tallies are summed, metrics snapshots absorbed, and raw trace records from
-//! all shards are concatenated and stably sorted by `(t_ns, node)` before
-//! being absorbed. Within one `(t_ns, node)` pair all records come from the
-//! single shard owning that node (already in canonical order), and records
-//! never straddle an epoch boundary with equal timestamps, so the merged
-//! stream is a pure function of the simulated system, not of the shard count.
+//! At each barrier the coordinator folds the shards' hand-offs back into
+//! the calling thread in shard order: report tallies are summed (a shard's
+//! events also count against its budget) and metrics snapshots absorbed,
+//! while raw trace records from all shards are concatenated and stably
+//! sorted by `(t_ns, node)` before being absorbed. Within one
+//! `(t_ns, node)` pair all records come from the single shard owning that
+//! node (already in canonical order), and records never straddle an epoch
+//! boundary with equal timestamps, so the merged stream is a pure function
+//! of the simulated system, not of the shard count. A one-shard call runs
+//! on the calling thread with no barrier, under the allocation-free
+//! [`ShardPlan::single`], and sorts its trace segment the same way.
 
 use crate::engine::{RunOutcome, Simulation, World};
-use crate::report::{self, Tally};
+use crate::par::{spawn, Handoff};
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -92,11 +97,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A degenerate single-shard plan (everything in shard 0).
-    pub fn single(num_nodes: usize) -> Self {
+    /// The plan of an unsharded run: one shard, which owns every node of
+    /// any topology. It holds no node map, so building it allocates
+    /// nothing.
+    pub const fn single() -> Self {
         ShardPlan {
             n: 1,
-            shard_of: vec![0; num_nodes],
+            shard_of: Vec::new(),
             lookahead: SimDuration::MAX,
         }
     }
@@ -126,7 +133,11 @@ impl ShardPlan {
 
     /// The shard owning `node`.
     pub fn shard_of(&self, node: usize) -> usize {
-        self.shard_of[node]
+        if self.n == 1 {
+            0
+        } else {
+            self.shard_of[node]
+        }
     }
 
     /// The conservative lookahead (epoch width).
@@ -134,7 +145,7 @@ impl ShardPlan {
         self.lookahead
     }
 
-    /// Number of nodes covered by the plan.
+    /// Number of nodes the plan maps (0 for [`ShardPlan::single`]).
     pub fn num_nodes(&self) -> usize {
         self.shard_of.len()
     }
@@ -178,9 +189,8 @@ struct Orders<E> {
 struct Reply<E> {
     outcome: RunOutcome,
     outbound: Vec<OutMsg<E>>,
-    records: Vec<dlte_obs::RawRecord>,
-    tally: Tally,
-    metrics: dlte_obs::metrics::MetricsSnapshot,
+    /// The epoch's tally, metrics and trace records.
+    handoff: Handoff,
     /// The time of the shard's earliest pending event.
     next: Option<SimTime>,
 }
@@ -198,32 +208,23 @@ fn deliver<W: World>(sim: &mut Simulation<W>, msgs: Vec<OutMsg<W::Event>>) {
 /// until the coordinator closes the order channel.
 fn work<W: ShardWorld>(
     sim: &mut Simulation<W>,
-    tracing: bool,
     orders: Receiver<Orders<W::Event>>,
     replies: Sender<Reply<W::Event>>,
 ) {
-    dlte_obs::set_tracing(tracing);
     for Orders {
         end,
         budget,
         inbound,
     } in orders
     {
-        let before = report::snapshot();
-        deliver(sim, inbound);
-        let outcome = sim.run_until(end, budget);
-        let outbound = sim.world_mut().drain_outbound();
-        let records = if tracing {
-            dlte_obs::drain_raw()
-        } else {
-            Vec::new()
-        };
+        let (outcome, handoff) = Handoff::capture(|| {
+            deliver(sim, inbound);
+            sim.run_until(end, budget)
+        });
         let reply = Reply {
             outcome,
-            outbound,
-            records,
-            tally: report::snapshot().since(before),
-            metrics: dlte_obs::metrics::take(),
+            outbound: sim.world_mut().drain_outbound(),
+            handoff,
             next: sim.queue_mut().peek_time(),
         };
         if replies.send(reply).is_err() {
@@ -257,13 +258,12 @@ where
     W::Event: Send,
 {
     assert_eq!(shards.len(), plan.n(), "one simulation per planned shard");
-    let tracing = dlte_obs::tracing_enabled();
 
     if let [only] = shards {
         // Single shard: no barrier needed, but the trace segment still gets
         // the canonical (t_ns, node) merge order so captures are
         // bit-identical to the N-shard run.
-        if !tracing {
+        if !dlte_obs::tracing_enabled() {
             return only.run_until(horizon, max_events);
         }
         let earlier = dlte_obs::drain_raw();
@@ -303,7 +303,7 @@ where
             .map(|sim| {
                 let (order_tx, order_rx) = channel();
                 let (reply_tx, reply_rx) = channel();
-                scope.spawn(move || work(sim, tracing, order_rx, reply_tx));
+                spawn(scope, move || work(sim, order_rx, reply_tx));
                 (order_tx, reply_rx)
             })
             .collect();
@@ -331,10 +331,8 @@ where
                     RunOutcome::HorizonReached => all_drained = false,
                     RunOutcome::BudgetExhausted => exhausted = true,
                 }
-                budgets[shard_idx] = budgets[shard_idx].saturating_sub(reply.tally.events);
-                report::merge(reply.tally);
-                dlte_obs::metrics::absorb(&reply.metrics);
-                epoch_records.extend(reply.records);
+                budgets[shard_idx] = budgets[shard_idx].saturating_sub(reply.handoff.tally.events);
+                epoch_records.extend(reply.handoff.fold());
                 let sent = reply.outbound.iter().map(|msg| msg.at);
                 next = next.into_iter().chain(reply.next).chain(sent).min();
                 exchanged += reply.outbound.len();
@@ -349,15 +347,12 @@ where
                 }
             }
 
-            if tracing {
-                // Stable sort: ties within one (t_ns, node) keep their
-                // shard's canonical emission order; a (t_ns, node) pair
-                // never spans shards (a node lives in exactly one shard) nor
-                // epochs (epochs partition time into disjoint half-open
-                // intervals).
-                epoch_records.sort_by_key(|&(t_ns, node, _)| (t_ns, node));
-                dlte_obs::absorb_raw(epoch_records);
-            }
+            // Stable sort: ties within one (t_ns, node) keep their shard's
+            // canonical emission order; a (t_ns, node) pair never spans
+            // shards (a node lives in exactly one shard) nor epochs (epochs
+            // partition time into disjoint half-open intervals).
+            epoch_records.sort_by_key(|&(t_ns, node, _)| (t_ns, node));
+            dlte_obs::absorb_raw(epoch_records);
 
             if exhausted {
                 return RunOutcome::BudgetExhausted;

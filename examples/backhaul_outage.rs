@@ -31,7 +31,7 @@ fn main() {
 
     // The fault: AP0's backhaul dies at t=5 s; the regional IGP reconverges
     // the downlink toward AP0's pool two seconds later.
-    let ap0_addr = net.sim.world().core.nodes[net.aps[0]].addrs()[0];
+    let ap0_addr = net.sim.node_addrs(net.aps[0])[0];
     let fail = SimTime::from_secs(5);
     let reconverge = SimTime::from_secs(7);
     net.sim.schedule_fault_broadcast(
@@ -56,7 +56,7 @@ fn main() {
     let mut last_pongs = 0;
     for second in 1..=15u64 {
         net.sim.run_until(SimTime::from_secs(second), 100_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         let ap0 = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
         let rate = ue.stats.pongs - last_pongs;
@@ -68,7 +68,7 @@ fn main() {
         };
         println!("  t={second:>2}s  pongs this second: {rate:>2}/10   [{status}]");
     }
-    let w = net.sim.world();
+    let w = &net.sim;
     let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
     let ap0 = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
     let fo = ap0.failover.as_ref().unwrap();

@@ -28,7 +28,7 @@ fn main() {
     println!("running 10 simulated seconds…\n");
     net.sim.run_until(SimTime::from_secs(10), 10_000_000);
 
-    let world = net.sim.world();
+    let world = &net.sim;
     let ue = world.handler_as::<UeNode>(net.ues[0]).expect("ue");
     let ap = world.handler_as::<DlteApNode>(net.aps[0]).expect("ap");
 

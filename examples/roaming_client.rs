@@ -40,7 +40,7 @@ fn main() {
     println!("client uploads continuously while hopping APs every 4 s…\n");
     net.sim.run_until(SimTime::from_secs(16), 100_000_000);
 
-    let world = net.sim.world();
+    let world = &net.sim;
     let ue = world.handler_as::<UeNode>(net.ues[0]).unwrap();
     let app = ue.upper_as::<TransportUeApp>().unwrap();
 

@@ -74,7 +74,7 @@ fn main() {
         })
         .build();
     net.sim.run_until(SimTime::from_secs(15), 50_000_000);
-    let world = net.sim.world();
+    let world = &net.sim;
     let mut attached = 0;
     let mut attach_ms = dlte_sim::stats::Samples::new();
     let mut rtt_ms = dlte_sim::stats::Samples::new();

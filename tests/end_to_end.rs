@@ -35,7 +35,7 @@ fn full_stack_story() {
         .build();
 
     net.sim.run_until(SimTime::from_secs(12), 100_000_000);
-    let w = net.sim.world();
+    let w = &net.sim;
 
     // Every UE attached and exchanged traffic.
     for (i, &ue_id) in net.ues.iter().enumerate() {
@@ -112,7 +112,7 @@ fn transport_survives_roaming_legacy_does_not() {
             })
             .build();
         net.sim.run_until(SimTime::from_secs(16), 100_000_000);
-        let w = net.sim.world();
+        let w = &net.sim;
         let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
         let app = ue.upper_as::<TransportUeApp>().unwrap();
         (
@@ -156,7 +156,7 @@ fn determinism_end_to_end() {
         let pongs: Vec<u64> = net
             .ues
             .iter()
-            .map(|&u| net.sim.world().handler_as::<UeNode>(u).unwrap().stats.pongs)
+            .map(|&u| net.sim.handler_as::<UeNode>(u).unwrap().stats.pongs)
             .collect();
         (events, pongs)
     };

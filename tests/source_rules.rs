@@ -26,9 +26,6 @@ const RANDOM_STATE_OK: [&str; 1] = ["net/src/fxhash.rs"];
 const CLOCK_OK: [&str; 2] = ["sim/src/report.rs", "sim/src/par.rs"];
 const RANDOM_STATE_NAMES: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
 const ZONE_COUNTERS: [&str; 2] = ["\"zone_down\"", "\"zone_resync\""];
-/// Module files that may stay unreached: `obs::span` pairs trace records
-/// into procedure spans for the planned `dlte-run explain` report.
-const UNREACHED_OK: [&str; 1] = ["obs/src/span.rs"];
 
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -305,9 +302,6 @@ fn unreached(files: &[(String, String)], libs: &BTreeMap<String, String>) -> Vec
         let Some((dir, module)) = module_of(rel) else {
             continue;
         };
-        if UNREACHED_OK.contains(&rel.trim_start_matches("crates/")) {
-            continue;
-        }
         let key = (dir.to_owned(), module.to_owned());
         let exported = exports.get(&key);
         let reached = seen.iter().enumerate().any(|(j, (refs, names))| {
@@ -445,9 +439,6 @@ fn reach_rule_flags_an_unreached_module() {
         ));
         assert!(unreached(&with, &libs).is_empty(), "{reach:?}");
     }
-    // The allowlisted module may stay unreached.
-    let span = [file("crates/obs/src/span.rs", "pub fn pair() {}\n")];
-    assert!(unreached(&span, &libs).is_empty());
 }
 
 #[test]
