@@ -6,8 +6,8 @@
 //! doesn't contain it at all.
 
 use super::{f2c, Table};
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -34,25 +34,16 @@ impl Default for Params {
 fn rtt(arch: Arch, epc_delay_ms: u64, seed: u64) -> f64 {
     let plan = |_| UePlan {
         app: UeApp::Pinger {
-            dst: DlteNetworkBuilder::ott_addr(),
+            dst: Deployment::ott_addr(),
             interval: SimDuration::from_millis(100),
             probe_bytes: 100,
         },
         ..Default::default()
     };
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(1, 1);
-            b.epc_delay = SimDuration::from_millis(epc_delay_ms);
-            b.seed = seed;
-            b.with_ue_plan(plan).build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(1, 1);
-            b.seed = seed;
-            b.with_ue_plan(plan).build().into()
-        }
-    };
+    let mut d = Deployment::new(arch, 1, 1).with_ue_plan(plan);
+    d.epc.epc_delay = SimDuration::from_millis(epc_delay_ms);
+    d.seed = seed;
+    let mut net = d.build();
     net.sim.run_until(SimTime::from_secs(6), 10_000_000);
     net.ue(0).stats.rtt_ms.median()
 }

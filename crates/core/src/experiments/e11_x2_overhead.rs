@@ -7,8 +7,7 @@
 //! budget).
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
-use crate::DlteApNode;
+use crate::scenario::{Arch, Deployment, DltePlan};
 use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use dlte_x2::bandwidth::{plan_for_budget, x2_bps};
@@ -34,21 +33,19 @@ impl Default for Params {
 }
 
 fn measured_x2_bps(n_aps: usize, p: &Params) -> (f64, f64) {
-    let mut b = DlteNetworkBuilder::new(n_aps, 1);
-    b.seed = p.seed;
-    let mut net = b
-        .with_ue_plan(|_| DltePlan {
-            app: UeApp::UplinkCbr {
-                dst: DlteNetworkBuilder::ott_addr(),
-                rate_bps: 1e6,
-                packet_bytes: 1200,
-            },
-            ..Default::default()
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, n_aps, 1).with_ue_plan(|_| DltePlan {
+        app: UeApp::UplinkCbr {
+            dst: Deployment::ott_addr(),
+            rate_bps: 1e6,
+            packet_bytes: 1200,
+        },
+        ..Default::default()
+    });
+    d.seed = p.seed;
+    let mut net = d.build();
     net.sim
         .run_until(SimTime::from_secs(p.seconds), 100_000_000);
-    let ap = net.sim.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+    let ap = net.aps().next().unwrap();
     let x2_bps_measured = ap.x2.stats.bytes_sent as f64 * 8.0 / p.seconds as f64;
     // User traffic through the same AP for scale.
     let user_bps = ap.core.stats.ul_user_packets as f64 * 1200.0 * 8.0 / p.seconds as f64;

@@ -12,9 +12,9 @@
 //! * modern (migration + 0-RTT + FEC).
 
 use super::{f2c, mbps, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployment, DltePlan};
 use crate::transport_app::TransportUeApp;
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_sim::SimTime;
 use dlte_transport::connection::TransportConfig;
 use serde::{Deserialize, Serialize};
@@ -97,31 +97,31 @@ struct Outcome {
 fn run_arm(cfg: TransportConfig, p: &Params) -> Outcome {
     let dwell = p.dwell_s;
     let total = p.total_s;
-    let mut b = DlteNetworkBuilder::new(2, 1);
-    b.wire_all_cells = true;
-    b.seed = p.seed;
-    b.transport_cfg = cfg;
-    let mut net = b
-        .with_ue_plan(move |i| DltePlan {
-            app: if i == 0 {
-                UeApp::Upper(Box::new(TransportUeApp::new(
-                    cfg,
-                    DlteNetworkBuilder::ott_transport_addr(),
-                )))
-            } else {
-                UeApp::None
-            },
-            schedule: if i == 0 {
-                schedule(dwell, total)
-            } else {
-                vec![]
-            },
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, 2, 1).with_ue_plan(move |i| DltePlan {
+        app: if i == 0 {
+            UeApp::Upper(Box::new(TransportUeApp::new(
+                cfg,
+                Deployment::ott_transport_addr(),
+            )))
+        } else {
+            UeApp::None
+        },
+        schedule: if i == 0 {
+            schedule(dwell, total)
+        } else {
+            vec![]
+        },
+    });
+    d.wire_all_cells = true;
+    d.seed = p.seed;
+    d.transport_cfg = cfg;
+    let mut net = d.build();
     net.sim
         .run_until(SimTime::from_secs_f64(p.total_s), 100_000_000);
-    let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let app = ue.upper_as::<TransportUeApp>().expect("transport app");
+    let app = net
+        .ue(0)
+        .upper_as::<TransportUeApp>()
+        .expect("transport app");
     Outcome {
         mean_resume_ms: if app.resume_ms.is_empty() {
             f64::NAN

@@ -10,9 +10,8 @@
 //! bounded outage and a modest RTT penalty from the extra hop.
 
 use super::{f2c, Table};
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
-use crate::DlteApNode;
-use dlte_epc::ue::{UeApp, UeNode};
+use crate::scenario::{Arch, Deployment, DltePlan};
+use dlte_epc::ue::UeApp;
 use dlte_net::{NetFault, Prefix};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -53,20 +52,17 @@ struct Outcome {
 }
 
 fn run_arm(mesh: bool, p: &Params) -> Outcome {
-    let mut b = DlteNetworkBuilder::new(2, 1);
-    b.mesh = mesh;
-    b.seed = p.seed;
-    let ping_interval = SimDuration::from_millis(50);
-    let mut net = b
-        .with_ue_plan(move |_| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval: ping_interval,
-                probe_bytes: 100,
-            },
-            ..Default::default()
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, 2, 1).with_ue_plan(|_| DltePlan {
+        app: UeApp::Pinger {
+            dst: Deployment::ott_addr(),
+            interval: SimDuration::from_millis(50),
+            probe_bytes: 100,
+        },
+        ..Default::default()
+    });
+    d.mesh = mesh;
+    d.seed = p.seed;
+    let mut net = d.build();
 
     // Fault timeline: kill AP0's backhaul; later, the routing system points
     // AP0's pool (and AP0's own address, healing X2) through AP1. Faults are
@@ -77,22 +73,18 @@ fn run_arm(mesh: bool, p: &Params) -> Outcome {
     net.sim.schedule_fault_broadcast(
         fail_at,
         NetFault::LinkUp {
-            link: net.ap_backhaul[0],
+            link: net.cell_backhaul[0],
             up: false,
         },
     );
     if mesh {
-        let ap0_addr = net.sim.node_addrs(net.aps[0])[0];
-        let mesh_link = net.ap_mesh[0];
+        let ap0_addr = net.sim.node_addrs(net.cells[0])[0];
+        let mesh_link = net.mesh[0];
         let reroutes = [
-            (
-                net.r_agg,
-                DlteNetworkBuilder::ap_pool(0),
-                net.ap_backhaul[1],
-            ),
-            (net.aps[1], DlteNetworkBuilder::ap_pool(0), mesh_link),
-            (net.r_agg, Prefix::new(ap0_addr, 32), net.ap_backhaul[1]),
-            (net.aps[1], Prefix::new(ap0_addr, 32), mesh_link),
+            (net.r_agg, Deployment::ap_pool(0), net.cell_backhaul[1]),
+            (net.cells[1], Deployment::ap_pool(0), mesh_link),
+            (net.r_agg, Prefix::new(ap0_addr, 32), net.cell_backhaul[1]),
+            (net.cells[1], Prefix::new(ap0_addr, 32), mesh_link),
         ];
         for (node, prefix, link) in reroutes {
             net.sim
@@ -107,31 +99,20 @@ fn run_arm(mesh: bool, p: &Params) -> Outcome {
     let total = SimTime::from_secs_f64(p.total_s);
     let drain = fail_at + SimDuration::from_millis(250);
     net.sim.run_until(drain.min(total), 100_000_000);
-    let pongs_at_fail = net
-        .sim
-        .handler_as::<UeNode>(net.ues[0])
-        .unwrap()
-        .stats
-        .pongs;
+    let pongs_at_fail = net.ue(0).stats.pongs;
     let mut recovery_s = None;
     let mut mark = drain;
     while mark < total {
         mark = (mark + SimDuration::from_millis(100)).min(total);
         net.sim.run_until(mark, 100_000_000);
-        let pongs = net
-            .sim
-            .handler_as::<UeNode>(net.ues[0])
-            .unwrap()
-            .stats
-            .pongs;
-        if pongs > pongs_at_fail {
+        if net.ue(0).stats.pongs > pongs_at_fail {
             recovery_s = Some(mark.saturating_since(fail_at).as_secs_f64());
             break;
         }
     }
     net.sim.run_until(total, 100_000_000);
-    let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let ap0 = net.sim.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+    let ue = net.ue(0);
+    let ap0 = net.aps().next().unwrap();
 
     // Outage: expected pongs at 20/s minus observed, spread over the
     // post-failure window.

@@ -15,11 +15,11 @@
 //! NAS re-attach.
 
 use super::{f2c, Table};
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::{UeApp, UeNode};
 use dlte_faults::{FaultPlan, FaultSpec};
-use dlte_net::{Addr, NodeId, Prefix, ShardedSim};
+use dlte_net::{Addr, NodeId, ShardedSim};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,7 @@ fn delivered(sim: &ShardedSim, ues: &[NodeId]) -> u64 {
     let t = sim.trace_merged();
     (0..ues.len())
         .map(|i| {
-            t.flow(CentralizedLteBuilder::imsi_of(i))
+            t.flow(Deployment::imsi_of(i))
                 .map(|f| f.delivered_packets)
                 .unwrap_or(0)
         })
@@ -130,31 +130,19 @@ fn measure(sim: &mut ShardedSim, ues: &[NodeId], p: &Params) -> Outcome {
 /// backhaul.
 fn run_arm(arch: Arch, p: &Params) -> Outcome {
     let (rate_bps, packet_bytes) = (p.rate_bps, p.packet_bytes);
-    let talk_to_peer = move |pool: Prefix| {
-        move |i| UePlan {
-            app: UeApp::UplinkCbr {
-                dst: Addr(pool.addr.0 + if i == 0 { 2 } else { 1 }),
-                rate_bps,
-                packet_bytes,
-            },
-            ..Default::default()
-        }
-    };
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(1, 2);
-            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
-            b.seed = p.seed;
-            let pool = CentralizedLteBuilder::ue_pool_prefix();
-            b.with_ue_plan(talk_to_peer(pool)).build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(1, 2);
-            b.seed = p.seed;
-            let pool = DlteNetworkBuilder::ap_pool(0);
-            b.with_ue_plan(talk_to_peer(pool)).build().into()
-        }
-    };
+    let d = Deployment::new(arch, 1, 2);
+    let pool = d.ue_pool(0);
+    let mut d = d.with_ue_plan(move |i| UePlan {
+        app: UeApp::UplinkCbr {
+            dst: Addr(pool.addr.0 + if i == 0 { 2 } else { 1 }),
+            rate_bps,
+            packet_bytes,
+        },
+        ..Default::default()
+    });
+    d.epc.path_mgmt = true;
+    d.seed = p.seed;
+    let mut net = d.build();
     // The site loses its backhaul: the centralized one its trunk toward
     // the EPC site, whose S-GW crashes with full state loss for as long.
     let backhaul = net.epc.map_or(net.cell_backhaul[0], |epc| epc.l_agg_epc);

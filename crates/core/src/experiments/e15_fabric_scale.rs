@@ -16,8 +16,8 @@
 //! `fabric_dlte` workloads of `benchmark/`.
 
 use super::Table;
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -81,24 +81,15 @@ fn run_arm(arch: Arch, size: usize, p: &Params) -> BenchRun {
     let probe_bytes = p.probe_bytes;
     let plan = move |_| UePlan {
         app: UeApp::Pinger {
-            dst: DlteNetworkBuilder::ott_addr(),
+            dst: Deployment::ott_addr(),
             interval,
             probe_bytes,
         },
         ..Default::default()
     };
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(cells, ues_per_cell);
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(cells, ues_per_cell);
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-    };
+    let mut d = Deployment::new(arch, cells, ues_per_cell).with_ue_plan(plan);
+    d.seed = p.seed;
+    let mut net = d.build();
     let ((), report) = dlte_sim::report::scope(|| {
         net.sim
             .run_until(SimTime::from_secs_f64(p.total_s), u64::MAX);

@@ -5,7 +5,7 @@
 //! experiment proves the sharded engine buys the next axis: a *single*
 //! run split across cores. It builds a wide dLTE deployment (many APs,
 //! every UE's traffic breaking out locally at its home AP), partitions it
-//! by AP cluster ([`DlteNetworkBuilder::build_sharded`]), and sweeps the
+//! by AP cluster ([`Deployment::build_sharded`]), and sweeps the
 //! shard count over the same topology sizes.
 //!
 //! Two claims, both enforced here rather than eyeballed:
@@ -22,7 +22,7 @@
 //!   `sim.shard.speedup_2v1`.
 
 use super::Table;
-use crate::scenario::{DlteNetworkBuilder, DltePlan};
+use crate::scenario::{Arch, Deployment, DltePlan};
 use dlte_epc::ue::UeApp;
 use dlte_net::Addr;
 use dlte_sim::SimTime;
@@ -79,36 +79,34 @@ fn run_one(size: usize, n_shards: usize, p: &Params) -> ShardBenchRun {
     let ues_per_ap = p.ues_per_ap.clamp(1, 250);
     let n_aps = (size / ues_per_ap).max(1);
     let (rate_bps, packet_bytes) = (p.rate_bps, p.packet_bytes);
-    let mut b = DlteNetworkBuilder::new(n_aps, ues_per_ap);
-    b.seed = p.seed;
+    let mut d = Deployment::new(Arch::Dlte, n_aps, ues_per_ap).with_ue_plan(move |i| {
+        let home_ap = i / ues_per_ap;
+        let within = i % ues_per_ap;
+        // Pair neighbors (0↔1, 2↔3, …); an odd tail UE talks to its
+        // own future address — still a valid AP-local flow. Pool
+        // addresses are handed out in attach order, so the peer slot
+        // maps to *some* UE homed on the same AP either way: all user
+        // traffic breaks out locally and never crosses shards.
+        let peer = if within ^ 1 < ues_per_ap {
+            within ^ 1
+        } else {
+            within
+        };
+        let pool = Deployment::ap_pool(home_ap).addr;
+        DltePlan {
+            app: UeApp::UplinkCbr {
+                dst: Addr(pool.0 | (peer as u32 + 1)),
+                rate_bps,
+                packet_bytes,
+            },
+            ..Default::default()
+        }
+    });
+    d.seed = p.seed;
     // Independent APs: no X2 reporting, so the only inter-shard links are
     // the (idle) backhauls — the workload the sharding is built for.
-    b.x2_mode = CoordinationMode::Independent;
-    let mut net = b
-        .with_ue_plan(move |i| {
-            let home_ap = i / ues_per_ap;
-            let within = i % ues_per_ap;
-            // Pair neighbors (0↔1, 2↔3, …); an odd tail UE talks to its
-            // own future address — still a valid AP-local flow. Pool
-            // addresses are handed out in attach order, so the peer slot
-            // maps to *some* UE homed on the same AP either way: all user
-            // traffic breaks out locally and never crosses shards.
-            let peer = if within ^ 1 < ues_per_ap {
-                within ^ 1
-            } else {
-                within
-            };
-            let pool = DlteNetworkBuilder::ap_pool(home_ap).addr;
-            DltePlan {
-                app: UeApp::UplinkCbr {
-                    dst: Addr(pool.0 | (peer as u32 + 1)),
-                    rate_bps,
-                    packet_bytes,
-                },
-                ..Default::default()
-            }
-        })
-        .build_sharded(n_shards);
+    d.x2_mode = CoordinationMode::Independent;
+    let mut net = d.build_sharded(n_shards);
     let ((), report) = dlte_sim::report::scope(|| {
         net.sim
             .run_until(SimTime::from_secs_f64(p.total_s), u64::MAX);

@@ -17,9 +17,8 @@
 //! which `crates/bench/tests/goldens.rs` enforces against `goldens/e18.json`.
 
 use super::{f2c, Table};
-use crate::mobility::cell_schedule;
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder, KeyDistribution};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment, KeyDistribution};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
 use dlte_faults::{FaultPlan, FaultSpec, MovePlan};
 use dlte_sim::stats::Samples;
@@ -121,36 +120,20 @@ fn arm_from(gaps: Samples, moves: u64, dwell_s: f64, x2_hits: u64) -> Arm {
 /// rides the storm. `x2_fetch` picks the dLTE variant and is ignored by the
 /// centralized arm.
 fn run_arm(arch: Arch, p: &Params, dwell_s: f64, x2_fetch: bool) -> Arm {
-    let moves = storm_plan(p, dwell_s);
-    let pinging = |_| UePlan {
+    let mut d = Deployment::new(arch, p.n_aps, p.ues_per_ap).with_ue_plan(|_| UePlan {
         app: UeApp::Pinger {
-            dst: DlteNetworkBuilder::ott_addr(),
+            dst: Deployment::ott_addr(),
             interval: SimDuration::from_millis(25),
             probe_bytes: 100,
         },
         schedule: Vec::new(),
-    };
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(p.n_aps, p.ues_per_ap);
-            b.wire_all_cells = true;
-            b.seed = p.seed;
-            let (n_aps, ues_per_ap) = (p.n_aps, p.ues_per_ap);
-            b.with_ue_plan(move |i| UePlan {
-                schedule: cell_schedule(&moves, i, i / ues_per_ap, n_aps),
-                ..pinging(i)
-            })
-            .build()
-            .into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(p.n_aps, p.ues_per_ap);
-            b.seed = p.seed;
-            b.keys = KeyDistribution::RemoteDirectory;
-            b.x2_context_fetch = x2_fetch;
-            b.with_ue_plan(pinging).with_move_plan(moves).build().into()
-        }
-    };
+    });
+    d.wire_all_cells = true;
+    d.seed = p.seed;
+    d.moves = storm_plan(p, dwell_s);
+    d.keys = KeyDistribution::RemoteDirectory;
+    d.x2_context_fetch = x2_fetch;
+    let mut net = d.build();
     if p.chaos {
         chaos_plan(p.seed, &net.cell_backhaul).inject(&mut net.sim);
     }

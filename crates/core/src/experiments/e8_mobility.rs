@@ -14,8 +14,8 @@
 //!   availability collapsing when dwell ≈ gap.
 
 use super::{f2c, Table};
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -66,29 +66,17 @@ fn run_arm(arch: Arch, dwell_s: f64, p: &Params, total_s: f64) -> Arm {
     let n_moves = sched.len();
     let plan = move |i| UePlan {
         app: UeApp::Pinger {
-            dst: DlteNetworkBuilder::ott_addr(),
+            dst: Deployment::ott_addr(),
             interval: SimDuration::from_millis(25),
             probe_bytes: 100,
         },
         schedule: if i == 0 { sched.clone() } else { vec![] },
     };
-    let inet_delay = SimDuration::from_millis(p.inet_delay_ms);
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(2, 1);
-            b.wire_all_cells = true;
-            b.inet_delay = inet_delay;
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(2, 1);
-            b.wire_all_cells = true;
-            b.inet_delay = inet_delay;
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-    };
+    let mut d = Deployment::new(arch, 2, 1).with_ue_plan(plan);
+    d.wire_all_cells = true;
+    d.inet_delay = SimDuration::from_millis(p.inet_delay_ms);
+    d.seed = p.seed;
+    let mut net = d.build();
     net.sim
         .run_until(SimTime::from_secs_f64(total_s), 50_000_000);
     arm_from(net.ue(0).stats.handover_gap_ms.clone(), n_moves, dwell_s)

@@ -8,8 +8,7 @@
 //! APs, each with its own stub.
 
 use super::{f2c, Table};
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::CentralizedLteBuilder;
+use crate::scenario::{Arch, Deployment};
 use dlte_sim::stats::Samples;
 use dlte_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -36,18 +35,9 @@ impl Default for Params {
 /// a cell.
 fn attach_latencies(arch: Arch, n: usize, p: &Params) -> Samples {
     let sites = (n / p.ues_per_site).max(1);
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(sites, p.ues_per_site);
-            b.seed = p.seed;
-            b.build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(sites, p.ues_per_site);
-            b.seed = p.seed;
-            b.build().into()
-        }
-    };
+    let mut d = Deployment::new(arch, sites, p.ues_per_site);
+    d.seed = p.seed;
+    let mut net = d.build();
     net.sim.run_until(SimTime::from_secs(30), 100_000_000);
     let mut s = Samples::new();
     for ue in net.ue_nodes() {

@@ -6,8 +6,8 @@
 //! (tunnels vs native), where control lives, what that costs in latency.
 
 use super::{f2c, Table};
-use crate::scenario::{Arch, Deployed, DlteNetworkBuilder};
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use crate::scenario::{Arch, Deployment};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
 use dlte_epc::{PgwNode, SgwNode};
 use dlte_sim::{SimDuration, SimTime};
@@ -40,24 +40,15 @@ struct SideResult {
 fn side(arch: Arch, p: &Params) -> SideResult {
     let plan = |_| UePlan {
         app: UeApp::Pinger {
-            dst: DlteNetworkBuilder::ott_addr(),
+            dst: Deployment::ott_addr(),
             interval: SimDuration::from_millis(100),
             probe_bytes: 100,
         },
         ..Default::default()
     };
-    let mut net: Deployed = match arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(1, 1);
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(1, 1);
-            b.seed = p.seed;
-            b.with_ue_plan(plan).build().into()
-        }
-    };
+    let mut d = Deployment::new(arch, 1, 1).with_ue_plan(plan);
+    d.seed = p.seed;
+    let mut net = d.build();
     net.sim.run_until(SimTime::from_secs(p.seconds), 10_000_000);
     let ue = net.ue(0);
     // User packets cross the gateways only in the centralized network, and

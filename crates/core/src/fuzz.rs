@@ -7,8 +7,9 @@
 //! [`Mob`] plug this into the shared loop in [`crate::chaos`], which
 //! shrinks a violating case to a repro that replays bit-for-bit.
 //!
-//! Everything downstream of the seed is deterministic: the scenario builder
-//! is seeded with the case seed and the fault plan is plain data, so
+//! Everything downstream of the seed is deterministic: the case's network
+//! ([`FuzzCase::deployment`]) is seeded with the case seed and the fault
+//! plan is plain data, so
 //! `run_case(case)` returns the same [`CaseReport`] on every invocation,
 //! which is what makes greedy shrinking and `--repro` replay sound. Event
 //! tracing is on for the whole run, in sweep and replay alike, because the
@@ -16,9 +17,10 @@
 //! it does not steer the run (the HARQ tracer draws from its own RNG
 //! stream), so a case dispatches the same events with tracing off.
 //!
-//! A case's fault targets are a fixed function of its shape, which the
-//! builders name ([`case_targets`]): generating a case or checking a
-//! repro's ids builds nothing, and [`run_case`] is the one build.
+//! A case's fault targets are a fixed function of its shape, which its
+//! [`Deployment`] names ([`Deployment::fault_targets`]): generating a case
+//! or checking a repro's ids builds nothing, and [`run_case`] is the one
+//! build.
 //!
 //! Scenario envelope (kept deliberately narrow so every oracle is a hard
 //! invariant, not a flaky heuristic):
@@ -43,14 +45,14 @@
 //!   node whose crash strands sessions.
 
 use crate::chaos::ChaosDomain;
-use crate::mobility::{ap_index_for, cell_schedule};
+use crate::mobility::ap_index_for;
 pub use crate::scenario::Arch;
-use crate::scenario::{Deployed, DlteNetworkBuilder, KeyDistribution};
+use crate::scenario::{Deployed, Deployment, KeyDistribution};
 use dlte_check::{
     check_all, check_recovery, check_sessions, Bounds, CoreView, Evidence, MobilityEvidence,
     MobilityUeView, SpanView, UeView, Violation,
 };
-use dlte_epc::topology::{CentralizedLteBuilder, UePlan};
+use dlte_epc::topology::UePlan;
 use dlte_epc::ue::{UeApp, UeNode, UeState};
 use dlte_epc::{MmeNode, PgwNode, SgwNode};
 use dlte_faults::{ChaosTargets, FaultPlan, FaultSpec, MovePlan};
@@ -120,7 +122,7 @@ impl FuzzCase {
         };
         let ues_per_cell = 1 + rng.index(2);
         let n_faults = 1 + rng.index(3);
-        let targets = chaos_targets(arch, n_cells);
+        let targets = Deployment::new(arch, n_cells, ues_per_cell).fault_targets();
         let plan = FaultPlan::chaos_mix(
             seed,
             &targets,
@@ -182,7 +184,7 @@ impl FuzzCase {
         };
         // Targets must come from the *case's* shape: the remote directory
         // adds a link ahead of the APs' backhauls, shifting their ids.
-        let targets = case_targets(&case);
+        let targets = case.deployment().fault_targets();
         case.plan = FaultPlan::chaos_mix(
             seed,
             &targets,
@@ -193,109 +195,28 @@ impl FuzzCase {
         );
         case
     }
-}
 
-/// The fault-injection handles of a case: every cell's backhaul link and,
-/// for the centralized core, its trunk, S-GW and P-GW. Node and link ids
-/// are assigned in build order, so they depend only on the architecture,
-/// the cell count and (dLTE) whether a key directory is built; the builders
-/// name them and assert them at build, so nothing is built here.
-pub fn case_targets(case: &FuzzCase) -> ChaosTargets {
-    targets(case.arch, case.n_cells, key_distribution(case))
-}
-
-/// [`case_targets`] for the classic static envelope. Public so property
-/// tests can aim arbitrary plans at valid targets.
-pub fn chaos_targets(arch: Arch, n_cells: usize) -> ChaosTargets {
-    targets(arch, n_cells, KeyDistribution::PreSynced)
-}
-
-fn targets(arch: Arch, n_cells: usize, keys: KeyDistribution) -> ChaosTargets {
-    match arch {
-        Arch::Centralized => ChaosTargets {
-            links: (0..n_cells)
-                .map(CentralizedLteBuilder::enb_backhaul)
-                .chain([CentralizedLteBuilder::L_AGG_EPC])
-                .collect(),
-            crashable: vec![CentralizedLteBuilder::SGW, CentralizedLteBuilder::PGW],
-        },
-        Arch::Dlte => ChaosTargets {
-            links: (0..n_cells)
-                .map(|k| DlteNetworkBuilder::ap_backhaul(k, keys))
-                .collect(),
-            crashable: Vec::new(),
-        },
-    }
-}
-
-/// Where a dLTE case's APs get subscriber keys.
-fn key_distribution(case: &FuzzCase) -> KeyDistribution {
-    if case.remote_keys {
-        KeyDistribution::RemoteDirectory
-    } else {
-        KeyDistribution::PreSynced
-    }
-}
-
-/// Why the builders cannot serve a case's shape, if they cannot: a replayed
-/// file may carry any counts, and an empty network would sweep green.
-fn check_shape(case: &FuzzCase) -> Result<(), String> {
-    let max_cells = match case.arch {
-        Arch::Centralized => CentralizedLteBuilder::MAX_ENBS,
-        Arch::Dlte => DlteNetworkBuilder::MAX_APS,
-    };
-    if case.n_cells == 0 || case.n_cells > max_cells {
-        return Err(format!(
-            "n_cells is {}; a {} case holds 1..={max_cells} cells",
-            case.n_cells, case.arch
-        ));
-    }
-    if case.ues_per_cell == 0 {
-        return Err("ues_per_cell is 0; a case needs at least one UE per cell".to_string());
-    }
-    Ok(())
-}
-
-fn pinger(dst: dlte_net::Addr) -> UeApp {
-    UeApp::Pinger {
-        dst,
-        interval: SimDuration::from_millis(200),
-        probe_bytes: 64,
-    }
-}
-
-fn build_case(case: &FuzzCase) -> Deployed {
-    let pinging = |_| UePlan {
-        app: pinger(DlteNetworkBuilder::ott_addr()),
-        ..UePlan::default()
-    };
-    match case.arch {
-        Arch::Centralized => {
-            let mut b = CentralizedLteBuilder::new(case.n_cells, case.ues_per_cell);
-            b.seed = case.seed;
-            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
-            b.wire_all_cells = !case.moves.is_empty();
-            let moves = case.moves.clone();
-            let (n_cells, ues_per_cell) = (case.n_cells, case.ues_per_cell);
-            b.with_ue_plan(move |i| UePlan {
-                schedule: cell_schedule(&moves, i, i / ues_per_cell, n_cells),
-                ..pinging(i)
-            })
-            .build()
-            .into()
+    /// The network this case runs on: every UE pings the OTT service and
+    /// follows the case's move plan, and the centralized core runs path
+    /// management (500 ms echo, 2 misses) as its detection channel.
+    pub fn deployment(&self) -> Deployment {
+        let mut d =
+            Deployment::new(self.arch, self.n_cells, self.ues_per_cell).with_ue_plan(|_| UePlan {
+                app: UeApp::Pinger {
+                    dst: Deployment::ott_addr(),
+                    interval: SimDuration::from_millis(200),
+                    probe_bytes: 64,
+                },
+                ..UePlan::default()
+            });
+        d.seed = self.seed;
+        d.moves = self.moves.clone();
+        d.epc.path_mgmt = true;
+        if self.remote_keys {
+            d.keys = KeyDistribution::RemoteDirectory;
         }
-        Arch::Dlte => {
-            let mut b = DlteNetworkBuilder::new(case.n_cells, case.ues_per_cell);
-            b.seed = case.seed;
-            b.keys = key_distribution(case);
-            b.x2_context_fetch = case.x2_fetch;
-            let b = b.with_ue_plan(pinging);
-            if case.moves.is_empty() {
-                b.build().into()
-            } else {
-                b.with_move_plan(case.moves.clone()).build().into()
-            }
-        }
+        d.x2_context_fetch = self.x2_fetch;
+        d
     }
 }
 
@@ -385,7 +306,7 @@ fn ue_view(u: &UeNode) -> UeView {
 /// step with every UE attached is the recovery time; the stream/counter
 /// oracles and the recovery bound are then judged on the final snapshot.
 pub fn run_case(case: &FuzzCase) -> CaseReport {
-    let mut net = build_case(case);
+    let mut net = case.deployment().build();
     let bounds = Bounds::default();
 
     // The stream oracles judge the trace, so it must cover the whole run,
@@ -474,13 +395,24 @@ impl<const MOBILE: bool> ChaosDomain for NetChaos<MOBILE> {
             }))
             .collect()
     }
-    /// The builders must serve the case's shape, and every spec must aim
-    /// at the case's own fault targets ([`case_targets`]): anything else
-    /// would index past the topology or fault a node the envelope keeps
-    /// alive.
+    /// A network must hold the case's shape (a replayed file may carry any
+    /// counts, and an empty network would sweep green), and every spec
+    /// must aim at the case's own fault targets
+    /// ([`Deployment::fault_targets`]): anything else would index past the
+    /// topology or fault a node the envelope keeps alive.
     fn check_ids(case: &FuzzCase) -> Result<(), String> {
-        check_shape(case)?;
-        let ChaosTargets { links, crashable } = case_targets(case);
+        let deployment = case.deployment();
+        let max_cells = deployment.max_cells();
+        if case.n_cells == 0 || case.n_cells > max_cells {
+            return Err(format!(
+                "n_cells is {}; a {} case holds 1..={max_cells} cells",
+                case.n_cells, case.arch
+            ));
+        }
+        if case.ues_per_cell == 0 {
+            return Err("ues_per_cell is 0; a case needs at least one UE per cell".to_string());
+        }
+        let ChaosTargets { links, crashable } = deployment.fault_targets();
         for (i, spec) in case.plan.faults.iter().enumerate() {
             let ok = match spec {
                 FaultSpec::LinkFlap { link, .. }
@@ -531,7 +463,7 @@ mod tests {
 
     /// The fault targets as a built network names them.
     fn built_targets(case: &FuzzCase) -> ChaosTargets {
-        let net = build_case(case);
+        let net = case.deployment().build();
         let mut links = net.cell_backhaul;
         let crashable = match net.epc {
             Some(epc) => {
@@ -573,7 +505,11 @@ mod tests {
                         remote_keys,
                         x2_fetch,
                     };
-                    assert_eq!(case_targets(&case), built_targets(&case), "{case:?}");
+                    assert_eq!(
+                        case.deployment().fault_targets(),
+                        built_targets(&case),
+                        "{case:?}"
+                    );
                     shapes += 1;
                 }
             }
@@ -587,18 +523,10 @@ mod tests {
     fn only_run_case_builds_a_case() {
         let src = include_str!("fuzz.rs");
         let code = &src[..src.find("#[cfg(test)]").unwrap()];
-        let calls: Vec<usize> = code
-            .match_indices("build_case(")
-            .map(|(i, _)| i)
-            .filter(|&i| !code[..i].ends_with("fn "))
-            .collect();
+        let calls: Vec<usize> = code.match_indices(".build()").map(|(i, _)| i).collect();
         let start = code.find("pub fn run_case(").unwrap();
         let end = start + code[start..].find("\n}\n").unwrap();
-        assert_eq!(
-            calls.len(),
-            1,
-            "build_case called at byte offsets {calls:?}"
-        );
+        assert_eq!(calls.len(), 1, "a case is built at byte offsets {calls:?}");
         assert!(
             (start..end).contains(&calls[0]),
             "the one call is not in run_case"
@@ -614,7 +542,7 @@ mod tests {
             let run = |trace: bool| {
                 let was_tracing = tracing_enabled();
                 set_tracing(trace);
-                let mut net = build_case(&case);
+                let mut net = case.deployment().build();
                 case.plan.inject(&mut net.sim);
                 let t_last = case.plan.last_fault_time().max(case.moves.last_move_time());
                 net.sim
@@ -658,7 +586,7 @@ mod tests {
                 report.recovered_at_s.is_some(),
                 "seed {seed} never recovered"
             );
-            let mut net = build_case(&case);
+            let mut net = case.deployment().build();
             case.plan.inject(&mut net.sim);
             let horizon = case.plan.last_fault_time()
                 + SimDuration::from_secs_f64(report.recovered_at_s.unwrap());
@@ -766,7 +694,7 @@ mod tests {
                 .unwrap(),
         };
         let mut case = FuzzCase::generate(cent_seed);
-        let targets = chaos_targets(case.arch, case.n_cells);
+        let targets = case.deployment().fault_targets();
         case.plan = FaultPlan::new(case.seed)
             .with(FaultSpec::LinkFlap {
                 link: targets.links[0],
@@ -814,7 +742,7 @@ mod tests {
     /// the UE re-appears; this pins the fix.
     #[test]
     fn lost_detach_order_under_loss_burst_recovers() {
-        let targets = chaos_targets(Arch::Centralized, 1);
+        let targets = Deployment::new(Arch::Centralized, 1, 2).fault_targets();
         let case = FuzzCase {
             seed: 397_424,
             arch: Arch::Centralized,
@@ -886,7 +814,7 @@ mod tests {
             remote_keys: false,
             x2_fetch: false,
         };
-        let targets = case_targets(&case);
+        let targets = case.deployment().fault_targets();
         let case = FuzzCase {
             plan: FaultPlan::new(164).with(FaultSpec::NodePause {
                 node: targets.crashable[0], // the S-GW
@@ -1022,11 +950,11 @@ mod tests {
         let mut central = FuzzCase::generate(0);
         central.arch = Arch::Centralized;
         central.plan = FaultPlan::new(0);
-        central.n_cells = CentralizedLteBuilder::MAX_ENBS;
+        central.n_cells = central.deployment().max_cells();
         assert_eq!(Net::check_ids(&central), Ok(()));
         let mut dlte = FuzzCase {
             arch: Arch::Dlte,
-            n_cells: DlteNetworkBuilder::MAX_APS,
+            n_cells: Deployment::new(Arch::Dlte, 1, 1).max_cells(),
             ..central
         };
         assert_eq!(Net::check_ids(&dlte), Ok(()));

@@ -16,10 +16,11 @@
 //!
 //! * [`ap::DlteApNode`] — one network node that *is* a dLTE AP: local core
 //!   + X2 agent behind a single handler;
-//! * [`scenario`] — topology builders for dLTE networks (the centralized
-//!   twin lives in [`dlte_epc::topology`]), and [`scenario::Deployed`], the
-//!   one handle through which a built network of either [`scenario::Arch`]
-//!   is driven and read;
+//! * [`scenario`] — [`scenario::Deployment`], the one description of a
+//!   network of either [`scenario::Arch`], whose `build()` lowers it (the
+//!   centralized lowering lives in [`dlte_epc::topology`]) into
+//!   [`scenario::Deployed`], the one handle through which it is driven and
+//!   read;
 //! * [`transport_app`] — the UE upper layer that rides a modern transport
 //!   across dLTE's address churn (§4.2);
 //! * [`design_space`] — Table 1 as an executable classification;
@@ -33,16 +34,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dlte::scenario::{DlteNetworkBuilder};
-//! use dlte_epc::{UeApp, UeNode};
+//! use dlte::scenario::{Arch, Deployment, DltePlan};
+//! use dlte_epc::UeApp;
 //! use dlte_sim::{SimDuration, SimTime};
 //!
 //! // One AP, two UEs, everything defaulted: build, run 5 simulated
-//! // seconds, inspect.
-//! let mut net = DlteNetworkBuilder::new(1, 2)
-//!     .with_ue_plan(|_| dlte::scenario::DltePlan {
+//! // seconds, inspect. `Arch::Centralized` builds the same shape around
+//! // a shared EPC.
+//! let mut net = Deployment::new(Arch::Dlte, 1, 2)
+//!     .with_ue_plan(|_| DltePlan {
 //!         app: UeApp::Pinger {
-//!             dst: DlteNetworkBuilder::ott_addr(),
+//!             dst: Deployment::ott_addr(),
 //!             interval: SimDuration::from_millis(100),
 //!             probe_bytes: 100,
 //!         },
@@ -50,8 +52,7 @@
 //!     })
 //!     .build();
 //! net.sim.run_until(SimTime::from_secs(5), 1_000_000);
-//! let ue = net.sim.handler_as::<UeNode>(net.ues[0]).unwrap();
-//! assert!(ue.stats.pongs > 0, "attached and exchanging traffic");
+//! assert!(net.ue(0).stats.pongs > 0, "attached and exchanging traffic");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,5 +71,5 @@ pub mod scenario;
 pub mod transport_app;
 
 pub use ap::DlteApNode;
-pub use scenario::{DlteNet, DlteNetworkBuilder, DltePlan};
+pub use scenario::{DlteNetworkBuilder, DltePlan};
 pub use transport_app::TransportUeApp;

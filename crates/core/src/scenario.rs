@@ -1,43 +1,52 @@
-//! dLTE network topologies.
+//! Networks of either architecture, described once.
 //!
-//! The dLTE half of Figure 1:
+//! Figure 1 draws both architectures on one access network; only where
+//! the core sits differs:
 //!
 //! ```text
-//!  UE ~~radio~~ AP(local core + X2) --backhaul-- Ragg --wan-- Rinet -- OTT
-//!                                                              Rinet -- DIR
+//!  centralized: UE ~~radio~~ eNB --backhaul-- Ragg --wan-- Repc -- MME/SGW/PGW/HSS
+//!                                                           Repc --wan-- Rinet -- OTT
+//!  dLTE:        UE ~~radio~~ AP(local core + X2) --backhaul-- Ragg --wan-- Rinet -- OTT
+//!                                                                          Rinet -- DIR
 //! ```
 //!
-//! Contrast with [`dlte_epc::topology::CentralizedLteBuilder`]: no EPC site,
-//! no tunnels — the AP forwards native IP at the aggregation point (local
-//! breakout), and the only wide-area control dependencies are the published
-//! key directory (first attach per AP, then cached) and the X2 reports
-//! between peer APs — the neighbours the open registry names for each AP's
-//! grant ([`DlteNetworkBuilder::x2_neighbors`]), not every AP in the
-//! deployment.
+//! A [`Deployment`] is the one description of such a network: its
+//! architecture, its shape, the UE and move plans, and each core's knobs.
+//! [`Deployment::build`] lowers it, through
+//! [`dlte_epc::topology::CentralizedLteBuilder`] or through the dLTE
+//! lowering here, into a [`Deployed`]: the one handle through which a
+//! comparison runs, faults and reads either arm. The deployment also names
+//! the ids its lowering assigns ([`Deployment::fault_targets`]), so a fault
+//! plan is written without a build.
 //!
-//! Either builder's network converts into a [`Deployed`], so a comparison
-//! writes one arm over [`Arch`]: a `match` picks the builder, and the run,
-//! the fault plan and the readout are shared.
+//! The dLTE network has no EPC site and no tunnels: the AP forwards native
+//! IP at the aggregation point (local breakout), and the only wide-area
+//! control dependencies are the published key directory (first attach per
+//! AP, then cached) and the X2 reports between peer APs — the neighbours
+//! the open registry names for each AP's grant
+//! ([`Deployment::x2_neighbors`]), not every AP in the deployment.
 
 use crate::ap::DlteApNode;
+use crate::mobility::cell_schedule;
 use dlte_auth::open::PublishedKeyDirectory;
 use dlte_auth::usim::Usim;
 use dlte_auth::{Imsi, Key};
 use dlte_epc::local_core::{KeyDirectoryNode, KeySource, LocalCoreNode};
-use dlte_epc::topology::{add_ues, CentralizedLteNet, UePlan};
+use dlte_epc::topology::{add_ues, CentralizedLteBuilder, CentralizedLteNet, EpcConfig, UePlan};
 use dlte_epc::ue::{MobilityMode, UeNode};
+use dlte_faults::{ChaosTargets, MovePlan};
 use dlte_net::handlers::EchoServer;
 use dlte_net::{Addr, AddrPool, LinkConfig, LinkId, NetworkBuilder, NodeId, Prefix, ShardedSim};
 use dlte_phy::band::Band;
 use dlte_registry::{ChannelPlan, GrantRequest, LicenseGrant, Point, SpectrumRegistry};
-use dlte_sim::{SimDuration, SimRng, SimTime, Simulation};
+use dlte_sim::{SimDuration, SimRng, SimTime};
 use dlte_transport::connection::TransportConfig;
 use dlte_transport::handlers::TransportServerNode;
 use dlte_x2::{CoordinationMode, X2Agent};
 use serde::{Deserialize, Serialize};
 
 /// Per-UE plan for dLTE scenarios: the centralized builder's plan, since
-/// the builder, not the plan, picks the mobility procedure.
+/// the lowering, not the plan, picks the mobility procedure.
 pub type DltePlan = UePlan;
 
 /// Where APs get subscriber keys.
@@ -49,139 +58,216 @@ pub enum KeyDistribution {
     RemoteDirectory,
 }
 
-/// Co-channel APs per town in the builder's site plan
-/// ([`DlteNetworkBuilder::ap_site`]): the paper's rural-town deployment,
-/// and the largest row of E11's X2 overhead table.
+/// Co-channel APs per town in the dLTE site plan
+/// ([`Deployment::x2_neighbors`]): the paper's rural-town deployment, and
+/// the largest row of E11's X2 overhead table.
 pub const APS_PER_TOWN: usize = 8;
 
-/// Builder for dLTE networks.
-pub struct DlteNetworkBuilder {
-    n_aps: usize,
-    ues_per_ap: usize,
-    /// Aggregation ↔ Internet-core delay (the paper's backhaul to the
-    /// nearest exchange).
-    pub inet_delay: SimDuration,
-    pub keys: KeyDistribution,
-    pub x2_mode: CoordinationMode,
-    pub transport_cfg: TransportConfig,
-    /// Wire every UE to every AP (mobility experiments).
-    pub wire_all_cells: bool,
-    /// Provision inter-AP mesh links and backhaul failover (§7 extension).
-    pub mesh: bool,
-    /// Fetch roaming subscriber contexts from peer APs over X2 before
-    /// falling back to the wide-area directory (the dLTE X2 handover arm).
-    pub x2_context_fetch: bool,
-    /// Population movement plan (AP indices); merged into each UE's
-    /// schedule unless its [`DltePlan`] already scripts one. Implies
-    /// `wire_all_cells` when set via [`DlteNetworkBuilder::with_move_plan`].
-    pub moves: Option<dlte_faults::MovePlan>,
+/// Which architecture a network is built as.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Arch {
+    Centralized,
+    Dlte,
+}
+
+impl std::fmt::Display for Arch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Arch::Centralized => write!(f, "centralized"),
+            Arch::Dlte => write!(f, "dlte"),
+        }
+    }
+}
+
+/// The one description of a network of either architecture. Each knob
+/// names the architecture that reads it; the other lowering ignores it.
+pub struct Deployment {
+    arch: Arch,
+    /// eNBs (centralized) or APs (dLTE).
+    n_cells: usize,
+    /// UEs homed at each cell: UE `i` starts in cell `i / ues_per_cell`.
+    ues_per_cell: usize,
     pub seed: u64,
-    ue_plan: Box<dyn Fn(usize) -> DltePlan>,
+    /// Both: one-way delay to the Internet core, from the EPC site
+    /// (centralized) or from the aggregation point (dLTE: the paper's
+    /// backhaul to the nearest exchange).
+    pub inet_delay: SimDuration,
+    /// Both: wire every UE to every cell (mobility). A non-empty `moves`
+    /// implies it.
+    pub wire_all_cells: bool,
+    /// Both: the population's movement plan (cell indices). Each UE whose
+    /// [`UePlan`] scripts no schedule of its own follows its share
+    /// ([`cell_schedule`]). Empty = static UEs.
+    pub moves: MovePlan,
+    /// Centralized: the EPC's knobs.
+    pub epc: EpcConfig,
+    /// dLTE: where the APs get subscriber keys.
+    pub keys: KeyDistribution,
+    /// dLTE: how the APs share the channel over X2.
+    pub x2_mode: CoordinationMode,
+    /// dLTE: the OTT transport server's configuration.
+    pub transport_cfg: TransportConfig,
+    /// dLTE: provision inter-AP mesh links and backhaul failover (§7
+    /// extension).
+    pub mesh: bool,
+    /// dLTE: fetch roaming subscriber contexts from peer APs over X2
+    /// before falling back to the wide-area directory (the dLTE X2
+    /// handover arm).
+    pub x2_context_fetch: bool,
+    ue_plan: Box<dyn Fn(usize) -> UePlan>,
 }
 
-/// The built network and its node handles.
-pub struct DlteNet {
-    /// The driver: a [`ShardedSim`] so the same scenario runs on one engine
-    /// or on N conservative shards (`--shards`), bit-identically.
-    pub sim: ShardedSim,
-    pub ues: Vec<NodeId>,
-    pub aps: Vec<NodeId>,
-    pub ott_echo: NodeId,
-    pub ott_transport: NodeId,
-    pub dir: Option<NodeId>,
-    pub r_agg: NodeId,
-    pub r_inet: NodeId,
-    /// Backhaul link of each AP (fault-injection handle).
-    pub ap_backhaul: Vec<dlte_net::LinkId>,
-    /// Mesh link ring: `ap_mesh[k]` connects AP k to AP (k+1) % n (empty
-    /// unless `mesh` was enabled).
-    pub ap_mesh: Vec<dlte_net::LinkId>,
-}
-
-impl DlteNetworkBuilder {
+impl Deployment {
     /// Per-message processing time of an AP's local core and of the key
     /// directory.
     const STUB_PER_MSG: SimDuration = SimDuration::from_micros(500);
     const DIR_PER_MSG: SimDuration = SimDuration::from_micros(300);
     /// How often an AP reports its load to its X2 peers.
     const X2_INTERVAL: SimDuration = SimDuration::from_millis(500);
+    /// Most APs one network holds: past it, [`Self::ap_pool`] would leave
+    /// the CGNAT space.
+    const MAX_APS: usize = 15_872;
 
-    pub fn new(n_aps: usize, ues_per_ap: usize) -> Self {
-        DlteNetworkBuilder {
-            n_aps,
-            ues_per_ap,
+    pub fn new(arch: Arch, n_cells: usize, ues_per_cell: usize) -> Self {
+        Deployment {
+            arch,
+            n_cells,
+            ues_per_cell,
+            seed: 1,
             inet_delay: SimDuration::from_millis(10),
+            wire_all_cells: false,
+            moves: MovePlan::default(),
+            epc: EpcConfig::default(),
             keys: KeyDistribution::PreSynced,
             x2_mode: CoordinationMode::FairShare,
             transport_cfg: TransportConfig::modern(),
-            wire_all_cells: false,
             mesh: false,
             x2_context_fetch: false,
-            moves: None,
-            seed: 1,
-            ue_plan: Box::new(|_| DltePlan::default()),
+            ue_plan: Box::new(|_| UePlan::default()),
         }
     }
 
-    pub fn with_ue_plan(mut self, f: impl Fn(usize) -> DltePlan + 'static) -> Self {
+    pub fn with_ue_plan(mut self, f: impl Fn(usize) -> UePlan + 'static) -> Self {
         self.ue_plan = Box::new(f);
         self
     }
 
-    /// Put the UE population in motion: each UE whose [`DltePlan`] does not
-    /// script its own schedule follows `plan` (AP indices, mapped onto the
-    /// UE's cell list). Wires every UE to every AP, since any AP may now be
-    /// visited.
-    pub fn with_move_plan(mut self, plan: dlte_faults::MovePlan) -> Self {
-        self.wire_all_cells = true;
-        self.moves = Some(plan);
-        self
+    /// Build with the process-wide shard setting ([`dlte_sim::shards`],
+    /// i.e. the runner's `--shards` knob). The default is one shard —
+    /// classic single-engine execution.
+    pub fn build(self) -> Deployed {
+        let n = dlte_sim::shards();
+        self.build_sharded(n)
     }
 
-    /// Well-known addresses (shared with the centralized twin so
-    /// experiments can address "the same" OTT service).
+    /// Build on `n` engine shards, bit-identically at any `n`. A
+    /// centralized network always runs on one engine; a dLTE network is
+    /// partitioned by AP cluster, each UE on its home AP's shard. This is
+    /// the one place that picks a lowering, and the one place the move
+    /// plan is merged into the UE plans.
+    pub fn build_sharded(mut self, n: usize) -> Deployed {
+        self.wire_all_cells |= !self.moves.is_empty();
+        let ue_plan = std::mem::replace(&mut self.ue_plan, Box::new(|_| UePlan::default()));
+        let moves = std::mem::take(&mut self.moves);
+        let (n_cells, ues_per_cell) = (self.n_cells, self.ues_per_cell);
+        let plan = move |i| {
+            let mut plan = ue_plan(i);
+            if plan.schedule.is_empty() {
+                plan.schedule = cell_schedule(&moves, i, i / ues_per_cell, n_cells);
+            }
+            plan
+        };
+        match self.arch {
+            Arch::Centralized => {
+                let mut b = CentralizedLteBuilder::new(n_cells, ues_per_cell);
+                b.seed = self.seed;
+                b.inet_delay = self.inet_delay;
+                b.wire_all_cells = self.wire_all_cells;
+                b.epc = self.epc;
+                b.with_ue_plan(plan).build().into()
+            }
+            Arch::Dlte => self.lower_dlte(n, plan),
+        }
+    }
+
+    /// The fault-injection handles of the ids the lowering assigns: every
+    /// cell's backhaul link and, centralized, the trunk toward the EPC site
+    /// (`links`), the S-GW and the P-GW (`crashable`). Ids follow build
+    /// order, so they depend only on the architecture, the cell count and
+    /// (dLTE) whether a key directory is built; the lowerings assert them,
+    /// so reading them builds nothing.
+    pub fn fault_targets(&self) -> ChaosTargets {
+        match self.arch {
+            Arch::Centralized => ChaosTargets {
+                links: (0..self.n_cells)
+                    .map(CentralizedLteBuilder::enb_backhaul)
+                    .chain([CentralizedLteBuilder::L_AGG_EPC])
+                    .collect(),
+                crashable: vec![CentralizedLteBuilder::SGW, CentralizedLteBuilder::PGW],
+            },
+            Arch::Dlte => ChaosTargets {
+                links: (0..self.n_cells).map(|k| self.ap_backhaul(k)).collect(),
+                crashable: Vec::new(),
+            },
+        }
+    }
+
+    /// Most cells one network of this architecture holds.
+    pub fn max_cells(&self) -> usize {
+        match self.arch {
+            Arch::Centralized => CentralizedLteBuilder::MAX_ENBS,
+            Arch::Dlte => Self::MAX_APS,
+        }
+    }
+
+    /// The pool cell `k`'s UEs draw their addresses from: the P-GW's one
+    /// pool (centralized) or AP `k`'s own (dLTE).
+    pub fn ue_pool(&self, k: usize) -> Prefix {
+        match self.arch {
+            Arch::Centralized => CentralizedLteBuilder::ue_pool_prefix(),
+            Arch::Dlte => Self::ap_pool(k),
+        }
+    }
+
+    /// Backhaul link id of AP `k`: three core links, the key directory's
+    /// link when `keys` builds one, then one per AP in AP order.
+    fn ap_backhaul(&self, k: usize) -> LinkId {
+        let dir_link = usize::from(self.keys == KeyDistribution::RemoteDirectory);
+        3 + dir_link + k
+    }
+
+    /// Well-known addresses, the same in both architectures so experiments
+    /// can address "the same" OTT service.
     pub fn ott_addr() -> Addr {
         Addr::new(8, 8, 8, 8)
     }
 
+    /// dLTE's OTT transport server.
     pub fn ott_transport_addr() -> Addr {
         Addr::new(8, 8, 4, 4)
     }
 
-    pub fn dir_addr() -> Addr {
+    fn dir_addr() -> Addr {
         Addr::new(9, 9, 9, 9)
-    }
-
-    /// Most APs one network holds: past it, [`Self::ap_pool`] would leave
-    /// the CGNAT space.
-    pub const MAX_APS: usize = 15_872;
-
-    /// Backhaul link id of AP `k` that [`Self::build`] assigns whatever the
-    /// UE count or seed: three core links, the key directory's link when
-    /// `keys` builds one, then one per AP in AP order. Fault injection
-    /// reads it without a build; `build` asserts it.
-    pub fn ap_backhaul(k: usize, keys: KeyDistribution) -> LinkId {
-        let dir_link = usize::from(keys == KeyDistribution::RemoteDirectory);
-        3 + dir_link + k
     }
 
     /// The /24 pool of AP `k`. Pools are carved from 100.64.0.0/10
     /// (CGNAT space) starting at 100.66.0.0, so deployments up to
-    /// [`Self::MAX_APS`] APs get disjoint /24s; the first 256 APs keep
-    /// their historical `100.66.k.0/24` pools.
+    /// `MAX_APS` APs get disjoint /24s; the first 256 APs keep their
+    /// historical `100.66.k.0/24` pools.
     pub fn ap_pool(k: usize) -> Prefix {
         assert!(k < Self::MAX_APS, "AP pool space exhausted (k={k})");
         Prefix::new(Addr::new(100, (66 + k / 256) as u8, (k % 256) as u8, 0), 24)
     }
 
     /// The aggregate client space across all APs.
-    pub fn all_pools() -> Prefix {
+    fn all_pools() -> Prefix {
         Prefix::new(Addr::new(100, 64, 0, 0), 10)
     }
 
     /// Control-plane address of AP `k` (10.2.0.0/15-ish space; the first
     /// 250 APs keep their historical `10.2.k.1`).
-    pub fn ap_addr(k: usize) -> Addr {
+    fn ap_addr(k: usize) -> Addr {
         assert!(k < 500_000, "AP address space exhausted (k={k})");
         Addr::new(
             10,
@@ -195,7 +281,7 @@ impl DlteNetworkBuilder {
     /// apart, APs 1 km apart inside a town. With the 10 km protection
     /// contour every AP registers, a town is one contention domain and no
     /// contour reaches the next town.
-    pub fn ap_site(k: usize) -> Point {
+    fn ap_site(k: usize) -> Point {
         Point::new(
             (k / APS_PER_TOWN) as f64 * 100.0 + (k % APS_PER_TOWN) as f64,
             0.0,
@@ -204,9 +290,9 @@ impl DlteNetworkBuilder {
 
     /// X2 neighbours of every AP in an `n_aps` deployment, as AP indices
     /// in ascending order — §4.3's discovery step. Each AP requests a
-    /// co-channel grant for its [`Self::ap_site`] from an open registry at
-    /// t = 0 and peers with that grant's contention domain, so the list
-    /// length is bounded by the town size however large the deployment.
+    /// co-channel grant for its site from an open registry at t = 0 and
+    /// peers with that grant's contention domain, so the list length is
+    /// bounded by the town size however large the deployment.
     pub fn x2_neighbors(n_aps: usize) -> Vec<Vec<usize>> {
         let mut registry = SpectrumRegistry::new(ChannelPlan::for_band(Band::band5(), 10.0), 55.0);
         let grants: Vec<LicenseGrant> = (0..n_aps)
@@ -239,74 +325,35 @@ impl DlteNetworkBuilder {
             .collect()
     }
 
+    /// IMSI of UE `i`, in either architecture.
     pub fn imsi_of(i: usize) -> Imsi {
         1_000 + i as Imsi
     }
 
-    pub fn key_of(i: usize) -> Key {
+    fn key_of(i: usize) -> Key {
         0x0D17E_u128 << 100 | i as u128
     }
 
-    /// Build with the process-wide shard setting ([`dlte_sim::shards`],
-    /// i.e. the runner's `--shards` knob). The default is one shard —
-    /// classic single-engine execution.
-    pub fn build(self) -> DlteNet {
-        let n = dlte_sim::shards();
-        self.build_sharded(n)
-    }
-
-    /// Build an `n`-shard simulation, partitioned by AP cluster: the core
-    /// (routers, OTT services, directory) lands on shard 0 and the APs are
-    /// split into contiguous cluster ranges, each UE following its home
-    /// AP. Radio traffic thus stays intra-shard; only backhaul/mesh links
-    /// cross the cut, so the conservative lookahead is the backhaul delay.
-    /// The topology is built once and then split ([`ShardedSim::build`]):
-    /// each node's handler and routes move to its shard, and every
-    /// shard keeps all node names, addresses and links. Results are
-    /// bit-identical at any `n` (the tentpole invariant).
-    pub fn build_sharded(self, n: usize) -> DlteNet {
-        let (sim, h) = self.build_network();
-        let m = n.min(self.n_aps).max(1);
-        let sim = ShardedSim::build(
-            n,
-            || sim,
-            |net| {
-                let mut map = vec![0usize; net.core.nodes.len()];
-                for (k, &ap) in h.aps.iter().enumerate() {
-                    map[ap] = k * m / self.n_aps;
-                }
-                for (i, &ue) in h.ues.iter().enumerate() {
-                    map[ue] = (i / self.ues_per_ap) * m / self.n_aps;
-                }
-                map
-            },
-        );
-        DlteNet {
-            sim,
-            ues: h.ues,
-            aps: h.aps,
-            ott_echo: h.ott_echo,
-            ott_transport: h.ott_transport,
-            dir: h.dir,
-            r_agg: h.r_agg,
-            r_inet: h.r_inet,
-            ap_backhaul: h.ap_backhaul,
-            ap_mesh: h.ap_mesh,
-        }
-    }
-
-    /// Build the whole topology as one simulation.
-    fn build_network(&self) -> (Simulation<dlte_net::Network>, NetHandles) {
+    /// The dLTE lowering. It builds the whole topology as one simulation
+    /// and then splits it into `n` shards by AP cluster: the core (routers,
+    /// OTT services, directory) lands on shard 0 and the APs are split into
+    /// contiguous cluster ranges, each UE following its home AP. Radio
+    /// traffic thus stays intra-shard; only backhaul/mesh links cross the
+    /// cut, so the conservative lookahead is the backhaul delay. Each
+    /// node's handler and routes move to its shard ([`ShardedSim::build`]),
+    /// and every shard keeps all node names, addresses and links.
+    fn lower_dlte(self, n: usize, ue_plan: impl Fn(usize) -> UePlan) -> Deployed {
+        let (n_aps, ues_per_ap) = (self.n_cells, self.ues_per_cell);
         // AP `k`'s X2 peers, by AP index. Independent agents never report
         // to peers, so they skip discovery.
         let x2_neighbors = if self.x2_mode == CoordinationMode::Independent {
-            vec![Vec::new(); self.n_aps]
+            vec![Vec::new(); n_aps]
         } else {
-            Self::x2_neighbors(self.n_aps)
+            Self::x2_neighbors(n_aps)
         };
         let mut b = NetworkBuilder::new(self.seed);
         let rng = SimRng::new(self.seed ^ 0xD17E);
-        let total_ues = self.n_aps * self.ues_per_ap;
+        let total_ues = n_aps * ues_per_ap;
 
         // Published-key directory contents (every subscriber pre-publishes,
         // per §4.2). With pre-synced keys and UEs pinned to their home
@@ -337,36 +384,37 @@ impl DlteNetworkBuilder {
         );
         b.addr(ott_transport, Self::ott_transport_addr());
         let l_ott_tp = b.link(r_inet, ott_transport, LinkConfig::lan());
-        let dir = match self.keys {
-            KeyDistribution::RemoteDirectory => {
-                let dir = b.host(
-                    "key-dir",
-                    Box::new(KeyDirectoryNode::new(
-                        directory_of(0..total_ues),
-                        Self::DIR_PER_MSG,
-                    )),
-                );
-                b.addr(dir, Self::dir_addr());
-                let l = b.link(r_inet, dir, LinkConfig::lan());
-                b.route(dir, Prefix::DEFAULT, l);
-                Some(dir)
-            }
-            KeyDistribution::PreSynced => None,
-        };
+        assert_eq!(
+            (ott_echo, ott_transport),
+            (
+                DlteNetworkBuilder::OTT_ECHO,
+                DlteNetworkBuilder::OTT_TRANSPORT
+            ),
+            "OTT ids"
+        );
+        if self.keys == KeyDistribution::RemoteDirectory {
+            let dir = b.host(
+                "key-dir",
+                Box::new(KeyDirectoryNode::new(
+                    directory_of(0..total_ues),
+                    Self::DIR_PER_MSG,
+                )),
+            );
+            b.addr(dir, Self::dir_addr());
+            let l = b.link(r_inet, dir, LinkConfig::lan());
+            b.route(dir, Prefix::DEFAULT, l);
+        }
 
         // APs.
         let mut aps = Vec::new();
-        let mut ap_addrs = Vec::new();
         let mut ap_links = Vec::new();
-        for k in 0..self.n_aps {
-            ap_addrs.push(Self::ap_addr(k));
-        }
-        for k in 0..self.n_aps {
+        let ap_addrs: Vec<Addr> = (0..n_aps).map(Self::ap_addr).collect();
+        for k in 0..n_aps {
             let key_source = match self.keys {
                 // Pinned UEs only ever attach at home: sync just the home
                 // subscribers (keeps per-AP state O(ues_per_ap) at scale).
                 KeyDistribution::PreSynced if !self.wire_all_cells => {
-                    KeySource::Local(directory_of(k * self.ues_per_ap..(k + 1) * self.ues_per_ap))
+                    KeySource::Local(directory_of(k * ues_per_ap..(k + 1) * ues_per_ap))
                 }
                 KeyDistribution::PreSynced => KeySource::Local(directory_of(0..total_ues)),
                 KeyDistribution::RemoteDirectory => KeySource::Remote {
@@ -388,34 +436,24 @@ impl DlteNetworkBuilder {
             );
             b.addr(ap, ap_addrs[k]);
             let l = b.link(ap, r_agg, LinkConfig::rural_backhaul());
-            assert_eq!(l, Self::ap_backhaul(k, self.keys), "AP {k} backhaul id");
+            assert_eq!(l, self.ap_backhaul(k), "AP {k} backhaul id");
             aps.push(ap);
             ap_links.push(l);
         }
 
-        // UEs. A population move plan fills in the schedules the per-UE
-        // plans left empty, mapping AP indices onto each UE's cell list.
-        let moves = self.moves.as_ref().filter(|_| self.wire_all_cells);
         let cells: Vec<(NodeId, Addr)> = aps.iter().copied().zip(ap_addrs).collect();
         let pop = add_ues(
             &mut b,
             &cells,
-            self.ues_per_ap,
+            ues_per_ap,
             self.wire_all_cells,
             MobilityMode::ReAttach,
-            |i| {
-                let mut plan = (self.ue_plan)(i);
-                if let (Some(moves), true) = (moves, plan.schedule.is_empty()) {
-                    let home = i / self.ues_per_ap;
-                    plan.schedule = crate::mobility::cell_schedule(moves, i, home, self.n_aps);
-                }
-                (Usim::new(Self::imsi_of(i), Self::key_of(i)), plan)
-            },
+            |i| (Usim::new(Self::imsi_of(i), Self::key_of(i)), ue_plan(i)),
         );
 
         // Routing.
         b.auto_routes();
-        for (k, &link) in ap_links.iter().enumerate().take(self.n_aps) {
+        for (k, &link) in ap_links.iter().enumerate() {
             b.route(r_agg, Self::ap_pool(k), link);
         }
         // Whole dLTE client space from the Internet side.
@@ -424,26 +462,24 @@ impl DlteNetworkBuilder {
         b.route(ott_transport, Prefix::DEFAULT, l_ott_tp);
 
         // §7 mesh: a ring of inter-AP links plus failover config.
-        let mut ap_mesh = Vec::new();
-        if self.mesh && self.n_aps >= 2 {
-            for k in 0..self.n_aps {
-                let next = (k + 1) % self.n_aps;
-                if self.n_aps == 2 && k == 1 {
+        let mut mesh = Vec::new();
+        if self.mesh && n_aps >= 2 {
+            for k in 0..n_aps {
+                if n_aps == 2 && k == 1 {
                     break; // avoid a duplicate second link between the pair
                 }
-                let l = b.link(aps[k], aps[next], LinkConfig::rural_backhaul());
-                ap_mesh.push(l);
+                mesh.push(b.link(aps[k], aps[(k + 1) % n_aps], LinkConfig::rural_backhaul()));
             }
         }
 
         let mut sim = b.build();
         pop.wire::<DlteApNode>(sim.world_mut());
-        if self.mesh && !ap_mesh.is_empty() {
-            for k in 0..self.n_aps {
+        if !mesh.is_empty() {
+            for (k, &ap) in aps.iter().enumerate() {
                 // Fall back over the mesh link this AP participates in.
-                let fallback = ap_mesh[k.min(ap_mesh.len() - 1)];
+                let fallback = mesh[k.min(mesh.len() - 1)];
                 sim.world_mut()
-                    .handler_as_mut::<DlteApNode>(aps[k])
+                    .handler_as_mut::<DlteApNode>(ap)
                     .expect("ap handler")
                     .failover = Some(crate::resilience::BackhaulFailover::new(
                     fallback,
@@ -451,55 +487,95 @@ impl DlteNetworkBuilder {
                 ));
             }
         }
-        (
-            sim,
-            NetHandles {
-                ues: pop.ues,
-                aps,
-                ott_echo,
-                ott_transport,
-                dir,
-                r_agg,
-                r_inet,
-                ap_backhaul: ap_links,
-                ap_mesh,
+        let m = n.min(n_aps).max(1);
+        let sim = ShardedSim::build(
+            n,
+            || sim,
+            |net| {
+                let mut map = vec![0usize; net.core.nodes.len()];
+                for (k, &ap) in aps.iter().enumerate() {
+                    map[ap] = k * m / n_aps;
+                }
+                for (i, &ue) in pop.ues.iter().enumerate() {
+                    map[ue] = (i / ues_per_ap) * m / n_aps;
+                }
+                map
             },
-        )
+        );
+        Deployed {
+            sim,
+            ues: pop.ues,
+            cells: aps,
+            cell_backhaul: ap_links,
+            epc: None,
+            r_agg,
+            mesh,
+        }
     }
 }
 
-/// Node and link handles of a built topology.
-struct NetHandles {
-    ues: Vec<NodeId>,
-    aps: Vec<NodeId>,
-    ott_echo: NodeId,
-    ott_transport: NodeId,
-    dir: Option<NodeId>,
-    r_agg: NodeId,
-    r_inet: NodeId,
-    ap_backhaul: Vec<dlte_net::LinkId>,
-    ap_mesh: Vec<dlte_net::LinkId>,
+/// The dLTE entry point the `benchmark/` package builds through: a dLTE
+/// [`Deployment`] with every knob at its default but the seed and the UE
+/// plan.
+pub struct DlteNetworkBuilder {
+    pub seed: u64,
+    deployment: Deployment,
 }
 
-/// Which architecture a network is built as.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Arch {
-    Centralized,
-    Dlte,
+/// A network built by [`DlteNetworkBuilder`].
+pub struct DlteNet {
+    pub sim: ShardedSim,
+    pub ues: Vec<NodeId>,
+    pub aps: Vec<NodeId>,
+    pub ott_echo: NodeId,
+    pub ott_transport: NodeId,
+    /// The key directory: always `None`, since the APs pre-sync keys.
+    pub dir: Option<NodeId>,
 }
 
-impl std::fmt::Display for Arch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Arch::Centralized => write!(f, "centralized"),
-            Arch::Dlte => write!(f, "dlte"),
+impl DlteNetworkBuilder {
+    /// Ids of the OTT servers, which the dLTE lowering builds right after
+    /// the routers and asserts.
+    const OTT_ECHO: NodeId = 3;
+    const OTT_TRANSPORT: NodeId = 4;
+
+    pub fn new(n_aps: usize, ues_per_ap: usize) -> Self {
+        DlteNetworkBuilder {
+            seed: 1,
+            deployment: Deployment::new(Arch::Dlte, n_aps, ues_per_ap),
+        }
+    }
+
+    pub fn with_ue_plan(mut self, f: impl Fn(usize) -> DltePlan + 'static) -> Self {
+        self.deployment = self.deployment.with_ue_plan(f);
+        self
+    }
+
+    pub fn ott_addr() -> Addr {
+        Deployment::ott_addr()
+    }
+
+    pub fn ap_pool(k: usize) -> Prefix {
+        Deployment::ap_pool(k)
+    }
+
+    /// Build on `n` shards ([`Deployment::build_sharded`]).
+    pub fn build_sharded(mut self, n: usize) -> DlteNet {
+        self.deployment.seed = self.seed;
+        let net = self.deployment.build_sharded(n);
+        DlteNet {
+            sim: net.sim,
+            ues: net.ues,
+            aps: net.cells,
+            ott_echo: Self::OTT_ECHO,
+            ott_transport: Self::OTT_TRANSPORT,
+            dir: None,
         }
     }
 }
 
 /// A built network of either architecture, driven and read through one
-/// handle. A comparison builds each arm with its own builder, converts it
-/// with `into()`, and from then on runs the same code for both.
+/// handle: what [`Deployment::build`] returns.
 pub struct Deployed {
     /// The driver. A centralized network always runs on one engine.
     pub sim: ShardedSim,
@@ -510,6 +586,11 @@ pub struct Deployed {
     pub cell_backhaul: Vec<LinkId>,
     /// The centralized core; `None` for dLTE, whose cores live in its APs.
     pub epc: Option<Epc>,
+    /// The aggregation router every backhaul ends at.
+    pub r_agg: NodeId,
+    /// dLTE's mesh ring: `mesh[k]` connects AP k to AP (k+1) % n (empty
+    /// unless [`Deployment::mesh`] is set).
+    pub mesh: Vec<LinkId>,
 }
 
 /// The node ids of the centralized core, and its trunk.
@@ -557,18 +638,8 @@ impl From<CentralizedLteNet> for Deployed {
                 pgw: net.pgw,
                 l_agg_epc: net.l_agg_epc,
             }),
-        }
-    }
-}
-
-impl From<DlteNet> for Deployed {
-    fn from(net: DlteNet) -> Deployed {
-        Deployed {
-            sim: net.sim,
-            ues: net.ues,
-            cells: net.aps,
-            cell_backhaul: net.ap_backhaul,
-            epc: None,
+            r_agg: net.r_agg,
+            mesh: Vec::new(),
         }
     }
 }
@@ -576,7 +647,7 @@ impl From<DlteNet> for Deployed {
 /// True if `addr` belongs to any dLTE AP pool (used by the failover logic
 /// to recognize radio-side host routes it must preserve).
 pub fn any_ap_pool_contains(addr: Addr) -> bool {
-    DlteNetworkBuilder::all_pools().contains(addr)
+    Deployment::all_pools().contains(addr)
 }
 
 #[cfg(test)]
@@ -585,19 +656,33 @@ mod tests {
     use crate::transport_app::TransportUeApp;
     use dlte_epc::ue::{UeApp, UeState};
 
+    fn dlte(n_aps: usize, ues_per_ap: usize) -> Deployment {
+        Deployment::new(Arch::Dlte, n_aps, ues_per_ap)
+    }
+
+    fn pinger(interval_ms: u64) -> impl Fn(usize) -> DltePlan {
+        move |_| DltePlan {
+            app: UeApp::Pinger {
+                dst: Deployment::ott_addr(),
+                interval: SimDuration::from_millis(interval_ms),
+                probe_bytes: 100,
+            },
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn ue_attaches_to_dlte_ap_with_published_keys() {
-        let mut net = DlteNetworkBuilder::new(1, 1).build();
+        let mut net = dlte(1, 1).build();
         net.sim.run_until(SimTime::from_secs(3), 1_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert_eq!(ue.state, UeState::Attached);
         let addr = ue.addr.expect("assigned");
         assert!(
-            DlteNetworkBuilder::ap_pool(0).contains(addr),
+            Deployment::ap_pool(0).contains(addr),
             "address from the AP's own pool: {addr}"
         );
-        let ap = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+        let ap = net.aps().next().unwrap();
         assert_eq!(ap.core.active_sessions(), 1);
         assert_eq!(ap.core.stats.attaches_completed, 1);
     }
@@ -606,18 +691,12 @@ mod tests {
     fn dlte_attach_is_faster_than_centralized() {
         // dLTE: all control stays at the AP (one radio RTT per NAS step).
         // Centralized: every step crosses backhaul + EPC distance.
-        let mut dlte = DlteNetworkBuilder::new(1, 1).build();
-        dlte.sim.run_until(SimTime::from_secs(3), 1_000_000);
-        let dlte_lat = {
-            let ue = dlte.sim.handler_as::<UeNode>(dlte.ues[0]).unwrap();
-            ue.stats.attach_latency_ms.values()[0]
+        let latency = |arch| {
+            let mut net = Deployment::new(arch, 1, 1).build();
+            net.sim.run_until(SimTime::from_secs(3), 1_000_000);
+            net.ue(0).stats.attach_latency_ms.values()[0]
         };
-        let mut cent = dlte_epc::topology::CentralizedLteBuilder::new(1, 1).build();
-        cent.sim.run_until(SimTime::from_secs(3), 1_000_000);
-        let cent_lat = {
-            let ue = cent.sim.world().handler_as::<UeNode>(cent.ues[0]).unwrap();
-            ue.stats.attach_latency_ms.values()[0]
-        };
+        let (dlte_lat, cent_lat) = (latency(Arch::Dlte), latency(Arch::Centralized));
         assert!(
             dlte_lat * 2.0 < cent_lat,
             "dLTE {dlte_lat} ms vs centralized {cent_lat} ms"
@@ -626,19 +705,9 @@ mod tests {
 
     #[test]
     fn ping_rtt_shows_local_breakout() {
-        let mut net = DlteNetworkBuilder::new(1, 1)
-            .with_ue_plan(|_| DltePlan {
-                app: UeApp::Pinger {
-                    dst: DlteNetworkBuilder::ott_addr(),
-                    interval: SimDuration::from_millis(100),
-                    probe_bytes: 100,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut net = dlte(1, 1).with_ue_plan(pinger(100)).build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert!(ue.stats.pongs > 30);
         let rtts = &ue.stats.rtt_ms;
         // Path: radio 5 + backhaul 10 + inet 10 + lan ≈ 25 ms one way → ~50
@@ -649,26 +718,19 @@ mod tests {
 
     #[test]
     fn reattach_mobility_changes_address_and_recovers() {
-        let mut builder = DlteNetworkBuilder::new(2, 1);
-        builder.wire_all_cells = true;
-        let mut net = builder
-            .with_ue_plan(|_| DltePlan {
-                app: UeApp::Pinger {
-                    dst: DlteNetworkBuilder::ott_addr(),
-                    interval: SimDuration::from_millis(50),
-                    probe_bytes: 100,
-                },
-                schedule: vec![(SimTime::from_secs(3), 1)],
-            })
-            .build();
+        let mut d = dlte(2, 1).with_ue_plan(|i| DltePlan {
+            schedule: vec![(SimTime::from_secs(3), 1)],
+            ..pinger(50)(i)
+        });
+        d.wire_all_cells = true;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.attaches_completed, 2, "full re-attach at AP1");
         let addr = ue.addr.unwrap();
         assert!(
-            DlteNetworkBuilder::ap_pool(1).contains(addr),
+            Deployment::ap_pool(1).contains(addr),
             "new address from AP1's pool: {addr}"
         );
         assert!(
@@ -680,16 +742,14 @@ mod tests {
 
     #[test]
     fn remote_directory_adds_one_lookup_then_caches() {
-        let mut builder = DlteNetworkBuilder::new(1, 2);
-        builder.keys = KeyDistribution::RemoteDirectory;
-        let mut net = builder.build();
+        let mut d = dlte(1, 2);
+        d.keys = KeyDistribution::RemoteDirectory;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = &net.sim;
-        for &ue_id in &net.ues {
-            let ue = w.handler_as::<UeNode>(ue_id).unwrap();
+        for ue in net.ue_nodes() {
             assert_eq!(ue.state, UeState::Attached);
         }
-        let ap = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+        let ap = net.aps().next().unwrap();
         assert_eq!(ap.core.stats.directory_queries, 2, "one per new IMSI");
     }
 
@@ -700,23 +760,10 @@ mod tests {
     #[test]
     fn sharded_build_is_bit_identical_to_single() {
         let run = |n: usize| {
-            let mut net = DlteNetworkBuilder::new(4, 2)
-                .with_ue_plan(|_| DltePlan {
-                    app: UeApp::Pinger {
-                        dst: DlteNetworkBuilder::ott_addr(),
-                        interval: SimDuration::from_millis(100),
-                        probe_bytes: 100,
-                    },
-                    ..Default::default()
-                })
-                .build_sharded(n);
+            let mut net = dlte(4, 2).with_ue_plan(pinger(100)).build_sharded(n);
             assert_eq!(net.sim.num_shards(), n);
             net.sim.run_until(SimTime::from_secs(5), 10_000_000);
-            let pongs: Vec<u64> = net
-                .ues
-                .iter()
-                .map(|&u| net.sim.handler_as::<UeNode>(u).unwrap().stats.pongs)
-                .collect();
+            let pongs: Vec<u64> = net.ue_nodes().map(|u| u.stats.pongs).collect();
             let trace = net.sim.trace_merged();
             (
                 net.sim.events_dispatched(),
@@ -742,12 +789,11 @@ mod tests {
     /// before node 4's echo.
     #[test]
     fn deployed_centralized_trace_is_canonically_ordered() {
-        use dlte_epc::topology::CentralizedLteBuilder;
         use dlte_faults::{FaultPlan, FaultSpec};
         use dlte_obs::{set_tracing, take_records, Record};
         let build = || {
             let mut b = CentralizedLteBuilder::new(3, 3);
-            b.path_mgmt = Some((SimDuration::from_millis(500), 2));
+            b.epc.path_mgmt = true;
             let net = b.build();
             let plan = FaultPlan::new(1).with(FaultSpec::NodeCrash {
                 node: net.sgw,
@@ -805,11 +851,9 @@ mod tests {
 
     #[test]
     fn x2_agents_converge_across_aps() {
-        let mut net = DlteNetworkBuilder::new(2, 1).build();
+        let mut net = dlte(2, 1).build();
         net.sim.run_until(SimTime::from_secs(5), 2_000_000);
-        let w = &net.sim;
-        for &ap_id in &net.aps {
-            let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
+        for ap in net.aps() {
             assert_eq!(ap.x2.live_peers(), 1);
             // Both APs have one client each → equal demand → 50/50.
             assert!(
@@ -825,12 +869,10 @@ mod tests {
     /// inside each town independently.
     #[test]
     fn x2_coordination_is_per_town() {
-        let mut net = DlteNetworkBuilder::new(20, 1).build();
+        let mut net = dlte(20, 1).build();
         net.sim.run_until(SimTime::from_secs(3), 5_000_000);
-        let w = &net.sim;
         let mut town_share = [0.0f64; 3];
-        for (k, &ap_id) in net.aps.iter().enumerate() {
-            let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
+        for (k, ap) in net.aps().enumerate() {
             let town = k / APS_PER_TOWN;
             let town_size = (20 - town * APS_PER_TOWN).min(APS_PER_TOWN);
             assert_eq!(ap.x2.live_peers(), town_size - 1, "ap{k}");
@@ -854,24 +896,21 @@ mod tests {
     /// double-incremented.
     #[test]
     fn rapid_double_move_does_not_leak_or_double_backoff() {
-        let mut builder = DlteNetworkBuilder::new(3, 1);
-        builder.wire_all_cells = true;
-        let mut net = builder
-            .with_ue_plan(|i| DltePlan {
-                // UE0: → AP1 at 3 s, → AP2 8 ms later: before AP1's
-                // challenge (radio 5 ms each way + processing) can reach
-                // the UE. UE1/UE2 stay home.
-                schedule: if i == 0 {
-                    vec![(SimTime::from_secs(3), 1), (SimTime::from_millis(3_008), 2)]
-                } else {
-                    Vec::new()
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = dlte(3, 1).with_ue_plan(|i| DltePlan {
+            // UE0: → AP1 at 3 s, → AP2 8 ms later: before AP1's challenge
+            // (radio 5 ms each way + processing) can reach the UE. UE1/UE2
+            // stay home.
+            schedule: if i == 0 {
+                vec![(SimTime::from_secs(3), 1), (SimTime::from_millis(3_008), 2)]
+            } else {
+                Vec::new()
+            },
+            ..Default::default()
+        });
+        d.wire_all_cells = true;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.cell_moves, 2);
         assert_eq!(
@@ -888,13 +927,12 @@ mod tests {
         );
         let addr = ue.addr.unwrap();
         assert!(
-            DlteNetworkBuilder::ap_pool(2).contains(addr),
+            Deployment::ap_pool(2).contains(addr),
             "address from AP2's pool: {addr}"
         );
         // AP0 freed UE0's session; AP1 holds only its own home UE — UE0's
         // abandoned half-open attach was torn down by the move-2 detach.
-        for (k, sessions) in [(0usize, 0usize), (1, 1), (2, 2)] {
-            let ap = w.handler_as::<DlteApNode>(net.aps[k]).unwrap();
+        for ((k, ap), sessions) in net.aps().enumerate().zip([0, 1, 2]) {
             assert_eq!(ap.core.active_sessions(), sessions, "ap{k} session count");
             assert!(
                 ap.core.audit().attaching.is_empty(),
@@ -903,37 +941,40 @@ mod tests {
         }
     }
 
+    /// `n_aps` APs with remote keys and the X2 context fetch; UE0 moves to
+    /// AP1 at 3 s, the others stay home.
+    fn roaming_with_fetch(n_aps: usize) -> Deployment {
+        let mut d = dlte(n_aps, 1).with_ue_plan(|i| DltePlan {
+            schedule: if i == 0 {
+                vec![(SimTime::from_secs(3), 1)]
+            } else {
+                Vec::new()
+            },
+            ..Default::default()
+        });
+        d.wire_all_cells = true;
+        d.keys = KeyDistribution::RemoteDirectory;
+        d.x2_context_fetch = true;
+        d
+    }
+
     /// The X2 handover arm: when a roaming UE shows up at a new AP, the AP
     /// fetches the subscriber context from the previous AP over X2 instead
     /// of paying the wide-area directory round trip.
     #[test]
     fn x2_context_fetch_skips_directory_on_handover() {
-        let mut builder = DlteNetworkBuilder::new(2, 1);
-        builder.wire_all_cells = true;
-        builder.keys = KeyDistribution::RemoteDirectory;
-        builder.x2_context_fetch = true;
-        let mut net = builder
-            .with_ue_plan(|i| DltePlan {
-                schedule: if i == 0 {
-                    vec![(SimTime::from_secs(3), 1)]
-                } else {
-                    Vec::new()
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut net = roaming_with_fetch(2).build();
         net.sim.run_until(SimTime::from_secs(6), 5_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert_eq!(ue.state, UeState::Attached);
         assert_eq!(ue.stats.attaches_completed, 2);
         let addr = ue.addr.unwrap();
         assert!(
-            DlteNetworkBuilder::ap_pool(1).contains(addr),
+            Deployment::ap_pool(1).contains(addr),
             "address from AP1's pool: {addr}"
         );
-        let ap0 = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
-        let ap1 = w.handler_as::<DlteApNode>(net.aps[1]).unwrap();
+        let aps: Vec<&DlteApNode> = net.aps().collect();
+        let (ap0, ap1) = (aps[0], aps[1]);
         // Each AP paid one directory query for the first sight of its own
         // home UE (t≈0, no peer reports yet → no fetch). UE0's handover
         // attach at AP1 was answered by AP0's cached context instead.
@@ -957,32 +998,18 @@ mod tests {
     #[test]
     fn fetch_falls_back_when_context_peer_is_down() {
         use dlte_faults::{FaultPlan, FaultSpec};
-        let mut builder = DlteNetworkBuilder::new(3, 1);
-        builder.wire_all_cells = true;
-        builder.keys = KeyDistribution::RemoteDirectory;
-        builder.x2_context_fetch = true;
-        let mut net = builder
-            .with_ue_plan(|i| DltePlan {
-                schedule: if i == 0 {
-                    vec![(SimTime::from_secs(3), 1)]
-                } else {
-                    Vec::new()
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut net = roaming_with_fetch(3).build();
         // AP0 goes dark 100 ms before UE0 arrives at AP1: the detach and
         // the context fetch toward it are both lost; AP2 nacks (no record).
         FaultPlan::new(1)
             .with(FaultSpec::NodePause {
-                node: net.aps[0],
+                node: net.cells[0],
                 at_s: 2.9,
                 for_s: 2.0,
             })
             .inject(&mut net.sim);
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
+        let ue = net.ue(0);
         assert_eq!(ue.state, UeState::Attached, "attach not blackholed");
         assert_eq!(
             ue.stats.attach_retries, 0,
@@ -990,10 +1017,11 @@ mod tests {
         );
         let addr = ue.addr.unwrap();
         assert!(
-            DlteNetworkBuilder::ap_pool(1).contains(addr),
+            Deployment::ap_pool(1).contains(addr),
             "address from AP1's pool: {addr}"
         );
-        let ap1 = w.handler_as::<DlteApNode>(net.aps[1]).unwrap();
+        let aps: Vec<&DlteApNode> = net.aps().collect();
+        let (ap1, ap2) = (aps[1], aps[2]);
         assert!(ap1.fetch_stats.started >= 1);
         assert_eq!(ap1.fetch_stats.hits, 0, "nobody held the context");
         assert!(
@@ -1003,7 +1031,6 @@ mod tests {
         // UE1 at t≈0 plus UE0's fallback — the fetch cost one timeout, not
         // the attach.
         assert_eq!(ap1.core.stats.directory_queries, 2);
-        let ap2 = w.handler_as::<DlteApNode>(net.aps[2]).unwrap();
         assert_eq!(ap2.fetch_stats.served, 0);
     }
 
@@ -1014,26 +1041,15 @@ mod tests {
     fn moving_population_keeps_sessions_exclusive_and_bounded() {
         use crate::mobility::ap_index_for;
         use dlte_check::{Bounds, MobilityEvidence, MobilityUeView, SpanView};
-        let plan = dlte_faults::MovePlan::commuter_mix(7, 6, 3, 1.0, 2.5, 2.0, 8.0);
-        let mut net = DlteNetworkBuilder::new(3, 2)
-            .with_move_plan(plan)
-            .with_ue_plan(|_| DltePlan {
-                app: UeApp::Pinger {
-                    dst: DlteNetworkBuilder::ott_addr(),
-                    interval: SimDuration::from_millis(100),
-                    probe_bytes: 100,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = dlte(3, 2).with_ue_plan(pinger(100));
+        d.moves = MovePlan::commuter_mix(7, 6, 3, 1.0, 2.5, 2.0, 8.0);
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(12), 20_000_000);
-        let w = &net.sim;
         let mut ev = MobilityEvidence {
             max_dwell_s: 2.5,
             ..Default::default()
         };
-        for (k, &ap_id) in net.aps.iter().enumerate() {
-            let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
+        for (k, ap) in net.aps().enumerate() {
             for s in ap.core.session_spans() {
                 ev.spans.push(SpanView {
                     core: k,
@@ -1043,11 +1059,10 @@ mod tests {
                 });
             }
         }
-        for (i, &ue_id) in net.ues.iter().enumerate() {
-            let ue = w.handler_as::<UeNode>(ue_id).unwrap();
+        for (i, ue) in net.ue_nodes().enumerate() {
             let home = i / 2;
             ev.ues.push(MobilityUeView {
-                imsi: DlteNetworkBuilder::imsi_of(i),
+                imsi: Deployment::imsi_of(i),
                 attached: ue.state == UeState::Attached,
                 serving_core: Some(ap_index_for(home, ue.current_cell_index(), 3)),
                 moves: ue.stats.cell_moves,
@@ -1065,26 +1080,60 @@ mod tests {
 
     #[test]
     fn transport_rides_reattach_with_migration() {
-        let mut builder = DlteNetworkBuilder::new(2, 1);
-        builder.wire_all_cells = true;
-        let mut net = builder
-            .with_ue_plan(|_| DltePlan {
-                app: UeApp::Upper(Box::new(TransportUeApp::new(
-                    TransportConfig::modern(),
-                    DlteNetworkBuilder::ott_transport_addr(),
-                ))),
-                schedule: vec![(SimTime::from_secs(3), 1)],
-            })
-            .build();
+        let mut d = dlte(2, 1).with_ue_plan(|_| DltePlan {
+            app: UeApp::Upper(Box::new(TransportUeApp::new(
+                TransportConfig::modern(),
+                Deployment::ott_transport_addr(),
+            ))),
+            schedule: vec![(SimTime::from_secs(3), 1)],
+        });
+        d.wire_all_cells = true;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(8), 10_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-        let app = ue.upper_as::<TransportUeApp>().expect("typed upper layer");
+        let app = net
+            .ue(0)
+            .upper_as::<TransportUeApp>()
+            .expect("typed upper layer");
         assert_eq!(app.connects, 1, "migration avoided a new handshake");
         assert_eq!(app.resume_ms.len(), 1, "one resume measured");
         assert!(app.conn.acked_bytes() > 100_000, "flow kept moving");
         let resume = app.resume_ms.values()[0];
         // Resume cost ≈ attach (a few radio RTTs) + one path RTT.
         assert!((10.0..1000.0).contains(&resume), "resume {resume} ms");
+    }
+
+    /// The move plan is merged once, in [`Deployment::build_sharded`], for
+    /// both architectures: with no faults, every UE makes exactly the cell
+    /// changes its share of the plan names, whichever core serves it. Each
+    /// of the six UEs leaves its home cell at 3 s and moves on at 6 s.
+    #[test]
+    fn move_plan_drives_both_architectures() {
+        use dlte_faults::MoveSpec;
+        let moves = MovePlan {
+            seed: 3,
+            moves: (0..6)
+                .flat_map(|ue| {
+                    let home = ue / 2;
+                    [(3.0, (home + 1) % 3), (6.0, (home + 2) % 3)].map(|(at_s, ap)| MoveSpec {
+                        ue,
+                        at_s: at_s + 0.1 * ue as f64,
+                        ap,
+                    })
+                })
+                .collect(),
+        };
+        for arch in [Arch::Centralized, Arch::Dlte] {
+            let mut d = Deployment::new(arch, 3, 2).with_ue_plan(pinger(100));
+            d.moves = moves.clone();
+            let mut net = d.build();
+            net.sim.run_until(SimTime::from_secs(12), 20_000_000);
+            let mut total = 0;
+            for (i, ue) in net.ue_nodes().enumerate() {
+                let planned = cell_schedule(&moves, i, i / 2, 3).len() as u64;
+                assert_eq!(ue.stats.cell_moves, planned, "{arch} ue{i}");
+                total += planned;
+            }
+            assert_eq!(total, 12, "{arch}");
+        }
     }
 }

@@ -1,17 +1,17 @@
-//! Property-based tests for the dLTE scenario builder's site plan.
+//! Property-based tests for the dLTE lowering's site plan.
 
-use dlte::scenario::{DlteNetworkBuilder, APS_PER_TOWN};
+use dlte::scenario::{Deployment, APS_PER_TOWN};
 use proptest::prelude::*;
 
 proptest! {
-    /// The X2 peer relation the registry hands the builder: symmetric,
+    /// The X2 peer relation the registry hands the dLTE lowering: symmetric,
     /// irreflexive, every list in ascending AP index, confined to the
     /// AP's town — and the old full mesh for any deployment that fits in
     /// one town (what keeps every small experiment's event stream
     /// unchanged).
     #[test]
     fn x2_neighbors_are_the_town(n_aps in 1usize..=64) {
-        let peers = DlteNetworkBuilder::x2_neighbors(n_aps);
+        let peers = Deployment::x2_neighbors(n_aps);
         prop_assert_eq!(peers.len(), n_aps);
         for (k, list) in peers.iter().enumerate() {
             prop_assert!(!list.contains(&k), "ap{k} peers with itself");

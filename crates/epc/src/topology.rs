@@ -8,11 +8,13 @@
 //! ```
 //!
 //! Every user packet tunnels eNB → S-GW → P-GW before reaching the Internet;
-//! every control event serializes through the shared MME/HSS. The dLTE
-//! counterpart topology lives in the `dlte` core crate, and `dlte::scenario`
-//! drives a network of either kind through one handle. Both builders add
-//! their UEs through [`add_ues`], so a UE's cells, plan and radio links are
-//! set up the same way whichever core it attaches to.
+//! every control event serializes through the shared MME/HSS.
+//! [`CentralizedLteBuilder`] is the centralized lowering of
+//! `dlte::scenario::Deployment`, the one description of a network of either
+//! architecture: the deployment fills in its fields, so a comparison never
+//! names this builder. Both lowerings add their UEs through [`add_ues`], so
+//! a UE's cells, plan and radio links are set up the same way whichever
+//! core it attaches to.
 
 use crate::enb::EnbNode;
 use crate::hss::HssNode;
@@ -46,24 +48,40 @@ impl Default for UePlan {
     }
 }
 
+/// The knobs of the centralized core. A dLTE network has no EPC and reads
+/// none of them.
+#[derive(Clone, Copy, Debug)]
+pub struct EpcConfig {
+    /// Aggregation ↔ EPC-site distance (one-way delay).
+    pub epc_delay: SimDuration,
+    /// eNB inactivity timeout before S1 release to ECM-IDLE (None =
+    /// always-connected).
+    pub enb_idle_timeout: Option<SimDuration>,
+    /// Run GTP-U echo path management (MME→S-GW, S-GW→P-GW). Off by
+    /// default: fault-free experiments keep an identical event stream.
+    pub path_mgmt: bool,
+}
+
+impl Default for EpcConfig {
+    fn default() -> Self {
+        EpcConfig {
+            epc_delay: SimDuration::from_millis(15),
+            enb_idle_timeout: None,
+            path_mgmt: false,
+        }
+    }
+}
+
 /// Builder for the centralized reference network.
 pub struct CentralizedLteBuilder {
     n_enb: usize,
     ues_per_enb: usize,
-    /// Aggregation ↔ EPC-site distance (one-way delay).
-    pub epc_delay: SimDuration,
+    pub seed: u64,
     /// EPC-site ↔ Internet-core distance.
     pub inet_delay: SimDuration,
     /// Wire every UE to every eNB (needed for mobility experiments).
     pub wire_all_cells: bool,
-    /// eNB inactivity timeout before S1 release to ECM-IDLE (None =
-    /// always-connected).
-    pub enb_idle_timeout: Option<SimDuration>,
-    pub seed: u64,
-    /// Run GTP-U echo path management (MME→S-GW, S-GW→P-GW) with this
-    /// (interval, max_misses). Off by default: fault-free experiments keep
-    /// an identical event stream.
-    pub path_mgmt: Option<(SimDuration, u32)>,
+    pub epc: EpcConfig,
     ue_plan: Box<dyn Fn(usize) -> UePlan>,
 }
 
@@ -72,6 +90,8 @@ pub struct CentralizedLteBuilder {
 pub struct CentralizedLteNet {
     pub sim: Simulation<Network>,
     pub ues: Vec<NodeId>,
+    /// The aggregation router every backhaul ends at.
+    pub r_agg: NodeId,
     pub enbs: Vec<NodeId>,
     pub mme: NodeId,
     pub sgw: NodeId,
@@ -100,6 +120,10 @@ impl CentralizedLteBuilder {
     const MME_PER_MSG: SimDuration = SimDuration::from_micros(500);
     const HSS_PER_MSG: SimDuration = SimDuration::from_micros(300);
     const GW_PER_MSG: SimDuration = SimDuration::from_micros(100);
+    /// Echo interval of path management, and the missed echoes after which
+    /// a peer is declared dead.
+    const PATH_INTERVAL: SimDuration = SimDuration::from_millis(500);
+    const PATH_MISSES: u32 = 2;
     /// Serving-network id the MME binds authentication vectors to.
     const SN_ID: SnId = 51089;
 
@@ -112,12 +136,10 @@ impl CentralizedLteBuilder {
         CentralizedLteBuilder {
             n_enb,
             ues_per_enb,
-            epc_delay: SimDuration::from_millis(15),
+            seed: 1,
             inet_delay: SimDuration::from_millis(10),
             wire_all_cells: false,
-            enb_idle_timeout: None,
-            seed: 1,
-            path_mgmt: None,
+            epc: EpcConfig::default(),
             ue_plan: Box::new(|_| UePlan::default()),
         }
     }
@@ -154,7 +176,7 @@ impl CentralizedLteBuilder {
         let r_agg = b.node("r-agg");
         let r_epc = b.node("r-epc");
         let r_inet = b.node("r-inet");
-        let l_agg_epc = b.link(r_agg, r_epc, LinkConfig::wan(self.epc_delay));
+        let l_agg_epc = b.link(r_agg, r_epc, LinkConfig::wan(self.epc.epc_delay));
         let l_epc_inet = b.link(r_epc, r_inet, LinkConfig::wan(self.inet_delay));
 
         // OTT echo service.
@@ -173,15 +195,19 @@ impl CentralizedLteBuilder {
             hss_node.provision(Self::imsi_of(i), Self::key_of(i));
         }
         let mut mme_node = MmeNode::new(Self::SN_ID, hss_addr, sgw_addr, Self::MME_PER_MSG);
-        if let Some((interval, max_misses)) = self.path_mgmt {
-            mme_node.path.enable(sgw_addr, interval, max_misses);
+        if self.epc.path_mgmt {
+            mme_node
+                .path
+                .enable(sgw_addr, Self::PATH_INTERVAL, Self::PATH_MISSES);
         }
         let mme = b.host("mme", Box::new(mme_node));
         b.addr(mme, mme_addr);
         let mut sgw_node = SgwNode::new(pgw_addr, Self::GW_PER_MSG);
         sgw_node.mme_addr = mme_addr;
-        if let Some((interval, max_misses)) = self.path_mgmt {
-            sgw_node.path.enable(pgw_addr, interval, max_misses);
+        if self.epc.path_mgmt {
+            sgw_node
+                .path
+                .enable(pgw_addr, Self::PATH_INTERVAL, Self::PATH_MISSES);
         }
         let sgw = b.host("sgw", Box::new(sgw_node));
         b.addr(sgw, sgw_addr);
@@ -213,7 +239,7 @@ impl CentralizedLteBuilder {
             assert!(e < Self::MAX_ENBS, "eNB address space exhausted (e={e})");
             let addr = Addr::new(10, 1, e as u8, 1);
             let mut enb_node = EnbNode::new(mme_addr);
-            enb_node.idle_timeout = self.enb_idle_timeout;
+            enb_node.idle_timeout = self.epc.enb_idle_timeout;
             let enb = b.host(format!("enb{e}"), Box::new(enb_node));
             b.addr(enb, addr);
             let backhaul = b.link(enb, r_agg, LinkConfig::rural_backhaul());
@@ -248,6 +274,7 @@ impl CentralizedLteBuilder {
         CentralizedLteNet {
             sim,
             ues: pop.ues,
+            r_agg,
             enbs: cells.iter().map(|&(enb, _)| enb).collect(),
             mme,
             sgw,
@@ -442,7 +469,7 @@ mod tests {
         // the eNB releases the UE between probes; each probe then triggers
         // a service request and the ping still completes.
         let mut builder = CentralizedLteBuilder::new(1, 1);
-        builder.enb_idle_timeout = Some(SimDuration::from_millis(500));
+        builder.epc.enb_idle_timeout = Some(SimDuration::from_millis(500));
         let mut net = builder
             .with_ue_plan(|_| UePlan {
                 app: UeApp::Pinger {
@@ -487,7 +514,7 @@ mod tests {
         // between packets. Every packet must be buffered at the S-GW,
         // trigger a notification + page, and flow after reactivation.
         let mut builder = CentralizedLteBuilder::new(1, 2);
-        builder.enb_idle_timeout = Some(SimDuration::from_millis(200));
+        builder.epc.enb_idle_timeout = Some(SimDuration::from_millis(200));
         let mut net = builder
             .with_ue_plan(|i| UePlan {
                 app: if i == 1 {
@@ -536,7 +563,7 @@ mod tests {
         // must re-attach once the S-GW is back — keeping their addresses,
         // because the P-GW never lost the IMSI→address binding.
         let mut builder = CentralizedLteBuilder::new(1, 2);
-        builder.path_mgmt = Some((SimDuration::from_millis(500), 2));
+        builder.epc.path_mgmt = true;
         let mut net = builder
             .with_ue_plan(|_| UePlan {
                 app: UeApp::Pinger {

@@ -134,7 +134,8 @@ proptest! {
 // crashes allowed) and an E13-style dLTE mesh (link faults only).
 // ---------------------------------------------------------------------------
 
-use dlte::fuzz::{chaos_targets, run_case, Arch, FuzzCase};
+use dlte::fuzz::{run_case, Arch, FuzzCase};
+use dlte::scenario::Deployment;
 
 #[derive(Clone, Debug)]
 enum ChaosShape {
@@ -220,7 +221,7 @@ fn arb_chaos_shape() -> impl Strategy<Value = ChaosShape> {
 /// back to link faults when the architecture has no crashable node (dLTE:
 /// the local core shares fate with its AP).
 fn realize(arch: Arch, seed: u64, n_cells: usize, ues: usize, shapes: &[ChaosShape]) -> FuzzCase {
-    let targets = chaos_targets(arch, n_cells);
+    let targets = Deployment::new(arch, n_cells, ues).fault_targets();
     let link = |i: usize| targets.links[i % targets.links.len()];
     let mut plan = FaultPlan::new(seed);
     for s in shapes {

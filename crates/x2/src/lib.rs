@@ -17,7 +17,7 @@
 //! that exchanges periodic load/status messages with its contention-domain
 //! peers, tracks peer liveness, and exposes the negotiated share. The peer
 //! list is the contention domain of the AP's own [`dlte_registry`] grant:
-//! `dlte::scenario::DlteNetworkBuilder::x2_neighbors` asks the registry
+//! `dlte::scenario::Deployment::x2_neighbors` asks the registry
 //! once per built network, so X2 load per AP is bounded by its town, not
 //! by the deployment.
 //! [`bandwidth`] accounts the X2 overhead (experiment E11; cf. La Roche &

@@ -9,42 +9,39 @@
 //! cargo run --release --example backhaul_outage
 //! ```
 
-use dlte::scenario::{DlteNetworkBuilder, DltePlan};
-use dlte::DlteApNode;
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte::scenario::{Arch, Deployment, DltePlan};
+use dlte_epc::ue::UeApp;
 use dlte_net::{NetFault, Prefix};
 use dlte_sim::{SimDuration, SimTime};
 
 fn main() {
-    let mut b = DlteNetworkBuilder::new(2, 1);
-    b.mesh = true; // provision the inter-AP link + failover (§7)
-    let mut net = b
-        .with_ue_plan(|_| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 100,
-            },
-            ..Default::default()
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, 2, 1).with_ue_plan(|_| DltePlan {
+        app: UeApp::Pinger {
+            dst: Deployment::ott_addr(),
+            interval: SimDuration::from_millis(100),
+            probe_bytes: 100,
+        },
+        ..Default::default()
+    });
+    d.mesh = true; // provision the inter-AP link + failover (§7)
+    let mut net = d.build();
 
     // The fault: AP0's backhaul dies at t=5 s; the regional IGP reconverges
     // the downlink toward AP0's pool two seconds later.
-    let ap0_addr = net.sim.node_addrs(net.aps[0])[0];
+    let ap0_addr = net.sim.node_addrs(net.cells[0])[0];
     let fail = SimTime::from_secs(5);
     let reconverge = SimTime::from_secs(7);
     net.sim.schedule_fault_broadcast(
         fail,
         NetFault::LinkUp {
-            link: net.ap_backhaul[0],
+            link: net.cell_backhaul[0],
             up: false,
         },
     );
-    for prefix in [DlteNetworkBuilder::ap_pool(0), Prefix::new(ap0_addr, 32)] {
+    for prefix in [Deployment::ap_pool(0), Prefix::new(ap0_addr, 32)] {
         let reroutes = [
-            (net.r_agg, net.ap_backhaul[1]),
-            (net.aps[1], net.ap_mesh[0]),
+            (net.r_agg, net.cell_backhaul[1]),
+            (net.cells[1], net.mesh[0]),
         ];
         for (node, link) in reroutes {
             net.sim
@@ -56,9 +53,8 @@ fn main() {
     let mut last_pongs = 0;
     for second in 1..=15u64 {
         net.sim.run_until(SimTime::from_secs(second), 100_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-        let ap0 = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+        let ue = net.ue(0);
+        let ap0 = net.aps().next().unwrap();
         let rate = ue.stats.pongs - last_pongs;
         last_pongs = ue.stats.pongs;
         let status = match (second, ap0.failover.as_ref().map(|f| f.failed_over)) {
@@ -68,9 +64,8 @@ fn main() {
         };
         println!("  t={second:>2}s  pongs this second: {rate:>2}/10   [{status}]");
     }
-    let w = &net.sim;
-    let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-    let ap0 = w.handler_as::<DlteApNode>(net.aps[0]).unwrap();
+    let ue = net.ue(0);
+    let ap0 = net.aps().next().unwrap();
     let fo = ap0.failover.as_ref().unwrap();
     println!(
         "\nfailover at {} (probe deadline after the cut); total pongs {}/150",

@@ -5,19 +5,18 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dlte::scenario::{DlteNetworkBuilder, DltePlan};
-use dlte::DlteApNode;
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte::scenario::{Arch, Deployment, DltePlan};
+use dlte_epc::ue::UeApp;
 use dlte_sim::{SimDuration, SimTime};
 
 fn main() {
     // One AP, one UE. The UE's key is pre-published to the open directory;
     // the AP's local core authenticates it with the standard EPS-AKA
     // handshake — no carrier, no shared EPC.
-    let mut net = DlteNetworkBuilder::new(1, 1)
+    let mut net = Deployment::new(Arch::Dlte, 1, 1)
         .with_ue_plan(|_| DltePlan {
             app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
+                dst: Deployment::ott_addr(),
                 interval: SimDuration::from_millis(100),
                 probe_bytes: 100,
             },
@@ -28,9 +27,8 @@ fn main() {
     println!("running 10 simulated seconds…\n");
     net.sim.run_until(SimTime::from_secs(10), 10_000_000);
 
-    let world = &net.sim;
-    let ue = world.handler_as::<UeNode>(net.ues[0]).expect("ue");
-    let ap = world.handler_as::<DlteApNode>(net.aps[0]).expect("ap");
+    let ue = net.ue(0);
+    let ap = net.aps().next().expect("ap");
 
     println!("UE state ............ {:?}", ue.state);
     println!(

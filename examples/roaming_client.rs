@@ -8,40 +8,37 @@
 //! cargo run --release --example roaming_client
 //! ```
 
-use dlte::scenario::{DlteNetworkBuilder, DltePlan};
+use dlte::scenario::{Arch, Deployment, DltePlan};
 use dlte::TransportUeApp;
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte_epc::ue::UeApp;
 use dlte_sim::SimTime;
 use dlte_transport::connection::TransportConfig;
 
 fn main() {
-    let mut builder = DlteNetworkBuilder::new(2, 1);
-    builder.wire_all_cells = true;
     // The client hops AP0 → AP1 → AP0 → AP1, dwelling 4 s each.
     let schedule = vec![
         (SimTime::from_secs(4), 1),
         (SimTime::from_secs(8), 0),
         (SimTime::from_secs(12), 1),
     ];
-    let mut net = builder
-        .with_ue_plan(move |i| DltePlan {
-            app: if i == 0 {
-                UeApp::Upper(Box::new(TransportUeApp::new(
-                    TransportConfig::modern(),
-                    DlteNetworkBuilder::ott_transport_addr(),
-                )))
-            } else {
-                UeApp::None
-            },
-            schedule: if i == 0 { schedule.clone() } else { vec![] },
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, 2, 1).with_ue_plan(move |i| DltePlan {
+        app: if i == 0 {
+            UeApp::Upper(Box::new(TransportUeApp::new(
+                TransportConfig::modern(),
+                Deployment::ott_transport_addr(),
+            )))
+        } else {
+            UeApp::None
+        },
+        schedule: if i == 0 { schedule.clone() } else { vec![] },
+    });
+    d.wire_all_cells = true;
+    let mut net = d.build();
 
     println!("client uploads continuously while hopping APs every 4 s…\n");
     net.sim.run_until(SimTime::from_secs(16), 100_000_000);
 
-    let world = &net.sim;
-    let ue = world.handler_as::<UeNode>(net.ues[0]).unwrap();
+    let ue = net.ue(0);
     let app = ue.upper_as::<TransportUeApp>().unwrap();
 
     println!(

@@ -12,15 +12,15 @@
 //! cargo run --release --example rural_town
 //! ```
 
-use dlte::econ::Deployment;
-use dlte::scenario::{DlteNetworkBuilder, DltePlan};
-use dlte_epc::ue::{UeApp, UeNode};
+use dlte::econ;
+use dlte::scenario::{Arch, Deployment, DltePlan};
+use dlte_epc::ue::UeApp;
 use dlte_mac::{CellConfig, CellSim, UeConfig};
 use dlte_sim::{SimDuration, SimRng, SimTime};
 
 fn main() {
     // --- 1. What the site costs and what it covers -----------------------
-    let site = Deployment::DlteSite;
+    let site = econ::Deployment::DlteSite;
     println!("== the site (paper §5) ==");
     for item in site.bom() {
         println!(
@@ -63,10 +63,10 @@ fn main() {
 
     // --- 3. The network: data-only, OTT services -------------------------
     println!("== the town online (20 UEs attach; WhatsApp-style echo traffic) ==");
-    let mut net = DlteNetworkBuilder::new(1, 20)
+    let mut net = Deployment::new(Arch::Dlte, 1, 20)
         .with_ue_plan(|_| DltePlan {
             app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
+                dst: Deployment::ott_addr(),
                 interval: SimDuration::from_millis(500),
                 probe_bytes: 300,
             },
@@ -74,12 +74,10 @@ fn main() {
         })
         .build();
     net.sim.run_until(SimTime::from_secs(15), 50_000_000);
-    let world = &net.sim;
     let mut attached = 0;
     let mut attach_ms = dlte_sim::stats::Samples::new();
     let mut rtt_ms = dlte_sim::stats::Samples::new();
-    for &ue_id in &net.ues {
-        let ue = world.handler_as::<UeNode>(ue_id).unwrap();
+    for ue in net.ue_nodes() {
         if ue.addr.is_some() {
             attached += 1;
         }

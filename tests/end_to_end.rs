@@ -2,9 +2,9 @@
 //! attach via published keys → X2 convergence → user traffic → roaming
 //! with transport survival.
 
-use dlte::scenario::{DlteNetworkBuilder, DltePlan, KeyDistribution};
-use dlte::{DlteApNode, TransportUeApp};
-use dlte_epc::ue::{UeApp, UeNode, UeState};
+use dlte::scenario::{Arch, Deployment, DltePlan, KeyDistribution};
+use dlte::TransportUeApp;
+use dlte_epc::ue::{UeApp, UeState};
 use dlte_sim::{SimDuration, SimTime};
 use dlte_transport::connection::TransportConfig;
 use dlte_x2::CoordinationMode;
@@ -13,47 +13,42 @@ use dlte_x2::CoordinationMode;
 /// directory, fair-share X2, pinger traffic, one roaming client.
 #[test]
 fn full_stack_story() {
-    let mut builder = DlteNetworkBuilder::new(3, 2);
-    builder.wire_all_cells = true;
-    builder.keys = KeyDistribution::RemoteDirectory;
-    builder.x2_mode = CoordinationMode::FairShare;
-    builder.seed = 7;
-    let mut net = builder
-        .with_ue_plan(|i| DltePlan {
-            app: UeApp::Pinger {
-                dst: DlteNetworkBuilder::ott_addr(),
-                interval: SimDuration::from_millis(100),
-                probe_bytes: 120,
-            },
-            // UE 0 roams to AP 1's coverage at t = 6 s.
-            schedule: if i == 0 {
-                vec![(SimTime::from_secs(6), 1)]
-            } else {
-                vec![]
-            },
-        })
-        .build();
+    let mut d = Deployment::new(Arch::Dlte, 3, 2).with_ue_plan(|i| DltePlan {
+        app: UeApp::Pinger {
+            dst: Deployment::ott_addr(),
+            interval: SimDuration::from_millis(100),
+            probe_bytes: 120,
+        },
+        // UE 0 roams to AP 1's coverage at t = 6 s.
+        schedule: if i == 0 {
+            vec![(SimTime::from_secs(6), 1)]
+        } else {
+            vec![]
+        },
+    });
+    d.wire_all_cells = true;
+    d.keys = KeyDistribution::RemoteDirectory;
+    d.x2_mode = CoordinationMode::FairShare;
+    d.seed = 7;
+    let mut net = d.build();
 
     net.sim.run_until(SimTime::from_secs(12), 100_000_000);
-    let w = &net.sim;
 
     // Every UE attached and exchanged traffic.
-    for (i, &ue_id) in net.ues.iter().enumerate() {
-        let ue = w.handler_as::<UeNode>(ue_id).unwrap();
+    for (i, ue) in net.ue_nodes().enumerate() {
         assert_eq!(ue.state, UeState::Attached, "ue{i}");
         assert!(ue.stats.pongs > 20, "ue{i} pongs {}", ue.stats.pongs);
     }
 
     // The roamer holds an address from its *new* AP's pool.
-    let roamer = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-    assert!(DlteNetworkBuilder::ap_pool(1).contains(roamer.addr.unwrap()));
+    let roamer = net.ue(0);
+    assert!(Deployment::ap_pool(1).contains(roamer.addr.unwrap()));
     assert_eq!(roamer.stats.attaches_completed, 2);
     assert!(!roamer.stats.handover_gap_ms.is_empty());
 
     // Each AP authenticated its own UEs from the remote directory (cached
     // after first sight), and X2 agents see both peers.
-    for (k, &ap_id) in net.aps.iter().enumerate() {
-        let ap = w.handler_as::<DlteApNode>(ap_id).unwrap();
+    for (k, ap) in net.aps().enumerate() {
         assert!(ap.core.stats.attaches_completed >= 2, "ap{k}");
         assert_eq!(ap.x2.live_peers(), 2, "ap{k} X2 mesh");
         assert!(
@@ -86,35 +81,31 @@ fn full_stack_story() {
 #[test]
 fn transport_survives_roaming_legacy_does_not() {
     let run = |cfg: TransportConfig| {
-        let mut builder = DlteNetworkBuilder::new(2, 1);
-        builder.wire_all_cells = true;
-        builder.transport_cfg = cfg;
-        builder.seed = 11;
-        let mut net = builder
-            .with_ue_plan(move |i| DltePlan {
-                app: if i == 0 {
-                    UeApp::Upper(Box::new(TransportUeApp::new(
-                        cfg,
-                        DlteNetworkBuilder::ott_transport_addr(),
-                    )))
-                } else {
-                    UeApp::None
-                },
-                schedule: if i == 0 {
-                    vec![
-                        (SimTime::from_secs(4), 1),
-                        (SimTime::from_secs(8), 0),
-                        (SimTime::from_secs(12), 1),
-                    ]
-                } else {
-                    vec![]
-                },
-            })
-            .build();
+        let mut d = Deployment::new(Arch::Dlte, 2, 1).with_ue_plan(move |i| DltePlan {
+            app: if i == 0 {
+                UeApp::Upper(Box::new(TransportUeApp::new(
+                    cfg,
+                    Deployment::ott_transport_addr(),
+                )))
+            } else {
+                UeApp::None
+            },
+            schedule: if i == 0 {
+                vec![
+                    (SimTime::from_secs(4), 1),
+                    (SimTime::from_secs(8), 0),
+                    (SimTime::from_secs(12), 1),
+                ]
+            } else {
+                vec![]
+            },
+        });
+        d.wire_all_cells = true;
+        d.transport_cfg = cfg;
+        d.seed = 11;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(16), 100_000_000);
-        let w = &net.sim;
-        let ue = w.handler_as::<UeNode>(net.ues[0]).unwrap();
-        let app = ue.upper_as::<TransportUeApp>().unwrap();
+        let app = net.ue(0).upper_as::<TransportUeApp>().unwrap();
         (
             app.conn.handshakes,
             app.conn.acked_bytes(),
@@ -139,25 +130,19 @@ fn transport_survives_roaming_legacy_does_not() {
 #[test]
 fn determinism_end_to_end() {
     let run = |seed: u64| {
-        let mut builder = DlteNetworkBuilder::new(2, 2);
-        builder.seed = seed;
-        let mut net = builder
-            .with_ue_plan(|_| DltePlan {
-                app: UeApp::Pinger {
-                    dst: DlteNetworkBuilder::ott_addr(),
-                    interval: SimDuration::from_millis(100),
-                    probe_bytes: 100,
-                },
-                ..Default::default()
-            })
-            .build();
+        let mut d = Deployment::new(Arch::Dlte, 2, 2).with_ue_plan(|_| DltePlan {
+            app: UeApp::Pinger {
+                dst: Deployment::ott_addr(),
+                interval: SimDuration::from_millis(100),
+                probe_bytes: 100,
+            },
+            ..Default::default()
+        });
+        d.seed = seed;
+        let mut net = d.build();
         net.sim.run_until(SimTime::from_secs(5), 50_000_000);
         let events = net.sim.events_dispatched();
-        let pongs: Vec<u64> = net
-            .ues
-            .iter()
-            .map(|&u| net.sim.handler_as::<UeNode>(u).unwrap().stats.pongs)
-            .collect();
+        let pongs: Vec<u64> = net.ue_nodes().map(|u| u.stats.pongs).collect();
         (events, pongs)
     };
     assert_eq!(run(1), run(1), "same seed, same world");

@@ -9,10 +9,12 @@
 //!   `sim/src/par.rs`, which time runs without feeding the time back into
 //!   the simulation.
 //!
-//! One keeps a mechanism in one place: the `zone_down` and `zone_resync`
+//! Two keep a mechanism in one place: the `zone_down` and `zone_resync`
 //! counters are counted only under `registry/src`, where zones crash,
 //! restart, partition and heal, so no driver keeps a second copy of that
-//! bookkeeping.
+//! bookkeeping; and only `core/src/scenario.rs` calls
+//! `CentralizedLteBuilder::new` or `DlteNetworkBuilder::new`, so every
+//! network is built from a `Deployment`, whose `build()` picks the lowering.
 //!
 //! Another keeps out code that no run reaches: every module file under
 //! `crates/*/src` is reached by the non-test code of some other file under
@@ -26,6 +28,8 @@ const RANDOM_STATE_OK: [&str; 1] = ["net/src/fxhash.rs"];
 const CLOCK_OK: [&str; 2] = ["sim/src/report.rs", "sim/src/par.rs"];
 const RANDOM_STATE_NAMES: [&str; 3] = ["HashMap", "HashSet", "RandomState"];
 const ZONE_COUNTERS: [&str; 2] = ["\"zone_down\"", "\"zone_resync\""];
+const LOWERING_OK: &str = "core/src/scenario.rs";
+const LOWERINGS: [&str; 2] = ["CentralizedLteBuilder::new", "DlteNetworkBuilder::new"];
 
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -61,6 +65,12 @@ fn breaches(rel: &str, text: &str) -> Vec<String> {
         if !rel.starts_with("registry/src/") && ZONE_COUNTERS.iter().any(|c| code.contains(c)) {
             out.push(format!(
                 "{at}: zone counter outside the registry: {}",
+                line.trim()
+            ));
+        }
+        if rel != LOWERING_OK && LOWERINGS.iter().any(|c| code.contains(c)) {
+            out.push(format!(
+                "{at}: builder called outside the scenario; build a Deployment: {}",
                 line.trim()
             ));
         }
@@ -476,4 +486,19 @@ fn rules_flag_what_they_should() {
     let resync = "let n = counters[\"zone_resync\"];\n";
     assert_eq!(breaches("bench/src/main.rs", resync).len(), 1);
     assert!(breaches("x/src/a.rs", "let n = 1; // \"zone_resync\"\n").is_empty());
+    let lowering = "    let mut b = CentralizedLteBuilder::new(1, 2);\n";
+    assert_eq!(
+        breaches("core/src/experiments/e14_chaos_sweep.rs", lowering),
+        [
+            "crates/core/src/experiments/e14_chaos_sweep.rs:1: builder called outside the \
+             scenario; build a Deployment: let mut b = CentralizedLteBuilder::new(1, 2);"
+        ]
+    );
+    assert!(breaches("core/src/scenario.rs", lowering).is_empty());
+    let dlte = "let net = dlte::DlteNetworkBuilder::new(3, 2).build_sharded(1);\n";
+    assert_eq!(breaches("core/src/fuzz.rs", dlte).len(), 1);
+    assert!(breaches("core/src/fuzz.rs", "// DlteNetworkBuilder::new(3, 2)\n").is_empty());
+    let test_only =
+        "fn f() {}\n#[cfg(test)]\nmod t { fn g() { CentralizedLteBuilder::new(1, 1); } }\n";
+    assert!(breaches("epc/src/topology.rs", test_only).is_empty());
 }
