@@ -17,7 +17,7 @@
 //! the [`Event::Drop`] trace record.
 
 use crate::link::{Link, LinkConfig, LinkId, LinkOverride, Offer};
-use crate::node::{NodeCtx, NodeHandler, NodeId, NodeInfo};
+use crate::node::{AutoIndex, AutoRow, NodeCtx, NodeHandler, NodeId, NodeInfo, NO_LINK};
 use crate::packet::Packet;
 use crate::pool::{PacketPool, PacketRef};
 use crate::trace::TraceStats;
@@ -25,6 +25,7 @@ use dlte_obs::{DropReason, Event};
 use dlte_sim::rng::hash_unit;
 use dlte_sim::{EventQueue, OutMsg, ShardPlan, ShardWorld, SimRng, SimTime, Simulation, World};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Domain-separation salts for the counter-based (hashed) draws, so the
 /// loss and jitter streams never collide.
@@ -797,49 +798,97 @@ impl NetworkBuilder {
 
     /// Compute hop-count shortest-path routes from every node to every
     /// address-owning node, installing host routes (/32). Ties broken by
-    /// lower link id — deterministic. Convenient for experiment topologies;
-    /// explicit routes can still override (longer prefixes win, and /32 is
-    /// the longest, so use explicit /32 routes *instead of* auto_routes when
-    /// both would apply).
+    /// lower link id — deterministic. Where two nodes own one address, the
+    /// later node's route wins wherever it reaches. Convenient for
+    /// experiment topologies; explicit routes can still override (longer
+    /// prefixes win, and /32 is the longest, so use explicit /32 routes
+    /// *instead of* auto_routes when both would apply). A /32 installed
+    /// before the call survives only at nodes with no path to its address.
+    ///
+    /// The routes are stored once per target, not once per node × target:
+    /// one index of target addresses shared by every node, and per node a
+    /// row holding its most common next hop plus the targets it reaches
+    /// otherwise (see [`NodeInfo`]). So a leaf stores no per-target entry
+    /// and only a router with a link per target stores one per target.
     pub fn auto_routes(&mut self) {
         let n = self.nodes.len();
-        // adjacency: node -> [(neighbor, link)]
-        let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); n];
+        // The index, and each column's owners in node order.
+        let mut index = AutoIndex::default();
+        let mut owned: Vec<(u32, NodeId)> = Vec::new();
+        for (node, info) in self.nodes.iter().enumerate() {
+            owned.extend(info.addrs().iter().map(|&a| (index.insert(a), node)));
+        }
+        owned.sort_by_key(|&(col, _)| col);
+        owned.dedup();
+        // Each node's neighbours in link id order, so the first discovery
+        // is the lower link id.
+        let mut adj: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
         for (lid, l) in self.links.iter().enumerate() {
+            let lid = u32::try_from(lid).expect("link id fits in u32");
             adj[l.a].push((l.b, lid));
             adj[l.b].push((l.a, lid));
         }
-        for target in 0..n {
-            if self.nodes[target].addrs().is_empty() {
-                continue;
-            }
-            // BFS from target; first-hop of the reverse path gives each
-            // node's outgoing link toward target.
-            let mut dist = vec![usize::MAX; n];
-            let mut via: Vec<Option<LinkId>> = vec![None; n];
-            let mut q = std::collections::VecDeque::new();
-            dist[target] = 0;
-            q.push_back(target);
-            while let Some(u) = q.pop_front() {
+        // `via[v]`: v's first hop toward the BFS source, `NO_LINK` if none.
+        let mut via = vec![NO_LINK; n];
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        let mut bfs = |src: NodeId, via: &mut [u32]| {
+            const SOURCE: u32 = NO_LINK - 1;
+            via.fill(NO_LINK);
+            via[src] = SOURCE;
+            queue.clear();
+            queue.push(src);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
                 for &(v, lid) in &adj[u] {
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        via[v] = Some(lid);
-                        q.push_back(v);
+                    if via[v] == NO_LINK {
+                        via[v] = lid;
+                        queue.push(v);
                     }
                 }
             }
-            let addrs = self.nodes[target].addrs().to_vec();
-            for (node, &hop) in via.iter().enumerate() {
-                if node == target {
-                    continue;
+            via[src] = NO_LINK;
+        };
+        // Each node's row as runs `(first column, link)`, written column
+        // by column; `last[v]` is the link of v's open run.
+        let mut runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let mut last = vec![None; n];
+        let mut via_of = None;
+        let mut merged = Vec::new();
+        for owners in owned.chunk_by(|a, b| a.0 == b.0) {
+            let col = owners[0].0;
+            let hops: &[u32] = if let [(_, target)] = *owners {
+                if via_of != Some(target) {
+                    bfs(target, &mut via);
+                    via_of = Some(target);
                 }
-                if let Some(link) = hop {
-                    for &a in &addrs {
-                        self.nodes[node].set_route(crate::addr::Prefix::new(a, 32), link);
+                &via
+            } else {
+                // Later owners overwrite earlier ones where they reach.
+                merged.clear();
+                merged.resize(n, NO_LINK);
+                for &(_, target) in owners.iter().rev() {
+                    bfs(target, &mut via);
+                    via_of = Some(target);
+                    for (m, &v) in merged.iter_mut().zip(&via) {
+                        if *m == NO_LINK {
+                            *m = v;
+                        }
                     }
                 }
+                &merged
+            };
+            for (node, &link) in hops.iter().enumerate() {
+                if last[node] != Some(link) {
+                    last[node] = Some(link);
+                    runs[node].push((col, link));
+                }
             }
+        }
+        let index = Arc::new(index);
+        for (info, runs) in self.nodes.iter_mut().zip(runs) {
+            let row = AutoRow::from_runs(&runs, index.cols());
+            info.install_auto_routes(Arc::clone(&index), row);
         }
     }
 
@@ -1103,6 +1152,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Auto routes are stored per target only where next hops differ. On a
+    /// tree of one router, 64 addressed APs with 8 leaves each and two
+    /// addressed servers, a leaf stores no per-target entry, an AP (or a
+    /// server) at most one — its own address — and only the router one
+    /// entry per column; every route is still there.
+    #[test]
+    fn auto_routes_store_per_target_entries_only_where_hops_differ() {
+        let mut b = NetworkBuilder::new(1);
+        let router = b.node("router");
+        let lan = LinkConfig::lan();
+        let (mut aps, mut leaves) = (Vec::new(), Vec::new());
+        for k in 0..64u8 {
+            let ap = b.node(format!("ap{k}"));
+            b.addr(ap, Addr::new(10, 0, k, 1));
+            b.link(ap, router, lan);
+            for j in 0..8 {
+                let leaf = b.node(format!("leaf{k}.{j}"));
+                b.link(leaf, ap, lan);
+                leaves.push(leaf);
+            }
+            aps.push(ap);
+        }
+        let mut servers = Vec::new();
+        for k in 0..2u8 {
+            let server = b.node(format!("server{k}"));
+            b.addr(server, Addr::new(10, 9, k, 1));
+            b.link(server, router, lan);
+            servers.push(server);
+        }
+        b.auto_routes();
+        let sim = b.build();
+        let nodes = &sim.world().core.nodes;
+        for &leaf in &leaves {
+            assert_eq!(nodes[leaf].auto_entries(), 0, "leaf {leaf}");
+            assert_eq!(nodes[leaf].routes().count(), 66, "leaf {leaf}");
+        }
+        for &node in aps.iter().chain(&servers) {
+            assert!(nodes[node].auto_entries() <= 1, "node {node}");
+            assert_eq!(nodes[node].routes().count(), 65, "node {node}");
+        }
+        assert_eq!(nodes[router].auto_entries(), 66);
+        let stored: usize = nodes.iter().map(NodeInfo::auto_entries).sum();
+        assert_eq!(stored, 66 + aps.len() + servers.len());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! simulator conveniences (address lookup, deterministic RNG, trace sink).
 //!
 //! [`NodeInfo`] is what the core keeps per node: its name, its addresses
-//! and its forwarding table. The table is stored once, as one exact-match
-//! map per prefix length, edited in place by route changes and probed
-//! read-only, longest length first, by every forwarded packet.
+//! and its forwarding table. The table has two layers. Routes installed one
+//! by one live in one exact-match map per prefix length, edited in place by
+//! route changes and probed read-only, longest length first, by every
+//! forwarded packet. The host routes `NetworkBuilder::auto_routes` computes
+//! live in an auto-route layer: a network-wide index of target addresses,
+//! shared by every node, and per node one compact row of next hops over it.
 
 use crate::addr::{Addr, Prefix};
 use crate::fxhash::FxHashMap;
@@ -19,17 +22,187 @@ use crate::packet::Packet;
 use dlte_sim::engine::EventKey;
 use dlte_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 /// Identifies a node.
 pub type NodeId = usize;
 
+/// The link value of an auto-route column the node has no route for.
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
+/// A row keeps at most this many columns apart from its common next hop;
+/// past it the row stores one link per column, so a lookup never scans a
+/// long exception list.
+const SPARSE_MAX: usize = 8;
+
+/// The target index `auto_routes` builds once per network: every address
+/// an addressed node owns gets one column. Every node's [`AutoRow`] is
+/// read through the same index, shared by `Arc`.
+#[derive(Debug, Default)]
+pub(crate) struct AutoIndex {
+    col_of: FxHashMap<u32, u32>,
+    addrs: Vec<Addr>,
+}
+
+impl AutoIndex {
+    /// The column of `a`, adding one if `a` has none yet.
+    pub(crate) fn insert(&mut self, a: Addr) -> u32 {
+        let next = self.addrs.len() as u32;
+        let col = *self.col_of.entry(a.0).or_insert(next);
+        if col == next {
+            self.addrs.push(a);
+        }
+        col
+    }
+
+    pub(crate) fn cols(&self) -> u32 {
+        self.addrs.len() as u32
+    }
+}
+
+/// One node's next hop per column of an [`AutoIndex`] ([`NO_LINK`] where
+/// it has none).
+#[derive(Clone, Debug)]
+pub(crate) enum AutoRow {
+    /// Every column routes via `common` except the listed ones, sorted by
+    /// column: a UE has no exceptions, an AP has one (its own address).
+    Sparse {
+        common: u32,
+        except: Vec<(u32, u32)>,
+    },
+    /// One link per column, for a router with a link per target.
+    Dense(Box<[u32]>),
+}
+
+impl AutoRow {
+    /// Compact a row given as runs `(first column, link)`, sorted by
+    /// column and covering `0..cols`: the most common link becomes the
+    /// row's default, and the row goes dense past [`SPARSE_MAX`]
+    /// exceptions.
+    pub(crate) fn from_runs(runs: &[(u32, u32)], cols: u32) -> AutoRow {
+        let ends = runs.iter().skip(1).map(|r| r.0).chain([cols]);
+        let spans = || {
+            runs.iter()
+                .zip(ends.clone())
+                .map(|(&(from, link), to)| (from..to, link))
+        };
+        let mut totals: Vec<(u32, u32)> =
+            spans().map(|(cs, link)| (link, cs.len() as u32)).collect();
+        totals.sort_unstable();
+        let mut common = (0, NO_LINK);
+        for group in totals.chunk_by(|a, b| a.0 == b.0) {
+            let total: u32 = group.iter().map(|g| g.1).sum();
+            if total > common.0 {
+                common = (total, group[0].0);
+            }
+        }
+        let (kept, common) = common;
+        if (cols - kept) as usize > SPARSE_MAX {
+            let dense = spans()
+                .flat_map(|(cs, link)| cs.map(move |_| link))
+                .collect();
+            return AutoRow::Dense(dense);
+        }
+        let except = spans()
+            .filter(|&(_, link)| link != common)
+            .flat_map(|(cs, link)| cs.map(move |c| (c, link)))
+            .collect();
+        AutoRow::Sparse { common, except }
+    }
+
+    #[inline]
+    fn get(&self, col: u32) -> u32 {
+        match self {
+            AutoRow::Dense(links) => links[col as usize],
+            AutoRow::Sparse { common, except } => {
+                except.iter().find(|e| e.0 == col).map_or(*common, |e| e.1)
+            }
+        }
+    }
+
+    /// Point column `col` at `link`; a sparse row that outgrows
+    /// [`SPARSE_MAX`] exceptions goes dense.
+    fn set(&mut self, col: u32, link: u32, cols: u32) {
+        match self {
+            AutoRow::Dense(links) => links[col as usize] = link,
+            AutoRow::Sparse { common, except } => {
+                match except.binary_search_by_key(&col, |e| e.0) {
+                    Ok(i) if link == *common => {
+                        except.remove(i);
+                    }
+                    Ok(i) => except[i].1 = link,
+                    Err(_) if link == *common => {}
+                    Err(i) => except.insert(i, (col, link)),
+                }
+                if except.len() > SPARSE_MAX {
+                    let links: Vec<u32> = (0..cols).map(|c| self.get(c)).collect();
+                    *self = AutoRow::Dense(links.into());
+                }
+            }
+        }
+    }
+
+    /// How many per-column entries the row stores.
+    #[cfg(test)]
+    fn stored(&self) -> usize {
+        match self {
+            AutoRow::Dense(links) => links.len(),
+            AutoRow::Sparse { except, .. } => except.len(),
+        }
+    }
+}
+
+/// A node's auto-route layer: its row over the shared index.
+#[derive(Clone, Debug)]
+struct AutoRoutes {
+    index: Arc<AutoIndex>,
+    row: AutoRow,
+}
+
+impl AutoRoutes {
+    fn set(&mut self, col: u32, link: u32) {
+        self.row.set(col, link, self.index.cols());
+    }
+
+    #[inline]
+    fn route_for(&self, dst: Addr) -> Option<u32> {
+        let &col = self.index.col_of.get(&dst.0)?;
+        Some(self.row.get(col)).filter(|&link| link != NO_LINK)
+    }
+
+    fn routes(&self) -> impl Iterator<Item = (Prefix, LinkId)> + '_ {
+        self.index.addrs.iter().zip(0..).filter_map(|(&addr, col)| {
+            let link = self.row.get(col);
+            (link != NO_LINK).then_some((Prefix { addr, len: 32 }, link as LinkId))
+        })
+    }
+
+    fn retain(&mut self, f: &mut impl FnMut(Prefix, LinkId) -> bool) {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for (col, &addr) in (0..).zip(&self.index.addrs) {
+            let mut link = self.row.get(col);
+            if link != NO_LINK && !f(Prefix { addr, len: 32 }, link as LinkId) {
+                link = NO_LINK;
+            }
+            if runs.last().map(|r| r.1) != Some(link) {
+                runs.push((col, link));
+            }
+        }
+        self.row = AutoRow::from_runs(&runs, self.index.cols());
+    }
+}
+
 /// Static node metadata kept by the core: its name, the addresses it owns
 /// and its forwarding table.
 ///
-/// Every route mutation edits the right per-length map in place, and a
-/// map that empties is dropped. Prefixes are unique per length, so at most
-/// one route of any given length contains a destination, and probing
-/// lengths longest-first returns exactly the longest match.
+/// The table has two layers, and every route lives in exactly one of them.
+/// A /32 whose address is a column of the node's auto-route index lives in
+/// the node's auto row; every other route lives in the exact-match maps.
+/// Every mutation edits the one layer a prefix belongs to, in place, and
+/// an exact map that empties is dropped. Prefixes are unique per length,
+/// so at most one route of any given length contains a destination, and
+/// probing the /32 row first and then the maps longest-first returns
+/// exactly the longest match.
 #[derive(Clone, Debug)]
 pub struct NodeInfo {
     pub name: String,
@@ -39,6 +212,8 @@ pub struct NodeInfo {
     /// `(prefix length, base → link)`, sorted by length descending; no
     /// map is empty.
     fib: Vec<(u8, FxHashMap<u32, u32>)>,
+    /// The host routes `auto_routes` installed, edited like any other.
+    auto: Option<AutoRoutes>,
 }
 
 impl NodeInfo {
@@ -47,15 +222,15 @@ impl NodeInfo {
             name: name.into(),
             addrs: Vec::new(),
             fib: Vec::new(),
+            auto: None,
         }
     }
 
     /// This node's name and addresses, with an empty forwarding table.
     pub(crate) fn without_routes(&self) -> NodeInfo {
         NodeInfo {
-            name: self.name.clone(),
             addrs: self.addrs.clone(),
-            fib: Vec::new(),
+            ..NodeInfo::new(self.name.clone())
         }
     }
 
@@ -66,7 +241,7 @@ impl NodeInfo {
 
     /// The routing table, in unspecified order.
     pub fn routes(&self) -> impl Iterator<Item = (Prefix, LinkId)> + '_ {
-        self.fib.iter().flat_map(|&(len, ref table)| {
+        let exact = self.fib.iter().flat_map(|&(len, ref table)| {
             table.iter().map(move |(&base, &link)| {
                 let prefix = Prefix {
                     addr: Addr(base),
@@ -74,7 +249,8 @@ impl NodeInfo {
                 };
                 (prefix, link as LinkId)
             })
-        })
+        });
+        exact.chain(self.auto.iter().flat_map(AutoRoutes::routes))
     }
 
     /// Add an owned address.
@@ -96,6 +272,9 @@ impl NodeInfo {
 
     /// Longest-prefix-match lookup.
     pub fn route_for(&self, dst: Addr) -> Option<LinkId> {
+        if let Some(link) = self.auto.as_ref().and_then(|auto| auto.route_for(dst)) {
+            return Some(link as LinkId);
+        }
         self.fib.iter().find_map(|(len, table)| {
             table
                 .get(&(dst.0 & Prefix::mask_of(*len)))
@@ -109,9 +288,26 @@ impl NodeInfo {
             .binary_search_by_key(&Reverse(len), |&(l, _)| Reverse(l))
     }
 
+    /// The auto layer and column `prefix` lives in, if it lives there: a
+    /// /32 to an address of the auto-route index.
+    fn auto_home(&mut self, prefix: Prefix) -> Option<(&mut AutoRoutes, u32)> {
+        if prefix.len != 32 {
+            return None;
+        }
+        let auto = self.auto.as_mut()?;
+        let &col = auto.index.col_of.get(&prefix.addr.0)?;
+        Some((auto, col))
+    }
+
     /// Install (or replace) a route.
     pub fn set_route(&mut self, prefix: Prefix, link: LinkId) {
-        let link = u32::try_from(link).expect("link id fits in u32");
+        let link = u32::try_from(link)
+            .ok()
+            .filter(|&l| l != NO_LINK)
+            .expect("link id fits in u32");
+        if let Some((auto, col)) = self.auto_home(prefix) {
+            return auto.set(col, link);
+        }
         let i = self.slot(prefix.len).unwrap_or_else(|i| {
             self.fib.insert(i, (prefix.len, FxHashMap::default()));
             i
@@ -121,6 +317,11 @@ impl NodeInfo {
 
     /// Remove a route, returning whether it existed.
     pub fn remove_route(&mut self, prefix: Prefix) -> bool {
+        if let Some((auto, col)) = self.auto_home(prefix) {
+            let had = auto.row.get(col) != NO_LINK;
+            auto.set(col, NO_LINK);
+            return had;
+        }
         let Ok(i) = self.slot(prefix.len) else {
             return false;
         };
@@ -145,6 +346,44 @@ impl NodeInfo {
             });
         }
         self.fib.retain(|(_, table)| !table.is_empty());
+        if let Some(auto) = &mut self.auto {
+            auto.retain(&mut f);
+        }
+    }
+
+    /// Install the host routes `auto_routes` computed for this node: `row`
+    /// over the shared `index`. A /32 already installed to an indexed
+    /// address moves into the row where `row` has no route for it, and is
+    /// overwritten where it has; a previous auto layer counts as such
+    /// routes.
+    pub(crate) fn install_auto_routes(&mut self, index: Arc<AutoIndex>, row: AutoRow) {
+        if let Some(old) = self.auto.take() {
+            for (prefix, link) in old.routes() {
+                self.set_route(prefix, link);
+            }
+        }
+        let mut auto = AutoRoutes { index, row };
+        if let Ok(i) = self.slot(32) {
+            self.fib[i].1.retain(|&base, &mut link| {
+                let Some(&col) = auto.index.col_of.get(&base) else {
+                    return true;
+                };
+                if auto.row.get(col) == NO_LINK {
+                    auto.set(col, link);
+                }
+                false
+            });
+            if self.fib[i].1.is_empty() {
+                self.fib.remove(i);
+            }
+        }
+        self.auto = Some(auto);
+    }
+
+    /// How many per-target entries the auto row stores (0 without one).
+    #[cfg(test)]
+    pub(crate) fn auto_entries(&self) -> usize {
+        self.auto.as_ref().map_or(0, |auto| auto.row.stored())
     }
 }
 

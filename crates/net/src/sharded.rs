@@ -398,11 +398,18 @@ mod tests {
         sim.into_world().split(&plan);
     }
 
-    /// Each replica keeps the routes of its own nodes only — including
+    /// Each replica keeps the routes of its own nodes only — the same
+    /// route set the unsplit network holds, auto routes included, plus
     /// routes a broadcast `RouteSet` installs after the split — while node
-    /// addresses stay replicated everywhere.
+    /// addresses stay replicated everywhere and foreign stubs hold none.
     #[test]
     fn replicas_hold_routes_only_for_their_own_nodes() {
+        let sorted = |info: &crate::node::NodeInfo| {
+            let mut routes: Vec<(u32, u8, usize)> =
+                info.routes().map(|(p, l)| (p.addr.0, p.len, l)).collect();
+            routes.sort_unstable();
+            routes
+        };
         let single = two_cluster_sim();
         let mut sim = ShardedSim::build(2, two_cluster_sim, cluster_map);
         let ShardedSim::Multi { shards, plan } = &sim else {
@@ -412,12 +419,12 @@ mod tests {
             for (node, info) in shard.world().core.nodes.iter().enumerate() {
                 let full = &single.world().core.nodes[node];
                 assert_eq!(info.addrs(), full.addrs(), "shard {s} node {node}");
-                let expect = if plan.shard_of(node) == s {
-                    full.routes().count()
+                if plan.shard_of(node) == s {
+                    assert!(full.routes().count() > 0, "node {node} has routes");
+                    assert_eq!(sorted(info), sorted(full), "shard {s} node {node}");
                 } else {
-                    0
-                };
-                assert_eq!(info.routes().count(), expect, "shard {s} node {node}");
+                    assert_eq!(info.routes().count(), 0, "shard {s} stub {node}");
+                }
             }
         }
         // sink-b (node 7, shard 1) learns a route over its only link.

@@ -1,13 +1,14 @@
 //! Property-based tests for the packet substrate: LPM routing against a
-//! naive reference, address-pool soundness, and GTP stack round trips.
+//! naive reference, `auto_routes` against the per-target BFS it replaced,
+//! address-pool soundness, and GTP stack round trips.
 
 use dlte_net::gtp::{decapsulate, encapsulate, GTP_OVERHEAD_BYTES};
 use dlte_net::node::NodeInfo;
 use dlte_net::pool::{PacketPool, PacketRef, PoolError};
-use dlte_net::{Addr, AddrPool, Packet, Prefix, TunnelHeader};
+use dlte_net::{Addr, AddrPool, LinkConfig, NetworkBuilder, Packet, Prefix, TunnelHeader};
 use dlte_sim::SimTime;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 fn arb_addr() -> impl Strategy<Value = Addr> {
     any::<u32>().prop_map(Addr)
@@ -31,14 +32,23 @@ enum FibOp {
     Retain(usize, u8),
     AddAddr(Addr),
     RemoveAddr(Addr),
+    /// Install a /32 to the `.0`-th target address (modulo the target
+    /// count) via link `.1`.
+    SetTarget(usize, usize),
+    /// Remove the /32 to the `.0`-th target address.
+    RemoveTarget(usize),
+    /// Drop the /32s to the target addresses whose index bit is set.
+    RetainTargets(u32),
 }
 
 /// The reference the FIB is checked against: a plain list of unique
 /// prefixes and the owned addresses, with a linear longest-prefix scan.
-#[derive(Default)]
+/// `targets` are the addresses the `*Target` ops pick from.
+#[derive(Clone, Default)]
 struct FibModel {
     routes: Vec<(Prefix, usize)>,
     addrs: Vec<Addr>,
+    targets: Vec<Addr>,
 }
 
 impl FibModel {
@@ -55,6 +65,11 @@ impl FibModel {
             .filter(|(p, _)| p.contains(dst))
             .max_by_key(|(p, _)| p.len)
             .map(|&(_, l)| l)
+    }
+
+    fn target(&self, i: usize) -> Option<Prefix> {
+        let n = self.targets.len();
+        (n > 0).then(|| Prefix::new(self.targets[i % n], 32))
     }
 
     /// Apply `op` to the model and to `info` alike.
@@ -94,6 +109,25 @@ impl FibModel {
                 let had = self.addrs.contains(&a);
                 self.addrs.retain(|&b| b != a);
                 assert_eq!(info.remove_addr(a), had, "remove_addr({a}) result");
+            }
+            FibOp::SetTarget(i, l) => {
+                if let Some(p) = self.target(i) {
+                    self.apply(info, &FibOp::Set(p, l));
+                }
+            }
+            FibOp::RemoveTarget(i) => {
+                if let Some(p) = self.target(i) {
+                    self.apply(info, &FibOp::Remove(p));
+                }
+            }
+            FibOp::RetainTargets(bits) => {
+                let targets = self.targets.clone();
+                let keep = |p: Prefix, _| {
+                    let hit = targets.iter().position(|&t| t == p.addr);
+                    !(p.len == 32 && hit.is_some_and(|k| bits >> (k % 32) & 1 == 1))
+                };
+                self.routes.retain(|&(p, l)| keep(p, l));
+                info.retain_routes(keep);
             }
         }
     }
@@ -139,7 +173,181 @@ fn arb_fib_op() -> impl Strategy<Value = FibOp> {
     ]
 }
 
+fn arb_auto_op() -> impl Strategy<Value = FibOp> {
+    prop_oneof![
+        arb_fib_op(),
+        arb_fib_op(),
+        (any::<usize>(), 0usize..8).prop_map(|(i, l)| FibOp::SetTarget(i, l)),
+        any::<usize>().prop_map(FibOp::RemoveTarget),
+        any::<u32>().prop_map(FibOp::RetainTargets),
+    ]
+}
+
+/// A small topology for the `auto_routes` property. The last node has no
+/// link; node 0 owns two addresses; nodes 1 and 2 share one; every other
+/// address comes from a pool of six, so more owners collide. `explicit`
+/// routes are installed before `auto_routes`, which runs a second time
+/// when `twice` is set (the same routes again).
+#[derive(Clone, Debug)]
+struct AutoTopo {
+    links: Vec<(usize, usize)>,
+    addrs: Vec<Vec<Addr>>,
+    explicit: Vec<(usize, Prefix, usize)>,
+    twice: bool,
+}
+
+fn pool_addr(k: u8) -> Addr {
+    Addr::new(10, 0, 0, k)
+}
+
+fn arb_auto_topo() -> impl Strategy<Value = AutoTopo> {
+    (3usize..=12).prop_flat_map(|n| {
+        let linked = n - 1;
+        let link = (0..linked, 1..linked).prop_map(move |(a, d)| (a, (a + d) % linked));
+        let addrs = prop::collection::vec(
+            prop::collection::vec((0u8..6).prop_map(pool_addr), 0..=2),
+            n,
+        );
+        // Explicit routes: /32s to pool addresses, the default route, and
+        // clustered prefixes.
+        let prefix = prop_oneof![
+            (0u8..9).prop_map(|k| Prefix::new(pool_addr(k), 32)),
+            Just(Prefix::DEFAULT),
+            clustered_prefix(),
+        ];
+        let explicit = prop::collection::vec((0..n, prefix, 0usize..8), 0..10);
+        let links = prop::collection::vec(link, 0..20);
+        (links, addrs, explicit, any::<bool>()).prop_map(|(links, mut addrs, explicit, twice)| {
+            addrs[0].extend([pool_addr(6), pool_addr(7)]);
+            addrs[1].push(pool_addr(8));
+            addrs[2].push(pool_addr(8));
+            AutoTopo {
+                links,
+                addrs,
+                explicit,
+                twice,
+            }
+        })
+    })
+}
+
+/// The per-node × per-target algorithm `auto_routes` replaced, replayed
+/// into one model per node: after the explicit routes, a BFS from each
+/// addressed node in node order installs a /32 per owned address at every
+/// node it reaches, the lower link id winning ties and a later owner
+/// overwriting an earlier one.
+fn reference_auto_routes(topo: &AutoTopo) -> Vec<FibModel> {
+    let n = topo.addrs.len();
+    let mut models = vec![FibModel::default(); n];
+    for &(node, p, l) in &topo.explicit {
+        models[node].set(p, l);
+    }
+    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for (lid, &(a, b)) in topo.links.iter().enumerate() {
+        adj[a].push((b, lid));
+        adj[b].push((a, lid));
+    }
+    for target in 0..n {
+        if topo.addrs[target].is_empty() {
+            continue;
+        }
+        let mut via: Vec<Option<usize>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut q = VecDeque::from([target]);
+        seen[target] = true;
+        while let Some(u) = q.pop_front() {
+            for &(v, lid) in &adj[u] {
+                if !seen[v] {
+                    seen[v] = true;
+                    via[v] = Some(lid);
+                    q.push_back(v);
+                }
+            }
+        }
+        for (node, hop) in via.iter().enumerate() {
+            if let Some(link) = *hop {
+                for &a in &topo.addrs[target] {
+                    models[node].set(Prefix::new(a, 32), link);
+                }
+            }
+        }
+    }
+    models
+}
+
+/// Every node's table built by `auto_routes` on `topo`.
+fn built_auto_routes(topo: &AutoTopo) -> Vec<NodeInfo> {
+    let mut b = NetworkBuilder::new(1);
+    for (i, addrs) in topo.addrs.iter().enumerate() {
+        let node = b.node(format!("n{i}"));
+        for &a in addrs {
+            b.addr(node, a);
+        }
+    }
+    for &(a, c) in &topo.links {
+        b.link(a, c, LinkConfig::lan());
+    }
+    for &(node, p, l) in &topo.explicit {
+        b.route(node, p, l);
+    }
+    b.auto_routes();
+    if topo.twice {
+        b.auto_routes();
+    }
+    b.build().into_world().core.nodes
+}
+
+/// `info` and `model` agree on the route set and on every lookup of the
+/// target addresses, `probes`, and the model's route bases.
+fn assert_same_fib(
+    info: &NodeInfo,
+    model: &FibModel,
+    probes: &[Addr],
+    ctx: &dyn std::fmt::Display,
+) {
+    assert_eq!(
+        sorted_routes(info.routes()),
+        sorted_routes(model.routes.iter().copied()),
+        "route set diverged: {ctx}"
+    );
+    let bases = model.routes.iter().map(|&(p, _)| p.addr);
+    for dst in model.targets.iter().chain(probes).copied().chain(bases) {
+        assert_eq!(
+            info.route_for(dst),
+            model.route_for(dst),
+            "lookup of {dst} diverged: {ctx}"
+        );
+    }
+}
+
 proptest! {
+    /// `auto_routes` installs exactly the routes of the per-target BFS
+    /// it replaced — with routes installed before it, a disconnected node,
+    /// a two-address node and a shared address — and the tables it leaves
+    /// keep their longest-prefix semantics through any interleaving of
+    /// route and address churn, including churn on the target /32s.
+    #[test]
+    fn auto_routes_match_the_per_target_bfs_under_churn(
+        topo in arb_auto_topo(),
+        ops in prop::collection::vec(arb_auto_op(), 1..40),
+        probes in prop::collection::vec(clustered_addr(), 1..8),
+    ) {
+        let mut infos = built_auto_routes(&topo);
+        let mut models = reference_auto_routes(&topo);
+        let mut targets: Vec<Addr> = topo.addrs.concat();
+        targets.sort_unstable();
+        targets.dedup();
+        for (node, (info, model)) in infos.iter_mut().zip(&mut models).enumerate() {
+            model.addrs = topo.addrs[node].clone();
+            model.targets = targets.clone();
+            assert_same_fib(info, model, &probes, &format_args!("node {node} after auto_routes"));
+            for op in &ops {
+                model.apply(info, op);
+                assert_same_fib(info, model, &probes, &format_args!("node {node} after {op:?}"));
+            }
+        }
+    }
+
     /// Longest-prefix match agrees with a naive scan over the last-written
     /// route per prefix (`set_route` replaces), on unclustered tables.
     #[test]
