@@ -1,7 +1,8 @@
 //! The determinism contract, checked by `cargo test`: the committed goldens
 //! under `goldens/` come out of the runner unchanged at every `--jobs` ×
 //! `--shards` combination each one lists. `all.json` holds every table at
-//! default params; the others pin parameter variants and the tables
+//! default params, and `all_seed{1,3,11}.json` the same suite at three
+//! more seeds; the others pin parameter variants and the tables
 //! `benchmark/` reads. `meta` is cut to its deterministic per-reason
 //! `drops` (and, in `all.json`, `events_dispatched`), as in the files.
 //! `e14_trace.jsonl` pins the E14 event trace byte for byte.
@@ -18,6 +19,7 @@ use std::path::Path;
 struct Golden {
     file: &'static str,
     targets: &'static [&'static str],
+    seed: u64,
     params: Option<&'static str>,
     /// jq filter that cuts `meta` (a single table prints as one object,
     /// several as an array).
@@ -31,10 +33,11 @@ struct Golden {
 /// Every combination of `--jobs 1,2` × `--shards 1,2,4`.
 const ALL_RUNS: &[(usize, usize)] = &[(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)];
 
-const GOLDENS: [Golden; 6] = [
+const GOLDENS: [Golden; 9] = [
     Golden {
         file: "all.json",
         targets: &["all"],
+        seed: 7,
         params: None,
         jq: "map(.meta |= {drops, events_dispatched})",
         events: true,
@@ -42,9 +45,39 @@ const GOLDENS: [Golden; 6] = [
         // plus the serial single-engine run.
         runs: &[(2, 1), (2, 2), (2, 4), (1, 1)],
     },
+    // The same suite at three more seeds, so a change that moves a
+    // stochastic column is seen at four seeds, not only at seed 7.
+    Golden {
+        file: "all_seed1.json",
+        targets: &["all"],
+        seed: 1,
+        params: None,
+        jq: "map(.meta |= {drops, events_dispatched})",
+        events: true,
+        runs: &[(2, 1)],
+    },
+    Golden {
+        file: "all_seed3.json",
+        targets: &["all"],
+        seed: 3,
+        params: None,
+        jq: "map(.meta |= {drops, events_dispatched})",
+        events: true,
+        runs: &[(2, 1)],
+    },
+    Golden {
+        file: "all_seed11.json",
+        targets: &["all"],
+        seed: 11,
+        params: None,
+        jq: "map(.meta |= {drops, events_dispatched})",
+        events: true,
+        runs: &[(2, 1)],
+    },
     Golden {
         file: "e12.json",
         targets: &["e12"],
+        seed: 7,
         params: None,
         jq: ".meta |= {drops: .drops}",
         events: false,
@@ -53,6 +86,7 @@ const GOLDENS: [Golden; 6] = [
     Golden {
         file: "e13_e14.json",
         targets: &["e13", "e14"],
+        seed: 7,
         params: Some(r#"{"total_s": 10.0}"#),
         jq: "map(.meta |= {drops: .drops})",
         events: false,
@@ -63,6 +97,7 @@ const GOLDENS: [Golden; 6] = [
     Golden {
         file: "e15.json",
         targets: &["e15"],
+        seed: 7,
         params: Some(r#"{"sizes": [50, 200], "total_s": 5.0}"#),
         jq: ".meta |= {drops: .drops}",
         events: false,
@@ -71,6 +106,7 @@ const GOLDENS: [Golden; 6] = [
     Golden {
         file: "e17.json",
         targets: &["e17"],
+        seed: 7,
         params: None,
         jq: ".meta |= {drops: .drops}",
         events: false,
@@ -79,6 +115,7 @@ const GOLDENS: [Golden; 6] = [
     Golden {
         file: "e18.json",
         targets: &["e18"],
+        seed: 7,
         params: None,
         jq: ".meta |= {drops: .drops}",
         events: false,
@@ -93,8 +130,9 @@ impl Golden {
             .map(|p| format!(" --params '{p}'"))
             .unwrap_or_default();
         format!(
-            "./target/release/dlte-run {} --json --seed 7{params} | jq '{}' > goldens/{}",
+            "./target/release/dlte-run {} --json --seed {}{params} | jq '{}' > goldens/{}",
             self.targets.join(" "),
+            self.seed,
             self.jq,
             self.file
         )
@@ -123,7 +161,7 @@ impl Golden {
             json: true,
             jobs: Some(jobs),
             shards: Some(shards),
-            seed: Some(7),
+            seed: Some(self.seed),
             params: self
                 .params
                 .map(|p| serde_json::from_str(p).expect("params literal parses")),
