@@ -18,7 +18,7 @@ use super::{f2c, Table};
 use crate::scenario::{Arch, Deployment};
 use dlte_epc::topology::UePlan;
 use dlte_epc::ue::{UeApp, UeNode};
-use dlte_faults::{FaultPlan, FaultSpec};
+use dlte_faults::{FaultPlan, NetBreak, Window};
 use dlte_net::{Addr, NodeId, ShardedSim};
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -146,19 +146,14 @@ fn run_arm(arch: Arch, p: &Params) -> Outcome {
     // The site loses its backhaul: the centralized one its trunk toward
     // the EPC site, whose S-GW crashes with full state loss for as long.
     let backhaul = net.epc.map_or(net.cell_backhaul[0], |epc| epc.l_agg_epc);
-    let mut plan = FaultPlan::new(p.seed).with(FaultSpec::LinkFlap {
-        link: backhaul,
+    let outage = |what| Window {
         at_s: p.outage_at_s,
-        down_s: p.outage_s,
-        times: 1,
-        gap_s: 0.0,
-    });
+        for_s: Some(p.outage_s),
+        what,
+    };
+    let mut plan = FaultPlan::new(p.seed).with(outage(NetBreak::LinkFlap { link: backhaul }));
     if let Some(epc) = net.epc {
-        plan = plan.with(FaultSpec::NodeCrash {
-            node: epc.sgw,
-            at_s: p.outage_at_s,
-            restart_after_s: Some(p.outage_s),
-        });
+        plan = plan.with(outage(NetBreak::NodeCrash { node: epc.sgw }));
     }
     plan.inject(&mut net.sim);
     measure(&mut net.sim, &net.ues, p)

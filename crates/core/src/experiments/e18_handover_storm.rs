@@ -20,7 +20,7 @@ use super::{f2c, Table};
 use crate::scenario::{Arch, Deployment, KeyDistribution};
 use dlte_epc::topology::UePlan;
 use dlte_epc::ue::UeApp;
-use dlte_faults::{FaultPlan, FaultSpec, MovePlan};
+use dlte_faults::{FaultPlan, MovePlan, NetBreak, Window};
 use dlte_sim::stats::Samples;
 use dlte_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -73,18 +73,18 @@ fn storm_plan(p: &Params, dwell_s: f64) -> MovePlan {
 /// same shape hits every architecture at the same simulated times.
 fn chaos_plan(seed: u64, backhauls: &[dlte_net::LinkId]) -> FaultPlan {
     FaultPlan::new(seed)
-        .with(FaultSpec::LinkFlap {
-            link: backhauls[0],
+        .with(Window {
             at_s: 6.0,
-            down_s: 1.2,
-            times: 1,
-            gap_s: 0.0,
+            for_s: Some(1.2),
+            what: NetBreak::LinkFlap { link: backhauls[0] },
         })
-        .with(FaultSpec::LossBurst {
-            link: backhauls[1 % backhauls.len()],
+        .with(Window {
             at_s: 8.0,
-            for_s: 1.5,
-            loss: 0.3,
+            for_s: Some(1.5),
+            what: NetBreak::LossBurst {
+                link: backhauls[1 % backhauls.len()],
+                loss: 0.3,
+            },
         })
 }
 

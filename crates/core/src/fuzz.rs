@@ -55,7 +55,7 @@ use dlte_check::{
 use dlte_epc::topology::UePlan;
 use dlte_epc::ue::{UeApp, UeNode, UeState};
 use dlte_epc::{MmeNode, PgwNode, SgwNode};
-use dlte_faults::{ChaosTargets, FaultPlan, FaultSpec, MovePlan};
+use dlte_faults::{ChaosTargets, FaultPlan, MovePlan, NetBreak, Window};
 use dlte_obs::{set_tracing, take_records, tracing_enabled};
 use dlte_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
@@ -413,21 +413,19 @@ impl<const MOBILE: bool> ChaosDomain for NetChaos<MOBILE> {
             return Err("ues_per_cell is 0; a case needs at least one UE per cell".to_string());
         }
         let ChaosTargets { links, crashable } = deployment.fault_targets();
-        for (i, spec) in case.plan.faults.iter().enumerate() {
-            let ok = match spec {
-                FaultSpec::LinkFlap { link, .. }
-                | FaultSpec::LossBurst { link, .. }
-                | FaultSpec::LatencyStorm { link, .. }
-                | FaultSpec::RateThrottle { link, .. } => links.contains(link),
-                FaultSpec::NodeCrash { node, .. } | FaultSpec::NodePause { node, .. } => {
+        for (i, Window { what, .. }) in case.plan.faults.iter().enumerate() {
+            let ok = match what {
+                NetBreak::LinkFlap { link }
+                | NetBreak::LossBurst { link, .. }
+                | NetBreak::LatencyStorm { link, .. }
+                | NetBreak::RateThrottle { link, .. } => links.contains(link),
+                NetBreak::NodeCrash { node } | NetBreak::NodePause { node } => {
                     crashable.contains(node)
                 }
-                FaultSpec::Partition { nodes, .. } => nodes.iter().all(|n| crashable.contains(n)),
-                FaultSpec::At { .. } => false,
             };
             if !ok {
                 return Err(format!(
-                    "fault spec {i} ({spec:?}) is outside this case's fault targets \
+                    "fault spec {i} ({what:?}) is outside this case's fault targets \
                      (links {links:?}, nodes {crashable:?})"
                 ));
             }
@@ -696,17 +694,19 @@ mod tests {
         let mut case = FuzzCase::generate(cent_seed);
         let targets = case.deployment().fault_targets();
         case.plan = FaultPlan::new(case.seed)
-            .with(FaultSpec::LinkFlap {
-                link: targets.links[0],
+            .with(Window {
                 at_s: 2.5,
-                down_s: 0.3,
-                times: 1,
-                gap_s: 0.0,
+                for_s: Some(0.3),
+                what: NetBreak::LinkFlap {
+                    link: targets.links[0],
+                },
             })
-            .with(FaultSpec::NodeCrash {
-                node: targets.crashable[0],
+            .with(Window {
                 at_s: 3.0,
-                restart_after_s: None,
+                for_s: None,
+                what: NetBreak::NodeCrash {
+                    node: targets.crashable[0],
+                },
             });
         let report = run_case(&case);
         assert!(
@@ -724,8 +724,9 @@ mod tests {
         );
         assert!(matches!(
             min_case.plan.faults[0],
-            FaultSpec::NodeCrash {
-                restart_after_s: None,
+            Window {
+                for_s: None,
+                what: NetBreak::NodeCrash { .. },
                 ..
             }
         ));
@@ -749,23 +750,27 @@ mod tests {
             n_cells: 1,
             ues_per_cell: 2,
             plan: FaultPlan::new(397_424)
-                .with(FaultSpec::NodeCrash {
-                    node: targets.crashable[0], // the S-GW
+                .with(Window {
                     at_s: 6.287_749_210_955_282,
-                    restart_after_s: Some(1.468_965_880_614_459_9),
+                    for_s: Some(1.468_965_880_614_459_9),
+                    what: NetBreak::NodeCrash {
+                        node: targets.crashable[0], // the S-GW
+                    },
                 })
-                .with(FaultSpec::LinkFlap {
-                    link: targets.links[1], // aggregation ↔ EPC trunk
+                .with(Window {
                     at_s: 5.305_519_394_647_299,
-                    down_s: 1.051_780_482_954_840_7,
-                    times: 1,
-                    gap_s: 0.0,
+                    for_s: Some(1.051_780_482_954_840_7),
+                    what: NetBreak::LinkFlap {
+                        link: targets.links[1], // aggregation ↔ EPC trunk
+                    },
                 })
-                .with(FaultSpec::LossBurst {
-                    link: targets.links[0], // the eNB's backhaul
+                .with(Window {
                     at_s: 6.260_627_196_901_638_5,
-                    for_s: 1.986_020_044_616_848_3,
-                    loss: 0.380_595_506_377_267_5,
+                    for_s: Some(1.986_020_044_616_848_3),
+                    what: NetBreak::LossBurst {
+                        link: targets.links[0], // the eNB's backhaul
+                        loss: 0.380_595_506_377_267_5,
+                    },
                 }),
             moves: MovePlan::default(),
             remote_keys: false,
@@ -816,10 +821,12 @@ mod tests {
         };
         let targets = case.deployment().fault_targets();
         let case = FuzzCase {
-            plan: FaultPlan::new(164).with(FaultSpec::NodePause {
-                node: targets.crashable[0], // the S-GW
+            plan: FaultPlan::new(164).with(Window {
                 at_s: 3.238_850_015_472_53,
-                for_s: 0.032_656_997_650_172_194,
+                for_s: Some(0.032_656_997_650_172_194),
+                what: NetBreak::NodePause {
+                    node: targets.crashable[0], // the S-GW
+                },
             }),
             ..case
         };
@@ -888,9 +895,9 @@ mod tests {
         let dir = std::env::temp_dir().join("dlte-fuzz-test-bad-ids");
         std::fs::create_dir_all(&dir).unwrap();
         for (bad, want) in [
-            (r#""node": 99"#, "fault spec 0 (NodeCrash { node: 99,"),
+            (r#""node": 99"#, "fault spec 0 (NodeCrash { node: 99 })"),
             // The MME exists but is outside the envelope: it has no restart.
-            (r#""node": 4"#, "fault spec 0 (NodeCrash { node: 4,"),
+            (r#""node": 4"#, "fault spec 0 (NodeCrash { node: 4 })"),
         ] {
             let file = dir.join("bad.json");
             std::fs::write(&file, text.replace(r#""node": 5"#, bad)).unwrap();
@@ -898,17 +905,51 @@ mod tests {
             assert!(err.contains(want), "{err}");
         }
         let mut case = FuzzCase::generate(0);
-        case.plan = FaultPlan::new(0).with(FaultSpec::LossBurst {
-            link: 77,
+        case.plan = FaultPlan::new(0).with(Window {
             at_s: 3.0,
-            for_s: 1.0,
-            loss: 0.5,
+            for_s: Some(1.0),
+            what: NetBreak::LossBurst {
+                link: 77,
+                loss: 0.5,
+            },
         });
         let err = Net::check_ids(&case).unwrap_err();
         assert!(
             err.starts_with("fault spec 0 (LossBurst { link: 77,"),
             "{err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A repro written before faults were windows (each spec its own
+    /// variant with its own time fields) is an `Err` naming the missing
+    /// field, not a panic.
+    #[test]
+    fn replay_rejects_the_spelling_before_windows() {
+        let old = r#"{
+          "domain": "net",
+          "seed": 0,
+          "case": {
+            "seed": 0,
+            "arch": "Centralized",
+            "n_cells": 1,
+            "ues_per_cell": 2,
+            "plan": {
+              "seed": 0,
+              "faults": [
+                { "NodeCrash": { "node": 5, "at_s": 3.0, "restart_after_s": null } }
+              ]
+            }
+          },
+          "violations": [],
+          "shrink_runs": 0
+        }"#;
+        let dir = std::env::temp_dir().join("dlte-fuzz-test-old-spelling");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("old.json");
+        std::fs::write(&file, old).unwrap();
+        let err = replay_repro::<Net>(&file).unwrap_err();
+        assert!(err.contains("Window: missing field `at_s`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

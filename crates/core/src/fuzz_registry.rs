@@ -8,7 +8,7 @@
 use crate::chaos::ChaosDomain;
 use crate::registry_chaos::{run_chaos, ChaosOutcome, Flavour, RegistryWorkload};
 use dlte_check::Violation;
-use dlte_faults::registry::{RegistryFaultPlan, RegistryFaultSpec};
+use dlte_faults::{RegistryBreak, RegistryFaultPlan, Window};
 use dlte_sim::SimRng;
 
 /// Derive a whole chaos workload from a seed. Deterministic: same seed,
@@ -80,15 +80,16 @@ impl ChaosDomain for Reg {
     /// below `n_replicas`: [`run_chaos`] wraps indices, so an out-of-range
     /// one would silently fault some other zone and could read as a fix.
     fn check_ids(w: &RegistryWorkload) -> Result<(), String> {
-        for (i, spec) in w.plan.faults.iter().enumerate() {
-            let ok = match *spec {
-                RegistryFaultSpec::ZoneCrash { zone, .. }
-                | RegistryFaultSpec::ZonePartition { zone, .. } => zone < w.n_zones,
-                RegistryFaultSpec::ReplicaDesync { replica, .. } => replica < w.n_replicas,
+        for (i, Window { what, .. }) in w.plan.faults.iter().enumerate() {
+            let ok = match *what {
+                RegistryBreak::ZoneCrash { zone, .. } | RegistryBreak::ZonePartition { zone } => {
+                    zone < w.n_zones
+                }
+                RegistryBreak::ReplicaDesync { replica } => replica < w.n_replicas,
             };
             if !ok {
                 return Err(format!(
-                    "fault spec {i} ({spec:?}) is out of range: the workload has {} zones \
+                    "fault spec {i} ({what:?}) is out of range: the workload has {} zones \
                      and {} replicas",
                     w.n_zones, w.n_replicas
                 ));
@@ -222,10 +223,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         let mut w = generate_workload(3);
-        w.plan = RegistryFaultPlan::new(3).with(RegistryFaultSpec::ReplicaDesync {
-            replica: w.n_replicas,
+        w.plan = RegistryFaultPlan::new(3).with(Window {
             at_s: 5.0,
-            for_s: 1.0,
+            for_s: Some(1.0),
+            what: RegistryBreak::ReplicaDesync {
+                replica: w.n_replicas,
+            },
         });
         let err = Reg::check_ids(&w).unwrap_err();
         assert!(err.starts_with("fault spec 0 (ReplicaDesync {"), "{err}");

@@ -491,7 +491,7 @@ fn rec_area_half(ap: &Ap) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlte_faults::registry::RegistryFaultSpec;
+    use dlte_faults::{RegistryBreak, Window};
 
     fn workload(flavour: Flavour, seed: u64) -> RegistryWorkload {
         RegistryWorkload {
@@ -565,11 +565,13 @@ mod tests {
     #[test]
     fn state_loss_crash_dents_availability_but_not_safety() {
         let mut w = workload(Flavour::Federated, 11);
-        w.plan = RegistryFaultPlan::new(11).with(RegistryFaultSpec::ZoneCrash {
-            zone: 1,
+        w.plan = RegistryFaultPlan::new(11).with(Window {
             at_s: 10.0,
-            restart_after_s: Some(2.0),
-            state_loss: true,
+            for_s: Some(2.0),
+            what: RegistryBreak::ZoneCrash {
+                zone: 1,
+                state_loss: true,
+            },
         });
         let out = run_chaos(&w);
         assert_eq!(out.violations, Vec::new());
@@ -589,16 +591,18 @@ mod tests {
     fn replicated_writer_recovers_through_replicas() {
         let mut w = workload(Flavour::Replicated, 21);
         w.plan = RegistryFaultPlan::new(21)
-            .with(RegistryFaultSpec::ZoneCrash {
-                zone: 0,
+            .with(Window {
                 at_s: 12.0,
-                restart_after_s: Some(3.0),
-                state_loss: true,
+                for_s: Some(3.0),
+                what: RegistryBreak::ZoneCrash {
+                    zone: 0,
+                    state_loss: true,
+                },
             })
-            .with(RegistryFaultSpec::ReplicaDesync {
-                replica: 1,
+            .with(Window {
                 at_s: 8.0,
-                for_s: 5.0,
+                for_s: Some(5.0),
+                what: RegistryBreak::ReplicaDesync { replica: 1 },
             });
         let out = run_chaos(&w);
         assert_eq!(out.violations, Vec::new(), "{:#?}", out.violations);
@@ -623,11 +627,13 @@ mod tests {
         // border fan-out (contour + 50 km), or every zone's answer depends
         // on the crashed one and federation buys nothing.
         let plan = |seed| {
-            RegistryFaultPlan::new(seed).with(RegistryFaultSpec::ZoneCrash {
-                zone: 2,
+            RegistryFaultPlan::new(seed).with(Window {
                 at_s: 10.0,
-                restart_after_s: Some(4.0),
-                state_loss: true,
+                for_s: Some(4.0),
+                what: RegistryBreak::ZoneCrash {
+                    zone: 2,
+                    state_loss: true,
+                },
             })
         };
         let mut cent = workload(Flavour::Centralized, 5);

@@ -789,16 +789,16 @@ mod tests {
     /// before node 4's echo.
     #[test]
     fn deployed_centralized_trace_is_canonically_ordered() {
-        use dlte_faults::{FaultPlan, FaultSpec};
+        use dlte_faults::{FaultPlan, NetBreak, Window};
         use dlte_obs::{set_tracing, take_records, Record};
         let build = || {
             let mut b = CentralizedLteBuilder::new(3, 3);
             b.epc.path_mgmt = true;
             let net = b.build();
-            let plan = FaultPlan::new(1).with(FaultSpec::NodeCrash {
-                node: net.sgw,
+            let plan = FaultPlan::new(1).with(Window {
                 at_s: 3.0,
-                restart_after_s: Some(1.0),
+                for_s: Some(1.0),
+                what: NetBreak::NodeCrash { node: net.sgw },
             });
             (net, plan)
         };
@@ -997,15 +997,15 @@ mod tests {
     /// is sent, never answered, and the timeout takes the wide-area path.
     #[test]
     fn fetch_falls_back_when_context_peer_is_down() {
-        use dlte_faults::{FaultPlan, FaultSpec};
+        use dlte_faults::{FaultPlan, NetBreak, Window};
         let mut net = roaming_with_fetch(3).build();
         // AP0 goes dark 100 ms before UE0 arrives at AP1: the detach and
         // the context fetch toward it are both lost; AP2 nacks (no record).
         FaultPlan::new(1)
-            .with(FaultSpec::NodePause {
-                node: net.cells[0],
+            .with(Window {
                 at_s: 2.9,
-                for_s: 2.0,
+                for_s: Some(2.0),
+                what: NetBreak::NodePause { node: net.cells[0] },
             })
             .inject(&mut net.sim);
         net.sim.run_until(SimTime::from_secs(8), 5_000_000);

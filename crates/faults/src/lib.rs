@@ -1,14 +1,17 @@
 //! # dlte-faults — deterministic fault-injection plans
 //!
 //! The dLTE argument (§4) is about what happens when things *break*: the
-//! backhaul flaps, the central EPC crashes, a site is partitioned. This
-//! crate turns those scenarios into data: a [`FaultPlan`] is a serde-able,
-//! seeded, composable list of [`FaultSpec`]s that compiles to a sorted
-//! timeline of raw [`NetFault`]s and injects them into a [`ShardedSim`], the
-//! one driver of a network of either architecture, as ordinary events
-//! ([`FaultPlan::inject`]). Determinism is total — all randomness happens at *plan
-//! generation* time (see [`FaultPlan::chaos_mix`]), so the same plan JSON
-//! replays identically regardless of `--jobs` or host.
+//! backhaul flaps, the central EPC crashes, a registry zone churns. This
+//! crate turns those scenarios into data. Every fault is a [`Window`]: one
+//! break held from `at_s` for `for_s` seconds, or for good when `for_s` is
+//! `None`. What breaks is a [`Break`]: a [`NetBreak`] on a link or node, or
+//! a [`RegistryBreak`] on a registry zone or replica. A [`FaultPlan`] is a
+//! serde-able, seeded list of windows that compiles to a sorted timeline
+//! of raw [`NetFault`]s and injects them into a [`ShardedSim`], the one
+//! driver of a network of either architecture, as ordinary events
+//! ([`FaultPlan::inject`]). Determinism is total — all randomness happens
+//! at *plan generation* time (see [`FaultPlan::chaos_mix`]), so the same
+//! plan JSON replays identically regardless of `--jobs` or host.
 //!
 //! Layering: `dlte-net` owns the fault *mechanisms* (`Network::apply_fault`,
 //! link overrides, crash/pause handler hooks); this crate owns the fault
@@ -23,43 +26,77 @@ use serde::{Deserialize, Serialize};
 pub mod mobility;
 pub mod registry;
 pub use mobility::{MovePlan, MoveSpec};
-pub use registry::{RegistryFault, RegistryFaultPlan, RegistryFaultSpec};
+pub use registry::{RegistryBreak, RegistryFault, RegistryFaultPlan};
 
-/// One spec of a [`Plan`]: a fault (or fault pattern) that expands into
-/// raw timed faults and offers the shrinker strictly simpler variants.
-pub trait PlanSpec: Clone {
+/// What a [`Window`] breaks: the raw fault that breaks it, the raw fault
+/// that repairs it, and the milder breaks the shrinker may try instead.
+pub trait Break: Clone {
     /// The raw timed fault a run consumes.
     type Fault;
     /// Total order on same-instant faults (see [`Plan::compile`]).
     type Key: Ord;
-    /// Expand this spec into raw timed faults.
-    fn compile_into(&self, out: &mut Vec<(SimTime, Self::Fault)>);
-    /// Strictly simpler variants of this spec, in a deterministic order.
-    /// Floors keep every move strictly shrinking, so repeated shrinking
-    /// terminates. May be empty when the spec is already minimal.
-    fn shrink(&self) -> Vec<Self>;
-    /// The same-instant order: "break" faults sort before "repair" faults,
-    /// then by affected entity and parameters.
+    /// The fault applied at the start of the window.
+    fn start(&self) -> Self::Fault;
+    /// The fault that undoes [`Break::start`] at the end of the window.
+    fn end(&self) -> Self::Fault;
+    /// Strictly milder variants of this break, in a deterministic order.
+    /// Floors keep every step strictly shrinking, so repeated shrinking
+    /// terminates. Empty when nothing milder is left.
+    fn gentler(&self) -> Vec<Self>;
+    /// The same-instant order: breaks sort before repairs, then by
+    /// affected entity and parameters.
     fn same_instant_key(fault: &Self::Fault) -> Self::Key;
 }
 
-/// A composable fault scenario: a list of specs, plain serde data.
+/// One fault: `what` breaks at `at_s` seconds of simulated time and is
+/// repaired `for_s` seconds later, or never when `for_s` is `None`.
+/// Negative times clamp to zero. A `for_s` of zero is legal: the break and
+/// the repair land at the same instant, in that order.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Window<B> {
+    pub at_s: f64,
+    pub for_s: Option<f64>,
+    pub what: B,
+}
+
+/// Windows at or below this length are not halved any further.
+const FLOOR_S: f64 = 0.05;
+
+impl<B: Break> Window<B> {
+    /// Strictly simpler windows: half as long (above [`FLOOR_S`]), then
+    /// each gentler break over the same span.
+    fn shrink(&self) -> Vec<Self> {
+        let halved = self.for_s.filter(|&s| s > FLOOR_S).map(|s| Window {
+            for_s: Some(s / 2.0),
+            what: self.what.clone(),
+            ..*self
+        });
+        let gentler = self
+            .what
+            .gentler()
+            .into_iter()
+            .map(|what| Window { what, ..*self });
+        halved.into_iter().chain(gentler).collect()
+    }
+}
+
+/// A composable fault scenario: a list of windows, plain serde data.
 ///
 /// The `seed` is carried for provenance (plans produced by a `chaos_mix`
 /// generator record the seed that generated them); replaying a plan uses
 /// only its `faults` list.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Plan<S> {
+pub struct Plan<B> {
     #[serde(default)]
     pub seed: u64,
     #[serde(default)]
-    pub faults: Vec<S>,
+    pub faults: Vec<Window<B>>,
 }
 
 /// Network faults, scheduled into a run by [`FaultPlan::inject`].
-pub type FaultPlan = Plan<FaultSpec>;
+pub type FaultPlan = Plan<NetBreak>;
 
-impl<S> Plan<S> {
+impl<B> Plan<B> {
     pub fn new(seed: u64) -> Self {
         Plan {
             seed,
@@ -67,25 +104,30 @@ impl<S> Plan<S> {
         }
     }
 
-    /// Append a spec (chainable).
-    pub fn with(mut self, spec: S) -> Self {
-        self.faults.push(spec);
+    /// Append a window (chainable).
+    pub fn with(mut self, window: Window<B>) -> Self {
+        self.faults.push(window);
         self
     }
 }
 
-impl<S: PlanSpec> Plan<S> {
-    /// Expand to the raw fault timeline, sorted by time. Same-instant faults
-    /// are ordered by a total key ([`PlanSpec::same_instant_key`]: breaks
-    /// before repairs, then entity and parameters), never by insertion
-    /// order — so any permutation of the same specs compiles to the
-    /// identical timeline.
-    pub fn compile(&self) -> Vec<(SimTime, S::Fault)> {
+impl<B: Break> Plan<B> {
+    /// Expand to the raw fault timeline, sorted by time: each window's
+    /// break at `at_s` and, if it has one, its repair at `at_s + for_s`.
+    /// Same-instant faults are ordered by a total key
+    /// ([`Break::same_instant_key`]: breaks before repairs, then entity
+    /// and parameters), never by insertion order — so any permutation of
+    /// the same windows compiles to the identical timeline.
+    pub fn compile(&self) -> Vec<(SimTime, B::Fault)> {
+        let time = |s: f64| SimTime::ZERO + SimDuration::from_secs_f64(s.max(0.0));
         let mut out = Vec::new();
-        for spec in &self.faults {
-            spec.compile_into(&mut out);
+        for w in &self.faults {
+            out.push((time(w.at_s), w.what.start()));
+            if let Some(for_s) = w.for_s {
+                out.push((time(w.at_s + for_s), w.what.end()));
+            }
         }
-        out.sort_by_cached_key(|(t, f)| (*t, S::same_instant_key(f)));
+        out.sort_by_cached_key(|(t, f)| (*t, B::same_instant_key(f)));
         out
     }
 
@@ -99,10 +141,10 @@ impl<S: PlanSpec> Plan<S> {
     }
 
     /// Candidate plans strictly simpler than this one, in a deterministic
-    /// order: first each plan with one spec removed, then each plan with one
-    /// spec replaced by a [`PlanSpec::shrink`] variant. The fuzzer keeps
-    /// the first candidate that still trips an oracle and recurses; because
-    /// every candidate is strictly smaller (fewer specs, or a strictly
+    /// order: first each plan with one window removed, then each plan with
+    /// one window halved or its break made gentler. The fuzzer keeps the
+    /// first candidate that still trips an oracle and recurses; because
+    /// every candidate is strictly smaller (fewer windows, or a strictly
     /// reduced parameter with a floor), greedy shrinking terminates.
     pub fn shrink_candidates(&self) -> Vec<Self> {
         let mut out = Vec::new();
@@ -112,9 +154,9 @@ impl<S: PlanSpec> Plan<S> {
             out.push(p);
         }
         for i in 0..self.faults.len() {
-            for s in self.faults[i].shrink() {
+            for w in self.faults[i].shrink() {
                 let mut p = self.clone();
-                p.faults[i] = s;
+                p.faults[i] = w;
                 out.push(p);
             }
         }
@@ -122,362 +164,131 @@ impl<S: PlanSpec> Plan<S> {
     }
 }
 
-/// Push `fault` at `t_s` seconds (negative times clamp to zero).
-fn at<F>(out: &mut Vec<(SimTime, F)>, t_s: f64, fault: F) {
-    out.push((
-        SimTime::ZERO + SimDuration::from_secs_f64(t_s.max(0.0)),
-        fault,
-    ));
-}
-
-/// One scheduled fault (or fault pattern). Times are seconds of simulated
-/// time; durations of zero are legal (a `LinkFlap` with `down_s: 0.0`
-/// downs and re-ups the link at the same instant, in that order).
+/// What a network fault breaks. A link break installs its condition at the
+/// start of the window and clears it at the end; a node break takes the
+/// node out and brings it back.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum FaultSpec {
-    /// `times` down/up flaps of a link: down at `at_s + k*gap_s` for
-    /// `down_s` each.
-    LinkFlap {
-        link: LinkId,
-        at_s: f64,
-        down_s: f64,
-        times: u32,
-        gap_s: f64,
-    },
-    /// Raise a link's loss probability to `loss` during the window.
-    LossBurst {
-        link: LinkId,
-        at_s: f64,
-        for_s: f64,
-        loss: f64,
-    },
-    /// Add latency and uniform jitter to a link during the window.
+pub enum NetBreak {
+    /// The link is down.
+    LinkFlap { link: LinkId },
+    /// The link loses packets with probability `loss`.
+    LossBurst { link: LinkId, loss: f64 },
+    /// The link gains `extra_ms` of latency plus up to `jitter_ms` of
+    /// uniform jitter.
     LatencyStorm {
         link: LinkId,
-        at_s: f64,
-        for_s: f64,
         extra_ms: f64,
         jitter_ms: f64,
     },
-    /// Throttle a link's rate during the window.
-    RateThrottle {
-        link: LinkId,
-        at_s: f64,
-        for_s: f64,
-        rate_bps: f64,
-    },
-    /// Crash a node (handler state loss), optionally restarting it later.
-    NodeCrash {
-        node: NodeId,
-        at_s: f64,
-        restart_after_s: Option<f64>,
-    },
-    /// Pause a node (packets dropped, timers deferred), resuming later.
-    NodePause { node: NodeId, at_s: f64, for_s: f64 },
-    /// Cut `nodes` from the rest of the world, optionally healing later.
-    Partition {
-        nodes: Vec<NodeId>,
-        at_s: f64,
-        heal_after_s: Option<f64>,
-    },
-    /// Escape hatch: a raw fault at a point in time.
-    At { at_s: f64, fault: NetFault },
+    /// The link is throttled to `rate_bps`.
+    RateThrottle { link: LinkId, rate_bps: f64 },
+    /// The node crashes (handler state loss); the repair restarts it.
+    NodeCrash { node: NodeId },
+    /// The node pauses (packets dropped, timers deferred); the repair
+    /// resumes it.
+    NodePause { node: NodeId },
 }
 
-impl PlanSpec for FaultSpec {
+impl Break for NetBreak {
     type Fault = NetFault;
     type Key = (u8, u64, Vec<u64>);
 
-    fn compile_into(&self, out: &mut Vec<(SimTime, NetFault)>) {
+    fn start(&self) -> NetFault {
+        let set = |link, ov| NetFault::LinkOverride { link, ov };
         match *self {
-            FaultSpec::LinkFlap {
+            NetBreak::LinkFlap { link } => NetFault::LinkUp { link, up: false },
+            NetBreak::LossBurst { link, loss } => set(
                 link,
-                at_s,
-                down_s,
-                times,
-                gap_s,
-            } => {
-                for k in 0..times.max(1) {
-                    let start = at_s + k as f64 * gap_s;
-                    at(out, start, NetFault::LinkUp { link, up: false });
-                    at(out, start + down_s, NetFault::LinkUp { link, up: true });
-                }
-            }
-            FaultSpec::LossBurst {
-                link,
-                at_s,
-                for_s,
-                loss,
-            } => {
-                let ov = LinkOverride {
+                LinkOverride {
                     loss: Some(loss),
                     ..Default::default()
-                };
-                at(out, at_s, NetFault::LinkOverride { link, ov });
-                at(
-                    out,
-                    at_s + for_s,
-                    NetFault::LinkOverride {
-                        link,
-                        ov: LinkOverride::default(),
-                    },
-                );
-            }
-            FaultSpec::LatencyStorm {
+                },
+            ),
+            NetBreak::LatencyStorm {
                 link,
-                at_s,
-                for_s,
                 extra_ms,
                 jitter_ms,
-            } => {
-                let ov = LinkOverride {
+            } => set(
+                link,
+                LinkOverride {
                     extra_delay: Some(SimDuration::from_secs_f64(extra_ms / 1e3)),
                     jitter: Some(SimDuration::from_secs_f64(jitter_ms / 1e3)),
                     ..Default::default()
-                };
-                at(out, at_s, NetFault::LinkOverride { link, ov });
-                at(
-                    out,
-                    at_s + for_s,
-                    NetFault::LinkOverride {
-                        link,
-                        ov: LinkOverride::default(),
-                    },
-                );
-            }
-            FaultSpec::RateThrottle {
+                },
+            ),
+            NetBreak::RateThrottle { link, rate_bps } => set(
                 link,
-                at_s,
-                for_s,
-                rate_bps,
-            } => {
-                let ov = LinkOverride {
+                LinkOverride {
                     rate_bps: Some(rate_bps),
                     ..Default::default()
-                };
-                at(out, at_s, NetFault::LinkOverride { link, ov });
-                at(
-                    out,
-                    at_s + for_s,
-                    NetFault::LinkOverride {
-                        link,
-                        ov: LinkOverride::default(),
-                    },
-                );
-            }
-            FaultSpec::NodeCrash {
-                node,
-                at_s,
-                restart_after_s,
-            } => {
-                at(out, at_s, NetFault::NodeDown { node });
-                if let Some(after) = restart_after_s {
-                    at(out, at_s + after, NetFault::NodeUp { node });
-                }
-            }
-            FaultSpec::NodePause { node, at_s, for_s } => {
-                at(out, at_s, NetFault::NodePause { node });
-                at(out, at_s + for_s, NetFault::NodeResume { node });
-            }
-            FaultSpec::Partition {
-                ref nodes,
-                at_s,
-                heal_after_s,
-            } => {
-                at(
-                    out,
-                    at_s,
-                    NetFault::Partition {
-                        nodes: nodes.clone(),
-                        up: false,
-                    },
-                );
-                if let Some(after) = heal_after_s {
-                    at(
-                        out,
-                        at_s + after,
-                        NetFault::Partition {
-                            nodes: nodes.clone(),
-                            up: true,
-                        },
-                    );
-                }
-            }
-            FaultSpec::At { at_s, ref fault } => at(out, at_s, fault.clone()),
+                },
+            ),
+            NetBreak::NodeCrash { node } => NetFault::NodeDown { node },
+            NetBreak::NodePause { node } => NetFault::NodePause { node },
         }
     }
 
-    /// Halve durations, magnitudes and repetition counts; shed partition
-    /// members.
-    fn shrink(&self) -> Vec<FaultSpec> {
-        const FLOOR_S: f64 = 0.05;
+    fn end(&self) -> NetFault {
+        match *self {
+            NetBreak::LinkFlap { link } => NetFault::LinkUp { link, up: true },
+            NetBreak::LossBurst { link, .. }
+            | NetBreak::LatencyStorm { link, .. }
+            | NetBreak::RateThrottle { link, .. } => NetFault::LinkOverride {
+                link,
+                ov: LinkOverride::default(),
+            },
+            NetBreak::NodeCrash { node } => NetFault::NodeUp { node },
+            NetBreak::NodePause { node } => NetFault::NodeResume { node },
+        }
+    }
+
+    /// Halve the loss and the added latency, drop the jitter, double the
+    /// throttled rate; each down to a floor.
+    fn gentler(&self) -> Vec<NetBreak> {
         let mut out = Vec::new();
         match *self {
-            FaultSpec::LinkFlap {
-                link,
-                at_s,
-                down_s,
-                times,
-                gap_s,
-            } => {
-                if times > 1 {
-                    out.push(FaultSpec::LinkFlap {
-                        link,
-                        at_s,
-                        down_s,
-                        times: times / 2,
-                        gap_s,
-                    });
-                }
-                if down_s > FLOOR_S {
-                    out.push(FaultSpec::LinkFlap {
-                        link,
-                        at_s,
-                        down_s: down_s / 2.0,
-                        times,
-                        gap_s,
-                    });
-                }
+            NetBreak::LossBurst { link, loss } if loss > 0.05 => {
+                out.push(NetBreak::LossBurst {
+                    link,
+                    loss: loss / 2.0,
+                });
             }
-            FaultSpec::LossBurst {
+            NetBreak::LatencyStorm {
                 link,
-                at_s,
-                for_s,
-                loss,
-            } => {
-                if for_s > FLOOR_S {
-                    out.push(FaultSpec::LossBurst {
-                        link,
-                        at_s,
-                        for_s: for_s / 2.0,
-                        loss,
-                    });
-                }
-                if loss > 0.05 {
-                    out.push(FaultSpec::LossBurst {
-                        link,
-                        at_s,
-                        for_s,
-                        loss: loss / 2.0,
-                    });
-                }
-            }
-            FaultSpec::LatencyStorm {
-                link,
-                at_s,
-                for_s,
                 extra_ms,
                 jitter_ms,
             } => {
-                if for_s > FLOOR_S {
-                    out.push(FaultSpec::LatencyStorm {
-                        link,
-                        at_s,
-                        for_s: for_s / 2.0,
-                        extra_ms,
-                        jitter_ms,
-                    });
-                }
                 if extra_ms > 1.0 {
-                    out.push(FaultSpec::LatencyStorm {
+                    out.push(NetBreak::LatencyStorm {
                         link,
-                        at_s,
-                        for_s,
                         extra_ms: extra_ms / 2.0,
                         jitter_ms,
                     });
                 }
                 if jitter_ms > 0.0 {
-                    out.push(FaultSpec::LatencyStorm {
+                    out.push(NetBreak::LatencyStorm {
                         link,
-                        at_s,
-                        for_s,
                         extra_ms,
                         jitter_ms: 0.0,
                     });
                 }
             }
-            FaultSpec::RateThrottle {
-                link,
-                at_s,
-                for_s,
-                rate_bps,
-            } => {
-                if for_s > FLOOR_S {
-                    out.push(FaultSpec::RateThrottle {
-                        link,
-                        at_s,
-                        for_s: for_s / 2.0,
-                        rate_bps,
-                    });
-                }
-                if rate_bps < 5e6 {
-                    // A gentler throttle (higher rate) is the smaller fault.
-                    out.push(FaultSpec::RateThrottle {
-                        link,
-                        at_s,
-                        for_s,
-                        rate_bps: (rate_bps * 2.0).min(5e6),
-                    });
-                }
+            NetBreak::RateThrottle { link, rate_bps } if rate_bps < 5e6 => {
+                out.push(NetBreak::RateThrottle {
+                    link,
+                    rate_bps: (rate_bps * 2.0).min(5e6),
+                });
             }
-            FaultSpec::NodeCrash {
-                node,
-                at_s,
-                restart_after_s,
-            } => {
-                if let Some(after) = restart_after_s {
-                    if after > FLOOR_S {
-                        out.push(FaultSpec::NodeCrash {
-                            node,
-                            at_s,
-                            restart_after_s: Some(after / 2.0),
-                        });
-                    }
-                }
-            }
-            FaultSpec::NodePause { node, at_s, for_s } => {
-                if for_s > FLOOR_S {
-                    out.push(FaultSpec::NodePause {
-                        node,
-                        at_s,
-                        for_s: for_s / 2.0,
-                    });
-                }
-            }
-            FaultSpec::Partition {
-                ref nodes,
-                at_s,
-                heal_after_s,
-            } => {
-                if nodes.len() > 1 {
-                    out.push(FaultSpec::Partition {
-                        nodes: nodes[..nodes.len() - 1].to_vec(),
-                        at_s,
-                        heal_after_s,
-                    });
-                }
-                if let Some(after) = heal_after_s {
-                    if after > FLOOR_S {
-                        out.push(FaultSpec::Partition {
-                            nodes: nodes.clone(),
-                            at_s,
-                            heal_after_s: Some(after / 2.0),
-                        });
-                    }
-                }
-            }
-            FaultSpec::At { .. } => {}
+            _ => {}
         }
         out
     }
 
-    /// Breaks (link/node down, pause, partition cut, override install)
-    /// before repairs (up, restart, resume, heal, override clear), then
-    /// entity and parameters. Break-before-repair keeps zero-duration faults
-    /// meaningful (a `down_s: 0.0` flap still downs the link before
-    /// re-upping it) and the full key makes [`Plan::compile`] a pure
-    /// function of the *set* of specs — see the permutation-invariance test.
+    /// Breaks (link/node down, pause, override install) before repairs
+    /// (up, restart, resume, override clear), then entity and parameters.
+    /// Break-before-repair keeps zero-length windows meaningful (a link
+    /// down for 0 s still goes down before it comes back up) and the full
+    /// key makes [`Plan::compile`] a pure function of the *set* of windows.
     fn same_instant_key(f: &NetFault) -> (u8, u64, Vec<u64>) {
         fn bits_f(v: Option<f64>) -> [u64; 2] {
             [v.is_some() as u64, v.unwrap_or(0.0).to_bits()]
@@ -497,21 +308,15 @@ impl PlanSpec for FaultSpec {
             NetFault::LinkUp { link, up: false } => (0, *link as u64, Vec::new()),
             NetFault::NodeDown { node } => (1, *node as u64, Vec::new()),
             NetFault::NodePause { node } => (2, *node as u64, Vec::new()),
-            NetFault::Partition { nodes, up: false } => {
-                (3, 0, nodes.iter().map(|&n| n as u64).collect())
-            }
-            NetFault::LinkOverride { link, ov } if !ov.is_empty() => (4, *link as u64, ov_bits(ov)),
-            NetFault::LinkOverride { link, .. } => (5, *link as u64, Vec::new()),
-            NetFault::LinkUp { link, up: true } => (6, *link as u64, Vec::new()),
-            NetFault::NodeUp { node } => (7, *node as u64, Vec::new()),
-            NetFault::NodeResume { node } => (8, *node as u64, Vec::new()),
-            NetFault::Partition { nodes, up: true } => {
-                (9, 0, nodes.iter().map(|&n| n as u64).collect())
-            }
+            NetFault::LinkOverride { link, ov } if !ov.is_empty() => (3, *link as u64, ov_bits(ov)),
+            NetFault::LinkOverride { link, .. } => (4, *link as u64, Vec::new()),
+            NetFault::LinkUp { link, up: true } => (5, *link as u64, Vec::new()),
+            NetFault::NodeUp { node } => (6, *node as u64, Vec::new()),
+            NetFault::NodeResume { node } => (7, *node as u64, Vec::new()),
             // Route installs are reconvergence actions: they sort with (after)
             // the repairs, keyed by the full route so the order is total.
             NetFault::RouteSet { node, prefix, link } => (
-                10,
+                8,
                 *node as u64,
                 vec![prefix.addr.0 as u64, prefix.len as u64, *link as u64],
             ),
@@ -530,8 +335,8 @@ impl FaultPlan {
         }
     }
 
-    /// Generate a seeded random fault mix: `n` faults drawn over the links
-    /// in `targets.links` and nodes in `targets.crashable`, starting in
+    /// Generate a seeded random fault mix: `n` windows over the links in
+    /// `targets.links` and nodes in `targets.crashable`, starting in
     /// `[start_s, end_s)`, each repaired within `max_down_s`. All randomness
     /// happens *here* — the returned plan is plain data and replays
     /// identically however it is run.
@@ -551,49 +356,37 @@ impl FaultPlan {
             // Node faults only when crashable nodes exist; weight link
             // faults 3:1 (they are the common case in deployment reports).
             let node_fault = !targets.crashable.is_empty() && rng.chance(0.25);
-            let spec = if node_fault {
+            let what = if node_fault {
                 let node = targets.crashable[rng.index(targets.crashable.len())];
                 if rng.chance(0.5) {
-                    FaultSpec::NodeCrash {
-                        node,
-                        at_s,
-                        restart_after_s: Some(for_s),
-                    }
+                    NetBreak::NodeCrash { node }
                 } else {
-                    FaultSpec::NodePause { node, at_s, for_s }
+                    NetBreak::NodePause { node }
                 }
             } else {
                 let link = targets.links[rng.index(targets.links.len())];
                 match rng.index(4) {
-                    0 => FaultSpec::LinkFlap {
+                    0 => NetBreak::LinkFlap { link },
+                    1 => NetBreak::LossBurst {
                         link,
-                        at_s,
-                        down_s: for_s,
-                        times: 1,
-                        gap_s: 0.0,
-                    },
-                    1 => FaultSpec::LossBurst {
-                        link,
-                        at_s,
-                        for_s,
                         loss: rng.uniform(0.05, 0.5),
                     },
-                    2 => FaultSpec::LatencyStorm {
+                    2 => NetBreak::LatencyStorm {
                         link,
-                        at_s,
-                        for_s,
                         extra_ms: rng.uniform(10.0, 200.0),
                         jitter_ms: rng.uniform(0.0, 50.0),
                     },
-                    _ => FaultSpec::RateThrottle {
+                    _ => NetBreak::RateThrottle {
                         link,
-                        at_s,
-                        for_s,
                         rate_bps: rng.uniform(1e5, 5e6),
                     },
                 }
             };
-            plan.faults.push(spec);
+            plan.faults.push(Window {
+                at_s,
+                for_s: Some(for_s),
+                what,
+            });
         }
         plan
     }
@@ -610,35 +403,24 @@ pub struct ChaosTargets {
 mod tests {
     use super::*;
 
+    fn window(at_s: f64, for_s: Option<f64>, what: NetBreak) -> Window<NetBreak> {
+        Window { at_s, for_s, what }
+    }
+
     #[test]
     fn flap_compiles_to_paired_transitions() {
-        let plan = FaultPlan::new(1).with(FaultSpec::LinkFlap {
-            link: 2,
-            at_s: 1.0,
-            down_s: 0.5,
-            times: 2,
-            gap_s: 2.0,
-        });
-        let events = plan.compile();
+        let plan = FaultPlan::new(1)
+            .with(window(1.0, Some(0.5), NetBreak::LinkFlap { link: 2 }))
+            .with(window(3.0, Some(0.5), NetBreak::LinkFlap { link: 2 }));
+        let down = NetFault::LinkUp { link: 2, up: false };
+        let up = NetFault::LinkUp { link: 2, up: true };
         assert_eq!(
-            events,
+            plan.compile(),
             vec![
-                (
-                    SimTime::from_millis(1000),
-                    NetFault::LinkUp { link: 2, up: false }
-                ),
-                (
-                    SimTime::from_millis(1500),
-                    NetFault::LinkUp { link: 2, up: true }
-                ),
-                (
-                    SimTime::from_millis(3000),
-                    NetFault::LinkUp { link: 2, up: false }
-                ),
-                (
-                    SimTime::from_millis(3500),
-                    NetFault::LinkUp { link: 2, up: true }
-                ),
+                (SimTime::from_millis(1000), down.clone()),
+                (SimTime::from_millis(1500), up.clone()),
+                (SimTime::from_millis(3000), down),
+                (SimTime::from_millis(3500), up),
             ]
         );
         assert_eq!(plan.last_fault_time(), SimTime::from_millis(3500));
@@ -647,13 +429,7 @@ mod tests {
     #[test]
     fn zero_duration_flap_keeps_plan_order() {
         // Down and up at the same instant: breaks sort before repairs.
-        let plan = FaultPlan::new(1).with(FaultSpec::LinkFlap {
-            link: 0,
-            at_s: 0.0,
-            down_s: 0.0,
-            times: 1,
-            gap_s: 0.0,
-        });
+        let plan = FaultPlan::new(1).with(window(0.0, Some(0.0), NetBreak::LinkFlap { link: 0 }));
         let events = plan.compile();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].1, NetFault::LinkUp { link: 0, up: false });
@@ -665,18 +441,19 @@ mod tests {
     #[test]
     fn bursts_install_and_clear_overrides() {
         let plan = FaultPlan::new(1)
-            .with(FaultSpec::LossBurst {
-                link: 1,
-                at_s: 2.0,
-                for_s: 1.0,
-                loss: 0.3,
-            })
-            .with(FaultSpec::RateThrottle {
-                link: 1,
-                at_s: 5.0,
-                for_s: 1.0,
-                rate_bps: 1e6,
-            });
+            .with(window(
+                2.0,
+                Some(1.0),
+                NetBreak::LossBurst { link: 1, loss: 0.3 },
+            ))
+            .with(window(
+                5.0,
+                Some(1.0),
+                NetBreak::RateThrottle {
+                    link: 1,
+                    rate_bps: 1e6,
+                },
+            ));
         let events = plan.compile();
         assert_eq!(events.len(), 4);
         match &events[1].1 {
@@ -691,11 +468,7 @@ mod tests {
 
     #[test]
     fn crash_without_restart_stays_down() {
-        let plan = FaultPlan::new(1).with(FaultSpec::NodeCrash {
-            node: 3,
-            at_s: 1.0,
-            restart_after_s: None,
-        });
+        let plan = FaultPlan::new(1).with(window(1.0, None, NetBreak::NodeCrash { node: 3 }));
         assert_eq!(
             plan.compile(),
             vec![(SimTime::from_millis(1000), NetFault::NodeDown { node: 3 })]
@@ -703,150 +476,68 @@ mod tests {
     }
 
     #[test]
-    fn partition_heals_when_asked() {
-        let plan = FaultPlan::new(1).with(FaultSpec::Partition {
-            nodes: vec![1, 2],
-            at_s: 0.5,
-            heal_after_s: Some(1.0),
-        });
-        let events = plan.compile();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[1],
-            (
-                SimTime::from_millis(1500),
-                NetFault::Partition {
-                    nodes: vec![1, 2],
-                    up: true
-                }
-            )
-        );
-    }
-
-    #[test]
     fn negative_times_clamp_to_zero() {
-        let plan = FaultPlan::new(1).with(FaultSpec::At {
-            at_s: -5.0,
-            fault: NetFault::NodeDown { node: 0 },
-        });
+        let plan = FaultPlan::new(1).with(window(-5.0, None, NetBreak::NodeCrash { node: 0 }));
         assert_eq!(plan.compile()[0].0, SimTime::ZERO);
     }
 
     #[test]
     fn plan_serde_round_trips() {
         let plan = FaultPlan::new(99)
-            .with(FaultSpec::LinkFlap {
-                link: 0,
-                at_s: 1.0,
-                down_s: 2.0,
-                times: 3,
-                gap_s: 4.0,
-            })
-            .with(FaultSpec::LatencyStorm {
-                link: 1,
-                at_s: 2.0,
-                for_s: 0.5,
-                extra_ms: 50.0,
-                jitter_ms: 10.0,
-            })
-            .with(FaultSpec::NodeCrash {
-                node: 7,
-                at_s: 3.0,
-                restart_after_s: Some(2.0),
-            })
-            .with(FaultSpec::Partition {
-                nodes: vec![4, 5],
-                at_s: 6.0,
-                heal_after_s: None,
-            })
-            .with(FaultSpec::At {
-                at_s: 8.0,
-                fault: NetFault::NodeResume { node: 7 },
-            });
+            .with(window(1.0, Some(2.0), NetBreak::LinkFlap { link: 0 }))
+            .with(window(
+                2.0,
+                Some(0.5),
+                NetBreak::LatencyStorm {
+                    link: 1,
+                    extra_ms: 50.0,
+                    jitter_ms: 10.0,
+                },
+            ))
+            .with(window(3.0, Some(2.0), NetBreak::NodeCrash { node: 7 }))
+            .with(window(6.0, None, NetBreak::NodePause { node: 4 }));
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.compile(), plan.compile());
     }
 
-    /// The exact JSON schema documented in EXPERIMENTS.md ("Fault
-    /// injection") must keep parsing — it is the crate's wire format.
-    #[test]
-    fn documented_json_schema_parses() {
-        let json = r#"{
-          "seed": 7,
-          "faults": [
-            { "LinkFlap":     { "link": 0, "at_s": 5.0, "down_s": 4.0, "times": 1, "gap_s": 0.0 } },
-            { "LossBurst":    { "link": 0, "at_s": 5.0, "for_s": 2.0, "loss": 0.3 } },
-            { "LatencyStorm": { "link": 0, "at_s": 5.0, "for_s": 2.0, "extra_ms": 50.0, "jitter_ms": 10.0 } },
-            { "RateThrottle": { "link": 0, "at_s": 5.0, "for_s": 2.0, "rate_bps": 1e6 } },
-            { "NodeCrash":    { "node": 3, "at_s": 5.0, "restart_after_s": 4.0 } },
-            { "NodePause":    { "node": 3, "at_s": 5.0, "for_s": 1.0 } },
-            { "Partition":    { "nodes": [1, 2], "at_s": 5.0, "heal_after_s": 2.0 } },
-            { "At":           { "at_s": 5.0, "fault": { "NodeDown": { "node": 3 } } } }
-          ]
-        }"#;
-        let plan: FaultPlan = serde_json::from_str(json).expect("documented schema parses");
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.faults.len(), 8);
-        assert_eq!(plan.compile().len(), 15);
-    }
-
-    /// Satellite of ISSUE 4: `compile` must be a pure function of the *set*
-    /// of specs. Every permutation of a spec list dense with same-instant
-    /// collisions (several faults at t=5.0, including zero-duration ones)
-    /// compiles to the identical event list.
+    /// `compile` must be a pure function of the *set* of windows. Every
+    /// permutation of a window list dense with same-instant collisions
+    /// (several faults at t=5.0, all zero-length) compiles to the identical
+    /// event list.
     #[test]
     fn compile_is_insertion_order_independent() {
-        let specs = vec![
-            FaultSpec::LinkFlap {
-                link: 0,
-                at_s: 5.0,
-                down_s: 0.0,
-                times: 1,
-                gap_s: 0.0,
-            },
-            FaultSpec::NodeCrash {
-                node: 3,
-                at_s: 5.0,
-                restart_after_s: Some(0.0),
-            },
-            FaultSpec::LossBurst {
-                link: 1,
-                at_s: 5.0,
-                for_s: 0.0,
-                loss: 0.3,
-            },
-            FaultSpec::Partition {
-                nodes: vec![1, 2],
-                at_s: 5.0,
-                heal_after_s: Some(0.0),
-            },
+        let windows = vec![
+            window(5.0, Some(0.0), NetBreak::LinkFlap { link: 0 }),
+            window(5.0, Some(0.0), NetBreak::NodeCrash { node: 3 }),
+            window(5.0, Some(0.0), NetBreak::LossBurst { link: 1, loss: 0.3 }),
+            window(5.0, Some(0.0), NetBreak::NodePause { node: 2 }),
         ];
         let reference = FaultPlan {
             seed: 1,
-            faults: specs.clone(),
+            faults: windows.clone(),
         }
         .compile();
-        // Heap's algorithm: all 24 orderings of the four specs.
-        fn permute(k: usize, specs: &mut Vec<FaultSpec>, check: &mut impl FnMut(&[FaultSpec])) {
+        // Heap's algorithm: all 24 orderings of the four windows.
+        fn permute<T>(k: usize, items: &mut Vec<T>, check: &mut impl FnMut(&[T])) {
             if k <= 1 {
-                check(specs);
+                check(items);
                 return;
             }
             for i in 0..k {
-                permute(k - 1, specs, check);
+                permute(k - 1, items, check);
                 if k.is_multiple_of(2) {
-                    specs.swap(i, k - 1);
+                    items.swap(i, k - 1);
                 } else {
-                    specs.swap(0, k - 1);
+                    items.swap(0, k - 1);
                 }
             }
         }
-        let mut specs = specs;
-        let n = specs.len();
+        let mut windows = windows;
+        let n = windows.len();
         let mut permutations = 0;
-        permute(n, &mut specs, &mut |order| {
+        permute(n, &mut windows, &mut |order| {
             permutations += 1;
             let plan = FaultPlan {
                 seed: 1,
@@ -857,56 +548,37 @@ mod tests {
         assert_eq!(permutations, 24);
         // And the documented semantic: every break precedes every repair at
         // the shared instant.
-        let first_repair = reference
-            .iter()
-            .position(|(_, f)| {
-                matches!(
-                    f,
-                    NetFault::LinkUp { up: true, .. }
-                        | NetFault::NodeUp { .. }
-                        | NetFault::Partition { up: true, .. }
-                ) || matches!(f, NetFault::LinkOverride { ov, .. } if ov.is_empty())
-            })
-            .unwrap();
-        assert!(reference[..first_repair].iter().all(|(_, f)| !matches!(
-            f,
-            NetFault::LinkUp { up: true, .. }
-                | NetFault::NodeUp { .. }
-                | NetFault::Partition { up: true, .. }
-        )));
+        let starts: Vec<NetFault> = reference[..4].iter().map(|(_, f)| f.clone()).collect();
+        for w in &windows {
+            assert!(starts.contains(&w.what.start()), "{w:?}");
+        }
     }
 
     #[test]
     fn shrink_candidates_are_strictly_simpler_and_terminate() {
         let plan = FaultPlan::new(5)
-            .with(FaultSpec::LinkFlap {
-                link: 0,
-                at_s: 1.0,
-                down_s: 2.0,
-                times: 4,
-                gap_s: 3.0,
-            })
-            .with(FaultSpec::LossBurst {
-                link: 1,
-                at_s: 2.0,
-                for_s: 1.0,
-                loss: 0.4,
-            })
-            .with(FaultSpec::NodeCrash {
-                node: 3,
-                at_s: 3.0,
-                restart_after_s: Some(2.0),
-            });
+            .with(window(1.0, Some(2.0), NetBreak::LinkFlap { link: 0 }))
+            .with(window(
+                2.0,
+                Some(1.0),
+                NetBreak::LossBurst { link: 1, loss: 0.4 },
+            ))
+            .with(window(3.0, Some(2.0), NetBreak::NodeCrash { node: 3 }));
         let candidates = plan.shrink_candidates();
-        // 3 single-spec removals come first.
-        assert_eq!(candidates[0].faults.len(), 2);
+        // 3 single-window removals come first.
         assert!(candidates.iter().take(3).all(|p| p.faults.len() == 2));
-        // Parameter shrinks keep the spec count.
+        // Then the flap halved, the burst halved, the burst gentler, the
+        // crash halved.
+        assert_eq!(candidates.len(), 7);
         assert!(candidates.iter().skip(3).all(|p| p.faults.len() == 3));
-        assert!(!candidates.is_empty());
+        assert_eq!(candidates[3].faults[0].for_s, Some(1.0));
+        assert_eq!(
+            candidates[5].faults[1],
+            window(2.0, Some(1.0), NetBreak::LossBurst { link: 1, loss: 0.2 })
+        );
         // Greedy always-take-first shrinking reaches a fixpoint: the empty
-        // plan (removals shed one spec per round, and parameter floors stop
-        // the halvings).
+        // plan (removals shed one window per round, and floors stop the
+        // halvings).
         let mut current = plan;
         let mut rounds = 0;
         while let Some(next) = current.shrink_candidates().into_iter().next() {
@@ -919,26 +591,20 @@ mod tests {
 
     #[test]
     fn minimal_specs_have_no_shrinks() {
-        assert!(FaultSpec::At {
-            at_s: 1.0,
-            fault: NetFault::NodeDown { node: 0 }
-        }
-        .shrink()
-        .is_empty());
-        assert!(FaultSpec::NodeCrash {
-            node: 1,
-            at_s: 1.0,
-            restart_after_s: None
-        }
-        .shrink()
-        .is_empty());
-        assert!(FaultSpec::LinkFlap {
-            link: 0,
-            at_s: 1.0,
-            down_s: 0.01,
-            times: 1,
-            gap_s: 0.0
-        }
+        assert!(window(1.0, None, NetBreak::NodeCrash { node: 1 })
+            .shrink()
+            .is_empty());
+        assert!(window(1.0, Some(0.01), NetBreak::LinkFlap { link: 0 })
+            .shrink()
+            .is_empty());
+        assert!(window(
+            1.0,
+            Some(0.05),
+            NetBreak::RateThrottle {
+                link: 0,
+                rate_bps: 5e6
+            }
+        )
         .shrink()
         .is_empty());
     }

@@ -52,7 +52,7 @@ pub struct Prefix {
     pub len: u8,
 }
 
-// Manual so that a hand-edited fault plan or repro gets the same checks as
+// Manual so that a prefix read from JSON gets the same checks as
 // `Prefix::new`: a length past 32 (which `mask_of` would underflow on) is
 // a typed error naming the field, and host bits are masked off.
 impl Deserialize for Prefix {
@@ -228,6 +228,24 @@ mod tests {
         assert_eq!(pool.remaining(), 254);
         pool.release(a);
         assert_eq!(pool.remaining(), 255);
+    }
+
+    /// A prefix read from JSON gets `Prefix::new`'s checks: a length past
+    /// 32 is an error naming the field, and host bits are masked.
+    #[test]
+    fn prefix_json_rejects_long_lengths_and_masks_host_bits() {
+        let prefix = |addr: u32, len: u32| {
+            serde_json::from_str::<Prefix>(&format!(r#"{{"addr":{addr},"len":{len}}}"#))
+        };
+        for len in [33, 40, 255, 256] {
+            let err = prefix(0x0A02_0000, len)
+                .expect_err("length past 32")
+                .to_string();
+            assert!(err.contains("field `len`"), "{len}: {err}");
+        }
+        let host_bits = prefix(0x0A02_0304, 16).expect("valid /16");
+        assert_eq!(host_bits, Prefix::new(Addr::new(10, 2, 0, 0), 16));
+        assert_eq!(host_bits.addr, Addr::new(10, 2, 0, 0));
     }
 
     #[test]

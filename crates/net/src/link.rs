@@ -85,7 +85,7 @@ pub struct DirState {
 /// without losing the static configuration — fault injection installs these
 /// for loss bursts, latency/jitter storms and rate throttles, then clears
 /// them to restore the configured behaviour.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LinkOverride {
     /// Replaces the configured loss probability while set.
     pub loss: Option<f64>,

@@ -115,7 +115,7 @@ pub enum NetEvent {
 /// A single fault applied to the world at a point in time. These are the
 /// *mechanisms*; `dlte-faults` provides the seeded, serde-able plans that
 /// compose them into scenarios.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NetFault {
     /// Set a link's administrative state (down links drop all traffic).
     LinkUp { link: LinkId, up: bool },
@@ -133,9 +133,6 @@ pub enum NetFault {
     NodePause { node: NodeId },
     /// Resume a paused node, releasing its deferred timers.
     NodeResume { node: NodeId },
-    /// Cut (`up: false`) or heal (`up: true`) every link with exactly one
-    /// endpoint in `nodes` — partitions the set from the rest of the world.
-    Partition { nodes: Vec<NodeId>, up: bool },
     /// Install (or replace) a route on a node. Exists so scripted
     /// reconvergence (e.g. E13's backhaul reroute) can be expressed as
     /// pre-planned fault events, which sharded runs broadcast into every
@@ -543,23 +540,6 @@ impl Network {
                     self.paused[node] = false;
                     for tag in std::mem::take(&mut self.deferred[node]) {
                         queue.schedule_at(now, NetEvent::Timer { node, tag });
-                    }
-                }
-            }
-            NetFault::Partition { ref nodes, up } => {
-                for (lid, l) in self.core.links.iter_mut().enumerate() {
-                    if nodes.contains(&l.a) != nodes.contains(&l.b) {
-                        l.up = up;
-                        if emitting {
-                            dlte_obs::emit(
-                                now.as_nanos(),
-                                u64::MAX,
-                                Event::FaultLink {
-                                    link: lid as u64,
-                                    up,
-                                },
-                            );
-                        }
                     }
                 }
             }
@@ -1379,43 +1359,6 @@ mod tests {
         assert_eq!(ticker.fired, vec![10, 45, 45, 45, 50]);
     }
 
-    #[test]
-    fn partition_cuts_only_boundary_links() {
-        let mut b = NetworkBuilder::new(1);
-        let a = b.node("a");
-        let c = b.node("c");
-        let d = b.node("d");
-        let l_ac = b.link(a, c, LinkConfig::lan());
-        let l_ad = b.link(a, d, LinkConfig::lan());
-        let l_cd = b.link(c, d, LinkConfig::lan());
-        let mut sim = b.build();
-        sim.queue_mut().schedule_at(
-            SimTime::ZERO,
-            NetEvent::Fault(NetFault::Partition {
-                nodes: vec![a],
-                up: false,
-            }),
-        );
-        sim.run_to_completion(10);
-        {
-            let links = &sim.world().core.links;
-            assert!(!links[l_ac].up);
-            assert!(!links[l_ad].up);
-            assert!(links[l_cd].up, "interior link untouched");
-        }
-        let now = sim.now();
-        sim.queue_mut().schedule_at(
-            now,
-            NetEvent::Fault(NetFault::Partition {
-                nodes: vec![a],
-                up: true,
-            }),
-        );
-        sim.run_to_completion(10);
-        let links = &sim.world().core.links;
-        assert!(links[l_ac].up && links[l_ad].up && links[l_cd].up);
-    }
-
     /// Every drop reason, provoked once by a single packet on `src — r —
     /// dst`: the per-network tally in `audit()`, the always-on
     /// `drops_<reason>` counter and the traced `Event::Drop` each see it
@@ -1632,63 +1575,5 @@ mod tests {
         assert!(audit.drops_loss > 0 && audit.drops_link_down > 0);
         assert!(audit.drops_node_down > 0);
         assert_conserved(&audit);
-    }
-
-    #[test]
-    fn net_fault_serde_round_trips() {
-        let faults = vec![
-            NetFault::LinkUp { link: 3, up: false },
-            NetFault::LinkOverride {
-                link: 1,
-                ov: LinkOverride {
-                    loss: Some(0.25),
-                    extra_delay: Some(SimDuration::from_millis(40)),
-                    jitter: Some(SimDuration::from_millis(5)),
-                    rate_bps: Some(1e6),
-                },
-            },
-            NetFault::NodeDown { node: 2 },
-            NetFault::NodeUp { node: 2 },
-            NetFault::NodePause { node: 4 },
-            NetFault::NodeResume { node: 4 },
-            NetFault::Partition {
-                nodes: vec![0, 5],
-                up: false,
-            },
-            NetFault::RouteSet {
-                node: 7,
-                prefix: Prefix::new(Addr::new(10, 2, 0, 0), 16),
-                link: 4,
-            },
-        ];
-        for f in faults {
-            let json = serde_json::to_string(&f).unwrap();
-            let back: NetFault = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, f, "{json}");
-        }
-    }
-
-    /// A `RouteSet` read from JSON gets `Prefix::new`'s checks: a length
-    /// past 32 is an error naming the field, and host bits are masked.
-    #[test]
-    fn route_set_json_rejects_long_prefixes_and_masks_host_bits() {
-        let fault = |addr: u32, len: u32| {
-            let json = format!(
-                r#"{{"RouteSet":{{"node":7,"prefix":{{"addr":{addr},"len":{len}}},"link":4}}}}"#
-            );
-            serde_json::from_str::<NetFault>(&json)
-        };
-        for len in [33, 40, 255, 256] {
-            let err = fault(0x0A02_0000, len)
-                .expect_err("length past 32")
-                .to_string();
-            assert!(err.contains("field `len`"), "{len}: {err}");
-        }
-        let host_bits = fault(0x0A02_0304, 16).expect("valid /16");
-        let NetFault::RouteSet { prefix, .. } = host_bits else {
-            panic!("{host_bits:?}");
-        };
-        assert_eq!(prefix, Prefix::new(Addr::new(10, 2, 0, 0), 16));
-        assert_eq!(prefix.addr, Addr::new(10, 2, 0, 0));
     }
 }
